@@ -17,7 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .attention import DemographicEncoder, DemographicRecord, attention_overlay, fuse_and_score, overlay_svg
+from .attention import (
+    AttentionResult,
+    DemographicEncoder,
+    DemographicRecord,
+    attention_overlay,
+    fuse_and_score,
+    overlay_svg,
+)
 from .curves import SmootherConfig, TimeVolumeCurve, differentiate_flow, gaussian_smooth, volume_flow_curve
 from .data import CohortSpec, generate_synthetic_cohort, load_time_volume_csv, write_time_volume_csv
 from .detection import DetectionConfig, DetectionModel
@@ -312,21 +319,19 @@ def cmd_explain(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     ids, curves, demos, _, _ = _load_cohort(Path(args.cohort))
     model, fusion, encoder, _ = _load_models(Path(args.models))
-    vf_curves, series = _preprocess(curves, args)
-    targets = [args.id] if args.id else ids
+    targets = [ids.index(args.id)] if args.id else range(len(ids))
+    vf_curves, series = _preprocess([curves[i] for i in targets], args)
     written = []
-    for blow_id in targets:
-        i = ids.index(blow_id)
-        p_hat, weights, scores, plan = model.explain(series[i])
+    for i, vf, flows in zip(targets, vf_curves, series):
+        blow_id = ids[i]
+        p_hat, weights, scores, plan = model.explain(flows)
         risk, contributions = fuse_and_score(p_hat, demos[i], fusion, encoder)
-        from .attention import AttentionResult
-
         result = AttentionResult(weights=weights, context=np.zeros(0), score_trace=scores)
-        overlay = attention_overlay(result, vf_curves[i], plan)
+        overlay = attention_overlay(result, vf, plan)
         overlay.update({"p_hat": p_hat, "fused_risk": risk, "contributions": contributions})
         _write_json(out_dir / f"overlay_{blow_id}.json", overlay)
         if args.svg:
-            (out_dir / f"overlay_{blow_id}.svg").write_text(overlay_svg(overlay, vf_curves[i]))
+            (out_dir / f"overlay_{blow_id}.svg").write_text(overlay_svg(overlay, vf))
         written.append(blow_id)
     _manifest(out_dir, "explain", {"id": args.id, "svg": args.svg, **_smoother_config(args)}, {"overlays": len(written)})
     _summary({"command": "explain", "out_dir": str(out_dir), "overlays": len(written)})
@@ -341,9 +346,10 @@ def cmd_predict(args):
     horizon_blob = json.loads((Path(args.models) / "horizon_model.json").read_text())
     horizon_model = LogisticModel.from_dict(horizon_blob["model"])
     vf_curves, series = _preprocess(curves, args)
+    p_hats = model.predict_proba(series)
     with open(out_dir / "predictions.jsonl", "w") as fh:
         for i, blow_id in enumerate(ids):
-            p_hat = float(model.predict_proba([series[i]])[0])
+            p_hat = float(p_hats[i])
             risk, _ = fuse_and_score(p_hat, demos[i], fusion, encoder)
             record = {"id": blow_id, "p_hat": p_hat, "fused_risk": risk}
             if p_hat > args.threshold:

@@ -52,6 +52,12 @@ class DetectionConfig:
     seed: int = 0
 
 
+def _cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Mean negative log-probability of the true class, clamped away from 0."""
+    picked = np.clip(probs[np.arange(labels.size), labels], PROB_CLAMP, None)
+    return float(-np.log(picked).mean())
+
+
 class DetectionModel:
     """Binary COPD detector over varied-length flow series."""
 
@@ -120,14 +126,18 @@ class DetectionModel:
         s = plans[0].s
         return float(probs[0, 1]), weights[0, :s].copy(), scores[0, :s].copy(), plans[0]
 
+    def loss(self, series_list, labels) -> float:
+        """Mean cross-entropy from a forward pass only."""
+        probs, _, _, _, _ = self._forward(series_list)
+        return _cross_entropy(probs, np.asarray(labels, dtype=np.int64))
+
     def loss_and_grads(self, series_list, labels):
         """Mean cross-entropy and gradients for every parameter."""
         labels = np.asarray(labels, dtype=np.int64)
         probs, _, _, _, cache = self._forward(series_list)
         patches, conv_cache, lengths, lstm_cache, attn_cache, pooled, _ = cache
         n = labels.size
-        picked = np.clip(probs[np.arange(n), labels], PROB_CLAMP, None)
-        loss = float(-np.log(picked).mean())
+        loss = _cross_entropy(probs, labels)
         dlogits = probs.copy()
         dlogits[np.arange(n), labels] -= 1.0
         dlogits /= n
@@ -151,8 +161,7 @@ class DetectionModel:
         n = labels.size
         rng = np.random.default_rng(cfg.seed)
         params = self.params()
-        loss, _ = self.loss_and_grads(series_list, labels)
-        trace = [loss]
+        trace = [self.loss(series_list, labels)]
         for _ in range(cfg.epochs):
             order = rng.permutation(n)
             for start in range(0, n, cfg.batch_size):
@@ -161,8 +170,7 @@ class DetectionModel:
                 _, grads = self.loss_and_grads(batch_series, labels[batch])
                 for name, p in params.items():
                     p -= cfg.lr * (grads[name] + cfg.l2 * p)
-            loss, _ = self.loss_and_grads(series_list, labels)
-            trace.append(loss)
+            trace.append(self.loss(series_list, labels))
         self.trained = True
         return trace
 

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     EmptySequence,
@@ -153,64 +154,75 @@ class PackedFeatures:
 
 
 # ---------------------------------------------------------------------------
-# conv kernels
+# conv kernels (channels-last; im2col in blocks of patches, one GEMM per block)
+
+CONV_BLOCK = 256  # patches per im2col block; bounds the column buffer
+
+
+def _im2col(x: np.ndarray, kernel: int, pad_left: int) -> np.ndarray:
+    """Zero-padded windows of x (P, L, C) as rows (P*L, kernel*C), ordered (tap, c)."""
+    p, length, c = x.shape
+    padded = np.zeros((p, length + kernel - 1, c))
+    padded[:, pad_left : pad_left + length] = x
+    windows = sliding_window_view(padded, kernel, axis=1)  # (P, L, C, kernel)
+    return windows.transpose(0, 1, 3, 2).reshape(p * length, kernel * c)
+
+
+def _correlate(x: np.ndarray, w: np.ndarray, pad_left: int) -> np.ndarray:
+    """Zero-padded 1-D correlation of x (P, L, Cin) with w (Cout, Cin, K): (P, L, Cout)."""
+    p, length, _ = x.shape
+    c_out, c_in, kernel = w.shape
+    wmat = w.transpose(2, 1, 0).reshape(kernel * c_in, c_out)
+    out = np.empty((p, length, c_out))
+    for lo in range(0, p, CONV_BLOCK):
+        block = slice(lo, lo + CONV_BLOCK)
+        out[block] = (_im2col(x[block], kernel, pad_left) @ wmat).reshape(-1, length, c_out)
+    return out
 
 
 def _conv1d_same(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Zero-padded same-length 1-D correlation. x: (P, Cin, L), w: (Cout, Cin, K)."""
-    p, c_in, length = x.shape
-    c_out, _, kernel = w.shape
-    half = kernel // 2
-    out = np.zeros((p, c_out, length))
-    for tap in range(kernel):
-        j = tap - half
-        lo = max(0, -j)
-        hi = min(length, length - j)
-        if lo >= hi:
-            continue
-        # (P, lo:hi, Cout) contribution from input positions shifted by j
-        out[:, :, lo:hi] += np.einsum("pcl,oc->pol", x[:, :, lo + j : hi + j], w[:, :, tap])
-    return out + b[None, :, None]
+    """Same-length correlation, kernel // 2 zeros on the left. x: (P, L, Cin), w: (Cout, Cin, K)."""
+    out = _correlate(x, w, w.shape[2] // 2)
+    out += b
+    return out
 
 
-def _conv1d_same_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray):
-    """Gradients of _conv1d_same w.r.t. x, w, b."""
-    p, c_in, length = x.shape
-    c_out, _, kernel = w.shape
+def _conv1d_same_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray, input_grad: bool = True):
+    """Gradients (dx, dw, db) of _conv1d_same; dx is None unless input_grad.
+
+    dx is itself a same-length correlation of dy, with the kernel's taps
+    reversed, its channel axes swapped and the padding mirrored.
+    """
+    c_out, c_in, kernel = w.shape
     half = kernel // 2
-    dx = np.zeros_like(x)
-    dw = np.zeros_like(w)
-    for tap in range(kernel):
-        j = tap - half
-        lo = max(0, -j)
-        hi = min(length, length - j)
-        if lo >= hi:
-            continue
-        dw[:, :, tap] += np.einsum("pol,pcl->oc", dy[:, :, lo:hi], x[:, :, lo + j : hi + j])
-        dx[:, :, lo + j : hi + j] += np.einsum("pol,oc->pcl", dy[:, :, lo:hi], w[:, :, tap])
-    db = dy.sum(axis=(0, 2))
-    return dx, dw, db
+    dw = np.zeros((kernel * c_in, c_out))
+    for lo in range(0, x.shape[0], CONV_BLOCK):
+        block = slice(lo, lo + CONV_BLOCK)
+        dw += _im2col(x[block], kernel, half).T @ dy[block].reshape(-1, c_out)
+    db = dy.sum(axis=(0, 1))
+    dx = _correlate(dy, w.transpose(1, 0, 2)[:, :, ::-1], kernel - 1 - half) if input_grad else None
+    return dx, dw.reshape(kernel, c_in, c_out).transpose(2, 1, 0), db
 
 
 def conv_embed_forward(patches: np.ndarray, params: ConvEncoderParams):
     """Embed patches (P, 1, k) into features (P, C); returns cache for backward."""
-    a1 = _conv1d_same(patches, params.w1, params.b1)
-    z1 = np.tanh(a1)
-    a2 = _conv1d_same(z1, params.w2, params.b2)
-    z2 = np.tanh(a2)
-    feats = z2.mean(axis=2)
-    cache = (patches, z1, z2)
+    x = patches.transpose(0, 2, 1)
+    z1 = _conv1d_same(x, params.w1, params.b1)
+    np.tanh(z1, out=z1)
+    z2 = _conv1d_same(z1, params.w2, params.b2)
+    np.tanh(z2, out=z2)
+    feats = z2.mean(axis=1)
+    cache = (x, z1, z2)
     return feats, cache
 
 
 def conv_embed_backward(dfeats: np.ndarray, cache, params: ConvEncoderParams):
-    patches, z1, z2 = cache
-    length = patches.shape[2]
-    dz2 = np.repeat(dfeats[:, :, None] / length, length, axis=2)
-    da2 = dz2 * (1.0 - z2 * z2)
+    x, z1, z2 = cache
+    length = x.shape[1]
+    da2 = (dfeats[:, None, :] / length) * (1.0 - z2 * z2)
     dz1, dw2, db2 = _conv1d_same_backward(da2, z1, params.w2)
     da1 = dz1 * (1.0 - z1 * z1)
-    _, dw1, db1 = _conv1d_same_backward(da1, patches, params.w1)
+    _, dw1, db1 = _conv1d_same_backward(da1, x, params.w1, input_grad=False)
     return {"conv_w1": dw1, "conv_b1": db1, "conv_w2": dw2, "conv_b2": db2}
 
 
@@ -297,10 +309,9 @@ def _lstm_forward_padded(x: np.ndarray, lengths: np.ndarray, w, u, b):
     for t in range(steps):
         valid = (t < lengths).astype(float)[:, None]
         pre = x[:, t] @ w.T + h @ u.T + b
-        i = _sigmoid(pre[:, :hdim])
-        f = _sigmoid(pre[:, hdim : 2 * hdim])
-        g = np.tanh(pre[:, 2 * hdim : 3 * hdim])
-        o = _sigmoid(pre[:, 3 * hdim :])
+        gates = _sigmoid(pre)  # i, f and o; the g columns are then replaced by tanh
+        gates[:, 2 * hdim : 3 * hdim] = np.tanh(pre[:, 2 * hdim : 3 * hdim])
+        i, f, g, o = np.split(gates, 4, axis=1)
         c_new = f * c + i * g
         tc = np.tanh(c_new)
         h_new = o * tc
@@ -347,12 +358,9 @@ def _lstm_backward_padded(doutputs: np.ndarray, caches, w, u):
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Overflow-free logistic: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below."""
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 def _reverse_padded(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:

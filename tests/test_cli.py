@@ -1,10 +1,14 @@
 import json
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spiroflow
 from spiroflow.cli import main
 from spiroflow.metrics import auroc
 
@@ -178,6 +182,18 @@ class TestExplain:
         svg = (out / f"overlay_{blow_id}.svg").read_text()
         assert svg.startswith("<svg") and "<polyline" in svg
 
+    def test_single_overlay_equals_full_run(self, pipeline, tmp_path):
+        # --id preprocesses only its record; the overlay must not change
+        _, cohort, models = pipeline
+        one, every = tmp_path / "one", tmp_path / "every"
+        blow_id = "WITHIN_1Y_0002"
+        args = ("--cohort", str(cohort), "--models", str(models), "--svg")
+        assert _run("explain", "--out-dir", str(one), "--id", blow_id, *args) == 0
+        assert _run("explain", "--out-dir", str(every), *args) == 0
+        for suffix in ("json", "svg"):
+            name = f"overlay_{blow_id}.{suffix}"
+            assert (one / name).read_bytes() == (every / name).read_bytes()
+
 
 class TestPredict:
     def test_gate_contract(self, pipeline, tmp_path):
@@ -209,6 +225,43 @@ class TestPredict:
         for out in (a, b):
             _run("predict", "--out-dir", str(out), "--cohort", str(cohort), "--models", str(models))
         assert _tree_digest(a) == _tree_digest(b)
+
+    def test_batched_scores_match_single_record_calls(self, pipeline, tmp_path):
+        from spiroflow.cli import _load_cohort, _load_models, _preprocess
+
+        _, cohort, models = pipeline
+        out = tmp_path / "pred"
+        assert _run("predict", "--out-dir", str(out), "--cohort", str(cohort), "--models", str(models)) == 0
+        lines = [json.loads(l) for l in (out / "predictions.jsonl").read_text().splitlines()]
+
+        class Args:
+            window, sigma = 5, 2.0
+
+        ids, curves, _, _, _ = _load_cohort(cohort)
+        model, _, _, _ = _load_models(models)
+        _, series = _preprocess(curves, Args)
+        assert [rec["id"] for rec in lines] == ids
+        for rec, flows in zip(lines, series):
+            single = float(model.predict_proba([flows])[0])
+            assert abs(rec["p_hat"] - single) <= 1e-12
+            assert rec["verdict"] == ("copd" if single > 0.5 else "non_copd")
+
+
+class TestBlasThreads:
+    def test_checkpoint_identical_at_one_and_two_threads(self, pipeline, tmp_path):
+        _, cohort, _ = pipeline
+        src = str(Path(spiroflow.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads_{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            subprocess.run(
+                [sys.executable, "-m", "spiroflow.cli", "train-detect", "--out-dir", str(out),
+                 "--cohort", str(cohort), "--epochs", "2", "--seed", "1"],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+            digests.append(_tree_digest(out))
+        assert digests[0] == digests[1]
 
 
 class TestErrors:

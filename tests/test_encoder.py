@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from spiroflow import encoder
+from spiroflow.detection import DetectionConfig, DetectionModel
 from spiroflow.encoder import (
     BiLstmParams,
     MaskedPatchTensor,
@@ -22,6 +24,8 @@ from spiroflow.encoder import (
     patch_plan,
     patchify,
     unpack,
+    _conv1d_same,
+    _conv1d_same_backward,
     _sigmoid,
 )
 from spiroflow.errors import InvalidArgument, InvalidParams, PlanViolation, ShapeError
@@ -126,6 +130,100 @@ class TestConvEmbed:
                 cd = (up - down) / (2 * eps)
                 denom = max(abs(g[idx]), abs(cd), 1e-8)
                 assert abs(g[idx] - cd) / denom < 1e-4, name
+
+
+def _naive_conv(x, w, b):
+    """out[p, o, l] = b[o] + sum over c, t of w[o, c, t] * x[p, c, l + t - K // 2], zeros outside."""
+    n, c_in, length = x.shape
+    c_out, _, kernel = w.shape
+    out = np.zeros((n, c_out, length))
+    for p in range(n):
+        for o in range(c_out):
+            for l in range(length):
+                acc = b[o]
+                for c in range(c_in):
+                    for t in range(kernel):
+                        m = l + t - kernel // 2
+                        if 0 <= m < length:
+                            acc += w[o, c, t] * x[p, c, m]
+                out[p, o, l] = acc
+    return out
+
+
+def _naive_conv_backward(dy, x, w):
+    """Gradients of _naive_conv, term by term from the same definition."""
+    n, c_in, length = x.shape
+    c_out, _, kernel = w.shape
+    dx, dw, db = np.zeros_like(x), np.zeros_like(w), np.zeros(c_out)
+    for p in range(n):
+        for o in range(c_out):
+            for l in range(length):
+                db[o] += dy[p, o, l]
+                for c in range(c_in):
+                    for t in range(kernel):
+                        m = l + t - kernel // 2
+                        if 0 <= m < length:
+                            dx[p, c, m] += w[o, c, t] * dy[p, o, l]
+                            dw[o, c, t] += dy[p, o, l] * x[p, c, m]
+    return dx, dw, db
+
+
+class TestConvKernels:
+    """The channels-last blocked kernels against zero-padded correlation by
+    nested loops; a block of two patches makes every call span blocks."""
+
+    @pytest.mark.parametrize("length", [2, 7])  # 2: a patch shorter than the kernel
+    @pytest.mark.parametrize("c_in", [1, 3])
+    @pytest.mark.parametrize("kernel", [3, 4, 5])
+    def test_forward_matches_naive(self, c_in, kernel, length, monkeypatch):
+        monkeypatch.setattr(encoder, "CONV_BLOCK", 2)
+        rng = np.random.default_rng(20 + kernel)
+        x = rng.standard_normal((5, c_in, length))
+        w = rng.standard_normal((4, c_in, kernel))
+        b = rng.standard_normal(4)
+        out = _conv1d_same(x.transpose(0, 2, 1), w, b).transpose(0, 2, 1)
+        assert np.abs(out - _naive_conv(x, w, b)).max() < 1e-12
+
+    @pytest.mark.parametrize("length", [2, 7])  # 2: a patch shorter than the kernel
+    @pytest.mark.parametrize("c_in", [1, 3])
+    @pytest.mark.parametrize("kernel", [3, 4, 5])
+    def test_backward_matches_naive(self, c_in, kernel, length, monkeypatch):
+        monkeypatch.setattr(encoder, "CONV_BLOCK", 2)
+        rng = np.random.default_rng(30 + kernel)
+        x = rng.standard_normal((5, c_in, length))
+        w = rng.standard_normal((4, c_in, kernel))
+        dy = rng.standard_normal((5, 4, length))
+        dx, dw, db = _conv1d_same_backward(dy.transpose(0, 2, 1), x.transpose(0, 2, 1), w)
+        ref_dx, ref_dw, ref_db = _naive_conv_backward(dy, x, w)
+        assert np.abs(dx.transpose(0, 2, 1) - ref_dx).max() < 1e-12
+        assert np.abs(dw - ref_dw).max() < 1e-12
+        assert np.abs(db - ref_db).max() < 1e-12
+        skipped, dw_only, _ = _conv1d_same_backward(
+            dy.transpose(0, 2, 1), x.transpose(0, 2, 1), w, input_grad=False
+        )
+        assert skipped is None and np.array_equal(dw_only, dw)
+
+
+def test_sigmoid_matches_masked_reference_bit_for_bit():
+    x = np.concatenate(
+        [np.random.default_rng(50).standard_normal(200) * 30, [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan]]
+    )
+    ref = np.empty_like(x)
+    pos = x >= 0
+    ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    ref[~pos] = ex / (1.0 + ex)
+    assert np.array_equal(_sigmoid(x), ref, equal_nan=True)
+    assert np.array_equal(_sigmoid(x.reshape(-1, 9)), ref.reshape(-1, 9), equal_nan=True)
+
+
+class TestForwardOnlyLoss:
+    def test_equals_loss_and_grads_bit_for_bit(self, small_cohort_series):
+        series = [s for s, _, _, _ in small_cohort_series]
+        labels = np.array([y for _, _, y, _ in small_cohort_series])
+        model = DetectionModel(DetectionConfig(seed=3), max_length=max(len(s) for s in series))
+        assert model.loss(series, labels) == model.loss_and_grads(series, labels)[0]
+        assert model.loss(series[:3], labels[:3]) == model.loss_and_grads(series[:3], labels[:3])[0]
 
 
 class TestMaskAndPack:
