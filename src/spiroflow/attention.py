@@ -279,6 +279,12 @@ def attention_overlay(
     return {"patches": patches}
 
 
+def _polyline_points(xs: np.ndarray, ys: np.ndarray) -> str:
+    """SVG points "x,y x,y ..." at two decimals, from one %-format call."""
+    flat = np.column_stack((xs, ys)).ravel().tolist()
+    return " ".join(["%.2f,%.2f"] * len(xs)) % tuple(flat)
+
+
 def overlay_svg(overlay: dict, curve: VolumeFlowCurve, width: int = 640, height: int = 240) -> str:
     """Standalone SVG: the Volume-Flow polyline with a heat strip underneath."""
     v = curve.volumes
@@ -288,7 +294,7 @@ def overlay_svg(overlay: dict, curve: VolumeFlowCurve, width: int = 640, height:
     plot_h = height - 30
     xs = (v - v[0]) / v_span * width
     ys = plot_h - q / q_max * (plot_h - 10)
-    pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+    pts = _polyline_points(xs, ys)
     w_max = max((p["weight"] for p in overlay["patches"]), default=1.0) or 1.0
     rects = []
     for p in overlay["patches"]:

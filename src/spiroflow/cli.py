@@ -28,7 +28,7 @@ from .attention import (
 from .curves import SmootherConfig, TimeVolumeCurve, differentiate_flow, gaussian_smooth, volume_flow_curve
 from .data import CohortSpec, generate_synthetic_cohort, load_time_volume_csv, write_time_volume_csv
 from .detection import DetectionConfig, DetectionModel
-from .errors import SpiroError
+from .errors import InvalidArgument, SpiroError
 from .horizon import HORIZON_ORDER, HorizonLabel, future_feature_vector, predict_future_risk, top_horizon
 from .metrics import metrics_report, subgroup_reports
 from .phases import concavity_features
@@ -319,14 +319,21 @@ def cmd_explain(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     ids, curves, demos, _, _ = _load_cohort(Path(args.cohort))
     model, fusion, encoder, _ = _load_models(Path(args.models))
-    targets = [ids.index(args.id)] if args.id else range(len(ids))
+    if args.id is None:
+        targets = range(len(ids))
+    elif args.id in ids:
+        targets = [ids.index(args.id)]
+    else:
+        raise InvalidArgument(f"unknown record id {args.id!r}")
     vf_curves, series = _preprocess([curves[i] for i in targets], args)
+    p_hats, weights, scores, plans = model.explain(series)
     written = []
-    for i, vf, flows in zip(targets, vf_curves, series):
+    for row, (i, vf, plan) in enumerate(zip(targets, vf_curves, plans)):
         blow_id = ids[i]
-        p_hat, weights, scores, plan = model.explain(flows)
+        p_hat = float(p_hats[row])
         risk, contributions = fuse_and_score(p_hat, demos[i], fusion, encoder)
-        result = AttentionResult(weights=weights, context=np.zeros(0), score_trace=scores)
+        s = plan.s
+        result = AttentionResult(weights=weights[row, :s], context=np.zeros(0), score_trace=scores[row, :s])
         overlay = attention_overlay(result, vf, plan)
         overlay.update({"p_hat": p_hat, "fused_risk": risk, "contributions": contributions})
         _write_json(out_dir / f"overlay_{blow_id}.json", overlay)

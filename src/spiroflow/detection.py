@@ -97,9 +97,12 @@ class DetectionModel:
         lengths = np.array([p.s for p in plans], dtype=np.int64)
         return patches, lengths, plans
 
-    def _forward(self, series_list):
+    def _forward(self, series_list, keep_cache: bool = False):
+        """One batched pass; cache is None unless keep_cache (backward follows)."""
         patches, lengths, plans = self._prepare(series_list)
         feats, conv_cache = conv_embed_forward(patches, self.conv)
+        if not keep_cache:
+            conv_cache = None
         n = lengths.size
         s_max = int(lengths.max())
         block = np.zeros((n, s_max, self.config.channels))
@@ -109,10 +112,10 @@ class DetectionModel:
             block[i, :s] = feats[offset : offset + s]
             mask[i, :s] = 1
             offset += s
-        contexts, lstm_cache = bilstm_forward_padded(block, lengths, self.lstm)
+        contexts, lstm_cache = bilstm_forward_padded(block, lengths, self.lstm, keep_cache)
         weights, pooled, scores, attn_cache = attention_forward_padded(contexts, mask, self.attn)
-        probs, logits = head_forward(pooled, self.head)
-        cache = (patches, conv_cache, lengths, lstm_cache, attn_cache, pooled, probs)
+        probs, _ = head_forward(pooled, self.head)
+        cache = (conv_cache, lengths, lstm_cache, attn_cache, pooled) if keep_cache else None
         return probs, weights, scores, plans, cache
 
     def predict_proba(self, series_list) -> np.ndarray:
@@ -120,11 +123,13 @@ class DetectionModel:
         probs, _, _, _, _ = self._forward(series_list)
         return probs[:, 1]
 
-    def explain(self, series):
-        """(p_hat, attention weights, raw scores, plan) for a single series."""
-        probs, weights, scores, plans, cache = self._forward([series])
-        s = plans[0].s
-        return float(probs[0, 1]), weights[0, :s].copy(), scores[0, :s].copy(), plans[0]
+    def explain(self, series_list):
+        """(p_hat (N,), attention weights (N, S), raw scores (N, S), plans).
+
+        Row i belongs to series i; its first plans[i].s entries are valid.
+        """
+        probs, weights, scores, plans, _ = self._forward(series_list)
+        return probs[:, 1], weights, scores, plans
 
     def loss(self, series_list, labels) -> float:
         """Mean cross-entropy from a forward pass only."""
@@ -134,8 +139,8 @@ class DetectionModel:
     def loss_and_grads(self, series_list, labels):
         """Mean cross-entropy and gradients for every parameter."""
         labels = np.asarray(labels, dtype=np.int64)
-        probs, _, _, _, cache = self._forward(series_list)
-        patches, conv_cache, lengths, lstm_cache, attn_cache, pooled, _ = cache
+        probs, _, _, _, cache = self._forward(series_list, keep_cache=True)
+        conv_cache, lengths, lstm_cache, attn_cache, pooled = cache
         n = labels.size
         loss = _cross_entropy(probs, labels)
         dlogits = probs.copy()

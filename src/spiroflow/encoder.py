@@ -4,8 +4,9 @@ A varied-length flow series is cut into fixed-length patches (the last one
 zero-padded), each patch is embedded by a small two-layer 1-D conv stack
 with mean pooling, samples are assembled into a fixed-shape masked block,
 valid patch rows are packed, and a bidirectional LSTM produces per-patch
-context features of width 2H.  Forward passes carry caches so the manual
-backward passes used for training stay in one place.
+context features of width 2H.  Forward passes can carry caches so the
+manual backward passes used for training stay in one place; inference
+passes ask for none.
 """
 
 from __future__ import annotations
@@ -298,14 +299,18 @@ def unpack(packed: PackedFeatures, n_max: int) -> MaskedPatchTensor:
 # LSTM kernels (batched over samples, loop over time)
 
 
-def _lstm_forward_padded(x: np.ndarray, lengths: np.ndarray, w, u, b):
-    """Unidirectional LSTM over padded input (B, S, C); invalid steps stay zero."""
+def _lstm_forward_padded(x: np.ndarray, lengths: np.ndarray, w, u, b, keep_cache: bool):
+    """Unidirectional LSTM over padded input (B, S, C); invalid steps stay zero.
+
+    The per-step backward caches are recorded only if keep_cache; otherwise
+    the second return value is None.
+    """
     bsz, steps, _ = x.shape
     hdim = u.shape[1]
     h = np.zeros((bsz, hdim))
     c = np.zeros((bsz, hdim))
     outputs = np.zeros((bsz, steps, hdim))
-    caches = []
+    caches = [] if keep_cache else None
     for t in range(steps):
         valid = (t < lengths).astype(float)[:, None]
         pre = x[:, t] @ w.T + h @ u.T + b
@@ -315,7 +320,8 @@ def _lstm_forward_padded(x: np.ndarray, lengths: np.ndarray, w, u, b):
         c_new = f * c + i * g
         tc = np.tanh(c_new)
         h_new = o * tc
-        caches.append((x[:, t], h, c, i, f, g, o, c_new, tc, valid))
+        if keep_cache:
+            caches.append((x[:, t], h, c, i, f, g, o, c_new, tc, valid))
         h = valid * h_new
         c = valid * c_new
         outputs[:, t] = h
@@ -372,12 +378,15 @@ def _reverse_padded(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return out
 
 
-def bilstm_forward_padded(x: np.ndarray, lengths: np.ndarray, params: BiLstmParams):
-    """Bidirectional pass over padded (B, S, C) input; output (B, S, 2H) + cache."""
+def bilstm_forward_padded(x: np.ndarray, lengths: np.ndarray, params: BiLstmParams, keep_cache: bool = False):
+    """Bidirectional pass over padded (B, S, C) input; output (B, S, 2H) + cache.
+
+    Only a keep_cache pass can be fed to bilstm_backward_padded.
+    """
     params.validate()
-    out_f, cache_f = _lstm_forward_padded(x, lengths, params.w_f, params.u_f, params.b_f)
+    out_f, cache_f = _lstm_forward_padded(x, lengths, params.w_f, params.u_f, params.b_f, keep_cache)
     x_rev = _reverse_padded(x, lengths)
-    out_b_rev, cache_b = _lstm_forward_padded(x_rev, lengths, params.w_b, params.u_b, params.b_b)
+    out_b_rev, cache_b = _lstm_forward_padded(x_rev, lengths, params.w_b, params.u_b, params.b_b, keep_cache)
     out_b = _reverse_padded(out_b_rev, lengths)
     return np.concatenate([out_f, out_b], axis=2), (cache_f, cache_b, lengths)
 

@@ -5,6 +5,7 @@ import hypothesis.strategies as st
 
 from spiroflow.attention import (
     AttentionParams,
+    AttentionResult,
     DemographicEncoder,
     DemographicRecord,
     HeadParams,
@@ -20,6 +21,7 @@ from spiroflow.attention import (
     init_head_params,
     overlay_svg,
     volume_attention,
+    _polyline_points,
 )
 from spiroflow.curves import VolumeFlowCurve
 from spiroflow.encoder import PatchPlan
@@ -323,3 +325,33 @@ class TestOverlay:
         assert svg.startswith("<svg")
         assert "<polyline" in svg
         assert svg.count("<rect") == 2
+
+    @staticmethod
+    def _fstring_points(xs, ys):
+        # the per-point formatting that _polyline_points replaced
+        return " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+
+    def test_polyline_points_match_fstring_join(self):
+        # -0.0 and small negatives print "-0.00"; the others round at the third decimal
+        edge = np.array([-0.0, 0.0, -0.004, -0.005, 0.005, 0.015, 0.125, 0.135, 1.005, 2.675, 639.995, 1e-300])
+        expected = (
+            "-0.00,0.00 0.00,640.00 -0.00,2.67 -0.01,1.00 0.01,0.14 0.01,0.12 "
+            "0.12,0.01 0.14,0.01 1.00,-0.01 2.67,-0.00 640.00,0.00 0.00,-0.00"
+        )
+        assert self._fstring_points(edge, edge[::-1]) == expected
+        assert _polyline_points(edge, edge[::-1]) == expected
+        rng = np.random.default_rng(17)
+        for n in (0, 1, 240):
+            xs, ys = rng.uniform(-1.0, 640.0, n), rng.uniform(-1.0, 240.0, n)
+            assert _polyline_points(xs, ys) == self._fstring_points(xs, ys)
+
+    def test_svg_polyline_matches_fstring_join(self, small_cohort_series):
+        for _, curve, _, _ in small_cohort_series:
+            plan = PatchPlan(k=32, s=-(-len(curve) // 32), n_max=64)
+            weights = np.full(plan.s, 1.0 / plan.s)
+            result = AttentionResult(weights=weights, context=np.zeros(0), score_trace=weights)
+            svg = overlay_svg(attention_overlay(result, curve, plan), curve)
+            v, q = curve.volumes, curve.flows
+            xs = (v - v[0]) / max(v[-1] - v[0], 1e-12) * 640
+            ys = 210 - q / max(float(q.max()), 1e-12) * 200
+            assert f'<polyline points="{self._fstring_points(xs, ys)}" ' in svg

@@ -1,6 +1,7 @@
 import json
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -183,16 +184,61 @@ class TestExplain:
         assert svg.startswith("<svg") and "<polyline" in svg
 
     def test_single_overlay_equals_full_run(self, pipeline, tmp_path):
-        # --id preprocesses only its record; the overlay must not change
+        # --id preprocesses only its record: the spans and the curve are
+        # byte-equal.  Its detector batch has one record, and BLAS may round a
+        # batch of one differently from the full run's batch in the last bits.
+        from spiroflow.cli import _load_cohort
+
         _, cohort, models = pipeline
-        one, every = tmp_path / "one", tmp_path / "every"
-        blow_id = "WITHIN_1Y_0002"
+        every = tmp_path / "every"
         args = ("--cohort", str(cohort), "--models", str(models), "--svg")
-        assert _run("explain", "--out-dir", str(one), "--id", blow_id, *args) == 0
         assert _run("explain", "--out-dir", str(every), *args) == 0
-        for suffix in ("json", "svg"):
-            name = f"overlay_{blow_id}.{suffix}"
-            assert (one / name).read_bytes() == (every / name).read_bytes()
+        ids = _load_cohort(cohort)[0]
+        assert len(ids) == 36
+        for blow_id in ids:
+            one = tmp_path / blow_id
+            assert _run("explain", "--out-dir", str(one), "--id", blow_id, *args) == 0
+            a, b = (json.loads((d / f"overlay_{blow_id}.json").read_text()) for d in (one, every))
+            assert [(p["v_start"], p["v_end"]) for p in a["patches"]] == [
+                (p["v_start"], p["v_end"]) for p in b["patches"]
+            ]
+            polyline_a, polyline_b = (
+                re.search(r"<polyline [^>]*/>", (d / f"overlay_{blow_id}.svg").read_text()).group(0)
+                for d in (one, every)
+            )
+            assert polyline_a == polyline_b
+            weights_a = np.array([p["weight"] for p in a["patches"]])
+            weights_b = np.array([p["weight"] for p in b["patches"]])
+            assert np.max(np.abs(weights_a - weights_b)) <= 1e-12
+            assert abs(a["p_hat"] - b["p_hat"]) <= 1e-12
+            assert abs(a["fused_risk"] - b["fused_risk"]) <= 1e-12
+            assert a["contributions"].keys() == b["contributions"].keys()
+            for name, value in a["contributions"].items():
+                assert abs(value - b["contributions"][name]) <= 1e-12
+
+    def test_overlays_equal_predictions_bit_for_bit(self, pipeline, tmp_path):
+        # explain and predict score the cohort in the same batch
+        _, cohort, models = pipeline
+        args = ("--cohort", str(cohort), "--models", str(models))
+        assert _run("explain", "--out-dir", str(tmp_path / "explain"), *args) == 0
+        assert _run("predict", "--out-dir", str(tmp_path / "pred"), *args) == 0
+        lines = [json.loads(l) for l in (tmp_path / "pred" / "predictions.jsonl").read_text().splitlines()]
+        assert len(lines) == 36
+        for rec in lines:
+            overlay = json.loads((tmp_path / "explain" / f"overlay_{rec['id']}.json").read_text())
+            assert overlay["p_hat"] == rec["p_hat"]
+            assert overlay["fused_risk"] == rec["fused_risk"]
+
+    def test_unknown_id_is_clean_failure(self, pipeline, tmp_path, capsys):
+        _, cohort, models = pipeline
+        code = _run(
+            "explain", "--out-dir", str(tmp_path / "explain"), "--cohort", str(cohort),
+            "--models", str(models), "--id", "NO_SUCH_RECORD",
+        )
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "InvalidArgument"
+        assert "NO_SUCH_RECORD" in payload["message"]
 
 
 class TestPredict:
@@ -248,19 +294,34 @@ class TestPredict:
 
 
 class TestBlasThreads:
+    @staticmethod
+    def _cli(threads, *argv):
+        src = str(Path(spiroflow.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        subprocess.run(
+            [sys.executable, "-m", "spiroflow.cli", *argv],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+
     def test_checkpoint_identical_at_one_and_two_threads(self, pipeline, tmp_path):
         _, cohort, _ = pipeline
-        src = str(Path(spiroflow.__file__).resolve().parents[1])
         digests = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads_{threads}"
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
-            subprocess.run(
-                [sys.executable, "-m", "spiroflow.cli", "train-detect", "--out-dir", str(out),
-                 "--cohort", str(cohort), "--epochs", "2", "--seed", "1"],
-                env=env, check=True, capture_output=True, timeout=300,
-            )
+            self._cli(threads, "train-detect", "--out-dir", str(out), "--cohort", str(cohort), "--epochs", "2", "--seed", "1")
             digests.append(_tree_digest(out))
+        assert digests[0] == digests[1]
+
+    def test_explain_and_predict_identical_at_one_and_two_threads(self, pipeline, tmp_path):
+        _, cohort, models = pipeline
+        args = ("--cohort", str(cohort), "--models", str(models))
+        digests = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads_{threads}"
+            self._cli(threads, "explain", "--out-dir", str(out / "explain"), "--svg", *args)
+            self._cli(threads, "predict", "--out-dir", str(out / "predict"), *args)
+            digests.append((_tree_digest(out / "explain"), _tree_digest(out / "predict")))
+        assert len(digests[0][0]) == 2 * 36 + 1  # JSON and SVG overlays plus the manifest
         assert digests[0] == digests[1]
 
 

@@ -226,6 +226,44 @@ class TestForwardOnlyLoss:
         assert model.loss(series[:3], labels[:3]) == model.loss_and_grads(series[:3], labels[:3])[0]
 
 
+class TestCacheFreeForward:
+    @staticmethod
+    def _model(series):
+        return DetectionModel(DetectionConfig(seed=4), max_length=max(len(s) for s in series))
+
+    def test_matches_caching_pass_bit_for_bit(self, small_cohort_series):
+        series = [s for s, _, _, _ in small_cohort_series]
+        model = self._model(series)
+        probs, weights, scores, plans, cache = model._forward(series)
+        probs_c, weights_c, scores_c, plans_c, cache_c = model._forward(series, keep_cache=True)
+        assert cache is None and cache_c is not None
+        assert np.array_equal(probs, probs_c)
+        assert np.array_equal(weights, weights_c)
+        assert np.array_equal(scores, scores_c)
+        assert plans == plans_c
+
+    def test_explain_rows_equal_predict_proba(self, small_cohort_series):
+        series = [s for s, _, _, _ in small_cohort_series]
+        model = self._model(series)
+        p_hat, weights, scores, plans = model.explain(series)
+        assert np.array_equal(p_hat, model.predict_proba(series))
+        assert weights.shape == scores.shape == (len(series), max(p.s for p in plans))
+        for row, plan in zip(weights, plans):
+            assert row[: plan.s].sum() == pytest.approx(1.0)
+            assert np.all(row[plan.s :] == 0.0)
+
+    def test_lstm_keeps_no_per_step_caches_unless_asked(self):
+        rng = np.random.default_rng(15)
+        params = init_bilstm_params(rng, channels=2, hidden=3)
+        x = rng.standard_normal((2, 4, 2))
+        lengths = np.array([4, 2])
+        out, (cache_f, cache_b, _) = bilstm_forward_padded(x, lengths, params)
+        out_c, cache = bilstm_forward_padded(x, lengths, params, keep_cache=True)
+        assert cache_f is None and cache_b is None
+        assert len(cache[0]) == len(cache[1]) == 4
+        assert np.array_equal(out, out_c)
+
+
 class TestMaskAndPack:
     @staticmethod
     def _random_cohort(rng, n, n_max, channels=3, k=4):
@@ -343,7 +381,7 @@ class TestLstm:
             out, _ = bilstm_forward_padded(x, lengths, params)
             return float((out * proj).sum())
 
-        out, cache = bilstm_forward_padded(x, lengths, params)
+        out, cache = bilstm_forward_padded(x, lengths, params, keep_cache=True)
         dx, grads = bilstm_backward_padded(proj, cache, params)
         eps = 3e-5
         for name, arr in params.arrays().items():
