@@ -24,30 +24,15 @@ from .phases import (
     locate_landmarks,
     phases_from_landmarks,
 )
-from .encoder import (
-    BiLstmParams,
-    ConvEncoderParams,
-    MaskedPatchTensor,
-    PackedFeatures,
-    PatchPlan,
-    bilstm_forward,
-    encode_patches,
-    mask_and_pack,
-    patch_plan,
-    unpack,
-)
+from .encoder import BiLstmParams, ConvEncoderParams, PatchPlan, pad_rows, patch_plan
 from .attention import (
     AttentionParams,
-    AttentionResult,
     DemographicEncoder,
     DemographicRecord,
     HeadParams,
-    RiskReport,
     attention_overlay,
-    detection_head,
     fuse_and_score,
     overlay_svg,
-    volume_attention,
 )
 from .detection import DetectionConfig, DetectionModel
 from .horizon import (

@@ -11,7 +11,7 @@ whose weight*value terms double as per-feature contributions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,15 +80,6 @@ def init_head_params(rng: np.random.Generator, context_width: int) -> HeadParams
 
 
 @dataclass(frozen=True)
-class AttentionResult:
-    """Per-patch weights (sum 1 over valid patches), pooled context, raw scores."""
-
-    weights: np.ndarray
-    context: np.ndarray
-    score_trace: np.ndarray
-
-
-@dataclass(frozen=True)
 class DemographicRecord:
     """Sex, age, smoking status and the FEV1/FVC ratio."""
 
@@ -148,18 +139,8 @@ class DemographicEncoder:
         return cls(age_mean=d["age_mean"], age_std=d["age_std"])
 
 
-@dataclass(frozen=True)
-class RiskReport:
-    """Detection probability, attention overlay, fused risk and contributions."""
-
-    detection_probability: float
-    overlay: dict
-    fused_risk: float
-    contributions: dict[str, float]
-
-
 # ---------------------------------------------------------------------------
-# forward kernels (batched; single-sample public wrappers below)
+# forward and backward kernels (batched over padded samples)
 
 
 def attention_forward_padded(contexts: np.ndarray, mask: np.ndarray, params: AttentionParams):
@@ -220,29 +201,6 @@ def head_backward(dlogits: np.ndarray, pooled: np.ndarray, params: HeadParams):
     return dpooled, grads
 
 
-# ---------------------------------------------------------------------------
-# public single-sample operations
-
-
-def volume_attention(contexts: np.ndarray, params: AttentionParams) -> AttentionResult:
-    """Attention over one sample's valid patch contexts (T, 2H)."""
-    contexts = np.asarray(contexts, dtype=float)
-    if contexts.ndim != 2 or contexts.shape[0] == 0:
-        raise EmptySequence("need at least one valid patch context")
-    mask = np.ones((1, contexts.shape[0]), dtype=np.int64)
-    weights, pooled, scores, _ = attention_forward_padded(contexts[None], mask, params)
-    return AttentionResult(weights=weights[0], context=pooled[0], score_trace=scores[0])
-
-
-def detection_head(context: np.ndarray, params: HeadParams) -> float:
-    """Probability of the positive (disease) class for one pooled context."""
-    context = np.asarray(context, dtype=float)
-    if not np.all(np.isfinite(context)):
-        raise InvalidParams("non-finite context")
-    probs, _ = head_forward(context[None], params)
-    return float(probs[0, 1])
-
-
 def fuse_and_score(p_hat: float, demo: DemographicRecord, fusion_model, encoder: DemographicEncoder):
     """Fused risk plus per-feature weight*value contributions.
 
@@ -259,16 +217,14 @@ def fuse_and_score(p_hat: float, demo: DemographicRecord, fusion_model, encoder:
     return risk, contributions
 
 
-def attention_overlay(
-    result: AttentionResult, curve: VolumeFlowCurve, plan: PatchPlan
-) -> dict:
-    """Map per-patch weights back onto contiguous volume spans of the curve."""
+def attention_overlay(weights: np.ndarray, curve: VolumeFlowCurve, plan: PatchPlan) -> dict:
+    """Map one sample's per-patch weights (S,) onto contiguous volume spans of the curve."""
     n_points = len(curve)
-    if math.ceil(n_points / plan.k) != result.weights.size:
+    if math.ceil(n_points / plan.k) != weights.size:
         raise PlanViolation("plan does not match the number of attention weights")
     volumes = curve.volumes
     patches = []
-    for j, weight in enumerate(result.weights):
+    for j, weight in enumerate(weights):
         patches.append(
             {
                 "v_start": float(volumes[j * plan.k]),

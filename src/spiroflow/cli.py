@@ -12,23 +12,23 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .attention import (
-    AttentionResult,
     DemographicEncoder,
     DemographicRecord,
     attention_overlay,
     fuse_and_score,
     overlay_svg,
 )
-from .curves import SmootherConfig, TimeVolumeCurve, differentiate_flow, gaussian_smooth, volume_flow_curve
+from .curves import SmootherConfig, differentiate_flow, gaussian_smooth, volume_flow_curve
 from .data import CohortSpec, generate_synthetic_cohort, load_time_volume_csv, write_time_volume_csv
 from .detection import DetectionConfig, DetectionModel
-from .errors import InvalidArgument, SpiroError
+from .errors import InvalidArgument, InvalidParams, ParseError, SpiroError, ValidationError
 from .horizon import HORIZON_ORDER, HorizonLabel, future_feature_vector, predict_future_risk, top_horizon
 from .metrics import metrics_report, subgroup_reports
 from .phases import concavity_features
@@ -76,29 +76,59 @@ def _write_cohort(out_dir: Path, records):
             writer.writerow([r.record_id, r.copd, r.horizon.value])
 
 
+def _read_rows(path: Path, parse) -> dict:
+    """id -> parse(row) over a cohort CSV with a header row.
+
+    A missing column or a value that parse rejects raises ParseError naming
+    the file, the row and the id.
+    """
+    out = {}
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            try:
+                out[row["id"]] = parse(row)
+            except (KeyError, TypeError, ValueError, InvalidParams) as exc:
+                raise ParseError(f"{path.name} row {reader.line_num} (id {row.get('id')!r}): {exc!r}") from None
+    return out
+
+
+def _parse_demographics(row) -> DemographicRecord:
+    return DemographicRecord(
+        sex=row["sex"],
+        age=float(row["age"]),
+        smoking=row["smoking"],
+        fev1_fvc_ratio=float(row["fev1_fvc_ratio"]),
+    )
+
+
+def _parse_labels(row) -> tuple[int, HorizonLabel]:
+    copd = int(row["copd"])
+    if copd not in (0, 1):
+        raise ValueError(f"copd must be 0 or 1, not {copd}")
+    return copd, HorizonLabel(row["horizon"])
+
+
 def _load_cohort(cohort_dir: Path):
-    """Returns aligned lists: ids, curves, demos, copd labels, horizon labels."""
+    """Returns aligned lists: ids, curves, demos, copd labels, horizon labels.
+
+    Every curves.csv id must have a row in demographics.csv and in
+    labels.csv; a missing one raises ValidationError.
+    """
     curves = dict(load_time_volume_csv(cohort_dir / "curves.csv"))
-    demos, copd, horizon = {}, {}, {}
-    with open(cohort_dir / "demographics.csv", newline="") as fh:
-        for row in csv.DictReader(fh):
-            demos[row["id"]] = DemographicRecord(
-                sex=row["sex"],
-                age=float(row["age"]),
-                smoking=row["smoking"],
-                fev1_fvc_ratio=float(row["fev1_fvc_ratio"]),
-            )
-    with open(cohort_dir / "labels.csv", newline="") as fh:
-        for row in csv.DictReader(fh):
-            copd[row["id"]] = int(row["copd"])
-            horizon[row["id"]] = HorizonLabel(row["horizon"])
+    demos = _read_rows(cohort_dir / "demographics.csv", _parse_demographics)
+    labels = _read_rows(cohort_dir / "labels.csv", _parse_labels)
     ids = sorted(curves)
+    for name, table in (("demographics.csv", demos), ("labels.csv", labels)):
+        missing = [i for i in ids if i not in table]
+        if missing:
+            raise ValidationError(f"{name} has no row for curves.csv id {missing[0]!r}")
     return (
         ids,
         [curves[i] for i in ids],
         [demos[i] for i in ids],
-        np.array([copd[i] for i in ids]),
-        [horizon[i] for i in ids],
+        np.array([labels[i][0] for i in ids]),
+        [labels[i][1] for i in ids],
     )
 
 
@@ -110,6 +140,39 @@ def _preprocess(curves, args):
         smoothed = gaussian_smooth(curve, cfg)
         vf_curves.append(volume_flow_curve(smoothed, differentiate_flow(smoothed)))
     return vf_curves, [vf.flows for vf in vf_curves]
+
+
+@dataclass
+class _Run:
+    """What a cohort subcommand starts from: its output directory, the cohort
+    in id order with preprocessed curves, and the trained models if loaded."""
+
+    out_dir: Path
+    ids: list
+    vf_curves: list
+    series: list
+    demos: list
+    copd: np.ndarray
+    horizons: list
+    models: tuple | None  # (detector, fusion model, demographic encoder, detector checkpoint)
+
+
+def _start(args, models: bool = False, record_id: str | None = None) -> _Run:
+    """Create --out-dir, load the cohort and, if models, --models, then
+    preprocess the curves.  With record_id the cohort is cut to that record
+    first, so only its curve is preprocessed."""
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    cohort = _load_cohort(Path(args.cohort))
+    loaded = _load_models(Path(args.models)) if models else None
+    if record_id is not None:
+        if record_id not in cohort[0]:
+            raise InvalidArgument(f"unknown record id {record_id!r}")
+        i = cohort[0].index(record_id)
+        cohort = tuple(column[i : i + 1] for column in cohort)
+    ids, curves, demos, copd, horizons = cohort
+    vf_curves, series = _preprocess(curves, args)
+    return _Run(out_dir, ids, vf_curves, series, demos, copd, horizons, loaded)
 
 
 def _split(ids, seed: int, test_fraction: float = 0.2):
@@ -159,14 +222,12 @@ def cmd_smooth(args):
 
 
 def cmd_featurize(args):
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ids, curves, _, _, _ = _load_cohort(Path(args.cohort))
-    vf_curves, _ = _preprocess(curves, args)
+    run = _start(args)
+    out_dir, ids = run.out_dir, run.ids
     with open(out_dir / "features.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "c_pef_fef25", "c_fef25_fef50", "c_fef50_fef75", "c_fef75_plus", "trend"])
-        for blow_id, vf in zip(ids, vf_curves):
+        for blow_id, vf in zip(ids, run.vf_curves):
             profile = concavity_features(vf)
             writer.writerow(
                 [blow_id]
@@ -183,15 +244,11 @@ def _smoother_config(args):
 
 
 def cmd_train_detect(args):
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ids, curves, demos, copd, _ = _load_cohort(Path(args.cohort))
-    _, series = _preprocess(curves, args)
+    run = _start(args)
+    out_dir, ids, series, demos, copd = run.out_dir, run.ids, run.series, run.demos, run.copd
     train_idx, test_idx = _split(ids, args.seed)
-    max_len = max(len(s) for s in series)
     model = DetectionModel(
-        DetectionConfig(patch_len=args.k, channels=args.channels, hidden=args.hidden, seed=args.seed),
-        max_length=max_len,
+        DetectionConfig(patch_len=args.k, channels=args.channels, hidden=args.hidden, seed=args.seed)
     )
     cfg = TrainConfig(lr=args.lr, epochs=args.epochs, batch_size=args.batch_size, seed=args.seed)
     trace = model.train([series[i] for i in train_idx], copd[train_idx], cfg)
@@ -262,42 +319,37 @@ def _fused_risks(series, demos, model, fusion, encoder):
 
 
 def cmd_train_horizon(args):
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ids, curves, demos, copd, horizons = _load_cohort(Path(args.cohort))
-    model, fusion, encoder, _ = _load_models(Path(args.models))
-    vf_curves, series = _preprocess(curves, args)
-    _, risks = _fused_risks(series, demos, model, fusion, encoder)
+    run = _start(args, models=True)
+    model, fusion, encoder, _ = run.models
+    _, risks = _fused_risks(run.series, run.demos, model, fusion, encoder)
     features = np.stack(
         [
             future_feature_vector(risk, concavity_features(vf), demo, encoder)
-            for risk, vf, demo in zip(risks, vf_curves, demos)
+            for risk, vf, demo in zip(risks, run.vf_curves, run.demos)
         ]
     )
-    labels = np.array([h.value for h in horizons])
+    labels = np.array([h.value for h in run.horizons])
     cfg = TrainConfig(lr=args.lr, epochs=args.epochs, batch_size=args.batch_size, seed=args.seed)
     horizon_model = train_logistic(features, labels, cfg)
     _write_json(
-        out_dir / "horizon_model.json",
+        run.out_dir / "horizon_model.json",
         {"format_version": FORMAT_VERSION, "kind": "horizon", "model": horizon_model.to_dict()},
     )
-    write_training_log(out_dir / "train_horizon_log.jsonl", horizon_model.loss_trace, args.seed)
+    write_training_log(run.out_dir / "train_horizon_log.jsonl", horizon_model.loss_trace, args.seed)
     _manifest(
-        out_dir,
+        run.out_dir,
         "train-horizon",
         {"seed": args.seed, "epochs": args.epochs, "lr": args.lr, **_smoother_config(args)},
-        {"records": len(ids)},
+        {"records": len(run.ids)},
     )
-    _summary({"command": "train-horizon", "out_dir": str(out_dir), "final_loss": horizon_model.loss_trace[-1]})
+    _summary({"command": "train-horizon", "out_dir": str(run.out_dir), "final_loss": horizon_model.loss_trace[-1]})
     return 0
 
 
 def cmd_evaluate(args):
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ids, curves, demos, copd, _ = _load_cohort(Path(args.cohort))
-    model, fusion, encoder, detect_blob = _load_models(Path(args.models))
-    _, series = _preprocess(curves, args)
+    run = _start(args, models=True)
+    out_dir, ids, series, demos, copd = run.out_dir, run.ids, run.series, run.demos, run.copd
+    model, fusion, encoder, detect_blob = run.models
     test_ids = set(detect_blob.get("test_ids", ids))
     sel = [i for i, blow_id in enumerate(ids) if blow_id in test_ids]
     p_hat, risks = _fused_risks([series[i] for i in sel], [demos[i] for i in sel], model, fusion, encoder)
@@ -315,45 +367,30 @@ def cmd_evaluate(args):
 
 
 def cmd_explain(args):
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ids, curves, demos, _, _ = _load_cohort(Path(args.cohort))
-    model, fusion, encoder, _ = _load_models(Path(args.models))
-    if args.id is None:
-        targets = range(len(ids))
-    elif args.id in ids:
-        targets = [ids.index(args.id)]
-    else:
-        raise InvalidArgument(f"unknown record id {args.id!r}")
-    vf_curves, series = _preprocess([curves[i] for i in targets], args)
-    p_hats, weights, scores, plans = model.explain(series)
-    written = []
-    for row, (i, vf, plan) in enumerate(zip(targets, vf_curves, plans)):
-        blow_id = ids[i]
+    run = _start(args, models=True, record_id=args.id)
+    model, fusion, encoder, _ = run.models
+    p_hats, weights, plans = model.explain(run.series)
+    for row, (blow_id, vf, demo, plan) in enumerate(zip(run.ids, run.vf_curves, run.demos, plans)):
         p_hat = float(p_hats[row])
-        risk, contributions = fuse_and_score(p_hat, demos[i], fusion, encoder)
-        s = plan.s
-        result = AttentionResult(weights=weights[row, :s], context=np.zeros(0), score_trace=scores[row, :s])
-        overlay = attention_overlay(result, vf, plan)
+        risk, contributions = fuse_and_score(p_hat, demo, fusion, encoder)
+        overlay = attention_overlay(weights[row, : plan.s], vf, plan)
         overlay.update({"p_hat": p_hat, "fused_risk": risk, "contributions": contributions})
-        _write_json(out_dir / f"overlay_{blow_id}.json", overlay)
+        _write_json(run.out_dir / f"overlay_{blow_id}.json", overlay)
         if args.svg:
-            (out_dir / f"overlay_{blow_id}.svg").write_text(overlay_svg(overlay, vf))
-        written.append(blow_id)
-    _manifest(out_dir, "explain", {"id": args.id, "svg": args.svg, **_smoother_config(args)}, {"overlays": len(written)})
-    _summary({"command": "explain", "out_dir": str(out_dir), "overlays": len(written)})
+            (run.out_dir / f"overlay_{blow_id}.svg").write_text(overlay_svg(overlay, vf))
+    config = {"id": args.id, "svg": args.svg, **_smoother_config(args)}
+    _manifest(run.out_dir, "explain", config, {"overlays": len(run.ids)})
+    _summary({"command": "explain", "out_dir": str(run.out_dir), "overlays": len(run.ids)})
     return 0
 
 
 def cmd_predict(args):
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ids, curves, demos, _, _ = _load_cohort(Path(args.cohort))
-    model, fusion, encoder, _ = _load_models(Path(args.models))
+    run = _start(args, models=True)
+    out_dir, ids, vf_curves, demos = run.out_dir, run.ids, run.vf_curves, run.demos
+    model, fusion, encoder, _ = run.models
     horizon_blob = json.loads((Path(args.models) / "horizon_model.json").read_text())
     horizon_model = LogisticModel.from_dict(horizon_blob["model"])
-    vf_curves, series = _preprocess(curves, args)
-    p_hats = model.predict_proba(series)
+    p_hats = model.predict_proba(run.series)
     with open(out_dir / "predictions.jsonl", "w") as fh:
         for i, blow_id in enumerate(ids):
             p_hat = float(p_hats[i])

@@ -5,14 +5,11 @@ hand-derived gradients (validated against finite differences in the tests).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .attention import (
-    AttentionParams,
-    HeadParams,
     attention_backward_padded,
     attention_forward_padded,
     head_backward,
@@ -21,8 +18,6 @@ from .attention import (
     init_head_params,
 )
 from .encoder import (
-    BiLstmParams,
-    ConvEncoderParams,
     DEFAULT_CHANNELS,
     DEFAULT_CONV_KERNEL,
     DEFAULT_HIDDEN,
@@ -33,10 +28,11 @@ from .encoder import (
     conv_embed_forward,
     init_bilstm_params,
     init_conv_params,
+    pad_rows,
     patch_plan,
     patchify,
 )
-from .errors import InvalidArgument, NotTrained
+from .errors import InvalidArgument
 from .training import PROB_CLAMP, TrainConfig
 
 FLOW_SCALE = 10.0  # liters/second; keeps tanh inputs in a sane range
@@ -61,15 +57,13 @@ def _cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
 class DetectionModel:
     """Binary COPD detector over varied-length flow series."""
 
-    def __init__(self, config: DetectionConfig, max_length: int):
+    def __init__(self, config: DetectionConfig):
         self.config = config
-        self.max_length = max_length
         rng = np.random.default_rng(config.seed)
         self.conv = init_conv_params(rng, config.channels, config.conv_kernel)
         self.lstm = init_bilstm_params(rng, config.channels, config.hidden)
         self.attn = init_attention_params(rng, 2 * config.hidden, config.attn_width)
         self.head = init_head_params(rng, 2 * config.hidden)
-        self.trained = False
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -89,7 +83,7 @@ class DetectionModel:
     def _prepare(self, series_list):
         """Patchify every sample and stack patches into one conv batch."""
         k = self.config.patch_len
-        plans = [patch_plan(len(s), max(self.max_length, len(s)), k) for s in series_list]
+        plans = [patch_plan(len(s), k) for s in series_list]
         patches = np.concatenate(
             [patchify(np.asarray(s, dtype=float) / FLOW_SCALE, p) for s, p in zip(series_list, plans)],
             axis=0,
@@ -102,45 +96,38 @@ class DetectionModel:
         patches, lengths, plans = self._prepare(series_list)
         feats, conv_cache = conv_embed_forward(patches, self.conv)
         if not keep_cache:
-            conv_cache = None
-        n = lengths.size
-        s_max = int(lengths.max())
-        block = np.zeros((n, s_max, self.config.channels))
-        mask = np.zeros((n, s_max), dtype=np.int64)
-        offset = 0
-        for i, s in enumerate(lengths):
-            block[i, :s] = feats[offset : offset + s]
-            mask[i, :s] = 1
-            offset += s
+            conv_cache = None  # frees the conv activations before the LSTM runs
+        block, mask = pad_rows(feats, lengths)
         contexts, lstm_cache = bilstm_forward_padded(block, lengths, self.lstm, keep_cache)
-        weights, pooled, scores, attn_cache = attention_forward_padded(contexts, mask, self.attn)
+        weights, pooled, _, attn_cache = attention_forward_padded(contexts, mask, self.attn)
         probs, _ = head_forward(pooled, self.head)
-        cache = (conv_cache, lengths, lstm_cache, attn_cache, pooled) if keep_cache else None
-        return probs, weights, scores, plans, cache
+        cache = (conv_cache, mask, lstm_cache, attn_cache, pooled) if keep_cache else None
+        return probs, weights, plans, cache
 
     def predict_proba(self, series_list) -> np.ndarray:
         """P(disease) per sample."""
-        probs, _, _, _, _ = self._forward(series_list)
+        probs, _, _, _ = self._forward(series_list)
         return probs[:, 1]
 
     def explain(self, series_list):
-        """(p_hat (N,), attention weights (N, S), raw scores (N, S), plans).
+        """(p_hat (N,), attention weights (N, S), plans).
 
-        Row i belongs to series i; its first plans[i].s entries are valid.
+        Row i belongs to series i; its first plans[i].s weights are valid
+        and sum to 1, the rest are 0.
         """
-        probs, weights, scores, plans, _ = self._forward(series_list)
-        return probs[:, 1], weights, scores, plans
+        probs, weights, plans, _ = self._forward(series_list)
+        return probs[:, 1], weights, plans
 
     def loss(self, series_list, labels) -> float:
         """Mean cross-entropy from a forward pass only."""
-        probs, _, _, _, _ = self._forward(series_list)
+        probs, _, _, _ = self._forward(series_list)
         return _cross_entropy(probs, np.asarray(labels, dtype=np.int64))
 
     def loss_and_grads(self, series_list, labels):
         """Mean cross-entropy and gradients for every parameter."""
         labels = np.asarray(labels, dtype=np.int64)
-        probs, _, _, _, cache = self._forward(series_list, keep_cache=True)
-        conv_cache, lengths, lstm_cache, attn_cache, pooled = cache
+        probs, _, _, cache = self._forward(series_list, keep_cache=True)
+        conv_cache, mask, lstm_cache, attn_cache, pooled = cache
         n = labels.size
         loss = _cross_entropy(probs, labels)
         dlogits = probs.copy()
@@ -149,8 +136,7 @@ class DetectionModel:
         dpooled, head_grads = head_backward(dlogits, pooled, self.head)
         dcontexts, attn_grads = attention_backward_padded(dpooled, attn_cache, self.attn)
         dblock, lstm_grads = bilstm_backward_padded(dcontexts, lstm_cache, self.lstm)
-        dfeats = np.concatenate([dblock[i, : int(s)] for i, s in enumerate(lengths)], axis=0)
-        conv_grads = conv_embed_backward(dfeats, conv_cache, self.conv)
+        conv_grads = conv_embed_backward(dblock[mask], conv_cache, self.conv)
         grads = {}
         for g in (conv_grads, lstm_grads, attn_grads, head_grads):
             grads.update(g)
@@ -176,7 +162,6 @@ class DetectionModel:
                 for name, p in params.items():
                     p -= cfg.lr * (grads[name] + cfg.l2 * p)
             trace.append(self.loss(series_list, labels))
-        self.trained = True
         return trace
 
     # -- checkpointing ------------------------------------------------------
@@ -191,13 +176,11 @@ class DetectionModel:
                 "attn_width": self.config.attn_width,
                 "seed": self.config.seed,
             },
-            "max_length": self.max_length,
             "arrays": {name: value.tolist() for name, value in self.params().items()},
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "DetectionModel":
-        model = cls(DetectionConfig(**d["config"]), d["max_length"])
+        model = cls(DetectionConfig(**d["config"]))
         model.set_params({k: np.array(v, dtype=float) for k, v in d["arrays"].items()})
-        model.trained = True
         return model

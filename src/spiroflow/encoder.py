@@ -1,29 +1,23 @@
-"""Key-patch decomposition, conv patch embedding, masking and the Bi-LSTM.
+"""Key-patch decomposition, conv patch embedding, padding and the Bi-LSTM.
 
 A varied-length flow series is cut into fixed-length patches (the last one
 zero-padded), each patch is embedded by a small two-layer 1-D conv stack
-with mean pooling, samples are assembled into a fixed-shape masked block,
-valid patch rows are packed, and a bidirectional LSTM produces per-patch
-context features of width 2H.  Forward passes can carry caches so the
-manual backward passes used for training stay in one place; inference
-passes ask for none.
+with mean pooling, the samples' patch rows are scattered into one
+zero-padded block through a prefix mask, and a bidirectional LSTM
+produces per-patch context features of width 2H.  Forward passes can
+carry caches so the manual backward passes used for training stay in one
+place; inference passes ask for none.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    EmptySequence,
-    InvalidArgument,
-    InvalidParams,
-    PlanViolation,
-    ShapeError,
-)
+from .errors import InvalidArgument, InvalidParams, ShapeError
 
 DEFAULT_PATCH_LEN = 32
 DEFAULT_CHANNELS = 16
@@ -33,26 +27,21 @@ DEFAULT_CONV_KERNEL = 5
 
 @dataclass(frozen=True)
 class PatchPlan:
-    """Patch geometry of one sequence within a dataset."""
+    """Patch geometry of one sequence: s patches of k samples."""
 
     k: int
     s: int
-    n_max: int
 
     def __post_init__(self):
-        if self.k < 1 or self.s < 1 or self.n_max < 1:
+        if self.k < 1 or self.s < 1:
             raise InvalidArgument("patch plan fields must be >= 1")
-        if self.s > self.n_max:
-            raise PlanViolation("patch count exceeds dataset maximum")
 
 
-def patch_plan(length: int, max_length: int, k: int) -> PatchPlan:
-    """Patch counts via ceiling division; partial trailing patches count."""
+def patch_plan(length: int, k: int) -> PatchPlan:
+    """Patch count via ceiling division; a partial trailing patch counts."""
     if length < 1 or k < 1:
         raise InvalidArgument("length and k must be >= 1")
-    if length > max_length:
-        raise InvalidArgument("length exceeds max_length")
-    return PatchPlan(k=k, s=math.ceil(length / k), n_max=math.ceil(max_length / k))
+    return PatchPlan(k=k, s=math.ceil(length / k))
 
 
 @dataclass
@@ -134,24 +123,6 @@ def init_bilstm_params(
     w_f, u_f, b_f = one_direction()
     w_b, u_b, b_b = one_direction()
     return BiLstmParams(w_f, u_f, b_f, w_b, u_b, b_b)
-
-
-@dataclass(frozen=True)
-class MaskedPatchTensor:
-    """Fixed-shape (N, S_max, C) block with prefix-of-ones validity mask."""
-
-    values: np.ndarray
-    mask: np.ndarray
-    lengths: np.ndarray
-
-
-@dataclass(frozen=True)
-class PackedFeatures:
-    """Valid patch rows only, in (sample, patch) order."""
-
-    rows: np.ndarray  # (T, C)
-    offsets: np.ndarray  # (N,) start index of each sample's span
-    lengths: np.ndarray  # (N,)
 
 
 # ---------------------------------------------------------------------------
@@ -239,60 +210,22 @@ def patchify(series: np.ndarray, plan: PatchPlan) -> np.ndarray:
     return padded.reshape(plan.s, 1, plan.k)
 
 
-def encode_patches(series: np.ndarray, plan: PatchPlan, params: ConvEncoderParams) -> np.ndarray:
-    """Per-patch feature matrix (S, C) for one sequence."""
-    feats, _ = conv_embed_forward(patchify(series, plan), params)
-    return feats
-
-
 # ---------------------------------------------------------------------------
-# masking and packing
+# padding
 
 
-def mask_and_pack(
-    features: list[np.ndarray], plans: list[PatchPlan]
-) -> tuple[MaskedPatchTensor, PackedFeatures]:
-    """Assemble the masked fixed-shape block and the packed valid rows."""
-    if len(features) != len(plans):
-        raise ShapeError("features and plans must be aligned")
-    if not features:
-        raise EmptySequence("no samples to pack")
-    n_max = plans[0].n_max
-    channels = features[0].shape[1]
-    n = len(features)
-    values = np.zeros((n, n_max, channels))
-    mask = np.zeros((n, n_max), dtype=np.int64)
-    lengths = np.zeros(n, dtype=np.int64)
-    for i, (feat, plan) in enumerate(zip(features, plans)):
-        if plan.n_max != n_max:
-            raise PlanViolation("plans disagree on the dataset-wide patch maximum")
-        if feat.shape != (plan.s, channels):
-            raise ShapeError(f"sample {i}: features shape {feat.shape} != ({plan.s}, {channels})")
-        if plan.s > n_max:
-            raise PlanViolation(f"sample {i}: patch count {plan.s} exceeds maximum {n_max}")
-        values[i, : plan.s] = feat
-        mask[i, : plan.s] = 1
-        lengths[i] = plan.s
-    offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-    rows = np.concatenate([values[i, : lengths[i]] for i in range(n)], axis=0)
-    return (
-        MaskedPatchTensor(values=values, mask=mask, lengths=lengths),
-        PackedFeatures(rows=rows, offsets=offsets, lengths=lengths),
-    )
+def pad_rows(rows: np.ndarray, lengths: np.ndarray):
+    """Scatter packed rows (sum(lengths), C) into a zero (N, max(lengths), C) block.
 
-
-def unpack(packed: PackedFeatures, n_max: int) -> MaskedPatchTensor:
-    """Inverse of packing: rebuild the masked block with zeros at masked slots."""
-    n = packed.lengths.size
-    channels = packed.rows.shape[1]
-    values = np.zeros((n, n_max, channels))
-    mask = np.zeros((n, n_max), dtype=np.int64)
-    for i in range(n):
-        s = int(packed.lengths[i])
-        o = int(packed.offsets[i])
-        values[i, :s] = packed.rows[o : o + s]
-        mask[i, :s] = 1
-    return MaskedPatchTensor(values=values, mask=mask, lengths=packed.lengths.copy())
+    Row i of the block holds sample i's lengths[i] rows, in order, then
+    zeros.  Returns (block, mask): mask is the (N, max(lengths)) boolean
+    prefix mask of valid slots, so block[mask] packs the block back into
+    rows, and a gradient with respect to the block packs the same way.
+    """
+    mask = np.arange(int(lengths.max())) < lengths[:, None]
+    block = np.zeros(mask.shape + rows.shape[1:])
+    block[mask] = rows
+    return block, mask
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +345,3 @@ def bilstm_backward_padded(dout: np.ndarray, cache, params: BiLstmParams):
         "lstm_bw_b": db_b,
     }
     return dx, grads
-
-
-def bilstm_forward(packed: PackedFeatures, params: BiLstmParams) -> np.ndarray:
-    """Per-patch context features (T, 2H); recurrence never crosses samples."""
-    block = unpack(packed, int(packed.lengths.max()))
-    out, _ = bilstm_forward_padded(block.values, block.lengths, params)
-    spans = [out[i, : int(s)] for i, s in enumerate(packed.lengths)]
-    return np.concatenate(spans, axis=0)

@@ -18,7 +18,7 @@ from spiroflow.attention import DemographicEncoder
 from spiroflow.cli import main as cli_main
 from spiroflow.curves import SmootherConfig, TimeVolumeCurve, VolumeFlowCurve
 from spiroflow.detection import DetectionConfig, DetectionModel
-from spiroflow.encoder import PatchPlan, mask_and_pack, unpack
+from spiroflow.encoder import pad_rows
 from spiroflow.horizon import HORIZON_ORDER, future_feature_vector, predict_future_risk
 from spiroflow.metrics import auprc, auroc
 from spiroflow.phases import Phase, PhaseLabel, baseline_line, concavity_features, concavity_measure
@@ -34,8 +34,7 @@ def test_gradient_fidelity():
     """Criterion 1: full-stack analytic gradients vs central differences."""
     start = time.perf_counter()
     model = DetectionModel(
-        DetectionConfig(patch_len=4, channels=3, hidden=3, conv_kernel=3, seed=0),
-        max_length=24,
+        DetectionConfig(patch_len=4, channels=3, hidden=3, conv_kernel=3, seed=0)
     )
     rng = np.random.default_rng(0)
     series = [rng.uniform(0, 8, size=22), rng.uniform(0, 8, size=9)]  # 6 and 3 patches
@@ -126,35 +125,48 @@ def test_concavity_correctness():
 
 
 def test_mask_pack_law():
-    """Criterion 4: packing conserves rows, masking zeroes, unpack inverts."""
+    """Criterion 4: the detector's padding routine keeps padding from leaking.
+
+    On pad_rows, which pads the conv rows for the LSTM and whose mask packs
+    their gradients back: the mask is a prefix of ones, masked slots are
+    zero, packing the padded rows returns them bit for bit, and padding the
+    packed rows of any zero-padded block returns that block.  On the model:
+    explain's attention weights are exactly 0 on padded slots and sum to 1
+    on valid ones, for a mixed-length batch.
+    """
     start = time.perf_counter()
     rng = np.random.default_rng(13)
     ok = True
     for _ in range(100):
         n = int(rng.integers(1, 12))
-        n_max = int(rng.integers(1, 9))
+        lengths = rng.integers(1, int(rng.integers(1, 9)) + 1, size=n)
         channels = int(rng.integers(1, 6))
-        feats, plans = [], []
-        for _ in range(n):
-            s = int(rng.integers(1, n_max + 1))
-            plans.append(PatchPlan(k=4, s=s, n_max=n_max))
-            feats.append(rng.standard_normal((s, channels)))
-        block, packed = mask_and_pack(feats, plans)
-        ok &= packed.rows.shape[0] == int(packed.lengths.sum())
-        ok &= bool(np.all(block.values[block.mask == 0] == 0.0))
-        for i, plan in enumerate(plans):
-            row = block.mask[i]
-            ok &= bool(np.all(row[: plan.s] == 1) and np.all(row[plan.s :] == 0))
-        rebuilt = unpack(packed, n_max)
-        ok &= bool(
-            np.array_equal(rebuilt.values, block.values)
-            and np.array_equal(rebuilt.mask, block.mask)
-        )
+        rows = rng.standard_normal((int(lengths.sum()), channels))
+        block, mask = pad_rows(rows, lengths)
+        ok &= block.shape == (n, lengths.max(), channels) and mask.shape == (n, lengths.max())
+        for i, s in enumerate(lengths):
+            ok &= bool(np.all(mask[i, :s]) and not np.any(mask[i, s:]))
+        ok &= bool(np.all(block[~mask] == 0.0))
+        ok &= np.array_equal(block[mask], rows)
+        other = rng.standard_normal(block.shape)
+        for i, s in enumerate(lengths):
+            other[i, s:] = 0.0
+        ok &= np.array_equal(pad_rows(other[mask], lengths)[0], other)
+
+    model = DetectionModel(DetectionConfig(patch_len=8, seed=0))
+    series = [rng.uniform(0.0, 8.0, size=m) for m in (5, 40, 17, 64, 1, 33)]
+    _, weights, plans = model.explain(series)
+    worst = 0.0
+    for row, plan in zip(weights, plans):
+        ok &= bool(np.all(row[plan.s :] == 0.0))
+        worst = max(worst, abs(row[: plan.s].sum() - 1.0))
+    ok &= worst <= 1e-12
     elapsed = time.perf_counter() - start
     _verdict(
         "4 mask/pack law",
         ok and elapsed < 5.0,
-        f"100 cohorts conserve rows / zero masked slots / invert, {elapsed:.1f}s < 5s",
+        f"100 cohorts: prefix masks, zero padding, pack(pad) and pad(pack) exact; "
+        f"explain weights 0 on padding, |sum - 1| {worst:.1e} <= 1e-12; {elapsed:.1f}s < 5s",
     )
 
 
@@ -180,7 +192,7 @@ def test_end_to_end_separation():
     n_test = n // 5
     test_idx = order[:n_test]
     train_idx = order[n_test:]
-    model = DetectionModel(DetectionConfig(seed=0), max_length=max(len(s) for s in series))
+    model = DetectionModel(DetectionConfig(seed=0))
     model.train(
         [series[i] for i in train_idx],
         labels[train_idx],

@@ -5,7 +5,6 @@ import hypothesis.strategies as st
 
 from spiroflow.attention import (
     AttentionParams,
-    AttentionResult,
     DemographicEncoder,
     DemographicRecord,
     HeadParams,
@@ -13,14 +12,12 @@ from spiroflow.attention import (
     attention_backward_padded,
     attention_forward_padded,
     attention_overlay,
-    detection_head,
     fuse_and_score,
     head_backward,
     head_forward,
     init_attention_params,
     init_head_params,
     overlay_svg,
-    volume_attention,
     _polyline_points,
 )
 from spiroflow.curves import VolumeFlowCurve
@@ -165,7 +162,8 @@ class TestHead:
 
     def test_zero_params_give_even_split(self):
         params = HeadParams(w=np.zeros((2, 4)), b=np.zeros(2))
-        assert detection_head(np.ones(4), params) == pytest.approx(0.5)
+        probs, _ = head_forward(np.ones((1, 4)), params)
+        assert probs[0, 1] == 0.5
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(10)
@@ -196,28 +194,6 @@ class TestHead:
                 cd = (up - down) / (2 * eps)
                 denom = max(abs(g[idx]), abs(cd), 1e-8)
                 assert abs(g[idx] - cd) / denom < 1e-4, name
-
-    def test_non_finite_context_rejected(self):
-        params = init_head_params(np.random.default_rng(0), 3)
-        with pytest.raises(InvalidParams):
-            detection_head(np.array([1.0, np.nan, 0.0]), params)
-
-
-class TestVolumeAttention:
-    def test_single_sample_wrapper_consistency(self):
-        rng = np.random.default_rng(11)
-        params = _params(rng)
-        contexts = rng.standard_normal((4, 6))
-        result = volume_attention(contexts, params)
-        batched_w, batched_p, _, _ = attention_forward_padded(
-            contexts[None], np.ones((1, 4), dtype=np.int64), params
-        )
-        assert np.allclose(result.weights, batched_w[0], atol=1e-12)
-        assert np.allclose(result.context, batched_p[0], atol=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptySequence):
-            volume_attention(np.zeros((0, 6)), _params(np.random.default_rng(0)))
 
 
 class TestDemographics:
@@ -288,6 +264,12 @@ class TestFusion:
         assert auroc(fused, labels) >= auroc(x[:, 0], labels) - 0.02
 
 
+def _weights(rng, s):
+    """Attention weights (S,) of one sample with s valid patches."""
+    weights, _, _, _ = attention_forward_padded(rng.standard_normal((1, s, 6)), np.ones((1, s)), _params(rng))
+    return weights[0]
+
+
 class TestOverlay:
     @staticmethod
     def _curve(n):
@@ -297,11 +279,8 @@ class TestOverlay:
 
     def test_patches_tile_the_volume_axis(self):
         rng = np.random.default_rng(14)
-        params = _params(rng)
         curve = self._curve(10)
-        plan = PatchPlan(k=4, s=3, n_max=5)
-        result = volume_attention(rng.standard_normal((3, 6)), params)
-        overlay = attention_overlay(result, curve, plan)
+        overlay = attention_overlay(_weights(rng, 3), curve, PatchPlan(k=4, s=3))
         patches = overlay["patches"]
         assert len(patches) == 3
         assert patches[0]["v_start"] == curve.volumes[0]
@@ -312,15 +291,13 @@ class TestOverlay:
 
     def test_plan_mismatch_rejected(self):
         rng = np.random.default_rng(15)
-        result = volume_attention(rng.standard_normal((2, 6)), _params(rng))
         with pytest.raises(PlanViolation):
-            attention_overlay(result, self._curve(20), PatchPlan(k=4, s=5, n_max=5))
+            attention_overlay(_weights(rng, 2), self._curve(20), PatchPlan(k=4, s=5))
 
     def test_svg_contains_polyline_and_heat_rects(self):
         rng = np.random.default_rng(16)
         curve = self._curve(8)
-        result = volume_attention(rng.standard_normal((2, 6)), _params(rng))
-        overlay = attention_overlay(result, curve, PatchPlan(k=4, s=2, n_max=4))
+        overlay = attention_overlay(_weights(rng, 2), curve, PatchPlan(k=4, s=2))
         svg = overlay_svg(overlay, curve)
         assert svg.startswith("<svg")
         assert "<polyline" in svg
@@ -347,10 +324,8 @@ class TestOverlay:
 
     def test_svg_polyline_matches_fstring_join(self, small_cohort_series):
         for _, curve, _, _ in small_cohort_series:
-            plan = PatchPlan(k=32, s=-(-len(curve) // 32), n_max=64)
-            weights = np.full(plan.s, 1.0 / plan.s)
-            result = AttentionResult(weights=weights, context=np.zeros(0), score_trace=weights)
-            svg = overlay_svg(attention_overlay(result, curve, plan), curve)
+            plan = PatchPlan(k=32, s=-(-len(curve) // 32))
+            svg = overlay_svg(attention_overlay(np.full(plan.s, 1.0 / plan.s), curve, plan), curve)
             v, q = curve.volumes, curve.flows
             xs = (v - v[0]) / max(v[-1] - v[0], 1e-12) * 640
             ys = 210 - q / max(float(q.max()), 1e-12) * 200

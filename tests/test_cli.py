@@ -229,6 +229,23 @@ class TestExplain:
             assert overlay["p_hat"] == rec["p_hat"]
             assert overlay["fused_risk"] == rec["fused_risk"]
 
+    def test_id_preprocesses_only_its_record(self, pipeline, tmp_path, monkeypatch):
+        # the per-layer trace wraps the curve functions as spiroflow.cli globals
+        import spiroflow.cli
+
+        _, cohort, models = pipeline
+        smoothed = []
+        smooth = spiroflow.cli.gaussian_smooth
+
+        def counting_smooth(curve, cfg):
+            smoothed.append(curve)
+            return smooth(curve, cfg)
+
+        monkeypatch.setattr(spiroflow.cli, "gaussian_smooth", counting_smooth)
+        args = ("--cohort", str(cohort), "--models", str(models), "--id", "NON_COPD_0000")
+        assert _run("explain", "--out-dir", str(tmp_path / "explain"), *args) == 0
+        assert len(smoothed) == 1
+
     def test_unknown_id_is_clean_failure(self, pipeline, tmp_path, capsys):
         _, cohort, models = pipeline
         code = _run(
@@ -336,15 +353,58 @@ class TestErrors:
             _run("frobnicate", "--out-dir", "x")
         assert exc.value.code == 2
 
+    def test_every_cohort_subcommand_reports_a_broken_join(self, pipeline, tmp_path, capsys):
+        # all six subcommands that read a cohort go through the same checks
+        _, cohort, models = pipeline
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        for name in ("curves.csv", "demographics.csv"):
+            (broken / name).write_bytes((cohort / name).read_bytes())
+        lines = (cohort / "labels.csv").read_text().splitlines(keepends=True)
+        (broken / "labels.csv").write_text("".join(lines[:2] + lines[3:]))
+        for command in ("featurize", "train-detect", "train-horizon", "evaluate", "explain", "predict"):
+            extra = [] if command in ("featurize", "train-detect") else ["--models", str(models)]
+            code = _run(command, "--out-dir", str(tmp_path / command), "--cohort", str(broken), *extra)
+            assert code == 1, command
+            payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert payload["error"] == "ValidationError", command
+            assert "labels.csv" in payload["message"], command
+
     def test_spiro_error_exit_1(self, tmp_path, capsys):
-        # negative volumes in a hand-written cohort trip validation, not a traceback
-        cohort = tmp_path / "cohort"
-        cohort.mkdir()
-        (cohort / "curves.csv").write_text("a,0,-100,200\n")
-        (cohort / "demographics.csv").write_text("id,sex,age,smoking,fev1_fvc_ratio\na,male,60,never,0.7\n")
-        (cohort / "labels.csv").write_text("id,copd,horizon\na,0,NON_COPD\n")
-        code = _run("featurize", "--out-dir", str(tmp_path / "out"), "--cohort", str(cohort))
-        assert code == 1
-        err = capsys.readouterr().err
-        payload = json.loads(err.strip().splitlines()[-1])
-        assert payload["error"] == "ValidationError"
+        # malformed hand-written cohorts end in the JSON error, not a traceback;
+        # each case: (curves.csv, demographics.csv, labels.csv, error, parts of its message)
+        curves = "a,0,100,200\n"
+        demographics = "id,sex,age,smoking,fev1_fvc_ratio\na,male,60,never,0.7\n"
+        labels = "id,copd,horizon\na,0,NON_COPD\n"
+        cases = {
+            "negative-volume": ("a,0,-100,200\n", demographics, labels, "ValidationError", ["row 1"]),
+            "id-missing-from-demographics": (
+                curves, demographics.replace("a,", "b,"), labels, "ValidationError", ["demographics.csv", "'a'"]
+            ),
+            "id-missing-from-labels": (
+                curves, demographics, labels.replace("a,", "b,"), "ValidationError", ["labels.csv", "'a'"]
+            ),
+            "non-numeric-age": (
+                curves, demographics.replace("60", "sixty"), labels, "ParseError", ["demographics.csv row 2", "'a'"]
+            ),
+            "unknown-horizon": (
+                curves, demographics, labels.replace("NON_COPD", "SOON"), "ParseError", ["labels.csv row 2", "'a'"]
+            ),
+            "non-integer-copd": (
+                curves, demographics, labels.replace("a,0", "a,0.5"), "ParseError", ["labels.csv row 2", "'a'"]
+            ),
+            "copd-not-binary": (
+                curves, demographics, labels.replace("a,0", "a,2"), "ParseError", ["labels.csv row 2", "'a'"]
+            ),
+        }
+        for case, (curves_csv, demographics_csv, labels_csv, error, named) in cases.items():
+            cohort = tmp_path / case
+            cohort.mkdir()
+            (cohort / "curves.csv").write_text(curves_csv)
+            (cohort / "demographics.csv").write_text(demographics_csv)
+            (cohort / "labels.csv").write_text(labels_csv)
+            code = _run("featurize", "--out-dir", str(tmp_path / "out"), "--cohort", str(cohort))
+            assert code == 1, case
+            payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert payload["error"] == error, case
+            assert all(part in payload["message"] for part in named), (case, payload["message"])

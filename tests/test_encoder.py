@@ -9,29 +9,26 @@ from spiroflow import encoder
 from spiroflow.detection import DetectionConfig, DetectionModel
 from spiroflow.encoder import (
     BiLstmParams,
-    MaskedPatchTensor,
-    PackedFeatures,
     PatchPlan,
     bilstm_backward_padded,
-    bilstm_forward,
     bilstm_forward_padded,
     conv_embed_backward,
     conv_embed_forward,
-    encode_patches,
     init_bilstm_params,
     init_conv_params,
-    mask_and_pack,
+    pad_rows,
     patch_plan,
     patchify,
-    unpack,
     _conv1d_same,
     _conv1d_same_backward,
     _sigmoid,
 )
-from spiroflow.errors import InvalidArgument, InvalidParams, PlanViolation, ShapeError
+from spiroflow.errors import InvalidArgument, InvalidParams, ShapeError
+from spiroflow.training import TrainConfig
 
 
 class TestPatchPlan:
+    # n_max: the padded block width of a batch whose longest series has max_length samples
     @pytest.mark.parametrize(
         "length,max_length,k,s,n_max",
         [
@@ -44,47 +41,45 @@ class TestPatchPlan:
         ],
     )
     def test_ceiling_division(self, length, max_length, k, s, n_max):
-        plan = patch_plan(length, max_length, k)
-        assert (plan.s, plan.n_max) == (s, n_max)
+        plans = [patch_plan(length, k), patch_plan(max_length, k)]
+        lengths = np.array([p.s for p in plans])
+        block, _ = pad_rows(np.zeros((lengths.sum(), 1)), lengths)
+        assert (plans[0].s, block.shape[1]) == (s, n_max)
 
     @given(st.integers(1, 500), st.integers(0, 500), st.integers(1, 64))
     def test_counts_cover_without_overflow(self, length, extra, k):
-        plan = patch_plan(length, length + extra, k)
+        plan = patch_plan(length, k)
         # s patches of k samples cover the series and waste less than one patch
         assert plan.s * k >= length
         assert (plan.s - 1) * k < length
-        assert plan.s <= plan.n_max
-
-    def test_length_beyond_max_rejected(self):
-        with pytest.raises(InvalidArgument):
-            patch_plan(100, 50, 32)
+        assert plan.s <= patch_plan(length + extra, k).s
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(InvalidArgument):
-            patch_plan(0, 10, 4)
+            patch_plan(0, 4)
         with pytest.raises(InvalidArgument):
-            patch_plan(5, 10, 0)
+            patch_plan(5, 0)
 
 
 class TestPatchify:
     def test_exact_multiple(self):
         series = np.arange(6, dtype=float)
-        out = patchify(series, PatchPlan(k=3, s=2, n_max=4))
+        out = patchify(series, PatchPlan(k=3, s=2))
         assert out.shape == (2, 1, 3)
         assert np.array_equal(out[0, 0], [0, 1, 2])
         assert np.array_equal(out[1, 0], [3, 4, 5])
 
     def test_last_patch_zero_padded(self):
-        out = patchify(np.array([1.0, 2.0, 3.0, 4.0]), PatchPlan(k=3, s=2, n_max=2))
+        out = patchify(np.array([1.0, 2.0, 3.0, 4.0]), PatchPlan(k=3, s=2))
         assert np.array_equal(out[1, 0], [4.0, 0.0, 0.0])
 
     def test_plan_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            patchify(np.arange(10, dtype=float), PatchPlan(k=3, s=2, n_max=4))
+            patchify(np.arange(10, dtype=float), PatchPlan(k=3, s=2))
 
     def test_two_dimensional_rejected(self):
         with pytest.raises(ShapeError):
-            patchify(np.zeros((2, 3)), PatchPlan(k=3, s=2, n_max=2))
+            patchify(np.zeros((2, 3)), PatchPlan(k=3, s=2))
 
 
 class TestConvEmbed:
@@ -221,33 +216,28 @@ class TestForwardOnlyLoss:
     def test_equals_loss_and_grads_bit_for_bit(self, small_cohort_series):
         series = [s for s, _, _, _ in small_cohort_series]
         labels = np.array([y for _, _, y, _ in small_cohort_series])
-        model = DetectionModel(DetectionConfig(seed=3), max_length=max(len(s) for s in series))
+        model = DetectionModel(DetectionConfig(seed=3))
         assert model.loss(series, labels) == model.loss_and_grads(series, labels)[0]
         assert model.loss(series[:3], labels[:3]) == model.loss_and_grads(series[:3], labels[:3])[0]
 
 
 class TestCacheFreeForward:
-    @staticmethod
-    def _model(series):
-        return DetectionModel(DetectionConfig(seed=4), max_length=max(len(s) for s in series))
-
     def test_matches_caching_pass_bit_for_bit(self, small_cohort_series):
         series = [s for s, _, _, _ in small_cohort_series]
-        model = self._model(series)
-        probs, weights, scores, plans, cache = model._forward(series)
-        probs_c, weights_c, scores_c, plans_c, cache_c = model._forward(series, keep_cache=True)
+        model = DetectionModel(DetectionConfig(seed=4))
+        probs, weights, plans, cache = model._forward(series)
+        probs_c, weights_c, plans_c, cache_c = model._forward(series, keep_cache=True)
         assert cache is None and cache_c is not None
         assert np.array_equal(probs, probs_c)
         assert np.array_equal(weights, weights_c)
-        assert np.array_equal(scores, scores_c)
         assert plans == plans_c
 
     def test_explain_rows_equal_predict_proba(self, small_cohort_series):
         series = [s for s, _, _, _ in small_cohort_series]
-        model = self._model(series)
-        p_hat, weights, scores, plans = model.explain(series)
+        model = DetectionModel(DetectionConfig(seed=4))
+        p_hat, weights, plans = model.explain(series)
         assert np.array_equal(p_hat, model.predict_proba(series))
-        assert weights.shape == scores.shape == (len(series), max(p.s for p in plans))
+        assert weights.shape == (len(series), max(p.s for p in plans))
         for row, plan in zip(weights, plans):
             assert row[: plan.s].sum() == pytest.approx(1.0)
             assert np.all(row[plan.s :] == 0.0)
@@ -265,57 +255,54 @@ class TestCacheFreeForward:
 
 
 class TestMaskAndPack:
+    """pad_rows: the one routine that pads the conv rows into the LSTM's block,
+    and whose mask packs the block's gradient back into rows."""
+
     @staticmethod
-    def _random_cohort(rng, n, n_max, channels=3, k=4):
-        feats, plans = [], []
-        for _ in range(n):
-            s = int(rng.integers(1, n_max + 1))
-            plans.append(PatchPlan(k=k, s=s, n_max=n_max))
-            feats.append(rng.standard_normal((s, channels)))
-        return feats, plans
+    def _random_cohort(rng, n, s_max, channels=3):
+        lengths = rng.integers(1, s_max + 1, size=n)
+        return [rng.standard_normal((s, channels)) for s in lengths], lengths
 
     def test_mask_is_prefix_of_ones(self):
         rng = np.random.default_rng(2)
-        feats, plans = self._random_cohort(rng, 6, 5)
-        block, _ = mask_and_pack(feats, plans)
-        for i, plan in enumerate(plans):
-            assert np.array_equal(block.mask[i, : plan.s], np.ones(plan.s, dtype=np.int64))
-            assert np.array_equal(block.mask[i, plan.s :], np.zeros(block.mask.shape[1] - plan.s, dtype=np.int64))
+        feats, lengths = self._random_cohort(rng, 6, 5)
+        _, mask = pad_rows(np.concatenate(feats), lengths)
+        assert mask.shape == (6, lengths.max())
+        for row, s in zip(mask, lengths):
+            assert np.all(row[:s]) and not np.any(row[s:])
 
     def test_masked_rows_are_zero(self):
         rng = np.random.default_rng(3)
-        feats, plans = self._random_cohort(rng, 5, 4)
-        block, _ = mask_and_pack(feats, plans)
-        assert np.all(block.values[block.mask == 0] == 0.0)
+        feats, lengths = self._random_cohort(rng, 5, 4)
+        block, mask = pad_rows(np.concatenate(feats), lengths)
+        assert np.all(block[~mask] == 0.0)
 
     def test_packed_rows_concatenate_valid_spans(self):
         rng = np.random.default_rng(4)
-        feats, plans = self._random_cohort(rng, 7, 6)
-        _, packed = mask_and_pack(feats, plans)
-        assert np.array_equal(packed.rows, np.concatenate(feats, axis=0))
-        assert packed.rows.shape[0] == sum(p.s for p in plans)
-        assert np.array_equal(packed.offsets, np.concatenate([[0], np.cumsum([p.s for p in plans])[:-1]]))
+        feats, lengths = self._random_cohort(rng, 7, 6)
+        rows = np.concatenate(feats)
+        block, mask = pad_rows(rows, lengths)
+        assert np.array_equal(block[mask], rows)
+        for i, f in enumerate(feats):
+            assert np.array_equal(block[i, : len(f)], f)
 
     def test_pack_unpack_round_trip(self):
+        # any zero-padded block survives packing through the mask and padding again
         rng = np.random.default_rng(5)
         for trial in range(10):
-            feats, plans = self._random_cohort(rng, int(rng.integers(1, 9)), int(rng.integers(1, 7)))
-            block, packed = mask_and_pack(feats, plans)
-            rebuilt = unpack(packed, plans[0].n_max)
-            assert np.array_equal(rebuilt.values, block.values)
-            assert np.array_equal(rebuilt.mask, block.mask)
-            assert np.array_equal(rebuilt.lengths, block.lengths)
-
-    def test_disagreeing_plans_rejected(self):
-        plans = [PatchPlan(k=4, s=1, n_max=3), PatchPlan(k=4, s=1, n_max=4)]
-        feats = [np.zeros((1, 2)), np.zeros((1, 2))]
-        with pytest.raises(PlanViolation):
-            mask_and_pack(feats, plans)
+            lengths = rng.integers(1, 7, size=int(rng.integers(1, 9)))
+            block = rng.standard_normal((lengths.size, lengths.max(), 3))
+            for i, s in enumerate(lengths):
+                block[i, s:] = 0.0
+            _, mask = pad_rows(np.zeros((lengths.sum(), 3)), lengths)
+            rebuilt, rebuilt_mask = pad_rows(block[mask], lengths)
+            assert np.array_equal(rebuilt, block)
+            assert np.array_equal(rebuilt_mask, mask)
 
     def test_shape_mismatch_rejected(self):
-        plans = [PatchPlan(k=4, s=2, n_max=3)]
-        with pytest.raises(ShapeError):
-            mask_and_pack([np.zeros((3, 2))], plans)
+        # three rows for a sample of two patches
+        with pytest.raises(ValueError):
+            pad_rows(np.zeros((3, 2)), np.array([2]))
 
 
 class TestLstm:
@@ -418,32 +405,63 @@ class TestLstm:
             params.validate()
 
     def test_packed_wrapper_matches_padded(self):
+        # rows padded by pad_rows, run as one batch and packed back through its
+        # mask equal each sample's rows run alone
         rng = np.random.default_rng(12)
         params = init_bilstm_params(rng, channels=3, hidden=2)
-        feats = [rng.standard_normal((s, 3)) for s in (4, 1, 3)]
-        plans = [PatchPlan(k=8, s=s, n_max=5) for s in (4, 1, 3)]
-        block, packed = mask_and_pack(feats, plans)
-        rows = bilstm_forward(packed, params)
-        assert rows.shape == (8, 4)
-        padded, _ = bilstm_forward_padded(block.values[:, :4], block.lengths, params)
+        lengths = np.array([4, 1, 3])
+        rows = rng.standard_normal((8, 3))
+        block, mask = pad_rows(rows, lengths)
+        out, _ = bilstm_forward_padded(block, lengths, params)
+        packed = out[mask]
+        assert packed.shape == (8, 4)
         offset = 0
-        for i, s in enumerate((4, 1, 3)):
-            assert np.allclose(rows[offset : offset + s], padded[i, :s], atol=1e-12)
+        for s in lengths:
+            solo, _ = bilstm_forward_padded(rows[None, offset : offset + s], np.array([s]), params)
+            assert np.allclose(packed[offset : offset + s], solo[0], atol=1e-12)
             offset += s
 
 
 class TestEncodePatches:
+    # one sequence's patch features: a batch of one through the conv kernel
     def test_full_path_shape(self):
         rng = np.random.default_rng(13)
         conv = init_conv_params(rng, channels=4, kernel=3)
         series = rng.standard_normal(37)
-        plan = patch_plan(37, 64, 8)
-        feats = encode_patches(series, plan, conv)
+        plan = patch_plan(37, 8)
+        feats, _ = conv_embed_forward(patchify(series, plan), conv)
         assert feats.shape == (plan.s, 4)
 
     def test_deterministic(self):
         rng = np.random.default_rng(14)
         conv = init_conv_params(rng, channels=4, kernel=5)
         series = rng.standard_normal(50)
-        plan = patch_plan(50, 50, 16)
-        assert np.array_equal(encode_patches(series, plan, conv), encode_patches(series, plan, conv))
+        plan = patch_plan(50, 16)
+        first, _ = conv_embed_forward(patchify(series, plan), conv)
+        second, _ = conv_embed_forward(patchify(series, plan), conv)
+        assert np.array_equal(first, second)
+
+
+class TestUnseenLength:
+    def test_series_longer_than_any_trained_on(self, small_cohort_series):
+        # no dataset-wide maximum: the block is as wide as the batch's longest series
+        short = [s[:64] for s, _, _, _ in small_cohort_series]
+        labels = np.array([y for _, _, y, _ in small_cohort_series])
+        model = DetectionModel(DetectionConfig(seed=6))
+        model.train(short, labels, TrainConfig(lr=0.05, epochs=1, batch_size=8, seed=0))
+        longest = max((s for s, _, _, _ in small_cohort_series), key=len)
+        assert len(longest) > 3 * 64
+        alone = model.predict_proba([longest])[0]
+        mixed = model.predict_proba(short[:3] + [longest] + short[3:5])
+        assert 0.0 < alone < 1.0
+        assert abs(mixed[3] - alone) <= 1e-12
+        assert np.abs(mixed[[0, 1, 2, 4, 5]] - model.predict_proba(short[:5])).max() <= 1e-12
+
+
+def test_checkpoint_with_max_length_still_loads():
+    # checkpoints written before the dataset-wide maximum was dropped carry a max_length key
+    model = DetectionModel(DetectionConfig(seed=5))
+    blob = model.to_dict()
+    assert "max_length" not in blob
+    old = DetectionModel.from_dict({**blob, "max_length": 240})
+    assert all(np.array_equal(value, old.params()[name]) for name, value in model.params().items())
