@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import VolumeFlowCurve
-from .encoder import PatchPlan, _sigmoid
+from .encoder import PatchPlan, _check_finite, _sigmoid
 from .errors import EmptySequence, InvalidParams, NotTrained, PlanViolation
 
 MASKED_SCORE = -1e300  # stands in for -inf so masked patches claim no mass
@@ -45,9 +45,7 @@ class AttentionParams:
         }
 
     def validate(self):
-        for name, a in self.arrays().items():
-            if not np.all(np.isfinite(a)):
-                raise InvalidParams(f"non-finite values in {name}")
+        _check_finite(self.arrays())
 
 
 def init_attention_params(rng: np.random.Generator, context_width: int, attn_width: int | None = None) -> AttentionParams:
@@ -70,6 +68,9 @@ class HeadParams:
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {"head_w": self.w, "head_b": self.b}
+
+    def validate(self):
+        _check_finite(self.arrays())
 
 
 def init_head_params(rng: np.random.Generator, context_width: int) -> HeadParams:
@@ -188,6 +189,7 @@ def attention_backward_padded(dpooled: np.ndarray, cache, params: AttentionParam
 
 def head_forward(pooled: np.ndarray, params: HeadParams):
     """Class probabilities (B, 2) from pooled contexts (B, 2H)."""
+    params.validate()
     logits = pooled @ params.w.T + params.b
     shifted = logits - logits.max(axis=1, keepdims=True)
     expd = np.exp(shifted)

@@ -28,7 +28,15 @@ from .attention import (
 from .curves import SmootherConfig, differentiate_flow, gaussian_smooth, volume_flow_curve
 from .data import CohortSpec, generate_synthetic_cohort, load_time_volume_csv, write_time_volume_csv
 from .detection import DetectionConfig, DetectionModel
-from .errors import InvalidArgument, InvalidParams, ParseError, SpiroError, ValidationError
+from .errors import (
+    InvalidArgument,
+    InvalidCurve,
+    InvalidParams,
+    NonMonotonicVolume,
+    ParseError,
+    SpiroError,
+    ValidationError,
+)
 from .horizon import HORIZON_ORDER, HorizonLabel, future_feature_vector, predict_future_risk, top_horizon
 from .metrics import metrics_report, subgroup_reports
 from .phases import concavity_features
@@ -79,17 +87,21 @@ def _write_cohort(out_dir: Path, records):
 def _read_rows(path: Path, parse) -> dict:
     """id -> parse(row) over a cohort CSV with a header row.
 
-    A missing column or a value that parse rejects raises ParseError naming
-    the file, the row and the id.
+    A missing column or a value that parse rejects raises ParseError, and a
+    repeated id raises ValidationError, naming the file, the row and the id.
     """
     out = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
+            where = f"{path.name} row {reader.line_num} (id {row.get('id')!r})"
             try:
-                out[row["id"]] = parse(row)
+                value = parse(row)
             except (KeyError, TypeError, ValueError, InvalidParams) as exc:
-                raise ParseError(f"{path.name} row {reader.line_num} (id {row.get('id')!r}): {exc!r}") from None
+                raise ParseError(f"{where}: {exc!r}") from None
+            if row["id"] in out:
+                raise ValidationError(f"{where}: duplicate id")
+            out[row["id"]] = value
     return out
 
 
@@ -113,7 +125,8 @@ def _load_cohort(cohort_dir: Path):
     """Returns aligned lists: ids, curves, demos, copd labels, horizon labels.
 
     Every curves.csv id must have a row in demographics.csv and in
-    labels.csv; a missing one raises ValidationError.
+    labels.csv, and no file may repeat an id; either fault raises
+    ValidationError.
     """
     curves = dict(load_time_volume_csv(cohort_dir / "curves.csv"))
     demos = _read_rows(cohort_dir / "demographics.csv", _parse_demographics)
@@ -133,12 +146,10 @@ def _load_cohort(cohort_dir: Path):
 
 
 def _preprocess(curves, args):
-    """Smooth, differentiate and build Volume-Flow curves and flow series."""
-    cfg = SmootherConfig(k=args.window, sigma=args.sigma)
-    vf_curves = []
-    for curve in curves:
-        smoothed = gaussian_smooth(curve, cfg)
-        vf_curves.append(volume_flow_curve(smoothed, differentiate_flow(smoothed)))
+    """Smooth, differentiate and build Volume-Flow curves and flow series,
+    each step one batched call over all the curves."""
+    smoothed = gaussian_smooth(curves, SmootherConfig(k=args.window, sigma=args.sigma))
+    vf_curves = volume_flow_curve(smoothed, differentiate_flow(smoothed))
     return vf_curves, [vf.flows for vf in vf_curves]
 
 
@@ -157,22 +168,45 @@ class _Run:
     models: tuple | None  # (detector, fusion model, demographic encoder, detector checkpoint)
 
 
-def _start(args, models: bool = False, record_id: str | None = None) -> _Run:
+def _start(args, models: bool = False, record_ids=None, test_split: bool = False) -> _Run:
     """Create --out-dir, load the cohort and, if models, --models, then
-    preprocess the curves.  With record_id the cohort is cut to that record
-    first, so only its curve is preprocessed."""
+    preprocess the curves.  With record_ids, or with test_split (the
+    detector checkpoint's test_ids), the cohort is first cut to those
+    records, kept in cohort order, so only their curves are preprocessed.
+    A curve that fails preprocessing is named by its id."""
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cohort = _load_cohort(Path(args.cohort))
     loaded = _load_models(Path(args.models)) if models else None
-    if record_id is not None:
-        if record_id not in cohort[0]:
-            raise InvalidArgument(f"unknown record id {record_id!r}")
-        i = cohort[0].index(record_id)
-        cohort = tuple(column[i : i + 1] for column in cohort)
+    if test_split:
+        record_ids = loaded[3].get("test_ids")
+    if record_ids is not None:
+        cohort = _cut(cohort, record_ids)
     ids, curves, demos, copd, horizons = cohort
-    vf_curves, series = _preprocess(curves, args)
+    try:
+        vf_curves, series = _preprocess(curves, args)
+    except (InvalidCurve, NonMonotonicVolume) as exc:
+        if exc.row is None:
+            raise
+        raise type(exc)(f"curves.csv id {ids[exc.row]!r}: {exc}") from None
     return _Run(out_dir, ids, vf_curves, series, demos, copd, horizons, loaded)
+
+
+def _cut(cohort, record_ids):
+    """The cohort's columns restricted to record_ids, in cohort order."""
+    ids, curves, demos, copd, horizons = cohort
+    position = {blow_id: i for i, blow_id in enumerate(ids)}
+    unknown = [blow_id for blow_id in record_ids if blow_id not in position]
+    if unknown:
+        raise InvalidArgument(f"unknown record id {unknown[0]!r}")
+    rows = sorted({position[blow_id] for blow_id in record_ids})
+    return (
+        [ids[i] for i in rows],
+        [curves[i] for i in rows],
+        [demos[i] for i in rows],
+        copd[rows],
+        [horizons[i] for i in rows],
+    )
 
 
 def _split(ids, seed: int, test_fraction: float = 0.2):
@@ -214,8 +248,9 @@ def cmd_smooth(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     records = load_time_volume_csv(Path(args.cohort) / "curves.csv")
     cfg = SmootherConfig(k=args.window, sigma=args.sigma)
-    smoothed = [(blow_id, gaussian_smooth(curve, cfg)) for blow_id, curve in records]
-    write_time_volume_csv(out_dir / "smoothed_curves.csv", smoothed)
+    ids = [blow_id for blow_id, _ in records]
+    smoothed = gaussian_smooth([curve for _, curve in records], cfg)
+    write_time_volume_csv(out_dir / "smoothed_curves.csv", list(zip(ids, smoothed)))
     _manifest(out_dir, "smooth", {"window": args.window, "sigma": args.sigma}, {"curves": len(smoothed)})
     _summary({"command": "smooth", "out_dir": str(out_dir), "curves": len(smoothed)})
     return 0
@@ -347,19 +382,16 @@ def cmd_train_horizon(args):
 
 
 def cmd_evaluate(args):
-    run = _start(args, models=True)
-    out_dir, ids, series, demos, copd = run.out_dir, run.ids, run.series, run.demos, run.copd
-    model, fusion, encoder, detect_blob = run.models
-    test_ids = set(detect_blob.get("test_ids", ids))
-    sel = [i for i, blow_id in enumerate(ids) if blow_id in test_ids]
-    p_hat, risks = _fused_risks([series[i] for i in sel], [demos[i] for i in sel], model, fusion, encoder)
-    labels = copd[sel]
+    run = _start(args, models=True, test_split=True)
+    out_dir, demos, labels = run.out_dir, run.demos, run.copd
+    model, fusion, encoder, _ = run.models
+    p_hat, risks = _fused_risks(run.series, demos, model, fusion, encoder)
     report = {
         "detection": metrics_report(p_hat, labels, args.threshold, split="test"),
         "fused": metrics_report(risks, labels, args.threshold, split="test"),
     }
     if args.subgroup:
-        report["subgroups"] = subgroup_reports(p_hat, labels, [demos[i] for i in sel], args.subgroup, args.threshold)
+        report["subgroups"] = subgroup_reports(p_hat, labels, demos, args.subgroup, args.threshold)
     _write_json(out_dir / "metrics.json", report)
     _manifest(out_dir, "evaluate", {"threshold": args.threshold, "subgroup": args.subgroup, **_smoother_config(args)})
     _summary({"command": "evaluate", "out_dir": str(out_dir), "auroc": report["detection"]["auroc"]})
@@ -367,7 +399,7 @@ def cmd_evaluate(args):
 
 
 def cmd_explain(args):
-    run = _start(args, models=True, record_id=args.id)
+    run = _start(args, models=True, record_ids=None if args.id is None else [args.id])
     model, fusion, encoder, _ = run.models
     p_hats, weights, plans = model.explain(run.series)
     for row, (blow_id, vf, demo, plan) in enumerate(zip(run.ids, run.vf_curves, run.demos, plans)):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -189,8 +190,9 @@ def generate_synthetic_cohort(spec: CohortSpec) -> list[CohortRecord]:
 
 
 def load_time_volume_csv(path, dt: float = 0.010) -> list[tuple[str, TimeVolumeCurve]]:
-    """Parse blow rows 'id, ml, ml, ...' into liter curves."""
+    """Parse blow rows 'id, ml, ml, ...' into liter curves; an id may not repeat."""
     out = []
+    seen = set()
     with open(path, newline="") as fh:
         for row_no, row in enumerate(csv.reader(fh), start=1):
             if not row or all(not cell.strip() for cell in row):
@@ -198,6 +200,9 @@ def load_time_volume_csv(path, dt: float = 0.010) -> list[tuple[str, TimeVolumeC
             if len(row) < 3:
                 raise ParseError(f"row {row_no}: need an id and at least two samples")
             blow_id = row[0].strip()
+            if blow_id in seen:
+                raise ValidationError(f"{Path(path).name} row {row_no} (id {blow_id!r}): duplicate id")
+            seen.add(blow_id)
             try:
                 ml = np.array([float(cell) for cell in row[1:]], dtype=float)
             except ValueError as exc:

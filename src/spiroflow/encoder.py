@@ -44,6 +44,13 @@ def patch_plan(length: int, k: int) -> PatchPlan:
     return PatchPlan(k=k, s=math.ceil(length / k))
 
 
+def _check_finite(arrays: dict[str, np.ndarray]):
+    """Raise InvalidParams naming the first parameter array with a non-finite value."""
+    for name, a in arrays.items():
+        if not np.all(np.isfinite(a)):
+            raise InvalidParams(f"non-finite values in {name}")
+
+
 @dataclass
 class ConvEncoderParams:
     """Two-layer 1-D conv stack with tanh nonlinearities and mean pooling."""
@@ -59,6 +66,9 @@ class ConvEncoderParams:
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {"conv_w1": self.w1, "conv_b1": self.b1, "conv_w2": self.w2, "conv_b2": self.b2}
+
+    def validate(self):
+        _check_finite(self.arrays())
 
 
 def init_conv_params(
@@ -103,9 +113,7 @@ class BiLstmParams:
         }
 
     def validate(self):
-        for name, a in self.arrays().items():
-            if not np.all(np.isfinite(a)):
-                raise InvalidParams(f"non-finite values in {name}")
+        _check_finite(self.arrays())
 
 
 def init_bilstm_params(
@@ -178,6 +186,7 @@ def _conv1d_same_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray, input_gr
 
 def conv_embed_forward(patches: np.ndarray, params: ConvEncoderParams):
     """Embed patches (P, 1, k) into features (P, C); returns cache for backward."""
+    params.validate()
     x = patches.transpose(0, 2, 1)
     z1 = _conv1d_same(x, params.w1, params.b1)
     np.tanh(z1, out=z1)

@@ -2,7 +2,14 @@
 
 
 class SpiroError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    row is the index of the offending curve when a batched pass raises.
+    """
+
+    def __init__(self, *args, row: int | None = None):
+        super().__init__(*args)
+        self.row = row
 
 
 class InvalidCurve(SpiroError):

@@ -117,6 +117,31 @@ def baseline_line(curve: VolumeFlowCurve, phase: Phase) -> tuple[float, float]:
     return slope, intercept
 
 
+def _directed_areas(curve: VolumeFlowCurve, phases: list[Phase], n_grid: int) -> np.ndarray:
+    """Signed area between each phase's chord and the curve.
+
+    All phases share one (phases, n_grid) volume grid and one interpolation
+    call for their endpoints and grid points.
+    """
+    if n_grid < 2:
+        raise InvalidArgument("n_grid must be >= 2")
+    if any(p.end == p.start for p in phases):
+        raise EmptyPhase("phase has zero width")
+    starts = np.array([p.start for p in phases])
+    ends = np.array([p.end for p in phases])
+    dv = (ends - starts) / (n_grid - 1)
+    # np.linspace's arithmetic, row by row: start + i * step, the end exact
+    grid = np.arange(n_grid) * dv[:, None] + starts[:, None]
+    grid[:, -1] = ends
+    flows = curve.flow_at(np.concatenate([starts, ends, grid.ravel()]))
+    n = starts.size
+    fb, fg, on_grid = flows[:n], flows[n : 2 * n], flows[2 * n :].reshape(grid.shape)
+    slope = (fg - fb) / (ends - starts)
+    intercept = fb - slope * starts
+    baseline = slope[:, None] * grid + intercept[:, None]
+    return np.sum((baseline - on_grid) * dv[:, None], axis=1)
+
+
 def concavity_measure(curve: VolumeFlowCurve, phase: Phase, n_grid: int = DEFAULT_N_GRID) -> float:
     """Signed area between the phase baseline and the curve.
 
@@ -124,15 +149,7 @@ def concavity_measure(curve: VolumeFlowCurve, phase: Phase, n_grid: int = DEFAUL
     above (full).  The sum over the uniform volume grid is weighted by the
     grid spacing so the value is a true area, independent of grid density.
     """
-    if n_grid < 2:
-        raise InvalidArgument("n_grid must be >= 2")
-    if phase.end == phase.start:
-        raise EmptyPhase("phase has zero width")
-    grid = np.linspace(phase.start, phase.end, n_grid)
-    dv = (phase.end - phase.start) / (n_grid - 1)
-    slope, intercept = baseline_line(curve, phase)
-    baseline = slope * grid + intercept
-    return float(np.sum((baseline - curve.flow_at(grid)) * dv))
+    return float(_directed_areas(curve, [phase], n_grid)[0])
 
 
 def concavity_trend(profile: ConcavityProfile) -> float:
@@ -142,6 +159,5 @@ def concavity_trend(profile: ConcavityProfile) -> float:
 
 def concavity_features(curve: VolumeFlowCurve, n_grid: int = DEFAULT_N_GRID) -> ConcavityProfile:
     """Directed-area concavity of all four phases of the curve."""
-    lm = locate_landmarks(curve)
-    measures = [concavity_measure(curve, p, n_grid) for p in phases_from_landmarks(lm)]
-    return ConcavityProfile(*measures)
+    phases = phases_from_landmarks(locate_landmarks(curve))
+    return ConcavityProfile(*_directed_areas(curve, phases, n_grid).tolist())

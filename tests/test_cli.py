@@ -149,6 +149,28 @@ class TestTrainAndEvaluate:
         p_hat = model.predict_proba([series[i] for i in sel])
         assert report["detection"]["auroc"] == pytest.approx(auroc(p_hat, copd[sel]), abs=1e-12)
 
+    def test_evaluate_preprocesses_only_the_test_split(self, pipeline, tmp_path, monkeypatch):
+        import spiroflow.cli
+        from spiroflow.cli import _load_cohort
+
+        _, cohort, models = pipeline
+        smoothed = []
+        smooth = spiroflow.cli.gaussian_smooth
+
+        def counting_smooth(curves, cfg):
+            smoothed.append(list(curves))
+            return smooth(curves, cfg)
+
+        monkeypatch.setattr(spiroflow.cli, "gaussian_smooth", counting_smooth)
+        assert _run("evaluate", "--out-dir", str(tmp_path / "eval"), "--cohort", str(cohort), "--models", str(models)) == 0
+        test_ids = json.loads((models / "detect_model.json").read_text())["test_ids"]
+        ids, curves, _, _, _ = _load_cohort(cohort)
+        by_id = dict(zip(ids, curves))
+        assert 0 < len(test_ids) < len(ids)
+        assert len(smoothed) == 1
+        assert len(smoothed[0]) == len(test_ids)
+        assert all(np.array_equal(c.samples, by_id[i].samples) for c, i in zip(smoothed[0], test_ids))
+
     def test_subgroup_flag(self, pipeline, tmp_path):
         _, cohort, models = pipeline
         out = tmp_path / "eval_sub"
@@ -237,14 +259,16 @@ class TestExplain:
         smoothed = []
         smooth = spiroflow.cli.gaussian_smooth
 
-        def counting_smooth(curve, cfg):
-            smoothed.append(curve)
-            return smooth(curve, cfg)
+        def counting_smooth(curves, cfg):
+            smoothed.append(list(curves))
+            return smooth(curves, cfg)
 
         monkeypatch.setattr(spiroflow.cli, "gaussian_smooth", counting_smooth)
         args = ("--cohort", str(cohort), "--models", str(models), "--id", "NON_COPD_0000")
         assert _run("explain", "--out-dir", str(tmp_path / "explain"), *args) == 0
+        # one batched call, holding exactly the one curve
         assert len(smoothed) == 1
+        assert len(smoothed[0]) == 1
 
     def test_unknown_id_is_clean_failure(self, pipeline, tmp_path, capsys):
         _, cohort, models = pipeline
@@ -408,3 +432,63 @@ class TestErrors:
             payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
             assert payload["error"] == error, case
             assert all(part in payload["message"] for part in named), (case, payload["message"])
+
+    def test_duplicate_ids_are_rejected(self, tmp_path, capsys):
+        # a repeated id in any cohort file is an error, not a silent last-row-wins
+        curves = "a,0,100,200\nb,0,150,300\n"
+        demographics = "id,sex,age,smoking,fev1_fvc_ratio\na,male,60,never,0.7\nb,female,50,current,0.6\n"
+        labels = "id,copd,horizon\na,0,NON_COPD\nb,1,WITHIN_1Y\n"
+        cases = {
+            "curves.csv": (curves + "a,0,120,240\n", demographics, labels, "curves.csv row 3"),
+            "demographics.csv": (curves, demographics + "b,male,70,former,0.5\n", labels, "demographics.csv row 4"),
+            "labels.csv": (curves, demographics, labels + "a,1,WITHIN_1Y\n", "labels.csv row 4"),
+        }
+        for case, (curves_csv, demographics_csv, labels_csv, where) in cases.items():
+            cohort = tmp_path / case
+            cohort.mkdir()
+            (cohort / "curves.csv").write_text(curves_csv)
+            (cohort / "demographics.csv").write_text(demographics_csv)
+            (cohort / "labels.csv").write_text(labels_csv)
+            code = _run("featurize", "--out-dir", str(tmp_path / "out"), "--cohort", str(cohort))
+            assert code == 1, case
+            payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert payload["error"] == "ValidationError", case
+            assert where in payload["message"] and "duplicate" in payload["message"], (case, payload["message"])
+
+    def test_non_finite_detector_weights_are_rejected(self, pipeline, tmp_path, capsys):
+        _, cohort, models = pipeline
+        for name in ("head_w", "conv_w1"):
+            broken = tmp_path / name
+            broken.mkdir()
+            for f in ("fusion_model.json", "horizon_model.json"):
+                (broken / f).write_bytes((models / f).read_bytes())
+            blob = json.loads((models / "detect_model.json").read_text())
+            first = blob["arrays"][name]
+            while isinstance(first[0], list):
+                first = first[0]
+            first[0] = float("nan")
+            (broken / "detect_model.json").write_text(json.dumps(blob))
+            for command, extra in (("evaluate", []), ("explain", ["--id", "NON_COPD_0000"]), ("predict", [])):
+                out = tmp_path / f"{name}_{command}"
+                code = _run(command, "--out-dir", str(out), "--cohort", str(cohort), "--models", str(broken), *extra)
+                assert code == 1, (name, command)
+                payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+                assert payload["error"] == "InvalidParams", (name, command)
+                assert name in payload["message"], (name, command)
+
+    def test_curve_error_names_its_record(self, tmp_path, capsys):
+        # the batched pass knows the failing row; the error names its id
+        rise = ",".join(str(50 * i) for i in range(40))
+        drop = ",".join(str(v) for v in [50 * i for i in range(20)] + [10 * i for i in range(20)])
+        cohort = tmp_path / "cohort"
+        cohort.mkdir()
+        (cohort / "curves.csv").write_text(f"a,{rise}\nb,{drop}\nc,{rise}\n")
+        (cohort / "demographics.csv").write_text(
+            "id,sex,age,smoking,fev1_fvc_ratio\n" + "".join(f"{i},male,60,never,0.7\n" for i in "abc")
+        )
+        (cohort / "labels.csv").write_text("id,copd,horizon\n" + "".join(f"{i},0,NON_COPD\n" for i in "abc"))
+        assert _run("featurize", "--out-dir", str(tmp_path / "out"), "--cohort", str(cohort)) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "NonMonotonicVolume"
+        assert "'b'" in payload["message"]
+        assert "'a'" not in payload["message"] and "'c'" not in payload["message"]

@@ -12,6 +12,7 @@ from spiroflow import (
     resample_on_volume_grid,
     volume_flow_curve,
 )
+from spiroflow import curves as curves_module
 from spiroflow.curves import VolumeFlowCurve
 from spiroflow.errors import InvalidArgument, InvalidCurve, NonMonotonicVolume
 
@@ -155,3 +156,138 @@ class TestResample:
         vf = VolumeFlowCurve(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
         with pytest.raises(InvalidArgument):
             resample_on_volume_grid(vf, 1)
+
+
+# ---------------------------------------------------------------------------
+# the batched pass against the per-curve loops it replaced
+
+
+def smooth_reference(x, k, sigma):
+    """The per-curve tap loop: renormalized Gaussian window, one slice add per tap."""
+    n = x.size
+    if k == 0:
+        return x.copy()
+    num = np.zeros(n)
+    den = np.zeros(n)
+    for j in range(-k, k + 1):
+        w = float(np.exp(-(j * j) / (2.0 * sigma**2)))
+        lo = max(0, -j)
+        hi = min(n, n - j)
+        if lo >= hi:
+            continue
+        num[lo:hi] += w * x[lo + j : hi + j]
+        den[lo:hi] += w
+    return num / den
+
+
+def flow_reference(v, dt):
+    q = np.empty_like(v)
+    q[:-1] = np.diff(v) / dt
+    q[-1] = q[-2]
+    return q
+
+
+def keep_reference(v):
+    """The Python keep loop: indices whose volume beats every kept one."""
+    keep = [0]
+    last = v[0]
+    for i in range(1, v.size):
+        if v[i] > last:
+            keep.append(i)
+            last = v[i]
+    return np.array(keep)
+
+
+def random_volume_series(rng, length):
+    """Non-negative, non-decreasing within VOLUME_TOL: rises, plateaus, small dips, -0.0."""
+    steps = rng.choice([0.0, 0.0, 1e-3, 0.02, 0.2], size=length) * rng.random(length)
+    v = np.cumsum(steps)
+    dips = rng.random(length) < 0.1
+    v[dips] = np.maximum(v[dips] - rng.uniform(0, 0.9e-9, dips.sum()), 0.0)
+    v[v == 0.0] = rng.choice([0.0, -0.0], size=int((v == 0.0).sum()))
+    return v
+
+
+def bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+class TestBatchedMatchesReference:
+    # the default block holds whole batches here; 64 bytes splits them into blocks of a row or two
+    @pytest.mark.parametrize("block_bytes", [curves_module.BLOCK_BYTES, 64])
+    @pytest.mark.parametrize("k, sigma", [(0, 2.0), (1, 0.7), (5, 2.0), (12, 3.5), (60, 9.0)])
+    def test_random_mixed_length_batches(self, k, sigma, block_bytes, monkeypatch):
+        monkeypatch.setattr(curves_module, "BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(k)
+        for _ in range(30):
+            # lengths from 2 to beyond the 2k+1 window, so k also exceeds short curves
+            lengths = rng.integers(2, 2 * k + 12, size=rng.integers(1, 9))
+            dts = rng.choice([0.01, 0.004, 0.25], size=lengths.size)
+            curves = [tv(random_volume_series(rng, n), dt) for n, dt in zip(lengths, dts)]
+            smoothed = gaussian_smooth(curves, SmootherConfig(k=k, sigma=sigma))
+            flows = differentiate_flow(smoothed)
+            for curve, s, q in zip(curves, smoothed, flows):
+                assert bits(s.samples) == bits(smooth_reference(curve.samples, k, sigma))
+                assert s.dt == q.dt == curve.dt
+                assert bits(q.samples) == bits(flow_reference(s.samples, curve.dt))
+            usable = [i for i, s in enumerate(smoothed) if keep_reference(s.samples).size >= 2]
+            vfs = volume_flow_curve([smoothed[i] for i in usable], [flows[i] for i in usable])
+            for i, vf in zip(usable, vfs):
+                idx = keep_reference(smoothed[i].samples)
+                assert bits(vf.volumes) == bits(smoothed[i].samples[idx])
+                assert bits(vf.flows) == bits(flows[i].samples[idx])
+
+    def test_minus_zero_and_within_tolerance_dips(self):
+        v = tv([-0.0, 0.0, -0.0, 0.5, 0.5 - 0.9e-9, 0.5, 1.0, 1.0])
+        q = TimeFlowCurve(np.arange(8.0), 0.010)
+        vf = volume_flow_curve([v], [q])[0]
+        assert bits(vf.volumes) == bits(v.samples[[0, 3, 6]])
+        assert np.signbit(vf.volumes[0])
+        assert bits(vf.flows) == bits(np.array([0.0, 3.0, 6.0]))
+        assert bits(gaussian_smooth([v], SmootherConfig(k=0))[0].samples) == bits(v.samples)
+
+    def test_batch_of_one_equals_row_of_larger_batch(self):
+        rng = np.random.default_rng(11)
+        curves = [tv(random_volume_series(rng, n) + np.arange(n)) for n in (2, 7, 40, 13)]
+        smoothed = gaussian_smooth(curves)
+        flows = differentiate_flow(smoothed)
+        vfs = volume_flow_curve(smoothed, flows)
+        for i, curve in enumerate(curves):
+            alone = gaussian_smooth(curve)
+            assert isinstance(alone, TimeVolumeCurve)
+            assert bits(alone.samples) == bits(gaussian_smooth([curve])[0].samples) == bits(smoothed[i].samples)
+            flow = differentiate_flow(alone)
+            assert bits(flow.samples) == bits(flows[i].samples)
+            vf = volume_flow_curve(alone, flow)
+            assert bits(vf.volumes) == bits(vfs[i].volumes)
+            assert bits(vf.flows) == bits(vfs[i].flows)
+
+    def test_empty_batch(self):
+        assert gaussian_smooth([]) == []
+        assert differentiate_flow([]) == []
+        assert volume_flow_curve([], []) == []
+
+    @pytest.mark.parametrize("block_bytes", [curves_module.BLOCK_BYTES, 64])
+    def test_first_bad_curve_is_named_by_row(self, block_bytes, monkeypatch):
+        monkeypatch.setattr(curves_module, "BLOCK_BYTES", block_bytes)
+        good = tv([0.0, 0.5, 1.0])
+        decreasing = tv([0.0, 1.0, 0.5, 2.0])
+        flat = tv([1.0, 1.0, 1.0])
+        for batch, error, row in (
+            ([good, decreasing, flat], NonMonotonicVolume, 1),
+            ([good, flat, decreasing], InvalidCurve, 1),
+            ([decreasing], NonMonotonicVolume, 0),
+            ([good] * 5 + [flat, decreasing], InvalidCurve, 5),
+        ):
+            with pytest.raises(error) as exc:
+                volume_flow_curve(batch, differentiate_flow(batch))
+            assert exc.value.row == row
+
+    def test_length_mismatch_rejected(self):
+        v = [tv([0.0, 0.5, 1.0]), tv([0.0, 1.0])]
+        q = [TimeFlowCurve(np.ones(3)), TimeFlowCurve(np.ones(3))]
+        with pytest.raises(InvalidCurve) as exc:
+            volume_flow_curve(v, q)
+        assert exc.value.row == 1
+        with pytest.raises(InvalidCurve):
+            volume_flow_curve(v, q[:1])

@@ -176,3 +176,38 @@ class TestConcavityFeatures:
         flows = 2.5 * np.ones_like(volumes)
         prof = concavity_features(vf(volumes, flows))
         assert np.allclose(prof.as_array(), 0.0, atol=1e-9)
+
+
+def concavity_reference(curve, phase, n_grid):
+    """The per-phase measure the one-shot kernel replaced: its own grid and interpolations."""
+    grid = np.linspace(phase.start, phase.end, n_grid)
+    dv = (phase.end - phase.start) / (n_grid - 1)
+    slope, intercept = baseline_line(curve, phase)
+    baseline = slope * grid + intercept
+    return float(np.sum((baseline - curve.flow_at(grid)) * dv))
+
+
+class TestOneShotMatchesPerPhase:
+    @pytest.mark.parametrize("n_grid", [2, 3, 1000, 1001, 20000])
+    def test_random_curves_bit_for_bit(self, n_grid):
+        rng = np.random.default_rng(n_grid)
+        for _ in range(25):
+            n = int(rng.integers(2, 300))
+            volumes = np.concatenate([[0.0], np.cumsum(rng.random(n - 1) + 1e-3)])
+            flows = rng.standard_normal(n) * rng.choice([1e-3, 1.0, 100.0])
+            flows[rng.random(n) < 0.2] = -0.0
+            # peak flow before a fifth of FVC, so every phase has width
+            early = int(np.searchsorted(volumes, 0.2 * volumes[-1]))
+            flows[rng.integers(0, max(early, 1))] = np.abs(flows).max() + 1.0
+            curve = vf(volumes, flows)
+            phases = phases_from_landmarks(locate_landmarks(curve))
+            expected = [concavity_reference(curve, p, n_grid) for p in phases]
+            assert concavity_features(curve, n_grid).as_array().tobytes() == np.array(expected).tobytes()
+            for p, e in zip(phases, expected):
+                assert concavity_measure(curve, p, n_grid) == e
+
+    def test_cohort_curves_bit_for_bit(self, small_cohort_series):
+        for _, curve, _, _ in small_cohort_series:
+            phases = phases_from_landmarks(locate_landmarks(curve))
+            expected = [concavity_reference(curve, p, 1000) for p in phases]
+            assert concavity_features(curve).as_array().tobytes() == np.array(expected).tobytes()
