@@ -32,10 +32,10 @@ def main():
     cohort = generate_synthetic_cohort(
         CohortSpec(n_per_class=args.n_per_class, noise=args.noise, seed=args.seed)
     )
+    smoothed = gaussian_smooth([rec.curve for rec in cohort])
+    vfs = volume_flow_curve(smoothed, differentiate_flow(smoothed))
     trends = {label: [] for label in HORIZON_ORDER}
-    for rec in cohort:
-        smoothed = gaussian_smooth(rec.curve)
-        vf = volume_flow_curve(smoothed, differentiate_flow(smoothed))
+    for rec, vf in zip(cohort, vfs):
         trends[rec.horizon].append(concavity_features(vf).trend)
 
     print(f"{'class':<12} {'mean trend':>10} {'std':>8}")

@@ -18,6 +18,7 @@ import numpy as np
 from .curves import VolumeFlowCurve
 from .encoder import PatchPlan, _check_finite, _sigmoid
 from .errors import EmptySequence, InvalidParams, NotTrained, PlanViolation
+from .training import softmax_rows
 
 MASKED_SCORE = -1e300  # stands in for -inf so masked patches claim no mass
 
@@ -191,10 +192,7 @@ def head_forward(pooled: np.ndarray, params: HeadParams):
     """Class probabilities (B, 2) from pooled contexts (B, 2H)."""
     params.validate()
     logits = pooled @ params.w.T + params.b
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
-    probs = expd / expd.sum(axis=1, keepdims=True)
-    return probs, logits
+    return softmax_rows(logits), logits
 
 
 def head_backward(dlogits: np.ndarray, pooled: np.ndarray, params: HeadParams):

@@ -1,4 +1,4 @@
-"""Synthetic cohort generation, CSV ingestion, QC trimming and labeling.
+"""Synthetic cohort generation, CSV ingestion and QC trimming.
 
 Synthetic maneuvers integrate a class-template flow profile: flow ramps to
 a peak, then follows per-phase chords with sinusoidal concavity bumps whose
@@ -12,7 +12,7 @@ directions.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -249,57 +249,3 @@ def qc_filter(summaries: list[dict], lower_pct: float = 0.5, upper_pct: float = 
         ok = all(cuts[k][0] <= s[k] <= cuts[k][1] for k in ("fvc", "fev1", "pef"))
         (retained if ok else discarded).append(s)
     return retained, discarded
-
-
-# ---------------------------------------------------------------------------
-# diagnosis-code label derivation
-
-
-@dataclass(frozen=True)
-class LabelCodeTable:
-    """field id -> (code set, source type); codes ending in X are prefixes."""
-
-    entries: dict[str, tuple[frozenset, str]]
-
-
-DEFAULT_LABEL_TABLE = LabelCodeTable(
-    entries={
-        "20002": (frozenset({"1112", "1113", "1472"}), "self_report"),
-        "41270": (
-            frozenset({"J430", "J431", "J432", "J438", "439J", "J440", "J441", "J448", "J449"}),
-            "hospitalization",
-        ),
-        "41271": (frozenset({"4920", "4928", "4929", "496X"}), "hospitalization"),
-        "42040": (
-            frozenset({"J430", "J431", "J432", "J438", "439J", "J440", "J441", "J448", "J449"}),
-            "primary_care",
-        ),
-    }
-)
-
-
-def _code_matches(code: str, table_code: str) -> bool:
-    if table_code.endswith("X"):
-        return code.startswith(table_code[:-1])
-    return code == table_code
-
-
-def derive_copd_label(code_records: dict[str, list[str]], table: LabelCodeTable = DEFAULT_LABEL_TABLE):
-    """Binary label with source flags; unknown field ids are counted, not fatal.
-
-    code_records: field id -> codes observed for the patient.
-    Returns (label, sources, unknown_field_count).
-    """
-    sources = set()
-    unknown = 0
-    for field_id, codes in code_records.items():
-        entry = table.entries.get(str(field_id))
-        if entry is None:
-            unknown += 1
-            continue
-        table_codes, source = entry
-        for code in codes:
-            if any(_code_matches(str(code), tc) for tc in table_codes):
-                sources.add(source)
-                break
-    return (1 if sources else 0), sources, unknown

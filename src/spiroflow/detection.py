@@ -1,6 +1,6 @@
 """End-to-end detection stack: conv patch embedding -> Bi-LSTM -> volume
-attention -> two-class head, trained by mini-batch gradient descent with
-hand-derived gradients (validated against finite differences in the tests).
+attention -> two-class head, with hand-derived gradients (validated against
+finite differences in the tests) that `training.sgd` trains on.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .encoder import (
     patchify,
 )
 from .errors import InvalidArgument
-from .training import PROB_CLAMP, TrainConfig
+from .training import TrainConfig, mean_cross_entropy, sgd
 
 FLOW_SCALE = 10.0  # liters/second; keeps tanh inputs in a sane range
 
@@ -46,12 +46,6 @@ class DetectionConfig:
     conv_kernel: int = DEFAULT_CONV_KERNEL
     attn_width: int | None = None
     seed: int = 0
-
-
-def _cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log-probability of the true class, clamped away from 0."""
-    picked = np.clip(probs[np.arange(labels.size), labels], PROB_CLAMP, None)
-    return float(-np.log(picked).mean())
 
 
 class DetectionModel:
@@ -121,7 +115,7 @@ class DetectionModel:
     def loss(self, series_list, labels) -> float:
         """Mean cross-entropy from a forward pass only."""
         probs, _, _, _ = self._forward(series_list)
-        return _cross_entropy(probs, np.asarray(labels, dtype=np.int64))
+        return mean_cross_entropy(probs, np.asarray(labels, dtype=np.int64))
 
     def loss_and_grads(self, series_list, labels):
         """Mean cross-entropy and gradients for every parameter."""
@@ -129,7 +123,7 @@ class DetectionModel:
         probs, _, _, cache = self._forward(series_list, keep_cache=True)
         conv_cache, mask, lstm_cache, attn_cache, pooled = cache
         n = labels.size
-        loss = _cross_entropy(probs, labels)
+        loss = mean_cross_entropy(probs, labels)
         dlogits = probs.copy()
         dlogits[np.arange(n), labels] -= 1.0
         dlogits /= n
@@ -145,24 +139,16 @@ class DetectionModel:
     # -- training -----------------------------------------------------------
 
     def train(self, series_list, labels, cfg: TrainConfig):
-        """Seeded mini-batch gradient descent; returns the epoch loss trace."""
+        """Fit every parameter by `sgd`; returns the epoch loss trace."""
         labels = np.asarray(labels, dtype=np.int64)
         if len(series_list) != labels.size:
             raise InvalidArgument("series and labels must be aligned")
-        n = labels.size
-        rng = np.random.default_rng(cfg.seed)
-        params = self.params()
-        trace = [self.loss(series_list, labels)]
-        for _ in range(cfg.epochs):
-            order = rng.permutation(n)
-            for start in range(0, n, cfg.batch_size):
-                batch = order[start : start + cfg.batch_size]
-                batch_series = [series_list[i] for i in batch]
-                _, grads = self.loss_and_grads(batch_series, labels[batch])
-                for name, p in params.items():
-                    p -= cfg.lr * (grads[name] + cfg.l2 * p)
-            trace.append(self.loss(series_list, labels))
-        return trace
+
+        def batch_grads(batch):
+            _, grads = self.loss_and_grads([series_list[i] for i in batch], labels[batch])
+            return grads
+
+        return sgd(self.params(), batch_grads, lambda: self.loss(series_list, labels), labels.size, cfg)
 
     # -- checkpointing ------------------------------------------------------
 

@@ -52,10 +52,6 @@ class NotTrained(SpiroError):
     pass
 
 
-class InvalidDistribution(SpiroError):
-    pass
-
-
 class DegenerateLabels(SpiroError):
     pass
 

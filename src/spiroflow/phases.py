@@ -152,11 +152,6 @@ def concavity_measure(curve: VolumeFlowCurve, phase: Phase, n_grid: int = DEFAUL
     return float(_directed_areas(curve, [phase], n_grid)[0])
 
 
-def concavity_trend(profile: ConcavityProfile) -> float:
-    """Early-phase concavity minus late-phase concavity."""
-    return profile.trend
-
-
 def concavity_features(curve: VolumeFlowCurve, n_grid: int = DEFAULT_N_GRID) -> ConcavityProfile:
     """Directed-area concavity of all four phases of the curve."""
     phases = phases_from_landmarks(locate_landmarks(curve))

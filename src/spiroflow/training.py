@@ -1,9 +1,10 @@
-"""Losses, gradient descent, logistic models and finite-difference checks.
+"""Losses, the one training loop, logistic models and finite-difference checks.
 
-Everything here runs in double precision with plain mini-batch gradient
-descent under a fixed learning rate, so seeded runs are bitwise
-reproducible and every analytic gradient in the repo can be validated
-against central finite differences.
+Everything here runs in double precision.  `sgd` is the one seeded
+mini-batch gradient-descent loop under a fixed learning rate; the logistic
+models here and the detection stack both train through it, so seeded runs
+are bitwise reproducible.  Every analytic gradient in the repo can be
+validated against central finite differences with `grad_check`.
 """
 
 from __future__ import annotations
@@ -13,13 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateLabels,
-    InvalidArgument,
-    InvalidDistribution,
-    InvalidLoss,
-    NotTrained,
-)
+from .errors import DegenerateLabels, InvalidArgument, InvalidLoss, NotTrained
 
 PROB_CLAMP = 1e-12
 
@@ -30,7 +25,6 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 32
     seed: int = 0
-    l2: float = 0.0
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -39,24 +33,42 @@ class TrainConfig:
             raise InvalidArgument("epochs must be >= 0")
         if self.batch_size < 1:
             raise InvalidArgument("batch size must be >= 1")
-        if self.l2 < 0:
-            raise InvalidArgument("l2 penalty must be >= 0")
-
-
-def cross_entropy(probs: np.ndarray, label: int) -> float:
-    """Negative log likelihood of the labeled class, clamped at 1e-12."""
-    probs = np.asarray(probs, dtype=float)
-    if probs.ndim != 1 or label < 0 or label >= probs.size:
-        raise InvalidDistribution("label out of range for distribution")
-    if np.any(probs < -1e-9) or abs(probs.sum() - 1.0) > 1e-6:
-        raise InvalidDistribution("probabilities must be non-negative and sum to 1")
-    return float(-np.log(max(probs[label], PROB_CLAMP)))
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=1, keepdims=True)
     expd = np.exp(shifted)
     return expd / expd.sum(axis=1, keepdims=True)
+
+
+def mean_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Mean negative log-probability of each row's label, clamped at PROB_CLAMP.
+
+    probs is (N, K) with rows summing to 1; labels are N class indices.
+    """
+    picked = np.clip(probs[np.arange(labels.size), labels], PROB_CLAMP, None)
+    return float(-np.log(picked).mean())
+
+
+def sgd(params: dict[str, np.ndarray], batch_grads, full_loss, n: int, cfg: TrainConfig) -> list[float]:
+    """Seeded mini-batch gradient descent; returns the epoch loss trace.
+
+    params are updated in place.  Each epoch visits a fresh permutation of
+    the n records in batches of cfg.batch_size (the last may be short);
+    batch_grads(indices) returns a gradient for every name in params.
+    full_loss() is a forward-only loss over all n records, taken before
+    training and after each epoch.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    trace = [full_loss()]
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            grads = batch_grads(order[start : start + cfg.batch_size])
+            for name, p in params.items():
+                p -= cfg.lr * grads[name]
+        trace.append(full_loss())
+    return trace
 
 
 @dataclass
@@ -101,14 +113,8 @@ class LogisticModel:
         )
 
 
-def _mean_ce_loss(w, b, x, y_idx, l2):
-    probs = softmax_rows(x @ w.T + b)
-    picked = np.clip(probs[np.arange(x.shape[0]), y_idx], PROB_CLAMP, None)
-    return float(-np.log(picked).mean() + 0.5 * l2 * np.sum(w * w))
-
-
 def train_logistic(x: np.ndarray, y, cfg: TrainConfig) -> LogisticModel:
-    """Mini-batch gradient descent on mean cross-entropy with l2 on weights."""
+    """Mean cross-entropy fitted by `sgd` from zero weights."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
@@ -118,25 +124,21 @@ def train_logistic(x: np.ndarray, y, cfg: TrainConfig) -> LogisticModel:
         raise DegenerateLabels("need at least two classes present")
     y_idx = np.searchsorted(classes, y)
     n, d = x.shape
-    k = classes.size
-    w = np.zeros((k, d))
-    b = np.zeros(k)
-    rng = np.random.default_rng(cfg.seed)
-    trace = [_mean_ce_loss(w, b, x, y_idx, cfg.l2)]
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            xb = x[batch]
-            probs = softmax_rows(xb @ w.T + b)
-            probs[np.arange(batch.size), y_idx[batch]] -= 1.0
-            dlogits = probs / batch.size
-            w -= cfg.lr * (dlogits.T @ xb + cfg.l2 * w)
-            b -= cfg.lr * dlogits.sum(axis=0)
-        trace.append(_mean_ce_loss(w, b, x, y_idx, cfg.l2))
-    model = LogisticModel(weights=w, bias=b, classes=classes)
-    model.loss_trace = trace
-    return model
+    w = np.zeros((classes.size, d))
+    b = np.zeros(classes.size)
+
+    def batch_grads(batch):
+        xb = x[batch]
+        dlogits = softmax_rows(xb @ w.T + b)
+        dlogits[np.arange(batch.size), y_idx[batch]] -= 1.0
+        dlogits /= batch.size
+        return {"w": dlogits.T @ xb, "b": dlogits.sum(axis=0)}
+
+    def full_loss():
+        return mean_cross_entropy(softmax_rows(x @ w.T + b), y_idx)
+
+    trace = sgd({"w": w, "b": b}, batch_grads, full_loss, n, cfg)
+    return LogisticModel(weights=w, bias=b, classes=classes, loss_trace=trace)
 
 
 def grad_check(loss_fn, params: dict[str, np.ndarray], eps: float = 1e-6) -> float:

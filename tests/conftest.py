@@ -1,13 +1,7 @@
-import numpy as np
 import pytest
 
-from spiroflow import (
-    CohortSpec,
-    differentiate_flow,
-    gaussian_smooth,
-    generate_synthetic_cohort,
-    volume_flow_curve,
-)
+from spiroflow.curves import differentiate_flow, gaussian_smooth, volume_flow_curve
+from spiroflow.data import CohortSpec, generate_synthetic_cohort
 
 
 @pytest.fixture(scope="session")
@@ -18,9 +12,6 @@ def small_cohort():
 @pytest.fixture(scope="session")
 def small_cohort_series(small_cohort):
     """Per-record (flow series, Volume-Flow curve, binary label, horizon)."""
-    out = []
-    for rec in small_cohort:
-        smoothed = gaussian_smooth(rec.curve)
-        vf = volume_flow_curve(smoothed, differentiate_flow(smoothed))
-        out.append((vf.flows, vf, rec.copd, rec.horizon))
-    return out
+    smoothed = gaussian_smooth([rec.curve for rec in small_cohort])
+    vfs = volume_flow_curve(smoothed, differentiate_flow(smoothed))
+    return [(vf.flows, vf, rec.copd, rec.horizon) for vf, rec in zip(vfs, small_cohort)]

@@ -7,16 +7,17 @@ from pathlib import Path
 
 import numpy as np
 
-from spiroflow import (
-    CohortSpec,
-    differentiate_flow,
-    gaussian_smooth,
-    generate_synthetic_cohort,
-    volume_flow_curve,
-)
 from spiroflow.attention import DemographicEncoder
 from spiroflow.cli import main as cli_main
-from spiroflow.curves import SmootherConfig, TimeVolumeCurve, VolumeFlowCurve
+from spiroflow.curves import (
+    SmootherConfig,
+    TimeVolumeCurve,
+    VolumeFlowCurve,
+    differentiate_flow,
+    gaussian_smooth,
+    volume_flow_curve,
+)
+from spiroflow.data import CohortSpec, generate_synthetic_cohort
 from spiroflow.detection import DetectionConfig, DetectionModel
 from spiroflow.encoder import pad_rows
 from spiroflow.horizon import HORIZON_ORDER, future_feature_vector, predict_future_risk
@@ -171,21 +172,18 @@ def test_mask_pack_law():
 
 
 def _cohort_series(spec: CohortSpec):
+    """The cohort's records and their Volume-Flow curves, in one batched pass."""
     records = generate_synthetic_cohort(spec)
-    series, labels, horizons = [], [], []
-    for rec in records:
-        smoothed = gaussian_smooth(rec.curve)
-        vf = volume_flow_curve(smoothed, differentiate_flow(smoothed))
-        series.append(vf.flows)
-        labels.append(rec.copd)
-        horizons.append(rec.horizon)
-    return records, series, np.array(labels), horizons
+    smoothed = gaussian_smooth([rec.curve for rec in records])
+    return records, volume_flow_curve(smoothed, differentiate_flow(smoothed))
 
 
 def test_end_to_end_separation():
     """Criterion 5: trained detector separates the seeded synthetic cohort."""
     start = time.perf_counter()
-    records, series, labels, _ = _cohort_series(CohortSpec(n_per_class=67, noise=0.1, seed=0))
+    records, vfs = _cohort_series(CohortSpec(n_per_class=67, noise=0.1, seed=0))
+    series = [vf.flows for vf in vfs]
+    labels = np.array([rec.copd for rec in records])
     n = len(series)
     rng = np.random.default_rng(0)
     order = rng.permutation(n)
@@ -213,11 +211,9 @@ def test_trend_ordering():
     start = time.perf_counter()
 
     def mean_trends(noise, seed):
-        records, series, _, horizons = _cohort_series(CohortSpec(n_per_class=8, noise=noise, seed=seed))
+        records, vfs = _cohort_series(CohortSpec(n_per_class=8, noise=noise, seed=seed))
         sums = {label: [] for label in HORIZON_ORDER}
-        for rec in records:
-            smoothed = gaussian_smooth(rec.curve)
-            vf = volume_flow_curve(smoothed, differentiate_flow(smoothed))
+        for rec, vf in zip(records, vfs):
             sums[rec.horizon].append(concavity_features(vf).trend)
         return np.array([np.mean(sums[label]) for label in HORIZON_ORDER])
 
@@ -238,16 +234,14 @@ def test_trend_ordering():
 def test_horizon_model_sanity():
     """Criterion 7: valid output distributions and separable-class accuracy."""
     start = time.perf_counter()
-    records, series, _, horizons = _cohort_series(CohortSpec(n_per_class=25, noise=0.1, seed=2))
+    records, vfs = _cohort_series(CohortSpec(n_per_class=25, noise=0.1, seed=2))
     encoder = DemographicEncoder().fit([rec.demo for rec in records])
     features = []
-    for rec in records:
-        smoothed = gaussian_smooth(rec.curve)
-        vf = volume_flow_curve(smoothed, differentiate_flow(smoothed))
+    for rec, vf in zip(records, vfs):
         profile = concavity_features(vf)
         features.append(future_feature_vector(float(rec.copd), profile, rec.demo, encoder))
     x = np.stack(features)
-    y = np.array([h.value for h in horizons])
+    y = np.array([rec.horizon.value for rec in records])
     model = train_logistic(x, y, TrainConfig(lr=0.3, epochs=200, batch_size=32, seed=0))
 
     rng = np.random.default_rng(3)

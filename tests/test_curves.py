@@ -3,17 +3,17 @@ import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
-from spiroflow import (
+from spiroflow import curves as curves_module
+from spiroflow.curves import (
     SmootherConfig,
     TimeFlowCurve,
     TimeVolumeCurve,
+    VolumeFlowCurve,
     differentiate_flow,
     gaussian_smooth,
     resample_on_volume_grid,
     volume_flow_curve,
 )
-from spiroflow import curves as curves_module
-from spiroflow.curves import VolumeFlowCurve
 from spiroflow.errors import InvalidArgument, InvalidCurve, NonMonotonicVolume
 
 

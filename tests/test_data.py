@@ -1,17 +1,11 @@
 import numpy as np
 import pytest
 
-from spiroflow import (
-    CohortSpec,
-    differentiate_flow,
-    gaussian_smooth,
-    generate_synthetic_cohort,
-    volume_flow_curve,
-)
+from spiroflow.curves import differentiate_flow, gaussian_smooth, volume_flow_curve
 from spiroflow.data import (
-    DEFAULT_LABEL_TABLE,
     DEFAULT_TEMPLATES,
-    derive_copd_label,
+    CohortSpec,
+    generate_synthetic_cohort,
     load_time_volume_csv,
     qc_filter,
     template_curve,
@@ -171,47 +165,3 @@ class TestQcFilter:
         summaries.append({"fvc": 40.0, "fev1": 3.0, "pef": 7.0})
         retained, discarded = qc_filter(summaries)
         assert any(s["fvc"] == 40.0 for s in discarded)
-
-
-class TestLabelDerivation:
-    def test_self_report_code(self):
-        label, sources, unknown = derive_copd_label({"20002": ["1112"]})
-        assert label == 1
-        assert sources == {"self_report"}
-        assert unknown == 0
-
-    def test_hospital_and_primary_care(self):
-        label, sources, _ = derive_copd_label({"41270": ["J440"], "42040": ["J449"]})
-        assert label == 1
-        assert sources == {"hospitalization", "primary_care"}
-
-    def test_prefix_wildcard(self):
-        # 496X matches any code starting with 496, but not 4961 as an exact code
-        label, sources, _ = derive_copd_label({"41271": ["4961"]})
-        assert label == 1
-        label, _, _ = derive_copd_label({"41271": ["4920"]})
-        assert label == 1
-        label, _, _ = derive_copd_label({"41271": ["4930"]})
-        assert label == 0
-
-    def test_no_matches(self):
-        label, sources, unknown = derive_copd_label({"20002": ["9999"], "41270": ["I500"]})
-        assert label == 0
-        assert sources == set()
-        assert unknown == 0
-
-    def test_unknown_fields_counted_not_fatal(self):
-        label, _, unknown = derive_copd_label({"12345": ["J440"], "41270": ["J440"]})
-        assert label == 1
-        assert unknown == 1
-
-    def test_monotone_adding_codes_never_clears_label(self):
-        rng = np.random.default_rng(7)
-        fields = list(DEFAULT_LABEL_TABLE.entries)
-        for _ in range(20):
-            records = {f: [str(rng.integers(1000, 9999)) for _ in range(3)] for f in fields}
-            base, _, _ = derive_copd_label(records)
-            records["41270"] = records["41270"] + ["J440"]
-            after, _, _ = derive_copd_label(records)
-            assert after >= base
-            assert after == 1

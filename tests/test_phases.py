@@ -1,23 +1,26 @@
 import numpy as np
 import pytest
 
-from spiroflow import (
+from spiroflow.curves import (
+    TimeVolumeCurve,
+    VolumeFlowCurve,
+    differentiate_flow,
+    gaussian_smooth,
+    volume_flow_curve,
+)
+from spiroflow.data import DEFAULT_TEMPLATES, template_curve
+from spiroflow.errors import DegenerateCurve, EmptyPhase
+from spiroflow.horizon import HorizonLabel
+from spiroflow.phases import (
     ConcavityProfile,
     Phase,
     PhaseLabel,
     baseline_line,
     concavity_features,
     concavity_measure,
-    concavity_trend,
     locate_landmarks,
     phases_from_landmarks,
 )
-from spiroflow.curves import VolumeFlowCurve
-from spiroflow.data import DEFAULT_TEMPLATES, template_curve
-from spiroflow.errors import DegenerateCurve, EmptyPhase
-from spiroflow.horizon import HorizonLabel
-from spiroflow import differentiate_flow, gaussian_smooth, volume_flow_curve
-from spiroflow.curves import TimeVolumeCurve
 
 
 def vf(volumes, flows):
@@ -127,16 +130,16 @@ class TestConcavityMeasure:
 
 class TestTrend:
     def test_zero_profile(self):
-        assert concavity_trend(ConcavityProfile(0, 0, 0, 0)) == 0.0
+        assert ConcavityProfile(0, 0, 0, 0).trend == 0.0
 
     def test_early_collapse_gives_large_trend(self):
-        assert concavity_trend(ConcavityProfile(1, 1, -1, -1)) == 4.0
+        assert ConcavityProfile(1, 1, -1, -1).trend == 4.0
 
     def test_identity_formula(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             a, b, c, d = rng.standard_normal(4)
-            assert concavity_trend(ConcavityProfile(a, b, c, d)) == a + b - c - d
+            assert ConcavityProfile(a, b, c, d).trend == a + b - c - d
 
 
 class TestConcavityFeatures:
