@@ -145,20 +145,31 @@ def _load_cohort(cohort_dir: Path):
     )
 
 
-def _preprocess(curves, args):
+def _smoother(record) -> SmootherConfig:
+    """From a checkpoint's smoother record or vars() of --window/--sigma."""
+    return SmootherConfig(k=record["window"], sigma=record["sigma"])
+
+
+def _smoother_record(smoother: SmootherConfig) -> dict:
+    return {"window": smoother.k, "sigma": smoother.sigma}
+
+
+def _preprocess(curves, smoother: SmootherConfig):
     """Smooth, differentiate and build Volume-Flow curves and flow series,
     each step one batched call over all the curves."""
-    smoothed = gaussian_smooth(curves, SmootherConfig(k=args.window, sigma=args.sigma))
+    smoothed = gaussian_smooth(curves, smoother)
     vf_curves = volume_flow_curve(smoothed, differentiate_flow(smoothed))
     return vf_curves, [vf.flows for vf in vf_curves]
 
 
 @dataclass
 class _Run:
-    """What a cohort subcommand starts from: its output directory, the cohort
-    in id order with preprocessed curves, and the trained models if loaded."""
+    """What a cohort subcommand starts from: its output directory, the
+    smoother, the cohort in id order with preprocessed curves, and the
+    trained models if loaded."""
 
     out_dir: Path
+    smoother: SmootherConfig
     ids: list
     vf_curves: list
     series: list
@@ -170,26 +181,30 @@ class _Run:
 
 def _start(args, models: bool = False, record_ids=None, test_split: bool = False) -> _Run:
     """Create --out-dir, load the cohort and, if models, --models, then
-    preprocess the curves.  With record_ids, or with test_split (the
-    detector checkpoint's test_ids), the cohort is first cut to those
-    records, kept in cohort order, so only their curves are preprocessed.
-    A curve that fails preprocessing is named by its id."""
+    preprocess the curves with the detector checkpoint's smoother, or
+    without models with --window/--sigma.  With record_ids, or with
+    test_split (the detector checkpoint's test_ids), the cohort is first
+    cut to those records, kept in cohort order, so only their curves are
+    preprocessed.  A curve that fails preprocessing is named by its id."""
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cohort = _load_cohort(Path(args.cohort))
-    loaded = _load_models(Path(args.models)) if models else None
+    if models:
+        loaded, smoother = _load_models(Path(args.models))
+    else:
+        loaded, smoother = None, _smoother(vars(args))
     if test_split:
         record_ids = loaded[3].get("test_ids")
     if record_ids is not None:
         cohort = _cut(cohort, record_ids)
     ids, curves, demos, copd, horizons = cohort
     try:
-        vf_curves, series = _preprocess(curves, args)
+        vf_curves, series = _preprocess(curves, smoother)
     except (InvalidCurve, NonMonotonicVolume) as exc:
         if exc.row is None:
             raise
         raise type(exc)(f"curves.csv id {ids[exc.row]!r}: {exc}") from None
-    return _Run(out_dir, ids, vf_curves, series, demos, copd, horizons, loaded)
+    return _Run(out_dir, smoother, ids, vf_curves, series, demos, copd, horizons, loaded)
 
 
 def _cut(cohort, record_ids):
@@ -247,11 +262,11 @@ def cmd_smooth(args):
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = load_time_volume_csv(Path(args.cohort) / "curves.csv")
-    cfg = SmootherConfig(k=args.window, sigma=args.sigma)
+    cfg = _smoother(vars(args))
     ids = [blow_id for blow_id, _ in records]
     smoothed = gaussian_smooth([curve for _, curve in records], cfg)
     write_time_volume_csv(out_dir / "smoothed_curves.csv", list(zip(ids, smoothed)))
-    _manifest(out_dir, "smooth", {"window": args.window, "sigma": args.sigma}, {"curves": len(smoothed)})
+    _manifest(out_dir, "smooth", _smoother_record(cfg), {"curves": len(smoothed)})
     _summary({"command": "smooth", "out_dir": str(out_dir), "curves": len(smoothed)})
     return 0
 
@@ -269,13 +284,9 @@ def cmd_featurize(args):
                 + [repr(v) for v in profile.as_array().tolist()]
                 + [repr(profile.trend)]
             )
-    _manifest(out_dir, "featurize", _smoother_config(args), {"curves": len(ids)})
+    _manifest(out_dir, "featurize", _smoother_record(run.smoother), {"curves": len(ids)})
     _summary({"command": "featurize", "out_dir": str(out_dir), "curves": len(ids)})
     return 0
-
-
-def _smoother_config(args):
-    return {"window": args.window, "sigma": args.sigma}
 
 
 def cmd_train_detect(args):
@@ -302,7 +313,7 @@ def cmd_train_detect(args):
             "format_version": FORMAT_VERSION,
             "kind": "detection",
             "test_ids": [ids[i] for i in test_idx],
-            "smoother": _smoother_config(args),
+            "smoother": _smoother_record(run.smoother),
         }
     )
     _write_json(out_dir / "detect_model.json", checkpoint)
@@ -327,7 +338,7 @@ def cmd_train_detect(args):
             "k": args.k,
             "hidden": args.hidden,
             "channels": args.channels,
-            **_smoother_config(args),
+            **_smoother_record(run.smoother),
         },
         {"train": len(train_idx), "test": len(test_idx)},
     )
@@ -335,13 +346,37 @@ def cmd_train_detect(args):
     return 0
 
 
+def _read_model(path: Path, build):
+    """build(blob) of the JSON object in a model file.  Text that is not a
+    JSON object, or a key that build misses, raises ParseError naming the
+    file."""
+    try:
+        blob = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path.name}: not valid JSON: {exc}") from None
+    if not isinstance(blob, dict):
+        raise ParseError(f"{path.name}: not a JSON object")
+    try:
+        return build(blob)
+    except KeyError as exc:
+        raise ParseError(f"{path.name}: missing key {exc}") from None
+
+
 def _load_models(model_dir: Path):
-    detect_blob = json.loads((model_dir / "detect_model.json").read_text())
-    fusion_blob = json.loads((model_dir / "fusion_model.json").read_text())
-    model = DetectionModel.from_dict(detect_blob)
-    fusion = LogisticModel.from_dict(fusion_blob["model"])
-    encoder = DemographicEncoder.from_dict(fusion_blob["demographic_encoder"])
-    return model, fusion, encoder, detect_blob
+    """(detector, fusion model, demographic encoder, detector checkpoint)
+    and the checkpoint's smoother."""
+    model, smoother, detect_blob = _read_model(
+        model_dir / "detect_model.json",
+        lambda blob: (DetectionModel.from_dict(blob), _smoother(blob["smoother"]), blob),
+    )
+    fusion, encoder = _read_model(
+        model_dir / "fusion_model.json",
+        lambda blob: (
+            LogisticModel.from_dict(blob["model"]),
+            DemographicEncoder.from_dict(blob["demographic_encoder"]),
+        ),
+    )
+    return (model, fusion, encoder, detect_blob), smoother
 
 
 def _fused_risks(series, demos, model, fusion, encoder):
@@ -374,7 +409,7 @@ def cmd_train_horizon(args):
     _manifest(
         run.out_dir,
         "train-horizon",
-        {"seed": args.seed, "epochs": args.epochs, "lr": args.lr, **_smoother_config(args)},
+        {"seed": args.seed, "epochs": args.epochs, "lr": args.lr, **_smoother_record(run.smoother)},
         {"records": len(run.ids)},
     )
     _summary({"command": "train-horizon", "out_dir": str(run.out_dir), "final_loss": horizon_model.loss_trace[-1]})
@@ -393,7 +428,8 @@ def cmd_evaluate(args):
     if args.subgroup:
         report["subgroups"] = subgroup_reports(p_hat, labels, demos, args.subgroup, args.threshold)
     _write_json(out_dir / "metrics.json", report)
-    _manifest(out_dir, "evaluate", {"threshold": args.threshold, "subgroup": args.subgroup, **_smoother_config(args)})
+    config = {"threshold": args.threshold, "subgroup": args.subgroup, **_smoother_record(run.smoother)}
+    _manifest(out_dir, "evaluate", config)
     _summary({"command": "evaluate", "out_dir": str(out_dir), "auroc": report["detection"]["auroc"]})
     return 0
 
@@ -410,7 +446,7 @@ def cmd_explain(args):
         _write_json(run.out_dir / f"overlay_{blow_id}.json", overlay)
         if args.svg:
             (run.out_dir / f"overlay_{blow_id}.svg").write_text(overlay_svg(overlay, vf))
-    config = {"id": args.id, "svg": args.svg, **_smoother_config(args)}
+    config = {"id": args.id, "svg": args.svg, **_smoother_record(run.smoother)}
     _manifest(run.out_dir, "explain", config, {"overlays": len(run.ids)})
     _summary({"command": "explain", "out_dir": str(run.out_dir), "overlays": len(run.ids)})
     return 0
@@ -420,8 +456,9 @@ def cmd_predict(args):
     run = _start(args, models=True)
     out_dir, ids, vf_curves, demos = run.out_dir, run.ids, run.vf_curves, run.demos
     model, fusion, encoder, _ = run.models
-    horizon_blob = json.loads((Path(args.models) / "horizon_model.json").read_text())
-    horizon_model = LogisticModel.from_dict(horizon_blob["model"])
+    horizon_model = _read_model(
+        Path(args.models) / "horizon_model.json", lambda blob: LogisticModel.from_dict(blob["model"])
+    )
     p_hats = model.predict_proba(run.series)
     with open(out_dir / "predictions.jsonl", "w") as fh:
         for i, blow_id in enumerate(ids):
@@ -441,7 +478,8 @@ def cmd_predict(args):
                     "features_used": list(map(float, vec)),
                 }
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-    _manifest(out_dir, "predict", {"threshold": args.threshold, **_smoother_config(args)}, {"records": len(ids)})
+    config = {"threshold": args.threshold, **_smoother_record(run.smoother)}
+    _manifest(out_dir, "predict", config, {"records": len(ids)})
     _summary({"command": "predict", "out_dir": str(out_dir), "records": len(ids)})
     return 0
 
@@ -454,32 +492,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="spiroflow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, cohort=True, models=False):
+    # Each subcommand takes only the flags it reads: stages that load
+    # --models smooth with the detector checkpoint's recorded smoother.
+    def common(p, cohort=True, models=False, seed=False, smoother=False):
         p.add_argument("--out-dir", required=True)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--sigma", type=float, default=2.0)
-        p.add_argument("--window", type=int, default=5)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        if smoother:
+            p.add_argument("--sigma", type=float, default=2.0)
+            p.add_argument("--window", type=int, default=5)
         if cohort:
             p.add_argument("--cohort", required=True, help="directory with cohort CSV files")
         if models:
             p.add_argument("--models", required=True, help="directory with trained model files")
 
     p = sub.add_parser("synth", help="generate a seeded synthetic cohort")
-    common(p, cohort=False)
+    common(p, cohort=False, seed=True)
     p.add_argument("--n", type=int, default=60, help="approximate total cohort size")
     p.add_argument("--noise", type=float, default=0.1)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("smooth", help="write smoothed Time-Volume curves")
-    common(p)
+    common(p, smoother=True)
     p.set_defaults(func=cmd_smooth)
 
     p = sub.add_parser("featurize", help="write per-curve concavity features")
-    common(p)
+    common(p, smoother=True)
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("train-detect", help="train the detection stack and fusion model")
-    common(p)
+    common(p, seed=True, smoother=True)
     p.add_argument("--epochs", type=int, default=40)
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--batch-size", type=int, default=32)
@@ -489,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train_detect)
 
     p = sub.add_parser("train-horizon", help="train the onset-horizon model")
-    common(p, models=True)
+    common(p, models=True, seed=True)
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--batch-size", type=int, default=32)

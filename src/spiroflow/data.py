@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .attention import DemographicRecord, SEX_CODES, SMOKING_CODES
-from .curves import TimeVolumeCurve
+from .curves import DEFAULT_DT, TimeVolumeCurve
 from .errors import InvalidSpec, ParseError, ValidationError
 from .horizon import HORIZON_ORDER, HorizonLabel
 
@@ -90,9 +90,9 @@ DEFAULT_TEMPLATES: dict[HorizonLabel, ClassTemplate] = {
 
 # Demographic sampling rates per class, ordered as HORIZON_ORDER
 # (severe -> healthy): smoking prevalence, male fraction, age range.
-DEFAULT_SMOKING_RATES = (0.85, 0.75, 0.65, 0.55, 0.45, 0.25)
-DEFAULT_MALE_FRACTIONS = (0.70, 0.65, 0.60, 0.55, 0.50, 0.45)
-DEFAULT_AGE_RANGES = ((58, 80), (55, 78), (52, 76), (50, 74), (47, 72), (40, 70))
+SMOKING_RATES = (0.85, 0.75, 0.65, 0.55, 0.45, 0.25)
+MALE_FRACTIONS = (0.70, 0.65, 0.60, 0.55, 0.50, 0.45)
+AGE_RANGES = ((58, 80), (55, 78), (52, 76), (50, 74), (47, 72), (40, 70))
 
 
 @dataclass(frozen=True)
@@ -100,21 +100,12 @@ class CohortSpec:
     n_per_class: int
     noise: float = 0.1
     seed: int = 0
-    dt: float = 0.010
-    smoking_rates: tuple = DEFAULT_SMOKING_RATES
-    male_fractions: tuple = DEFAULT_MALE_FRACTIONS
-    age_ranges: tuple = DEFAULT_AGE_RANGES
 
     def __post_init__(self):
         if self.n_per_class < 1:
             raise InvalidSpec("n_per_class must be >= 1")
         if self.noise < 0:
             raise InvalidSpec("noise must be >= 0")
-        for rates in (self.smoking_rates, self.male_fractions):
-            if len(rates) != 6 or any(not (0.0 <= r <= 1.0) for r in rates):
-                raise InvalidSpec("per-class rates must be six values in [0, 1]")
-        if len(self.age_ranges) != 6:
-            raise InvalidSpec("need six per-class age ranges")
 
 
 @dataclass(frozen=True)
@@ -126,22 +117,22 @@ class CohortRecord:
     copd: int  # binary detection label
 
 
-def template_curve(template: ClassTemplate, dt: float = 0.010) -> np.ndarray:
+def template_curve(template: ClassTemplate) -> np.ndarray:
     """Integrate dV/dt = F(V) into a Time-Volume series (liters)."""
     min_flow = 0.08  # keeps the integration moving through near-zero flow
     volumes = [0.0]
     v = 0.0
     while v < 0.995 * template.fvc and len(volumes) < 4000:
-        v = min(v + dt * max(template.flow_at(v), min_flow), template.fvc)
+        v = min(v + DEFAULT_DT * max(template.flow_at(v), min_flow), template.fvc)
         volumes.append(v)
     return np.array(volumes)
 
 
-def _sample_demo(rng: np.random.Generator, spec: CohortSpec, class_idx: int, ratio: float) -> DemographicRecord:
-    male = rng.random() < spec.male_fractions[class_idx]
-    smokes = rng.random() < spec.smoking_rates[class_idx]
+def _sample_demo(rng: np.random.Generator, class_idx: int, ratio: float) -> DemographicRecord:
+    male = rng.random() < MALE_FRACTIONS[class_idx]
+    smokes = rng.random() < SMOKING_RATES[class_idx]
     smoking = "current" if smokes else ("former" if rng.random() < 0.4 else "never")
-    lo, hi = spec.age_ranges[class_idx]
+    lo, hi = AGE_RANGES[class_idx]
     age = float(rng.uniform(lo, hi))
     return DemographicRecord(
         sex=SEX_CODES[1] if male else SEX_CODES[0],
@@ -151,8 +142,8 @@ def _sample_demo(rng: np.random.Generator, spec: CohortSpec, class_idx: int, rat
     )
 
 
-def _fev1_fvc(volumes: np.ndarray, dt: float) -> float:
-    one_second = min(int(round(1.0 / dt)), volumes.size - 1)
+def _fev1_fvc(volumes: np.ndarray) -> float:
+    one_second = min(int(round(1.0 / DEFAULT_DT)), volumes.size - 1)
     fvc = volumes[-1]
     return float(np.clip(volumes[one_second] / fvc, 1e-6, 1.0))
 
@@ -164,19 +155,19 @@ def generate_synthetic_cohort(spec: CohortSpec) -> list[CohortRecord]:
     records = []
     for class_idx, label in enumerate(HORIZON_ORDER):
         template = DEFAULT_TEMPLATES[label]
-        base = template_curve(template, spec.dt)
+        base = template_curve(template)
         for i in range(spec.n_per_class):
             if spec.noise > 0:
                 increments = np.diff(base) + spec.noise * 0.004 * rng.standard_normal(base.size - 1)
                 volumes = np.concatenate([[0.0], np.cumsum(np.clip(increments, 0.0, None))])
             else:
                 volumes = base.copy()
-            ratio = _fev1_fvc(volumes, spec.dt)
-            demo = _sample_demo(rng, spec, class_idx, ratio)
+            ratio = _fev1_fvc(volumes)
+            demo = _sample_demo(rng, class_idx, ratio)
             records.append(
                 CohortRecord(
                     record_id=f"{label.value}_{i:04d}",
-                    curve=TimeVolumeCurve(volumes, spec.dt),
+                    curve=TimeVolumeCurve(volumes),
                     demo=demo,
                     horizon=label,
                     copd=0 if label is HorizonLabel.NON_COPD else 1,
@@ -189,7 +180,7 @@ def generate_synthetic_cohort(spec: CohortSpec) -> list[CohortRecord]:
 # CSV ingestion (schema: one row per blow, id then milliliter samples)
 
 
-def load_time_volume_csv(path, dt: float = 0.010) -> list[tuple[str, TimeVolumeCurve]]:
+def load_time_volume_csv(path) -> list[tuple[str, TimeVolumeCurve]]:
     """Parse blow rows 'id, ml, ml, ...' into liter curves; an id may not repeat."""
     out = []
     seen = set()
@@ -209,7 +200,7 @@ def load_time_volume_csv(path, dt: float = 0.010) -> list[tuple[str, TimeVolumeC
                 raise ParseError(f"row {row_no}: {exc}") from exc
             if np.any(ml < 0):
                 raise ValidationError(f"row {row_no}: negative volume")
-            out.append((blow_id, TimeVolumeCurve(ml / 1000.0, dt)))
+            out.append((blow_id, TimeVolumeCurve(ml / 1000.0)))
     return out
 
 

@@ -56,14 +56,12 @@ def auprc(scores, labels) -> float:
 
 
 def f1_score(predictions, labels) -> float:
-    """Harmonic mean of precision and recall; 0 when both are undefined."""
+    """Harmonic mean of precision and recall; 0 with no true positive."""
     predictions = np.asarray(predictions, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     tp = int(np.sum((predictions == 1) & (labels == 1)))
     fp = int(np.sum((predictions == 1) & (labels == 0)))
     fn = int(np.sum((predictions == 0) & (labels == 1)))
-    if tp == 0 and (fp > 0 or fn > 0):
-        return 0.0
     if tp == 0:
         return 0.0
     precision = tp / (tp + fp)

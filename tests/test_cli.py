@@ -26,6 +26,21 @@ def _tree_digest(directory: Path) -> dict:
     }
 
 
+def _truncate(text):
+    return text[: len(text) // 2]
+
+
+def _json_edit(change):
+    """A text edit that applies change to the parsed JSON object."""
+
+    def edit(text):
+        blob = json.loads(text)
+        change(blob)
+        return json.dumps(blob)
+
+    return edit
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """One small end-to-end run shared by the CLI tests."""
@@ -139,12 +154,9 @@ class TestTrainAndEvaluate:
         _run("evaluate", "--out-dir", str(out), "--cohort", str(cohort), "--models", str(models))
         report = json.loads((out / "metrics.json").read_text())
 
-        class Args:
-            window, sigma = 5, 2.0
-
         ids, curves, demos, copd, _ = _load_cohort(cohort)
-        model, fusion, encoder, blob = _load_models(models)
-        _, series = _preprocess(curves, Args)
+        (model, _, _, blob), smoother = _load_models(models)
+        _, series = _preprocess(curves, smoother)
         sel = [i for i, blow_id in enumerate(ids) if blow_id in set(blob["test_ids"])]
         p_hat = model.predict_proba([series[i] for i in sel])
         assert report["detection"]["auroc"] == pytest.approx(auroc(p_hat, copd[sel]), abs=1e-12)
@@ -321,17 +333,55 @@ class TestPredict:
         assert _run("predict", "--out-dir", str(out), "--cohort", str(cohort), "--models", str(models)) == 0
         lines = [json.loads(l) for l in (out / "predictions.jsonl").read_text().splitlines()]
 
-        class Args:
-            window, sigma = 5, 2.0
-
         ids, curves, _, _, _ = _load_cohort(cohort)
-        model, _, _, _ = _load_models(models)
-        _, series = _preprocess(curves, Args)
+        (model, _, _, _), smoother = _load_models(models)
+        _, series = _preprocess(curves, smoother)
         assert [rec["id"] for rec in lines] == ids
         for rec, flows in zip(lines, series):
             single = float(model.predict_proba([flows])[0])
             assert abs(rec["p_hat"] - single) <= 1e-12
             assert rec["verdict"] == ("copd" if single > 0.5 else "non_copd")
+
+
+class TestCheckpointSmoother:
+    # the detector checkpoint owns the smoother of every stage that loads models
+    MODEL_STAGES = ("train-horizon", "evaluate", "explain", "predict")
+
+    def test_model_stages_smooth_with_the_checkpoint_smoother(self, pipeline, tmp_path, monkeypatch):
+        import spiroflow.cli
+        from spiroflow.curves import SmootherConfig
+
+        _, cohort, _ = pipeline
+        models = tmp_path / "models"
+        train = ("--cohort", str(cohort), "--epochs", "1", "--window", "3", "--sigma", "1.5")
+        assert _run("train-detect", "--out-dir", str(models), *train) == 0
+        configs = []
+        smooth = spiroflow.cli.gaussian_smooth
+
+        def recording_smooth(curves, cfg):
+            configs.append(cfg)
+            return smooth(curves, cfg)
+
+        monkeypatch.setattr(spiroflow.cli, "gaussian_smooth", recording_smooth)
+        for command in self.MODEL_STAGES:
+            configs.clear()
+            out = models if command == "train-horizon" else tmp_path / command
+            assert _run(command, "--out-dir", str(out), "--cohort", str(cohort), "--models", str(models)) == 0
+            assert configs == [SmootherConfig(k=3, sigma=1.5)], command
+            manifest = json.loads((out / f"manifest_{command.replace('-', '_')}.json").read_text())
+            assert (manifest["config"]["window"], manifest["config"]["sigma"]) == (3, 1.5), command
+
+    def test_flags_a_stage_does_not_read_are_usage_errors(self, tmp_path, capsys):
+        unread = [("synth", "--window"), ("synth", "--sigma"), ("smooth", "--seed"), ("featurize", "--seed")]
+        unread += [("train-horizon", "--window"), ("train-horizon", "--sigma")]
+        unread += [(c, f) for c in ("evaluate", "explain", "predict") for f in ("--window", "--sigma", "--seed")]
+        required = {"synth": [], "smooth": ["--cohort", "c"], "featurize": ["--cohort", "c"]}
+        for command, flag in unread:
+            inputs = required.get(command, ["--cohort", "c", "--models", "m"])
+            with pytest.raises(SystemExit) as exc:
+                _run(command, "--out-dir", str(tmp_path), *inputs, flag, "3")
+            assert exc.value.code == 2, (command, flag)
+            assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err, (command, flag)
 
 
 class TestBlasThreads:
@@ -475,6 +525,60 @@ class TestErrors:
                 payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
                 assert payload["error"] == "InvalidParams", (name, command)
                 assert name in payload["message"], (name, command)
+
+    @pytest.mark.parametrize(
+        "name, cases",
+        [
+            (
+                "detect_model.json",
+                {
+                    "truncated": (_truncate, "ParseError", ["not valid JSON"]),
+                    "no-config": (_json_edit(lambda b: b.pop("config")), "ParseError", ["'config'"]),
+                    "no-smoother": (_json_edit(lambda b: b.pop("smoother")), "ParseError", ["'smoother'"]),
+                    "no-sigma": (_json_edit(lambda b: b["smoother"].pop("sigma")), "ParseError", ["'sigma'"]),
+                    "negative-window": (
+                        _json_edit(lambda b: b["smoother"].update(window=-1)), "InvalidArgument", ["window"]
+                    ),
+                },
+            ),
+            (
+                "fusion_model.json",
+                {
+                    "truncated": (_truncate, "ParseError", ["not valid JSON"]),
+                    "no-encoder": (
+                        _json_edit(lambda b: b.pop("demographic_encoder")), "ParseError", ["'demographic_encoder'"]
+                    ),
+                },
+            ),
+            (
+                "horizon_model.json",
+                {
+                    "truncated": (_truncate, "ParseError", ["not valid JSON"]),
+                    "not-an-object": (lambda text: "[]", "ParseError", ["not a JSON object"]),
+                    "no-model": (_json_edit(lambda b: b.pop("model")), "ParseError", ["'model'"]),
+                },
+            ),
+        ],
+    )
+    def test_malformed_model_file_is_clean_failure(self, pipeline, tmp_path, capsys, name, cases):
+        # every stage that reads the file ends in the JSON error; a ParseError names the file
+        _, cohort, models = pipeline
+        commands = ["predict"] if name == "horizon_model.json" else ["train-horizon", "evaluate", "explain", "predict"]
+        for case, (edit, error, named) in cases.items():
+            broken = tmp_path / case
+            broken.mkdir()
+            for f in ("detect_model.json", "fusion_model.json", "horizon_model.json"):
+                (broken / f).write_bytes((models / f).read_bytes())
+            (broken / name).write_text(edit((models / name).read_text()))
+            if error == "ParseError":
+                named = [name, *named]
+            for command in commands:
+                out = tmp_path / f"{case}_{command}"
+                code = _run(command, "--out-dir", str(out), "--cohort", str(cohort), "--models", str(broken))
+                assert code == 1, (case, command)
+                payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+                assert payload["error"] == error, (case, command)
+                assert all(part in payload["message"] for part in named), (case, command, payload["message"])
 
     def test_curve_error_names_its_record(self, tmp_path, capsys):
         # the batched pass knows the failing row; the error names its id

@@ -51,8 +51,6 @@ class TestCohortGeneration:
             CohortSpec(n_per_class=0)
         with pytest.raises(InvalidSpec):
             CohortSpec(n_per_class=1, noise=-0.1)
-        with pytest.raises(InvalidSpec):
-            CohortSpec(n_per_class=1, smoking_rates=(0.5,) * 5)
 
 
 class TestSeverityLadder:

@@ -30,11 +30,11 @@ def test_install_finds_every_call_site():
 def test_traced_stages_take_every_count(tmp_path):
     # counters read the wrapped calls' arguments, so a changed signature shows only when a stage runs
     cohort, models = tmp_path / "cohort", tmp_path / "models"
-    common = ["--cohort", str(cohort), "--seed", "1"]
+    common = ["--cohort", str(cohort)]
     stages = [
         ["synth", "--out-dir", str(cohort), "--n", "36", "--seed", "1"],
-        ["train-detect", "--out-dir", str(models), *common, "--epochs", "1"],
-        ["train-horizon", "--out-dir", str(models), *common, "--models", str(models), "--epochs", "2"],
+        ["train-detect", "--out-dir", str(models), *common, "--seed", "1", "--epochs", "1"],
+        ["train-horizon", "--out-dir", str(models), *common, "--seed", "1", "--models", str(models), "--epochs", "2"],
         ["evaluate", "--out-dir", str(tmp_path / "evaluate"), *common, "--models", str(models)],
         ["explain", "--out-dir", str(tmp_path / "explain"), *common, "--models", str(models), "--svg"],
         ["predict", "--out-dir", str(tmp_path / "predict"), *common, "--models", str(models)],
