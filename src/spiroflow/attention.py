@@ -4,8 +4,9 @@ Attention scores each patch context through linear -> swish -> bilinear ->
 linear layers, normalizes with a softmax restricted to valid patches, and
 pools the contexts with those weights.  A two-class affine head turns the
 pooled context into a detection probability.  Fusion concatenates that
-probability with encoded demographics and feeds a trained linear model,
-whose weight*value terms double as per-feature contributions.
+probability with encoded demographics (`fusion_features`, the one owner of
+that layout) and feeds a trained linear model, whose weight*value terms
+double as per-feature contributions.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ class AttentionParams:
         _check_finite(self.arrays())
 
 
-def init_attention_params(rng: np.random.Generator, context_width: int, attn_width: int | None = None) -> AttentionParams:
-    a = attn_width or max(context_width // 2, 1)
+def init_attention_params(rng: np.random.Generator, context_width: int) -> AttentionParams:
+    a = max(context_width // 2, 1)
     return AttentionParams(
         w1=rng.normal(0.0, 1.0 / math.sqrt(context_width), size=(a, context_width)),
         b1=np.zeros(a),
@@ -111,6 +112,8 @@ STRUCT_FEATURE_NAMES = (
     "fev1_fvc_ratio",
 )
 
+FUSION_FEATURE_NAMES = ("detection_probability",) + STRUCT_FEATURE_NAMES
+
 
 @dataclass
 class DemographicEncoder:
@@ -125,13 +128,17 @@ class DemographicEncoder:
         self.age_std = float(ages.std()) or 1.0
         return self
 
-    def transform(self, record: DemographicRecord) -> np.ndarray:
+    def transform(self, records: list[DemographicRecord]) -> np.ndarray:
+        """(N, 7) block in STRUCT_FEATURE_NAMES order, one row per record."""
         if self.age_mean is None:
             raise NotTrained("demographic encoder has not been fitted")
-        sex = [1.0 if record.sex == c else 0.0 for c in SEX_CODES]
-        smoking = [1.0 if record.smoking == c else 0.0 for c in SMOKING_CODES]
-        age = (record.age - self.age_mean) / self.age_std
-        return np.array(sex + smoking + [age, record.fev1_fvc_ratio])
+        rows = [
+            [r.sex == c for c in SEX_CODES]
+            + [r.smoking == c for c in SMOKING_CODES]
+            + [(r.age - self.age_mean) / self.age_std, r.fev1_fvc_ratio]
+            for r in records
+        ]
+        return np.array(rows, dtype=float).reshape(-1, len(STRUCT_FEATURE_NAMES))
 
     def to_dict(self) -> dict:
         return {"age_mean": self.age_mean, "age_std": self.age_std}
@@ -201,20 +208,22 @@ def head_backward(dlogits: np.ndarray, pooled: np.ndarray, params: HeadParams):
     return dpooled, grads
 
 
-def fuse_and_score(p_hat: float, demo: DemographicRecord, fusion_model, encoder: DemographicEncoder):
-    """Fused risk plus per-feature weight*value contributions.
+def fusion_features(p_hats, demos: list[DemographicRecord], encoder: DemographicEncoder) -> np.ndarray:
+    """(N, 8) fusion inputs in FUSION_FEATURE_NAMES order: each record's
+    detection probability, then its encoded demographics."""
+    return np.column_stack([np.asarray(p_hats, dtype=float), encoder.transform(demos)])
 
-    fusion_model is a trained two-class linear model (see training module);
-    the fused feature vector is [p_hat] ++ encoded demographics.
+
+def fuse_and_score(p_hats, demos: list[DemographicRecord], fusion_model, encoder: DemographicEncoder):
+    """Fused risks (N,) and per-feature weight*value contributions (N, 8).
+
+    fusion_model is a trained two-class linear model (see training module)
+    over fusion_features; all N records are scored in one call.
     """
-    struct = encoder.transform(demo)
-    features = np.concatenate([[p_hat], struct])
-    probs = fusion_model.predict_proba(features[None])[0]
-    risk = float(probs[1])
+    features = fusion_features(p_hats, demos, encoder)
+    risks = fusion_model.predict_proba(features)[:, 1]
     gap_w = fusion_model.weights[1] - fusion_model.weights[0]
-    names = ("detection_probability",) + STRUCT_FEATURE_NAMES
-    contributions = {name: float(w * v) for name, w, v in zip(names, gap_w, features)}
-    return risk, contributions
+    return risks, gap_w * features
 
 
 def attention_overlay(weights: np.ndarray, curve: VolumeFlowCurve, plan: PatchPlan) -> dict:

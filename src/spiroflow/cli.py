@@ -19,10 +19,12 @@ import numpy as np
 
 from . import __version__
 from .attention import (
+    FUSION_FEATURE_NAMES,
     DemographicEncoder,
     DemographicRecord,
     attention_overlay,
     fuse_and_score,
+    fusion_features,
     overlay_svg,
 )
 from .curves import SmootherConfig, differentiate_flow, gaussian_smooth, volume_flow_curve
@@ -37,10 +39,11 @@ from .errors import (
     SpiroError,
     ValidationError,
 )
-from .horizon import HORIZON_ORDER, HorizonLabel, future_feature_vector, predict_future_risk, top_horizon
+from .horizon import FUTURE_FEATURE_NAMES, HORIZON_ORDER, HorizonLabel
+from .horizon import future_feature_vector, predict_future_risk, top_horizon
 from .metrics import metrics_report, subgroup_reports
 from .phases import concavity_features
-from .training import LogisticModel, TrainConfig, train_logistic, write_training_log
+from .training import LogisticModel, TrainConfig, json_object, train_logistic, write_training_log
 
 FORMAT_VERSION = 1
 
@@ -176,7 +179,7 @@ class _Run:
     demos: list
     copd: np.ndarray
     horizons: list
-    models: tuple | None  # (detector, fusion model, demographic encoder, detector checkpoint)
+    models: tuple | None  # (detector, fusion model, demographic encoder, detector test_ids)
 
 
 def _start(args, models: bool = False, record_ids=None, test_split: bool = False) -> _Run:
@@ -194,7 +197,7 @@ def _start(args, models: bool = False, record_ids=None, test_split: bool = False
     else:
         loaded, smoother = None, _smoother(vars(args))
     if test_split:
-        record_ids = loaded[3].get("test_ids")
+        record_ids = loaded[3]
     if record_ids is not None:
         cohort = _cut(cohort, record_ids)
     ids, curves, demos, copd, horizons = cohort
@@ -300,12 +303,10 @@ def cmd_train_detect(args):
     trace = model.train([series[i] for i in train_idx], copd[train_idx], cfg)
 
     # fusion model on top of the detector's probabilities, train split only
-    encoder = DemographicEncoder().fit([demos[i] for i in train_idx])
+    train_demos = [demos[i] for i in train_idx]
+    encoder = DemographicEncoder().fit(train_demos)
     p_train = model.predict_proba([series[i] for i in train_idx])
-    fusion_x = np.stack(
-        [np.concatenate([[p], encoder.transform(demos[i])]) for p, i in zip(p_train, train_idx)]
-    )
-    fusion = train_logistic(fusion_x, copd[train_idx], cfg)
+    fusion = train_logistic(fusion_features(p_train, train_demos, encoder), copd[train_idx], cfg)
 
     checkpoint = model.to_dict()
     checkpoint.update(
@@ -349,7 +350,7 @@ def cmd_train_detect(args):
 def _read_model(path: Path, build):
     """build(blob) of the JSON object in a model file.  Text that is not a
     JSON object, or a key that build misses, raises ParseError naming the
-    file."""
+    file; any other error build raises is re-raised naming the file."""
     try:
         blob = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
@@ -360,44 +361,40 @@ def _read_model(path: Path, build):
         return build(blob)
     except KeyError as exc:
         raise ParseError(f"{path.name}: missing key {exc}") from None
+    except SpiroError as exc:
+        raise type(exc)(f"{path.name}: {exc}") from None
+
+
+def _test_ids(blob) -> list:
+    test_ids = blob["test_ids"]
+    if not (isinstance(test_ids, list) and all(isinstance(i, str) for i in test_ids)):
+        raise ParseError("'test_ids' is not a list of record ids")
+    return test_ids
 
 
 def _load_models(model_dir: Path):
-    """(detector, fusion model, demographic encoder, detector checkpoint)
+    """(detector, fusion model, demographic encoder, the detector's test_ids)
     and the checkpoint's smoother."""
-    model, smoother, detect_blob = _read_model(
+    model, smoother, test_ids = _read_model(
         model_dir / "detect_model.json",
-        lambda blob: (DetectionModel.from_dict(blob), _smoother(blob["smoother"]), blob),
+        lambda blob: (DetectionModel.from_dict(blob), _smoother(json_object(blob, "smoother")), _test_ids(blob)),
     )
     fusion, encoder = _read_model(
         model_dir / "fusion_model.json",
         lambda blob: (
-            LogisticModel.from_dict(blob["model"]),
-            DemographicEncoder.from_dict(blob["demographic_encoder"]),
+            LogisticModel.from_dict(json_object(blob, "model"), len(FUSION_FEATURE_NAMES)),
+            DemographicEncoder.from_dict(json_object(blob, "demographic_encoder")),
         ),
     )
-    return (model, fusion, encoder, detect_blob), smoother
-
-
-def _fused_risks(series, demos, model, fusion, encoder):
-    p_hat = model.predict_proba(series)
-    risks = []
-    for p, demo in zip(p_hat, demos):
-        risk, _ = fuse_and_score(float(p), demo, fusion, encoder)
-        risks.append(risk)
-    return p_hat, np.array(risks)
+    return (model, fusion, encoder, test_ids), smoother
 
 
 def cmd_train_horizon(args):
     run = _start(args, models=True)
     model, fusion, encoder, _ = run.models
-    _, risks = _fused_risks(run.series, run.demos, model, fusion, encoder)
-    features = np.stack(
-        [
-            future_feature_vector(risk, concavity_features(vf), demo, encoder)
-            for risk, vf, demo in zip(risks, run.vf_curves, run.demos)
-        ]
-    )
+    risks, _ = fuse_and_score(model.predict_proba(run.series), run.demos, fusion, encoder)
+    profiles = [concavity_features(vf) for vf in run.vf_curves]
+    features = future_feature_vector(risks, profiles, run.demos, encoder)
     labels = np.array([h.value for h in run.horizons])
     cfg = TrainConfig(lr=args.lr, epochs=args.epochs, batch_size=args.batch_size, seed=args.seed)
     horizon_model = train_logistic(features, labels, cfg)
@@ -420,7 +417,8 @@ def cmd_evaluate(args):
     run = _start(args, models=True, test_split=True)
     out_dir, demos, labels = run.out_dir, run.demos, run.copd
     model, fusion, encoder, _ = run.models
-    p_hat, risks = _fused_risks(run.series, demos, model, fusion, encoder)
+    p_hat = model.predict_proba(run.series)
+    risks, _ = fuse_and_score(p_hat, demos, fusion, encoder)
     report = {
         "detection": metrics_report(p_hat, labels, args.threshold, split="test"),
         "fused": metrics_report(risks, labels, args.threshold, split="test"),
@@ -438,11 +436,11 @@ def cmd_explain(args):
     run = _start(args, models=True, record_ids=None if args.id is None else [args.id])
     model, fusion, encoder, _ = run.models
     p_hats, weights, plans = model.explain(run.series)
-    for row, (blow_id, vf, demo, plan) in enumerate(zip(run.ids, run.vf_curves, run.demos, plans)):
-        p_hat = float(p_hats[row])
-        risk, contributions = fuse_and_score(p_hat, demo, fusion, encoder)
+    risks, contributions = fuse_and_score(p_hats, run.demos, fusion, encoder)
+    for row, (blow_id, vf, plan) in enumerate(zip(run.ids, run.vf_curves, plans)):
         overlay = attention_overlay(weights[row, : plan.s], vf, plan)
-        overlay.update({"p_hat": p_hat, "fused_risk": risk, "contributions": contributions})
+        overlay.update({"p_hat": float(p_hats[row]), "fused_risk": float(risks[row])})
+        overlay["contributions"] = dict(zip(FUSION_FEATURE_NAMES, contributions[row].tolist()))
         _write_json(run.out_dir / f"overlay_{blow_id}.json", overlay)
         if args.svg:
             (run.out_dir / f"overlay_{blow_id}.svg").write_text(overlay_svg(overlay, vf))
@@ -457,20 +455,23 @@ def cmd_predict(args):
     out_dir, ids, vf_curves, demos = run.out_dir, run.ids, run.vf_curves, run.demos
     model, fusion, encoder, _ = run.models
     horizon_model = _read_model(
-        Path(args.models) / "horizon_model.json", lambda blob: LogisticModel.from_dict(blob["model"])
+        Path(args.models) / "horizon_model.json",
+        lambda blob: LogisticModel.from_dict(json_object(blob, "model"), len(FUTURE_FEATURE_NAMES)),
     )
     p_hats = model.predict_proba(run.series)
+    risks, _ = fuse_and_score(p_hats, demos, fusion, encoder)
+    negative = [i for i, p_hat in enumerate(p_hats) if p_hat <= args.threshold]
+    profiles = [concavity_features(vf_curves[i]) for i in negative]
+    rows = future_feature_vector(risks[negative], profiles, [demos[i] for i in negative], encoder)
+    horizon_rows = dict(zip(negative, rows))
     with open(out_dir / "predictions.jsonl", "w") as fh:
         for i, blow_id in enumerate(ids):
-            p_hat = float(p_hats[i])
-            risk, _ = fuse_and_score(p_hat, demos[i], fusion, encoder)
-            record = {"id": blow_id, "p_hat": p_hat, "fused_risk": risk}
-            if p_hat > args.threshold:
+            record = {"id": blow_id, "p_hat": float(p_hats[i]), "fused_risk": float(risks[i])}
+            if i not in horizon_rows:
                 record["verdict"] = "copd"
             else:
                 record["verdict"] = "non_copd"
-                profile = concavity_features(vf_curves[i])
-                vec = future_feature_vector(risk, profile, demos[i], encoder)
+                vec = horizon_rows[i]
                 dist = predict_future_risk(vec, horizon_model)
                 record["horizon"] = {
                     "label_probs": {k.value: v for k, v in dist.items()},

@@ -42,10 +42,6 @@ class TimeVolumeCurve:
     def __len__(self):
         return self.samples.size
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.samples.size) * self.dt
-
 
 @dataclass(frozen=True)
 class TimeFlowCurve:
@@ -92,10 +88,6 @@ class VolumeFlowCurve:
     def __len__(self):
         return self.volumes.size
 
-    @property
-    def points(self):
-        return list(zip(self.volumes.tolist(), self.flows.tolist()))
-
     def flow_at(self, v) -> np.ndarray:
         """Linearly interpolated flow at volume(s) v."""
         return np.interp(v, self.volumes, self.flows)
@@ -109,9 +101,13 @@ class SmootherConfig:
     sigma: float = 2.0
 
     def __post_init__(self):
+        if not isinstance(self.k, int) or isinstance(self.k, bool):
+            raise InvalidArgument(f"window half-width k must be an integer, not {self.k!r}")
+        if not isinstance(self.sigma, (int, float)) or isinstance(self.sigma, bool):
+            raise InvalidArgument(f"sigma must be a real number, not {self.sigma!r}")
         if self.k < 0:
             raise InvalidArgument("window half-width k must be >= 0")
-        if self.sigma <= 0:
+        if not self.sigma > 0:
             raise InvalidArgument("sigma must be > 0")
 
 

@@ -5,7 +5,7 @@ finite differences in the tests) that `training.sgd` trains on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .encoder import (
     patchify,
 )
 from .errors import InvalidArgument
-from .training import TrainConfig, mean_cross_entropy, sgd
+from .training import TrainConfig, exact_array, json_object, mean_cross_entropy, sgd
 
 FLOW_SCALE = 10.0  # liters/second; keeps tanh inputs in a sane range
 
@@ -44,8 +44,15 @@ class DetectionConfig:
     channels: int = DEFAULT_CHANNELS
     hidden: int = DEFAULT_HIDDEN
     conv_kernel: int = DEFAULT_CONV_KERNEL
-    attn_width: int | None = None
     seed: int = 0
+
+    def __post_init__(self):
+        for name, value in asdict(self).items():
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InvalidArgument(f"{name} must be an integer, not {value!r}")
+            lowest = 0 if name == "seed" else 1
+            if value < lowest:
+                raise InvalidArgument(f"{name} must be >= {lowest}, not {value}")
 
 
 class DetectionModel:
@@ -56,7 +63,7 @@ class DetectionModel:
         rng = np.random.default_rng(config.seed)
         self.conv = init_conv_params(rng, config.channels, config.conv_kernel)
         self.lstm = init_bilstm_params(rng, config.channels, config.hidden)
-        self.attn = init_attention_params(rng, 2 * config.hidden, config.attn_width)
+        self.attn = init_attention_params(rng, 2 * config.hidden)
         self.head = init_head_params(rng, 2 * config.hidden)
 
     # -- parameter plumbing -------------------------------------------------
@@ -66,11 +73,6 @@ class DetectionModel:
         for group in (self.conv, self.lstm, self.attn, self.head):
             out.update(group.arrays())
         return out
-
-    def set_params(self, params: dict[str, np.ndarray]):
-        own = self.params()
-        for name, value in params.items():
-            np.copyto(own[name], np.asarray(value, dtype=float).reshape(own[name].shape))
 
     # -- forward / backward -------------------------------------------------
 
@@ -154,19 +156,16 @@ class DetectionModel:
 
     def to_dict(self) -> dict:
         return {
-            "config": {
-                "patch_len": self.config.patch_len,
-                "channels": self.config.channels,
-                "hidden": self.config.hidden,
-                "conv_kernel": self.config.conv_kernel,
-                "attn_width": self.config.attn_width,
-                "seed": self.config.seed,
-            },
+            "config": asdict(self.config),
             "arrays": {name: value.tolist() for name, value in self.params().items()},
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "DetectionModel":
-        model = cls(DetectionConfig(**d["config"]))
-        model.set_params({k: np.array(v, dtype=float) for k, v in d["arrays"].items()})
+        """Each config field and each parameter array by name, the arrays in
+        exactly the shapes the config gives; other keys are ignored."""
+        config, arrays = json_object(d, "config"), json_object(d, "arrays")
+        model = cls(DetectionConfig(**{f.name: config[f.name] for f in fields(DetectionConfig)}))
+        for name, own in model.params().items():
+            np.copyto(own, exact_array(arrays, name, own.shape))
         return model

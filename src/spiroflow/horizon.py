@@ -1,14 +1,13 @@
 """Future-risk features and multi-horizon onset classification.
 
-The feature vector concatenates the fused COPD risk, the four phase
-concavities, the concavity trend and the encoded demographics; a trained
+The feature block concatenates, per record, the fused COPD risk, the four
+phase concavities, the concavity trend and the encoded demographics; a trained
 multinomial logistic model maps it to a distribution over six onset
 horizons.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -48,26 +47,18 @@ FUTURE_FEATURE_NAMES = (
 
 
 def future_feature_vector(
-    fused_risk: float,
-    profile: ConcavityProfile,
-    demo: DemographicRecord,
+    risks,
+    profiles: list[ConcavityProfile],
+    demos: list[DemographicRecord],
     encoder: DemographicEncoder,
 ) -> np.ndarray:
-    """Fixed-order concatenation: risk, four concavities, trend, demographics."""
-    head = np.array(
-        [
-            fused_risk,
-            profile.c_pef_fef25,
-            profile.c_fef25_fef50,
-            profile.c_fef50_fef75,
-            profile.c_fef75_plus,
-            profile.trend,
-        ]
-    )
-    vec = np.concatenate([head, encoder.transform(demo)])
-    if not np.all(np.isfinite(vec)):
+    """(N, 13) block in FUTURE_FEATURE_NAMES order, one row per record:
+    fused risk, four concavities, trend, encoded demographics."""
+    concavities = np.array([[*p.as_array(), p.trend] for p in profiles], dtype=float).reshape(-1, 5)
+    vecs = np.column_stack([np.asarray(risks, dtype=float), concavities, encoder.transform(demos)])
+    if not np.all(np.isfinite(vecs)):
         raise InvalidArgument("future feature vector must be finite")
-    return vec
+    return vecs
 
 
 def predict_future_risk(vec: np.ndarray, model: LogisticModel) -> dict[HorizonLabel, float]:

@@ -57,15 +57,12 @@ def auprc(scores, labels) -> float:
 
 def f1_score(predictions, labels) -> float:
     """Harmonic mean of precision and recall; 0 with no true positive."""
-    predictions = np.asarray(predictions, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
-    tp = int(np.sum((predictions == 1) & (labels == 1)))
-    fp = int(np.sum((predictions == 1) & (labels == 0)))
-    fn = int(np.sum((predictions == 0) & (labels == 1)))
+    counts = confusion_counts(predictions, labels)
+    tp = counts["tp"]
     if tp == 0:
         return 0.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
+    precision = tp / (tp + counts["fp"])
+    recall = tp / (tp + counts["fn"])
     return float(2.0 * precision * recall / (precision + recall))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateLabels, InvalidArgument, InvalidLoss, NotTrained
+from .errors import DegenerateLabels, InvalidArgument, InvalidLoss, InvalidParams, NotTrained, ParseError
 
 PROB_CLAMP = 1e-12
 
@@ -71,6 +71,26 @@ def sgd(params: dict[str, np.ndarray], batch_grads, full_loss, n: int, cfg: Trai
     return trace
 
 
+def json_object(blob: dict, key: str) -> dict:
+    """blob[key], which must be a JSON object; ParseError otherwise."""
+    value = blob[key]
+    if not isinstance(value, dict):
+        raise ParseError(f"{key!r} is not a JSON object")
+    return value
+
+
+def exact_array(blob: dict, name: str, shape: tuple) -> np.ndarray:
+    """blob[name] as a float array of exactly this shape; InvalidParams
+    naming the array otherwise."""
+    try:
+        value = np.array(blob[name], dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidParams(f"array {name!r} is not numeric") from None
+    if value.shape != shape:
+        raise InvalidParams(f"array {name!r} has shape {value.shape}, expected {shape}")
+    return value
+
+
 @dataclass
 class LogisticModel:
     """Multinomial logistic regression; binary is the two-class case."""
@@ -105,11 +125,16 @@ class LogisticModel:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "LogisticModel":
+    def from_dict(cls, d: dict, width: int) -> "LogisticModel":
+        """A model over width features; weights and bias must have one row
+        per class, so a file fitted on another layout does not load."""
+        classes = np.array(d["classes"])
+        if classes.ndim != 1:
+            raise InvalidParams("'classes' is not a list")
         return cls(
-            weights=np.array(d["weights"], dtype=float),
-            bias=np.array(d["bias"], dtype=float),
-            classes=np.array(d["classes"]),
+            weights=exact_array(d, "weights", (classes.size, width)),
+            bias=exact_array(d, "bias", (classes.size,)),
+            classes=classes,
         )
 
 

@@ -236,11 +236,12 @@ def test_horizon_model_sanity():
     start = time.perf_counter()
     records, vfs = _cohort_series(CohortSpec(n_per_class=25, noise=0.1, seed=2))
     encoder = DemographicEncoder().fit([rec.demo for rec in records])
-    features = []
-    for rec, vf in zip(records, vfs):
-        profile = concavity_features(vf)
-        features.append(future_feature_vector(float(rec.copd), profile, rec.demo, encoder))
-    x = np.stack(features)
+    x = future_feature_vector(
+        [float(rec.copd) for rec in records],
+        [concavity_features(vf) for vf in vfs],
+        [rec.demo for rec in records],
+        encoder,
+    )
     y = np.array([rec.horizon.value for rec in records])
     model = train_logistic(x, y, TrainConfig(lr=0.3, epochs=200, batch_size=32, seed=0))
 

@@ -7,15 +7,16 @@ from spiroflow.attention import (
     AttentionParams,
     DemographicEncoder,
     DemographicRecord,
+    FUSION_FEATURE_NAMES,
     HeadParams,
     STRUCT_FEATURE_NAMES,
     attention_backward_padded,
     attention_forward_padded,
     attention_overlay,
     fuse_and_score,
+    fusion_features,
     head_backward,
     head_forward,
-    init_attention_params,
     init_head_params,
     overlay_svg,
     _polyline_points,
@@ -28,7 +29,15 @@ from spiroflow.training import TrainConfig, train_logistic
 
 
 def _params(rng, width=6, attn=3):
-    return init_attention_params(rng, width, attn)
+    """init_attention_params' draws, but with any score width attn, so the
+    kernels are also checked where attn differs from width // 2."""
+    return AttentionParams(
+        w1=rng.normal(0.0, 1.0 / np.sqrt(width), size=(attn, width)),
+        b1=np.zeros(attn),
+        w_bil=rng.normal(0.0, 1.0 / np.sqrt(attn), size=(attn, attn)),
+        w2=rng.normal(0.0, 1.0 / np.sqrt(attn), size=(attn,)),
+        b2=np.zeros(()),
+    )
 
 
 class TestAttentionForward:
@@ -204,17 +213,20 @@ class TestDemographics:
         ]
         enc = DemographicEncoder().fit(recs)
         enc2 = DemographicEncoder.from_dict(enc.to_dict())
-        assert np.array_equal(enc.transform(recs[0]), enc2.transform(recs[0]))
+        assert np.array_equal(enc.transform(recs), enc2.transform(recs))
 
     def test_one_hot_layout(self):
         enc = DemographicEncoder(age_mean=50.0, age_std=10.0)
-        vec = enc.transform(DemographicRecord("male", 60.0, "former", 0.7))
-        assert vec.tolist() == [0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.7]
-        assert len(STRUCT_FEATURE_NAMES) == vec.size
+        block = enc.transform(
+            [DemographicRecord("male", 60.0, "former", 0.7), DemographicRecord("female", 45.0, "current", 0.55)]
+        )
+        assert block.tolist() == [[0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.7], [1.0, 0.0, 0.0, 0.0, 1.0, -0.5, 0.55]]
+        assert enc.transform([]).shape == (0, len(STRUCT_FEATURE_NAMES))
+        assert block.shape == (2, len(STRUCT_FEATURE_NAMES))
 
     def test_unfitted_rejected(self):
         with pytest.raises(NotTrained):
-            DemographicEncoder().transform(DemographicRecord("male", 60.0, "never", 0.7))
+            DemographicEncoder().transform([DemographicRecord("male", 60.0, "never", 0.7)])
 
     def test_bad_codes_rejected(self):
         with pytest.raises(InvalidParams):
@@ -231,7 +243,7 @@ class TestFusion:
         # p_hat mildly informative, ratio strongly so
         labels = rng.integers(0, 2, size=n)
         encoder = DemographicEncoder(age_mean=55.0, age_std=8.0)
-        demos, feats = [], []
+        demos, p_hats = [], []
         for y in labels:
             ratio = 0.55 + 0.1 * rng.random() if y else 0.75 + 0.1 * rng.random()
             demo = DemographicRecord("male" if rng.random() < 0.5 else "female",
@@ -239,22 +251,24 @@ class TestFusion:
                                      "current" if y and rng.random() < 0.7 else "never",
                                      ratio)
             demos.append(demo)
-            p_hat = float(np.clip(0.5 + (0.25 if y else -0.25) + 0.2 * rng.standard_normal(), 0.01, 0.99))
-            feats.append(np.concatenate([[p_hat], encoder.transform(demo)]))
-        x = np.array(feats)
+            p_hats.append(float(np.clip(0.5 + (0.25 if y else -0.25) + 0.2 * rng.standard_normal(), 0.01, 0.99)))
+        x = fusion_features(p_hats, demos, encoder)
         model = train_logistic(x, labels, TrainConfig(lr=0.2, epochs=150, batch_size=32, seed=0))
         return model, encoder, x, labels
 
     def test_contributions_are_weight_times_value(self):
         rng = np.random.default_rng(12)
         model, encoder, x, _ = self._fit_fusion(rng)
-        demo = DemographicRecord("female", 50.0, "current", 0.6)
-        risk, contributions = fuse_and_score(0.8, demo, model, encoder)
-        assert 0.0 < risk < 1.0
+        demos = [DemographicRecord("female", 50.0, "current", 0.6), DemographicRecord("male", 70.0, "never", 0.8)]
+        risks, contributions = fuse_and_score([0.8, 0.3], demos, model, encoder)
+        assert risks.shape == (2,) and np.all((0.0 < risks) & (risks < 1.0))
+        assert contributions.shape == (2, len(FUSION_FEATURE_NAMES))
+        assert FUSION_FEATURE_NAMES == ("detection_probability",) + STRUCT_FEATURE_NAMES
         gap = model.weights[1] - model.weights[0]
-        vec = np.concatenate([[0.8], encoder.transform(demo)])
-        for i, name in enumerate(("detection_probability",) + STRUCT_FEATURE_NAMES):
-            assert contributions[name] == pytest.approx(gap[i] * vec[i])
+        for row, (p_hat, demo) in enumerate(zip([0.8, 0.3], demos)):
+            vec = np.concatenate([[p_hat], encoder.transform([demo])[0]])
+            for i in range(len(FUSION_FEATURE_NAMES)):
+                assert contributions[row, i] == pytest.approx(gap[i] * vec[i])
 
     def test_fusion_does_not_hurt_ranking(self):
         # fused risk should rank at least as well as the raw p_hat alone

@@ -155,9 +155,9 @@ class TestTrainAndEvaluate:
         report = json.loads((out / "metrics.json").read_text())
 
         ids, curves, demos, copd, _ = _load_cohort(cohort)
-        (model, _, _, blob), smoother = _load_models(models)
+        (model, _, _, test_ids), smoother = _load_models(models)
         _, series = _preprocess(curves, smoother)
-        sel = [i for i, blow_id in enumerate(ids) if blow_id in set(blob["test_ids"])]
+        sel = [i for i, blow_id in enumerate(ids) if blow_id in set(test_ids)]
         p_hat = model.predict_proba([series[i] for i in sel])
         assert report["detection"]["auroc"] == pytest.approx(auroc(p_hat, copd[sel]), abs=1e-12)
 
@@ -341,6 +341,64 @@ class TestPredict:
             single = float(model.predict_proba([flows])[0])
             assert abs(rec["p_hat"] - single) <= 1e-12
             assert rec["verdict"] == ("copd" if single > 0.5 else "non_copd")
+
+
+class TestBatchedFusion:
+    def test_each_model_stage_fuses_all_its_records_in_one_call(self, pipeline, tmp_path, monkeypatch):
+        import spiroflow.cli
+
+        _, cohort, models = pipeline
+        n_test = len(json.loads((models / "detect_model.json").read_text())["test_ids"])
+        calls = []
+        fuse = spiroflow.cli.fuse_and_score
+
+        def recording_fuse(p_hats, demos, fusion, encoder):
+            calls.append((len(p_hats), len(demos)))
+            return fuse(p_hats, demos, fusion, encoder)
+
+        monkeypatch.setattr(spiroflow.cli, "fuse_and_score", recording_fuse)
+        for command, n in (("train-horizon", 36), ("evaluate", n_test), ("explain", 36), ("predict", 36)):
+            calls.clear()
+            out = tmp_path / command
+            assert _run(command, "--out-dir", str(out), "--cohort", str(cohort), "--models", str(models)) == 0
+            assert calls == [(n, n)], command
+
+    def test_horizon_rows_equal_one_record_calls(self, pipeline, tmp_path, monkeypatch):
+        import spiroflow.cli
+        from spiroflow.cli import _load_cohort, _load_models, _preprocess
+        from spiroflow.horizon import future_feature_vector
+        from spiroflow.phases import concavity_features
+
+        _, cohort, models = pipeline
+        args = ("--cohort", str(cohort), "--models", str(models))
+        assert _run("predict", "--out-dir", str(tmp_path / "all"), *args) == 0
+        p_hats = [json.loads(l)["p_hat"] for l in (tmp_path / "all" / "predictions.jsonl").read_text().splitlines()]
+        threshold = sorted(p_hats)[len(p_hats) // 2]
+        blocks = []
+        rows = spiroflow.cli.future_feature_vector
+
+        def recording_rows(risks, profiles, demos, encoder):
+            blocks.append(rows(risks, profiles, demos, encoder))
+            return blocks[-1]
+
+        monkeypatch.setattr(spiroflow.cli, "future_feature_vector", recording_rows)
+        assert _run("predict", "--out-dir", str(tmp_path / "split"), *args, "--threshold", repr(threshold)) == 0
+        lines = [json.loads(l) for l in (tmp_path / "split" / "predictions.jsonl").read_text().splitlines()]
+        negative = [i for i, rec in enumerate(lines) if rec["verdict"] == "non_copd"]
+        assert 0 < len(negative) < len(lines)
+        assert [b.shape for b in blocks] == [(len(negative), 13)]
+
+        ids, curves, demos, _, _ = _load_cohort(cohort)
+        (_, _, encoder, _), smoother = _load_models(models)
+        vf_curves, _ = _preprocess(curves, smoother)
+        for i in negative:
+            profile = concavity_features(vf_curves[i])
+            alone = future_feature_vector([lines[i]["fused_risk"]], [profile], [demos[i]], encoder)
+            assert np.array_equal(np.array(lines[i]["horizon"]["features_used"]), alone[0]), ids[i]
+
+        blocks.clear()
+        assert _run("predict", "--out-dir", str(tmp_path / "none"), *args, "--threshold", "-1") == 0
+        assert [b.shape for b in blocks] == [(0, 13)]
 
 
 class TestCheckpointSmoother:
@@ -539,6 +597,30 @@ class TestErrors:
                     "negative-window": (
                         _json_edit(lambda b: b["smoother"].update(window=-1)), "InvalidArgument", ["window"]
                     ),
+                    "string-window": (
+                        _json_edit(lambda b: b["smoother"].update(window="5")), "InvalidArgument", ["window"]
+                    ),
+                    "fractional-window": (
+                        _json_edit(lambda b: b["smoother"].update(window=2.5)), "InvalidArgument", ["window"]
+                    ),
+                    "string-sigma": (
+                        _json_edit(lambda b: b["smoother"].update(sigma="2")), "InvalidArgument", ["sigma"]
+                    ),
+                    "no-test-ids": (_json_edit(lambda b: b.pop("test_ids")), "ParseError", ["'test_ids'"]),
+                    "test-ids-not-a-list": (
+                        _json_edit(lambda b: b.update(test_ids=7)), "ParseError", ["'test_ids'"]
+                    ),
+                    "config-not-an-object": (_json_edit(lambda b: b.update(config=[])), "ParseError", ["'config'"]),
+                    "string-hidden": (
+                        _json_edit(lambda b: b["config"].update(hidden="32")), "InvalidArgument", ["hidden"]
+                    ),
+                    "arrays-a-list": (_json_edit(lambda b: b.update(arrays=[])), "ParseError", ["'arrays'"]),
+                    "no-head-w": (_json_edit(lambda b: b["arrays"].pop("head_w")), "ParseError", ["'head_w'"]),
+                    "misshapen-head-b": (
+                        _json_edit(lambda b: b["arrays"].update(head_b=[0.0, 0.0, 0.0])),
+                        "InvalidParams",
+                        ["detect_model.json", "'head_b'"],
+                    ),
                 },
             ),
             (
@@ -548,6 +630,11 @@ class TestErrors:
                     "no-encoder": (
                         _json_edit(lambda b: b.pop("demographic_encoder")), "ParseError", ["'demographic_encoder'"]
                     ),
+                    "width-3-weights": (
+                        _json_edit(lambda b: b["model"].update(weights=[[0.0] * 3, [0.0] * 3])),
+                        "InvalidParams",
+                        ["fusion_model.json", "'weights'"],
+                    ),
                 },
             ),
             (
@@ -556,6 +643,11 @@ class TestErrors:
                     "truncated": (_truncate, "ParseError", ["not valid JSON"]),
                     "not-an-object": (lambda text: "[]", "ParseError", ["not a JSON object"]),
                     "no-model": (_json_edit(lambda b: b.pop("model")), "ParseError", ["'model'"]),
+                    "width-3-weights": (
+                        _json_edit(lambda b: b["model"].update(weights=[[0.0] * 3] * 6)),
+                        "InvalidParams",
+                        ["horizon_model.json", "'weights'"],
+                    ),
                 },
             ),
         ],

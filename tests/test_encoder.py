@@ -459,9 +459,10 @@ class TestUnseenLength:
 
 
 def test_checkpoint_with_max_length_still_loads():
-    # checkpoints written before the dataset-wide maximum was dropped carry a max_length key
+    # checkpoints written before the dataset-wide maximum and the attention
+    # width were dropped carry a max_length key and a null config.attn_width
     model = DetectionModel(DetectionConfig(seed=5))
     blob = model.to_dict()
-    assert "max_length" not in blob
-    old = DetectionModel.from_dict({**blob, "max_length": 240})
+    assert "max_length" not in blob and "attn_width" not in blob["config"]
+    old = DetectionModel.from_dict({**blob, "max_length": 240, "config": {**blob["config"], "attn_width": None}})
     assert all(np.array_equal(value, old.params()[name]) for name, value in model.params().items())

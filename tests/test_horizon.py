@@ -21,21 +21,23 @@ DEMO = DemographicRecord("male", 60.0, "current", 0.62)
 
 class TestFeatureVector:
     def test_width_and_order(self):
-        profile = ConcavityProfile(0.1, 0.2, -0.3, -0.4)
-        vec = future_feature_vector(0.7, profile, DEMO, ENC)
-        assert vec.size == len(FUTURE_FEATURE_NAMES) == 13
-        assert vec[0] == 0.7
-        assert np.allclose(vec[1:5], [0.1, 0.2, -0.3, -0.4])
-        assert vec[5] == pytest.approx(profile.trend)
-        assert np.array_equal(vec[6:], ENC.transform(DEMO))
+        profiles = [ConcavityProfile(0.1, 0.2, -0.3, -0.4), ConcavityProfile(-0.5, 0.6, 0.7, 0.8)]
+        demos = [DEMO, DemographicRecord("female", 45.0, "never", 0.8)]
+        block = future_feature_vector([0.7, 0.2], profiles, demos, ENC)
+        assert block.shape == (2, len(FUTURE_FEATURE_NAMES)) and len(FUTURE_FEATURE_NAMES) == 13
+        assert block[:, 0].tolist() == [0.7, 0.2]
+        assert np.allclose(block[:, 1:5], [[0.1, 0.2, -0.3, -0.4], [-0.5, 0.6, 0.7, 0.8]])
+        assert block[:, 5].tolist() == [p.trend for p in profiles]
+        assert np.array_equal(block[:, 6:], ENC.transform(demos))
+        assert future_feature_vector([], [], [], ENC).shape == (0, len(FUTURE_FEATURE_NAMES))
 
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidArgument):
-            future_feature_vector(np.nan, ConcavityProfile(0, 0, 0, 0), DEMO, ENC)
+            future_feature_vector([0.5, np.nan], [ConcavityProfile(0, 0, 0, 0)] * 2, [DEMO] * 2, ENC)
 
     def test_unfitted_encoder_rejected(self):
         with pytest.raises(NotTrained):
-            future_feature_vector(0.5, ConcavityProfile(0, 0, 0, 0), DEMO, DemographicEncoder())
+            future_feature_vector([0.5], [ConcavityProfile(0, 0, 0, 0)], [DEMO], DemographicEncoder())
 
 
 def _toy_model(rng, n=600):
