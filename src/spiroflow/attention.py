@@ -12,6 +12,7 @@ double as per-feature contributions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,6 +146,15 @@ class DemographicEncoder:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DemographicEncoder":
+        """Fitted statistics: finite real numbers, age_std > 0; InvalidParams
+        naming the key otherwise."""
+        for key in ("age_mean", "age_std"):
+            value = d[key]
+            # NaN fails the comparison, and so does an integer too large for a float
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+                raise InvalidParams(f"{key!r} must be a finite number")
+        if d["age_std"] <= 0:
+            raise InvalidParams(f"'age_std' must be > 0, not {d['age_std']!r}")
         return cls(age_mean=d["age_mean"], age_std=d["age_std"])
 
 

@@ -353,7 +353,7 @@ def _read_model(path: Path, build):
     file; any other error build raises is re-raised naming the file."""
     try:
         blob = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, text that is not UTF-8, or an integer too long to convert
         raise ParseError(f"{path.name}: not valid JSON: {exc}") from None
     if not isinstance(blob, dict):
         raise ParseError(f"{path.name}: not a JSON object")
@@ -382,7 +382,7 @@ def _load_models(model_dir: Path):
     fusion, encoder = _read_model(
         model_dir / "fusion_model.json",
         lambda blob: (
-            LogisticModel.from_dict(json_object(blob, "model"), len(FUSION_FEATURE_NAMES)),
+            LogisticModel.from_dict(json_object(blob, "model"), len(FUSION_FEATURE_NAMES), (0, 1)),
             DemographicEncoder.from_dict(json_object(blob, "demographic_encoder")),
         ),
     )
@@ -456,7 +456,9 @@ def cmd_predict(args):
     model, fusion, encoder, _ = run.models
     horizon_model = _read_model(
         Path(args.models) / "horizon_model.json",
-        lambda blob: LogisticModel.from_dict(json_object(blob, "model"), len(FUTURE_FEATURE_NAMES)),
+        lambda blob: LogisticModel.from_dict(
+            json_object(blob, "model"), len(FUTURE_FEATURE_NAMES), tuple(h.value for h in HORIZON_ORDER)
+        ),
     )
     p_hats = model.predict_proba(run.series)
     risks, _ = fuse_and_score(p_hats, demos, fusion, encoder)

@@ -90,9 +90,7 @@ class DetectionModel:
     def _forward(self, series_list, keep_cache: bool = False):
         """One batched pass; cache is None unless keep_cache (backward follows)."""
         patches, lengths, plans = self._prepare(series_list)
-        feats, conv_cache = conv_embed_forward(patches, self.conv)
-        if not keep_cache:
-            conv_cache = None  # frees the conv activations before the LSTM runs
+        feats, conv_cache = conv_embed_forward(patches, self.conv, keep_cache)
         block, mask = pad_rows(feats, lengths)
         contexts, lstm_cache = bilstm_forward_padded(block, lengths, self.lstm, keep_cache)
         weights, pooled, _, attn_cache = attention_forward_padded(contexts, mask, self.attn)

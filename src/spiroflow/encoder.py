@@ -4,8 +4,10 @@ A varied-length flow series is cut into fixed-length patches (the last one
 zero-padded), each patch is embedded by a small two-layer 1-D conv stack
 with mean pooling, the samples' patch rows are scattered into one
 zero-padded block through a prefix mask, and a bidirectional LSTM
-produces per-patch context features of width 2H.  Forward passes can
-carry caches so the manual backward passes used for training stay in one
+produces per-patch context features of width 2H.  The conv stack runs
+CONV_BLOCK patches at a time, so an inference pass holds the conv
+activations of one block, not of the batch.  Forward passes can carry
+caches so the manual backward passes used for training stay in one
 place; inference passes ask for none.
 """
 
@@ -136,7 +138,7 @@ def init_bilstm_params(
 # ---------------------------------------------------------------------------
 # conv kernels (channels-last; im2col in blocks of patches, one GEMM per block)
 
-CONV_BLOCK = 256  # patches per im2col block; bounds the column buffer
+CONV_BLOCK = 256  # patches per block; bounds the column buffer and the forward activations
 
 
 def _im2col(x: np.ndarray, kernel: int, pad_left: int) -> np.ndarray:
@@ -184,17 +186,32 @@ def _conv1d_same_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray, input_gr
     return dx, dw.reshape(kernel, c_in, c_out).transpose(2, 1, 0), db
 
 
-def conv_embed_forward(patches: np.ndarray, params: ConvEncoderParams):
-    """Embed patches (P, 1, k) into features (P, C); returns cache for backward."""
+def conv_embed_forward(patches: np.ndarray, params: ConvEncoderParams, keep_cache: bool = False):
+    """Embed patches (P, 1, k) into features (P, C), CONV_BLOCK patches at a time.
+
+    Each block runs both layers, their tanh and the mean pool, so without
+    keep_cache a pass holds conv activations for at most CONV_BLOCK patches
+    and returns None for the cache.  With keep_cache the blocks' activations
+    are also written into whole-batch z1 and z2 arrays, the cache that
+    conv_embed_backward reads.
+    """
     params.validate()
     x = patches.transpose(0, 2, 1)
-    z1 = _conv1d_same(x, params.w1, params.b1)
-    np.tanh(z1, out=z1)
-    z2 = _conv1d_same(z1, params.w2, params.b2)
-    np.tanh(z2, out=z2)
-    feats = z2.mean(axis=1)
-    cache = (x, z1, z2)
-    return feats, cache
+    p, length, _ = x.shape
+    feats = np.empty((p, params.channels))
+    if keep_cache:
+        z1s = np.empty((p, length, params.w1.shape[0]))
+        z2s = np.empty((p, length, params.channels))
+    for lo in range(0, p, CONV_BLOCK):
+        block = slice(lo, lo + CONV_BLOCK)
+        z1 = _conv1d_same(x[block], params.w1, params.b1)
+        np.tanh(z1, out=z1)
+        z2 = _conv1d_same(z1, params.w2, params.b2)
+        np.tanh(z2, out=z2)
+        feats[block] = z2.mean(axis=1)
+        if keep_cache:
+            z1s[block], z2s[block] = z1, z2
+    return feats, ((x, z1s, z2s) if keep_cache else None)
 
 
 def conv_embed_backward(dfeats: np.ndarray, cache, params: ConvEncoderParams):

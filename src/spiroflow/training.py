@@ -125,16 +125,23 @@ class LogisticModel:
         }
 
     @classmethod
-    def from_dict(cls, d: dict, width: int) -> "LogisticModel":
-        """A model over width features; weights and bias must have one row
-        per class, so a file fitted on another layout does not load."""
-        classes = np.array(d["classes"])
-        if classes.ndim != 1:
-            raise InvalidParams("'classes' is not a list")
+    def from_dict(cls, d: dict, width: int, labels: tuple) -> "LogisticModel":
+        """A model over width features, as train_logistic writes it: its
+        classes are two or more distinct values from labels, ascending, and
+        weights and bias have one row per class, so a file fitted on other
+        labels or another layout does not load."""
+        classes = d["classes"]
+        if not (
+            isinstance(classes, list)
+            and len(classes) >= 2
+            and all(any(type(c) is type(v) and c == v for v in labels) for c in classes)
+            and all(a < b for a, b in zip(classes, classes[1:]))
+        ):
+            raise InvalidParams(f"'classes' must be two or more distinct values from {list(labels)}, ascending")
         return cls(
-            weights=exact_array(d, "weights", (classes.size, width)),
-            bias=exact_array(d, "bias", (classes.size,)),
-            classes=classes,
+            weights=exact_array(d, "weights", (len(classes), width)),
+            bias=exact_array(d, "bias", (len(classes),)),
+            classes=np.array(classes),
         )
 
 

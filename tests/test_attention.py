@@ -215,6 +215,22 @@ class TestDemographics:
         enc2 = DemographicEncoder.from_dict(enc.to_dict())
         assert np.array_equal(enc.transform(recs), enc2.transform(recs))
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("age_mean", "50"),
+            ("age_mean", True),
+            ("age_mean", float("nan")),
+            ("age_std", float("inf")),
+            ("age_std", None),
+            ("age_std", 0.0),
+            ("age_std", -2.0),
+        ],
+    )
+    def test_bad_statistics_rejected_naming_the_key(self, key, value):
+        with pytest.raises(InvalidParams, match=key):
+            DemographicEncoder.from_dict({"age_mean": 50.0, "age_std": 10.0, key: value})
+
     def test_one_hot_layout(self):
         enc = DemographicEncoder(age_mean=50.0, age_std=10.0)
         block = enc.transform(

@@ -627,6 +627,11 @@ class TestErrors:
                 "fusion_model.json",
                 {
                     "truncated": (_truncate, "ParseError", ["not valid JSON"]),
+                    "huge-integer": (
+                        lambda text: text.replace("{", '{"extra": 1' + "0" * 5000 + ", ", 1),
+                        "ParseError",
+                        ["not valid JSON"],
+                    ),
                     "no-encoder": (
                         _json_edit(lambda b: b.pop("demographic_encoder")), "ParseError", ["'demographic_encoder'"]
                     ),
@@ -634,6 +639,26 @@ class TestErrors:
                         _json_edit(lambda b: b["model"].update(weights=[[0.0] * 3, [0.0] * 3])),
                         "InvalidParams",
                         ["fusion_model.json", "'weights'"],
+                    ),
+                    "letter-classes": (
+                        _json_edit(lambda b: b["model"].update(classes=["x", "y"])),
+                        "InvalidParams",
+                        ["fusion_model.json", "'classes'"],
+                    ),
+                    "swapped-classes": (
+                        _json_edit(lambda b: b["model"].update(classes=[1, 0])),
+                        "InvalidParams",
+                        ["fusion_model.json", "'classes'"],
+                    ),
+                    "string-age-mean": (
+                        _json_edit(lambda b: b["demographic_encoder"].update(age_mean="50")),
+                        "InvalidParams",
+                        ["fusion_model.json", "'age_mean'"],
+                    ),
+                    "zero-age-std": (
+                        _json_edit(lambda b: b["demographic_encoder"].update(age_std=0.0)),
+                        "InvalidParams",
+                        ["fusion_model.json", "'age_std'"],
                     ),
                 },
             ),
@@ -647,6 +672,18 @@ class TestErrors:
                         _json_edit(lambda b: b["model"].update(weights=[[0.0] * 3] * 6)),
                         "InvalidParams",
                         ["horizon_model.json", "'weights'"],
+                    ),
+                    "unknown-class": (
+                        _json_edit(lambda b: b["model"].update(classes=["SOON", *b["model"]["classes"][1:]])),
+                        "InvalidParams",
+                        ["horizon_model.json", "'classes'"],
+                    ),
+                    "repeated-class": (
+                        _json_edit(
+                            lambda b: b["model"].update(classes=b["model"]["classes"][:1] + b["model"]["classes"][:-1])
+                        ),
+                        "InvalidParams",
+                        ["horizon_model.json", "'classes'"],
                     ),
                 },
             ),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,7 +110,7 @@ class TestConvEmbed:
             feats, _ = conv_embed_forward(patches, params)
             return float((feats * proj).sum())
 
-        feats, cache = conv_embed_forward(patches, params)
+        feats, cache = conv_embed_forward(patches, params, keep_cache=True)
         grads = conv_embed_backward(proj, cache, params)
         eps = 3e-5
         for name, arr in params.arrays().items():
@@ -241,6 +242,37 @@ class TestCacheFreeForward:
         for row, plan in zip(weights, plans):
             assert row[: plan.s].sum() == pytest.approx(1.0)
             assert np.all(row[plan.s :] == 0.0)
+
+    def test_blocked_conv_matches_whole_batch_bit_for_bit(self, monkeypatch):
+        # seven patches in blocks of two: three full blocks and a partial one
+        monkeypatch.setattr(encoder, "CONV_BLOCK", 2)
+        rng = np.random.default_rng(16)
+        params = init_conv_params(rng, channels=3, kernel=5)
+        patches = rng.standard_normal((7, 1, 6))
+        feats, none = conv_embed_forward(patches, params)
+        feats_c, (x, z1, z2) = conv_embed_forward(patches, params, keep_cache=True)
+        assert none is None
+        assert np.array_equal(feats, feats_c)
+        ref_z1 = np.tanh(_conv1d_same(patches.transpose(0, 2, 1), params.w1, params.b1))
+        ref_z2 = np.tanh(_conv1d_same(ref_z1, params.w2, params.b2))
+        assert np.array_equal(x, patches.transpose(0, 2, 1))
+        assert np.array_equal(z1, ref_z1) and np.array_equal(z2, ref_z2)
+        assert np.array_equal(feats, ref_z2.mean(axis=1))
+
+    def test_forward_only_conv_memory_is_bounded_by_the_block(self):
+        # past two blocks, more patches add only their (P, C) output rows
+        params = init_conv_params(np.random.default_rng(17))
+        peaks = {}
+        for blocks in (2, 16):
+            patches = np.random.default_rng(blocks).standard_normal((blocks * encoder.CONV_BLOCK, 1, 32))
+            tracemalloc.start()
+            try:
+                conv_embed_forward(patches, params, keep_cache=False)
+                peaks[blocks] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        extra_rows = 14 * encoder.CONV_BLOCK * params.channels * 8
+        assert peaks[16] - peaks[2] <= extra_rows + 2**20, peaks
 
     def test_lstm_keeps_no_per_step_caches_unless_asked(self):
         rng = np.random.default_rng(15)

@@ -98,7 +98,7 @@ class TestTrainLogistic:
         x[60:] += [-3, -3]
         model = train_logistic(x, y, TrainConfig(lr=0.3, epochs=200, seed=0))
         assert np.mean(model.predict(x) == y) > 0.95
-        restored = LogisticModel.from_dict(model.to_dict(), x.shape[1])
+        restored = LogisticModel.from_dict(model.to_dict(), x.shape[1], ("a", "b", "c"))
         assert np.array_equal(restored.predict(x), model.predict(x))
 
     def test_single_class_rejected(self):
