@@ -30,15 +30,7 @@ from .attention import (
 from .curves import SmootherConfig, differentiate_flow, gaussian_smooth, volume_flow_curve
 from .data import CohortSpec, generate_synthetic_cohort, load_time_volume_csv, write_time_volume_csv
 from .detection import DetectionConfig, DetectionModel
-from .errors import (
-    InvalidArgument,
-    InvalidCurve,
-    InvalidParams,
-    NonMonotonicVolume,
-    ParseError,
-    SpiroError,
-    ValidationError,
-)
+from .errors import InvalidArgument, InvalidParams, ParseError, SpiroError, ValidationError
 from .horizon import FUTURE_FEATURE_NAMES, HORIZON_ORDER, HorizonLabel
 from .horizon import future_feature_vector, predict_future_risk, top_horizon
 from .metrics import metrics_report, subgroup_reports
@@ -52,21 +44,27 @@ def _write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _manifest(out_dir: Path, command: str, config: dict, counts: dict | None = None):
+# parsed values that name the stage's inputs and outputs, not its configuration
+_NOT_CONFIG = ("func", "command", "out_dir", "cohort", "models")
+
+
+def _finish(args, counts: dict, smoother: SmootherConfig | None = None, **summary) -> int:
+    """Write manifest_<command>.json and print the one-line JSON summary.
+
+    The manifest's config is every flag the stage parsed except paths, plus
+    the window and sigma of the smoother the stage used, which for the
+    model stages is the detector checkpoint's.
+    """
+    config = {key: value for key, value in vars(args).items() if key not in _NOT_CONFIG}
+    if smoother is not None:
+        config.update(_smoother_record(smoother))
+    out_dir, command = Path(args.out_dir), args.command
     _write_json(
         out_dir / f"manifest_{command.replace('-', '_')}.json",
-        {
-            "format_version": FORMAT_VERSION,
-            "command": command,
-            "config": config,
-            "counts": counts or {},
-            "version": __version__,
-        },
+        dict(format_version=FORMAT_VERSION, command=command, config=config, counts=counts, version=__version__),
     )
-
-
-def _summary(payload: dict):
-    print(json.dumps(payload, sort_keys=True))
+    print(json.dumps({"command": command, "out_dir": str(out_dir), **summary}, sort_keys=True))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +201,29 @@ def _start(args, models: bool = False, record_ids=None, test_split: bool = False
     ids, curves, demos, copd, horizons = cohort
     try:
         vf_curves, series = _preprocess(curves, smoother)
-    except (InvalidCurve, NonMonotonicVolume) as exc:
+    except SpiroError as exc:
         if exc.row is None:
             raise
-        raise type(exc)(f"curves.csv id {ids[exc.row]!r}: {exc}") from None
+        raise _naming(exc, ids[exc.row]) from None
     return _Run(out_dir, smoother, ids, vf_curves, series, demos, copd, horizons, loaded)
+
+
+def _naming(exc: SpiroError, blow_id: str) -> SpiroError:
+    """exc again, its message prefixed with the curves.csv id it is about."""
+    return type(exc)(f"curves.csv id {blow_id!r}: {exc}")
+
+
+def _profiles(ids, vf_curves) -> list:
+    """concavity_features of each curve; a curve whose phases cannot be
+    measured (an EmptyPhase when peak flow comes after 25% of FVC, a
+    DegenerateCurve) is named by its id."""
+    profiles = []
+    for blow_id, vf in zip(ids, vf_curves):
+        try:
+            profiles.append(concavity_features(vf))
+        except SpiroError as exc:
+            raise _naming(exc, blow_id) from None
+    return profiles
 
 
 def _cut(cohort, record_ids):
@@ -246,19 +262,8 @@ def cmd_synth(args):
     spec = CohortSpec(n_per_class=n_per_class, noise=args.noise, seed=args.seed)
     records = generate_synthetic_cohort(spec)
     _write_cohort(out_dir, records)
-    _write_json(
-        out_dir / "cohort_manifest.json",
-        {
-            "format_version": FORMAT_VERSION,
-            "seed": args.seed,
-            "spec": {"n_per_class": n_per_class, "noise": args.noise},
-            "counts": {"total": len(records), "copd": int(sum(r.copd for r in records))},
-            "version": __version__,
-        },
-    )
-    _manifest(out_dir, "synth", {"seed": args.seed, "n": args.n, "noise": args.noise}, {"total": len(records)})
-    _summary({"command": "synth", "out_dir": str(out_dir), "records": len(records)})
-    return 0
+    counts = {"total": len(records), "copd": sum(r.copd for r in records), "n_per_class": n_per_class}
+    return _finish(args, counts, records=len(records))
 
 
 def cmd_smooth(args):
@@ -269,27 +274,23 @@ def cmd_smooth(args):
     ids = [blow_id for blow_id, _ in records]
     smoothed = gaussian_smooth([curve for _, curve in records], cfg)
     write_time_volume_csv(out_dir / "smoothed_curves.csv", list(zip(ids, smoothed)))
-    _manifest(out_dir, "smooth", _smoother_record(cfg), {"curves": len(smoothed)})
-    _summary({"command": "smooth", "out_dir": str(out_dir), "curves": len(smoothed)})
-    return 0
+    return _finish(args, {"curves": len(smoothed)}, cfg, curves=len(smoothed))
 
 
 def cmd_featurize(args):
     run = _start(args)
     out_dir, ids = run.out_dir, run.ids
+    profiles = _profiles(ids, run.vf_curves)
     with open(out_dir / "features.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "c_pef_fef25", "c_fef25_fef50", "c_fef50_fef75", "c_fef75_plus", "trend"])
-        for blow_id, vf in zip(ids, run.vf_curves):
-            profile = concavity_features(vf)
+        for blow_id, profile in zip(ids, profiles):
             writer.writerow(
                 [blow_id]
                 + [repr(v) for v in profile.as_array().tolist()]
                 + [repr(profile.trend)]
             )
-    _manifest(out_dir, "featurize", _smoother_record(run.smoother), {"curves": len(ids)})
-    _summary({"command": "featurize", "out_dir": str(out_dir), "curves": len(ids)})
-    return 0
+    return _finish(args, {"curves": len(ids)}, run.smoother, curves=len(ids))
 
 
 def cmd_train_detect(args):
@@ -328,23 +329,8 @@ def cmd_train_detect(args):
         },
     )
     write_training_log(out_dir / "train_detect_log.jsonl", trace, args.seed)
-    _manifest(
-        out_dir,
-        "train-detect",
-        {
-            "seed": args.seed,
-            "epochs": args.epochs,
-            "lr": args.lr,
-            "batch_size": args.batch_size,
-            "k": args.k,
-            "hidden": args.hidden,
-            "channels": args.channels,
-            **_smoother_record(run.smoother),
-        },
-        {"train": len(train_idx), "test": len(test_idx)},
-    )
-    _summary({"command": "train-detect", "out_dir": str(out_dir), "final_loss": trace[-1]})
-    return 0
+    counts = {"train": len(train_idx), "test": len(test_idx)}
+    return _finish(args, counts, run.smoother, final_loss=trace[-1])
 
 
 def _read_model(path: Path, build):
@@ -393,7 +379,7 @@ def cmd_train_horizon(args):
     run = _start(args, models=True)
     model, fusion, encoder, _ = run.models
     risks, _ = fuse_and_score(model.predict_proba(run.series), run.demos, fusion, encoder)
-    profiles = [concavity_features(vf) for vf in run.vf_curves]
+    profiles = _profiles(run.ids, run.vf_curves)
     features = future_feature_vector(risks, profiles, run.demos, encoder)
     labels = np.array([h.value for h in run.horizons])
     cfg = TrainConfig(lr=args.lr, epochs=args.epochs, batch_size=args.batch_size, seed=args.seed)
@@ -403,14 +389,7 @@ def cmd_train_horizon(args):
         {"format_version": FORMAT_VERSION, "kind": "horizon", "model": horizon_model.to_dict()},
     )
     write_training_log(run.out_dir / "train_horizon_log.jsonl", horizon_model.loss_trace, args.seed)
-    _manifest(
-        run.out_dir,
-        "train-horizon",
-        {"seed": args.seed, "epochs": args.epochs, "lr": args.lr, **_smoother_record(run.smoother)},
-        {"records": len(run.ids)},
-    )
-    _summary({"command": "train-horizon", "out_dir": str(run.out_dir), "final_loss": horizon_model.loss_trace[-1]})
-    return 0
+    return _finish(args, {"records": len(run.ids)}, run.smoother, final_loss=horizon_model.loss_trace[-1])
 
 
 def cmd_evaluate(args):
@@ -426,10 +405,7 @@ def cmd_evaluate(args):
     if args.subgroup:
         report["subgroups"] = subgroup_reports(p_hat, labels, demos, args.subgroup, args.threshold)
     _write_json(out_dir / "metrics.json", report)
-    config = {"threshold": args.threshold, "subgroup": args.subgroup, **_smoother_record(run.smoother)}
-    _manifest(out_dir, "evaluate", config)
-    _summary({"command": "evaluate", "out_dir": str(out_dir), "auroc": report["detection"]["auroc"]})
-    return 0
+    return _finish(args, {}, run.smoother, auroc=report["detection"]["auroc"])
 
 
 def cmd_explain(args):
@@ -444,10 +420,7 @@ def cmd_explain(args):
         _write_json(run.out_dir / f"overlay_{blow_id}.json", overlay)
         if args.svg:
             (run.out_dir / f"overlay_{blow_id}.svg").write_text(overlay_svg(overlay, vf))
-    config = {"id": args.id, "svg": args.svg, **_smoother_record(run.smoother)}
-    _manifest(run.out_dir, "explain", config, {"overlays": len(run.ids)})
-    _summary({"command": "explain", "out_dir": str(run.out_dir), "overlays": len(run.ids)})
-    return 0
+    return _finish(args, {"overlays": len(run.ids)}, run.smoother, overlays=len(run.ids))
 
 
 def cmd_predict(args):
@@ -463,7 +436,7 @@ def cmd_predict(args):
     p_hats = model.predict_proba(run.series)
     risks, _ = fuse_and_score(p_hats, demos, fusion, encoder)
     negative = [i for i, p_hat in enumerate(p_hats) if p_hat <= args.threshold]
-    profiles = [concavity_features(vf_curves[i]) for i in negative]
+    profiles = _profiles([ids[i] for i in negative], [vf_curves[i] for i in negative])
     rows = future_feature_vector(risks[negative], profiles, [demos[i] for i in negative], encoder)
     horizon_rows = dict(zip(negative, rows))
     with open(out_dir / "predictions.jsonl", "w") as fh:
@@ -481,10 +454,7 @@ def cmd_predict(args):
                     "features_used": list(map(float, vec)),
                 }
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-    config = {"threshold": args.threshold, **_smoother_record(run.smoother)}
-    _manifest(out_dir, "predict", config, {"records": len(ids)})
-    _summary({"command": "predict", "out_dir": str(out_dir), "records": len(ids)})
-    return 0
+    return _finish(args, {"records": len(ids)}, run.smoother, records=len(ids))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ suppress sampling jitter before differentiation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np

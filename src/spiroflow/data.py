@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import DemographicRecord, SEX_CODES, SMOKING_CODES
+from .attention import DemographicRecord, SEX_CODES
 from .curves import DEFAULT_DT, TimeVolumeCurve
-from .errors import InvalidSpec, ParseError, ValidationError
+from .errors import InvalidCurve, InvalidSpec, ParseError, ValidationError
 from .horizon import HORIZON_ORDER, HorizonLabel
 
 
@@ -181,26 +181,35 @@ def generate_synthetic_cohort(spec: CohortSpec) -> list[CohortRecord]:
 
 
 def load_time_volume_csv(path) -> list[tuple[str, TimeVolumeCurve]]:
-    """Parse blow rows 'id, ml, ml, ...' into liter curves; an id may not repeat."""
+    """Parse blow rows 'id, ml, ml, ...' into liter curves; an id may not repeat.
+
+    A short row, a cell that is not a number, a repeated id or a negative or
+    non-finite volume raises naming the file, the row and the id.
+    """
     out = []
     seen = set()
+    name = Path(path).name
     with open(path, newline="") as fh:
         for row_no, row in enumerate(csv.reader(fh), start=1):
             if not row or all(not cell.strip() for cell in row):
                 continue
-            if len(row) < 3:
-                raise ParseError(f"row {row_no}: need an id and at least two samples")
             blow_id = row[0].strip()
+            where = f"{name} row {row_no} (id {blow_id!r})"
+            if len(row) < 3:
+                raise ParseError(f"{where}: need an id and at least two samples")
             if blow_id in seen:
-                raise ValidationError(f"{Path(path).name} row {row_no} (id {blow_id!r}): duplicate id")
+                raise ValidationError(f"{where}: duplicate id")
             seen.add(blow_id)
             try:
                 ml = np.array([float(cell) for cell in row[1:]], dtype=float)
             except ValueError as exc:
-                raise ParseError(f"row {row_no}: {exc}") from exc
+                raise ParseError(f"{where}: {exc}") from None
             if np.any(ml < 0):
-                raise ValidationError(f"row {row_no}: negative volume")
-            out.append((blow_id, TimeVolumeCurve(ml / 1000.0)))
+                raise ValidationError(f"{where}: negative volume")
+            try:
+                out.append((blow_id, TimeVolumeCurve(ml / 1000.0)))
+            except InvalidCurve as exc:
+                raise InvalidCurve(f"{where}: {exc}") from None
     return out
 
 

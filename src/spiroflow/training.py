@@ -80,14 +80,16 @@ def json_object(blob: dict, key: str) -> dict:
 
 
 def exact_array(blob: dict, name: str, shape: tuple) -> np.ndarray:
-    """blob[name] as a float array of exactly this shape; InvalidParams
-    naming the array otherwise."""
+    """blob[name] as a finite float array of exactly this shape;
+    InvalidParams naming the array otherwise."""
     try:
         value = np.array(blob[name], dtype=float)
     except (TypeError, ValueError):
         raise InvalidParams(f"array {name!r} is not numeric") from None
     if value.shape != shape:
         raise InvalidParams(f"array {name!r} has shape {value.shape}, expected {shape}")
+    if not np.all(np.isfinite(value)):
+        raise InvalidParams(f"array {name!r} has non-finite values")
     return value
 
 

@@ -76,11 +76,12 @@ class TestSynth:
     def test_outputs_and_manifest(self, tmp_path):
         out = tmp_path / "cohort"
         assert _run("synth", "--out-dir", str(out), "--n", "12", "--seed", "0") == 0
-        for name in ("curves.csv", "demographics.csv", "labels.csv", "cohort_manifest.json"):
-            assert (out / name).exists(), name
-        manifest = json.loads((out / "cohort_manifest.json").read_text())
-        assert manifest["counts"]["total"] == 12
-        assert manifest["seed"] == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "curves.csv", "demographics.csv", "labels.csv", "manifest_synth.json"
+        ]
+        manifest = json.loads((out / "manifest_synth.json").read_text())
+        assert manifest["counts"] == {"total": 12, "copd": 10, "n_per_class": 2}
+        assert manifest["config"]["seed"] == 0
 
     def test_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -442,6 +443,43 @@ class TestCheckpointSmoother:
             assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err, (command, flag)
 
 
+class TestManifests:
+    def test_config_is_every_parsed_flag_but_the_paths(self, pipeline, tmp_path):
+        # each stage's manifest records all it parsed, so two runs that differ
+        # in any flag differ in their manifests; the model stages add the
+        # smoother of the checkpoint they loaded
+        from spiroflow.cli import build_parser
+
+        _, cohort, _ = pipeline
+        models = tmp_path / "models"
+        reads = ("--cohort", str(cohort))
+        loads = (*reads, "--models", str(models))
+        detect = ("--window", "3", "--sigma", "1.5", "--epochs", "1", "--lr", "0.1", "--batch-size", "9")
+        detect += ("--k", "16", "--hidden", "8", "--channels", "4", "--seed", "2")
+        stages = [
+            ("synth", tmp_path / "cohort", ("--n", "24", "--noise", "0.2", "--seed", "3")),
+            ("smooth", tmp_path / "smooth", (*reads, "--window", "4", "--sigma", "1.5")),
+            ("featurize", tmp_path / "featurize", (*reads, "--window", "2", "--sigma", "2.5")),
+            ("train-detect", models, (*reads, *detect)),
+            ("train-horizon", models, (*loads, "--batch-size", "7", "--epochs", "2", "--lr", "0.2", "--seed", "4")),
+            ("evaluate", tmp_path / "evaluate", (*loads, "--subgroup", "sex", "--threshold", "0.4")),
+            ("explain", tmp_path / "explain", (*loads, "--id", "NON_COPD_0000", "--svg")),
+            ("predict", tmp_path / "predict", (*loads, "--threshold", "0.9")),
+        ]
+        for command, out, flags in stages:
+            argv = [command, "--out-dir", str(out), *flags]
+            assert _run(*argv) == 0, command
+            parsed = vars(build_parser().parse_args(argv))
+            expected = {k: v for k, v in parsed.items() if k not in ("func", "command", "out_dir", "cohort", "models")}
+            if "--models" in flags:
+                expected.update(window=3, sigma=1.5)
+            manifest = json.loads((out / f"manifest_{command.replace('-', '_')}.json").read_text())
+            assert manifest["command"] == command
+            assert manifest["config"] == expected, command
+        horizon = json.loads((models / "manifest_train_horizon.json").read_text())
+        assert horizon["config"]["batch_size"] == 7
+
+
 class TestBlasThreads:
     @staticmethod
     def _cli(threads, *argv):
@@ -509,7 +547,11 @@ class TestErrors:
         demographics = "id,sex,age,smoking,fev1_fvc_ratio\na,male,60,never,0.7\n"
         labels = "id,copd,horizon\na,0,NON_COPD\n"
         cases = {
-            "negative-volume": ("a,0,-100,200\n", demographics, labels, "ValidationError", ["row 1"]),
+            "negative-volume": ("a,0,-100,200\n", demographics, labels, "ValidationError", ["curves.csv row 1", "'a'"]),
+            "nan-volume": ("a,0,nan,200\n", demographics, labels, "InvalidCurve", ["curves.csv row 1", "'a'"]),
+            "inf-volume": ("a,0,100,inf\n", demographics, labels, "InvalidCurve", ["curves.csv row 1", "'a'"]),
+            "non-numeric-volume": ("a,0,lots,200\n", demographics, labels, "ParseError", ["curves.csv row 1", "'a'"]),
+            "short-row": ("a,0\n", demographics, labels, "ParseError", ["curves.csv row 1", "'a'"]),
             "id-missing-from-demographics": (
                 curves, demographics.replace("a,", "b,"), labels, "ValidationError", ["demographics.csv", "'a'"]
             ),
@@ -660,6 +702,11 @@ class TestErrors:
                         "InvalidParams",
                         ["fusion_model.json", "'age_std'"],
                     ),
+                    "nan-weight": (
+                        _json_edit(lambda b: b["model"]["weights"][1].__setitem__(0, float("nan"))),
+                        "InvalidParams",
+                        ["fusion_model.json", "'weights'"],
+                    ),
                 },
             ),
             (
@@ -684,6 +731,11 @@ class TestErrors:
                         ),
                         "InvalidParams",
                         ["horizon_model.json", "'classes'"],
+                    ),
+                    "infinite-bias": (
+                        _json_edit(lambda b: b["model"]["bias"].__setitem__(0, float("inf"))),
+                        "InvalidParams",
+                        ["horizon_model.json", "'bias'"],
                     ),
                 },
             ),
@@ -725,3 +777,31 @@ class TestErrors:
         assert payload["error"] == "NonMonotonicVolume"
         assert "'b'" in payload["message"]
         assert "'a'" not in payload["message"] and "'c'" not in payload["message"]
+
+    def test_concavity_error_names_its_record(self, pipeline, tmp_path, capsys):
+        # a blow whose peak flow comes after 25% of FVC has no PEF-FEF25
+        # phase; every stage that measures concavity names the record
+        _, cohort, models = pipeline
+        t = np.arange(0.0, 3.0, 0.01)
+        flow = np.where(t < 0.8, 0.5 + 5.5 * t / 0.8, 6.0 * np.exp(-(t - 0.8) / 0.3))
+        ml = np.concatenate([[0.0], np.cumsum(flow * 10.0)])
+        late = tmp_path / "late"
+        late.mkdir()
+        rows = {
+            "curves.csv": "late_peak," + ",".join(repr(v) for v in ml.tolist()) + "\n",
+            "demographics.csv": "late_peak,male,60,never,0.7\n",
+            "labels.csv": "late_peak,0,NON_COPD\n",
+        }
+        for name, row in rows.items():
+            (late / name).write_text((cohort / name).read_text() + row)
+        stages = [
+            ("featurize", []),
+            ("train-horizon", ["--models", str(models)]),
+            ("predict", ["--models", str(models), "--threshold", "1.0"]),
+        ]
+        for command, extra in stages:
+            code = _run(command, "--out-dir", str(tmp_path / command), "--cohort", str(late), *extra)
+            assert code == 1, command
+            payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert payload["error"] == "EmptyPhase", command
+            assert payload["message"].startswith("curves.csv id 'late_peak': "), (command, payload["message"])
