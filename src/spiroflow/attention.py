@@ -97,8 +97,8 @@ class DemographicRecord:
             raise InvalidParams(f"unknown sex code {self.sex!r}")
         if self.smoking not in SMOKING_CODES:
             raise InvalidParams(f"unknown smoking code {self.smoking!r}")
-        if not self.age > 0:
-            raise InvalidParams("age must be positive")
+        if not 0 < self.age < math.inf:
+            raise InvalidParams(f"age must be positive and finite, not {self.age!r}")
         if not (0.0 < self.fev1_fvc_ratio <= 1.0):
             raise InvalidParams("FEV1/FVC ratio must be in (0, 1]")
 

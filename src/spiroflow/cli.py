@@ -301,12 +301,12 @@ def cmd_train_detect(args):
         DetectionConfig(patch_len=args.k, channels=args.channels, hidden=args.hidden, seed=args.seed)
     )
     cfg = TrainConfig(lr=args.lr, epochs=args.epochs, batch_size=args.batch_size, seed=args.seed)
-    trace = model.train([series[i] for i in train_idx], copd[train_idx], cfg)
+    trace, p_train = model.train([series[i] for i in train_idx], copd[train_idx], cfg)
 
-    # fusion model on top of the detector's probabilities, train split only
+    # fusion model on the trained detector's probabilities (its last loss
+    # pass), train split only
     train_demos = [demos[i] for i in train_idx]
     encoder = DemographicEncoder().fit(train_demos)
-    p_train = model.predict_proba([series[i] for i in train_idx])
     fusion = train_logistic(fusion_features(p_train, train_demos, encoder), copd[train_idx], cfg)
 
     checkpoint = model.to_dict()

@@ -5,6 +5,7 @@ finite differences in the tests) that `training.sgd` trains on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -36,6 +37,7 @@ from .errors import InvalidArgument
 from .training import TrainConfig, exact_array, json_object, mean_cross_entropy, sgd
 
 FLOW_SCALE = 10.0  # liters/second; keeps tanh inputs in a sane range
+RECORD_BLOCK = 128  # records per forward-only block; a multiple of BLAS's row tiles
 
 
 @dataclass
@@ -87,20 +89,43 @@ class DetectionModel:
         lengths = np.array([p.s for p in plans], dtype=np.int64)
         return patches, lengths, plans
 
-    def _forward(self, series_list, keep_cache: bool = False):
-        """One batched pass; cache is None unless keep_cache (backward follows)."""
+    def _pool(self, series_list, keep_cache: bool = False, width: int | None = None):
+        """Conv, LSTM and attention over one batch padded to width patches
+        (default: the widest series'): (pooled (N, 2H), weights, plans,
+        cache); cache is None unless keep_cache (backward follows)."""
         patches, lengths, plans = self._prepare(series_list)
         feats, conv_cache = conv_embed_forward(patches, self.conv, keep_cache)
-        block, mask = pad_rows(feats, lengths)
+        block, mask = pad_rows(feats, lengths, width)
         contexts, lstm_cache = bilstm_forward_padded(block, lengths, self.lstm, keep_cache)
         weights, pooled, _, attn_cache = attention_forward_padded(contexts, mask, self.attn)
-        probs, _ = head_forward(pooled, self.head)
-        cache = (conv_cache, mask, lstm_cache, attn_cache, pooled) if keep_cache else None
-        return probs, weights, plans, cache
+        cache = (conv_cache, mask, lstm_cache, attn_cache) if keep_cache else None
+        return pooled, weights, plans, cache
+
+    def _infer(self, series_list):
+        """The one forward-only pass: (probs (N, 2), attention weights (N, S), plans).
+
+        Conv, LSTM and attention run blocks of RECORD_BLOCK records, the
+        last block also taking the remainder, so the padded arrays hold
+        fewer than 2 * RECORD_BLOCK records; the head then runs once over
+        every block's pooled contexts.  This gives the bits of one
+        whole-batch pass:
+        - each block is padded to the batch's widest series, because the
+          attention softmax and pooling sum over the padded patch axis and
+          round by its width;
+        - no block is a short tail and the head sees every row at once,
+          because BLAS multiplies a few rows with other kernels than many,
+          which round differently.
+        """
+        n, width = len(series_list), math.ceil(max(map(len, series_list)) / self.config.patch_len)
+        bounds = [0, *range(RECORD_BLOCK, n - RECORD_BLOCK + 1, RECORD_BLOCK), n]
+        blocks = [self._pool(series_list[lo:hi], width=width) for lo, hi in zip(bounds, bounds[1:])]
+        probs, _ = head_forward(np.concatenate([b[0] for b in blocks]), self.head)
+        weights = np.concatenate([b[1] for b in blocks])
+        return probs, weights, [plan for b in blocks for plan in b[2]]
 
     def predict_proba(self, series_list) -> np.ndarray:
         """P(disease) per sample."""
-        probs, _, _, _ = self._forward(series_list)
+        probs, _, _ = self._infer(series_list)
         return probs[:, 1]
 
     def explain(self, series_list):
@@ -109,19 +134,15 @@ class DetectionModel:
         Row i belongs to series i; its first plans[i].s weights are valid
         and sum to 1, the rest are 0.
         """
-        probs, weights, plans, _ = self._forward(series_list)
+        probs, weights, plans = self._infer(series_list)
         return probs[:, 1], weights, plans
-
-    def loss(self, series_list, labels) -> float:
-        """Mean cross-entropy from a forward pass only."""
-        probs, _, _, _ = self._forward(series_list)
-        return mean_cross_entropy(probs, np.asarray(labels, dtype=np.int64))
 
     def loss_and_grads(self, series_list, labels):
         """Mean cross-entropy and gradients for every parameter."""
         labels = np.asarray(labels, dtype=np.int64)
-        probs, _, _, cache = self._forward(series_list, keep_cache=True)
-        conv_cache, mask, lstm_cache, attn_cache, pooled = cache
+        pooled, _, _, cache = self._pool(series_list, keep_cache=True)
+        conv_cache, mask, lstm_cache, attn_cache = cache
+        probs, _ = head_forward(pooled, self.head)
         n = labels.size
         loss = mean_cross_entropy(probs, labels)
         dlogits = probs.copy()
@@ -139,16 +160,26 @@ class DetectionModel:
     # -- training -----------------------------------------------------------
 
     def train(self, series_list, labels, cfg: TrainConfig):
-        """Fit every parameter by `sgd`; returns the epoch loss trace."""
+        """Fit every parameter by `sgd`; returns the epoch loss trace and
+        P(disease) per sample from the last loss pass, which is the trained
+        model's."""
         labels = np.asarray(labels, dtype=np.int64)
         if len(series_list) != labels.size:
             raise InvalidArgument("series and labels must be aligned")
+        p_hat = None
 
         def batch_grads(batch):
             _, grads = self.loss_and_grads([series_list[i] for i in batch], labels[batch])
             return grads
 
-        return sgd(self.params(), batch_grads, lambda: self.loss(series_list, labels), labels.size, cfg)
+        def full_loss():
+            nonlocal p_hat
+            probs, _, _ = self._infer(series_list)
+            p_hat = probs[:, 1]
+            return mean_cross_entropy(probs, labels)
+
+        trace = sgd(self.params(), batch_grads, full_loss, labels.size, cfg)
+        return trace, p_hat
 
     # -- checkpointing ------------------------------------------------------
 

@@ -240,15 +240,17 @@ def patchify(series: np.ndarray, plan: PatchPlan) -> np.ndarray:
 # padding
 
 
-def pad_rows(rows: np.ndarray, lengths: np.ndarray):
-    """Scatter packed rows (sum(lengths), C) into a zero (N, max(lengths), C) block.
+def pad_rows(rows: np.ndarray, lengths: np.ndarray, width: int | None = None):
+    """Scatter packed rows (sum(lengths), C) into a zero (N, width, C) block.
 
-    Row i of the block holds sample i's lengths[i] rows, in order, then
-    zeros.  Returns (block, mask): mask is the (N, max(lengths)) boolean
-    prefix mask of valid slots, so block[mask] packs the block back into
-    rows, and a gradient with respect to the block packs the same way.
+    width defaults to max(lengths); a wider one adds padded slots, and a
+    narrower one raises ValueError.  Row i of the block holds sample i's
+    lengths[i] rows, in order, then zeros.  Returns (block, mask): mask is
+    the (N, width) boolean prefix mask of valid slots, so block[mask] packs
+    the block back into rows, and a gradient with respect to the block
+    packs the same way.
     """
-    mask = np.arange(int(lengths.max())) < lengths[:, None]
+    mask = np.arange(int(lengths.max()) if width is None else width) < lengths[:, None]
     block = np.zeros(mask.shape + rows.shape[1:])
     block[mask] = rows
     return block, mask

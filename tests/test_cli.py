@@ -184,6 +184,27 @@ class TestTrainAndEvaluate:
         assert len(smoothed[0]) == len(test_ids)
         assert all(np.array_equal(c.samples, by_id[i].samples) for c, i in zip(smoothed[0], test_ids))
 
+    def test_train_detect_fits_fusion_on_its_last_loss_pass(self, pipeline, tmp_path, monkeypatch):
+        # one forward-only pass over the train split per parameter state, and no other inference pass
+        from spiroflow.detection import DetectionModel
+
+        _, cohort, _ = pipeline
+        passes, predicts = [], []
+        infer = DetectionModel._infer
+
+        def counting_infer(self, series_list):
+            passes.append(len(series_list))
+            return infer(self, series_list)
+
+        monkeypatch.setattr(DetectionModel, "_infer", counting_infer)
+        monkeypatch.setattr(DetectionModel, "predict_proba", lambda self, series_list: predicts.append(1))
+        out = tmp_path / "models"
+        epochs = 2
+        assert _run("train-detect", "--out-dir", str(out), "--cohort", str(cohort), "--epochs", str(epochs)) == 0
+        n_train = json.loads((out / "manifest_train_detect.json").read_text())["counts"]["train"]
+        assert predicts == []
+        assert passes == [n_train] * (epochs + 1)
+
     def test_subgroup_flag(self, pipeline, tmp_path):
         _, cohort, models = pipeline
         out = tmp_path / "eval_sub"
@@ -560,6 +581,9 @@ class TestErrors:
             ),
             "non-numeric-age": (
                 curves, demographics.replace("60", "sixty"), labels, "ParseError", ["demographics.csv row 2", "'a'"]
+            ),
+            "infinite-age": (
+                curves, demographics.replace("60", "inf"), labels, "ParseError", ["demographics.csv row 2", "'a'"]
             ),
             "unknown-horizon": (
                 curves, demographics, labels.replace("NON_COPD", "SOON"), "ParseError", ["labels.csv row 2", "'a'"]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from spiroflow import encoder
+from spiroflow import detection, encoder
 from spiroflow.detection import DetectionConfig, DetectionModel
 from spiroflow.encoder import (
     BiLstmParams,
@@ -215,21 +215,23 @@ def test_sigmoid_matches_masked_reference_bit_for_bit():
 
 class TestForwardOnlyLoss:
     def test_equals_loss_and_grads_bit_for_bit(self, small_cohort_series):
+        # the loss train logs before its first epoch is the forward-only pass
         series = [s for s, _, _, _ in small_cohort_series]
         labels = np.array([y for _, _, y, _ in small_cohort_series])
         model = DetectionModel(DetectionConfig(seed=3))
-        assert model.loss(series, labels) == model.loss_and_grads(series, labels)[0]
-        assert model.loss(series[:3], labels[:3]) == model.loss_and_grads(series[:3], labels[:3])[0]
+        for n in (len(series), 3):
+            trace, _ = model.train(series[:n], labels[:n], TrainConfig(epochs=0))
+            assert trace == [model.loss_and_grads(series[:n], labels[:n])[0]]
 
 
 class TestCacheFreeForward:
     def test_matches_caching_pass_bit_for_bit(self, small_cohort_series):
         series = [s for s, _, _, _ in small_cohort_series]
         model = DetectionModel(DetectionConfig(seed=4))
-        probs, weights, plans, cache = model._forward(series)
-        probs_c, weights_c, plans_c, cache_c = model._forward(series, keep_cache=True)
+        pooled, weights, plans, cache = model._pool(series)
+        pooled_c, weights_c, plans_c, cache_c = model._pool(series, keep_cache=True)
         assert cache is None and cache_c is not None
-        assert np.array_equal(probs, probs_c)
+        assert np.array_equal(pooled, pooled_c)
         assert np.array_equal(weights, weights_c)
         assert plans == plans_c
 
@@ -242,6 +244,32 @@ class TestCacheFreeForward:
         for row, plan in zip(weights, plans):
             assert row[: plan.s].sum() == pytest.approx(1.0)
             assert np.all(row[plan.s :] == 0.0)
+
+    def test_record_blocks_match_one_whole_batch_pass_bit_for_bit(self, monkeypatch):
+        # 700 mixed-length records in blocks of RECORD_BLOCK, the last block
+        # taking the remainder and the longest record, against one block
+        rng = np.random.default_rng(18)
+        lengths = rng.integers(5, 60, size=700)
+        lengths[-2] = 300
+        series = [np.cumsum(rng.uniform(0.0, 0.5, size=m)) for m in lengths]
+        model = DetectionModel(DetectionConfig(patch_len=8, seed=7))
+        blocks = []
+        pool = model._pool
+        monkeypatch.setattr(model, "_pool", lambda *a, **kw: blocks.append(len(a[0])) or pool(*a, **kw))
+        p_hat, weights, plans = model.explain(series)
+        step = detection.RECORD_BLOCK
+        n_blocks = 700 // step
+        assert n_blocks >= 3 and blocks == [step] * (n_blocks - 1) + [700 - step * (n_blocks - 1)]
+        blocks.clear()
+        monkeypatch.setattr(detection, "RECORD_BLOCK", 700)
+        p_whole, whole, whole_plans = model.explain(series)
+        assert blocks == [700]
+        assert np.array_equal(p_hat, p_whole)
+        assert np.array_equal(weights, whole)
+        assert plans == whole_plans
+        for row, plan in zip(weights, plans):
+            assert np.all(row[plan.s :] == 0.0)
+        assert np.array_equal(model.predict_proba(series), p_hat)
 
     def test_blocked_conv_matches_whole_batch_bit_for_bit(self, monkeypatch):
         # seven patches in blocks of two: three full blocks and a partial one
@@ -330,6 +358,18 @@ class TestMaskAndPack:
             rebuilt, rebuilt_mask = pad_rows(block[mask], lengths)
             assert np.array_equal(rebuilt, block)
             assert np.array_equal(rebuilt_mask, mask)
+
+    def test_explicit_width_adds_padded_slots(self):
+        rng = np.random.default_rng(6)
+        feats, lengths = self._random_cohort(rng, 5, 4)
+        rows = np.concatenate(feats)
+        block, mask = pad_rows(rows, lengths)
+        wide, wide_mask = pad_rows(rows, lengths, lengths.max() + 3)
+        assert wide.shape == (5, lengths.max() + 3, 3) and not np.any(wide_mask[:, lengths.max() :])
+        assert np.array_equal(wide[:, : lengths.max()], block) and np.all(wide[:, lengths.max() :] == 0.0)
+        assert np.array_equal(wide[wide_mask], rows)
+        with pytest.raises(ValueError):
+            pad_rows(rows, lengths, lengths.max() - 1)
 
     def test_shape_mismatch_rejected(self):
         # three rows for a sample of two patches

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from spiroflow.attention import head_forward
 from spiroflow.detection import DetectionConfig, DetectionModel
 from spiroflow.errors import DegenerateLabels, InvalidArgument, InvalidLoss, NotTrained
 from spiroflow.training import (
@@ -157,7 +158,7 @@ def _reference_detection(model, series, labels, cfg):
     n = labels.size
 
     def loss():
-        probs, _, _, _ = model._forward(series)
+        probs, _ = head_forward(model._pool(series)[0], model.head)  # one whole-batch pass
         return float(-np.log(np.clip(probs[np.arange(n), labels], PROB_CLAMP, None)).mean())
 
     rng = np.random.default_rng(cfg.seed)
@@ -209,12 +210,14 @@ class TestSgdMatchesReference:
         config = DetectionConfig(patch_len=4, channels=3, hidden=3, conv_kernel=3, seed=2)
         cfg = TrainConfig(lr=0.5, epochs=epochs, batch_size=batch_size, seed=5)
         model, reference = DetectionModel(config), DetectionModel(config)
-        trace = model.train(series, labels, cfg)
+        trace, p_hat = model.train(series, labels, cfg)
         expected = _reference_detection(reference, series, labels, cfg)
         assert _bits(trace) == _bits(expected)
         assert len(trace) == epochs + 1
         for name, value in reference.params().items():
             assert _bits(model.params()[name]) == _bits(value), name
+        # the last loss pass's P(disease) is the trained model's
+        assert _bits(p_hat) == _bits(model.predict_proba(series))
 
 
 class TestTrainConfig:
