@@ -19,7 +19,7 @@ import numpy as np
 
 from .curves import VolumeFlowCurve
 from .encoder import PatchPlan, _check_finite, _sigmoid
-from .errors import EmptySequence, InvalidParams, NotTrained, PlanViolation
+from .errors import EmptySequence, InvalidParams, PlanViolation
 from .training import softmax_rows
 
 MASKED_SCORE = -1e300  # stands in for -inf so masked patches claim no mass
@@ -120,19 +120,16 @@ FUSION_FEATURE_NAMES = ("detection_probability",) + STRUCT_FEATURE_NAMES
 class DemographicEncoder:
     """One-hot categoricals plus age standardized by training-set statistics."""
 
-    age_mean: float | None = None
-    age_std: float | None = None
+    age_mean: float
+    age_std: float
 
-    def fit(self, records: list[DemographicRecord]) -> "DemographicEncoder":
+    @classmethod
+    def fit(cls, records: list[DemographicRecord]) -> "DemographicEncoder":
         ages = np.array([r.age for r in records], dtype=float)
-        self.age_mean = float(ages.mean())
-        self.age_std = float(ages.std()) or 1.0
-        return self
+        return cls(age_mean=float(ages.mean()), age_std=float(ages.std()) or 1.0)
 
     def transform(self, records: list[DemographicRecord]) -> np.ndarray:
         """(N, 7) block in STRUCT_FEATURE_NAMES order, one row per record."""
-        if self.age_mean is None:
-            raise NotTrained("demographic encoder has not been fitted")
         rows = [
             [r.sex == c for c in SEX_CODES]
             + [r.smoking == c for c in SMOKING_CODES]

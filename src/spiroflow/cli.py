@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,8 +32,7 @@ from .curves import SmootherConfig, differentiate_flow, gaussian_smooth, volume_
 from .data import CohortSpec, generate_synthetic_cohort, load_time_volume_csv, write_time_volume_csv
 from .detection import DetectionConfig, DetectionModel
 from .errors import InvalidArgument, InvalidParams, ParseError, SpiroError, ValidationError
-from .horizon import FUTURE_FEATURE_NAMES, HORIZON_ORDER, HorizonLabel
-from .horizon import future_feature_vector, predict_future_risk, top_horizon
+from .horizon import FUTURE_FEATURE_NAMES, HORIZON_ORDER, HorizonLabel, future_feature_vector, predict_future_risk
 from .metrics import metrics_report, subgroup_reports
 from .phases import concavity_features
 from .training import LogisticModel, TrainConfig, json_object, train_logistic, write_training_log
@@ -306,8 +306,8 @@ def cmd_train_detect(args):
     # fusion model on the trained detector's probabilities (its last loss
     # pass), train split only
     train_demos = [demos[i] for i in train_idx]
-    encoder = DemographicEncoder().fit(train_demos)
-    fusion = train_logistic(fusion_features(p_train, train_demos, encoder), copd[train_idx], cfg)
+    encoder = DemographicEncoder.fit(train_demos)
+    fusion, _ = train_logistic(fusion_features(p_train, train_demos, encoder), copd[train_idx], cfg)
 
     checkpoint = model.to_dict()
     checkpoint.update(
@@ -383,13 +383,13 @@ def cmd_train_horizon(args):
     features = future_feature_vector(risks, profiles, run.demos, encoder)
     labels = np.array([h.value for h in run.horizons])
     cfg = TrainConfig(lr=args.lr, epochs=args.epochs, batch_size=args.batch_size, seed=args.seed)
-    horizon_model = train_logistic(features, labels, cfg)
+    horizon_model, trace = train_logistic(features, labels, cfg)
     _write_json(
         run.out_dir / "horizon_model.json",
         {"format_version": FORMAT_VERSION, "kind": "horizon", "model": horizon_model.to_dict()},
     )
-    write_training_log(run.out_dir / "train_horizon_log.jsonl", horizon_model.loss_trace, args.seed)
-    return _finish(args, {"records": len(run.ids)}, run.smoother, final_loss=horizon_model.loss_trace[-1])
+    write_training_log(run.out_dir / "train_horizon_log.jsonl", trace, args.seed)
+    return _finish(args, {"records": len(run.ids)}, run.smoother, final_loss=trace[-1])
 
 
 def cmd_evaluate(args):
@@ -427,31 +427,31 @@ def cmd_predict(args):
     run = _start(args, models=True)
     out_dir, ids, vf_curves, demos = run.out_dir, run.ids, run.vf_curves, run.demos
     model, fusion, encoder, _ = run.models
+    labels = tuple(h.value for h in HORIZON_ORDER)
     horizon_model = _read_model(
         Path(args.models) / "horizon_model.json",
-        lambda blob: LogisticModel.from_dict(
-            json_object(blob, "model"), len(FUTURE_FEATURE_NAMES), tuple(h.value for h in HORIZON_ORDER)
-        ),
+        lambda blob: LogisticModel.from_dict(json_object(blob, "model"), len(FUTURE_FEATURE_NAMES), labels),
     )
     p_hats = model.predict_proba(run.series)
     risks, _ = fuse_and_score(p_hats, demos, fusion, encoder)
     negative = [i for i, p_hat in enumerate(p_hats) if p_hat <= args.threshold]
     profiles = _profiles([ids[i] for i in negative], [vf_curves[i] for i in negative])
     rows = future_feature_vector(risks[negative], profiles, [demos[i] for i in negative], encoder)
-    horizon_rows = dict(zip(negative, rows))
+    probs = predict_future_risk(rows, horizon_model)
+    horizon = {i: (vec, dist) for i, vec, dist in zip(negative, rows, probs)}
     with open(out_dir / "predictions.jsonl", "w") as fh:
         for i, blow_id in enumerate(ids):
             record = {"id": blow_id, "p_hat": float(p_hats[i]), "fused_risk": float(risks[i])}
-            if i not in horizon_rows:
+            if i not in horizon:
                 record["verdict"] = "copd"
             else:
                 record["verdict"] = "non_copd"
-                vec = horizon_rows[i]
-                dist = predict_future_risk(vec, horizon_model)
+                vec, dist = horizon[i]
+                # argmax takes the first of tied labels, the nearer horizon
                 record["horizon"] = {
-                    "label_probs": {k.value: v for k, v in dist.items()},
-                    "top_label": top_horizon(dist).value,
-                    "features_used": list(map(float, vec)),
+                    "label_probs": dict(zip(labels, dist.tolist())),
+                    "top_label": labels[int(np.argmax(dist))],
+                    "features_used": vec.tolist(),
                 }
             fh.write(json.dumps(record, sort_keys=True) + "\n")
     return _finish(args, {"records": len(ids)}, run.smoother, records=len(ids))
@@ -459,6 +459,14 @@ def cmd_predict(args):
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of the float flags: nan and inf are usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -472,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if smoother:
-            p.add_argument("--sigma", type=float, default=2.0)
+            p.add_argument("--sigma", type=_finite_float, default=2.0)
             p.add_argument("--window", type=int, default=5)
         if cohort:
             p.add_argument("--cohort", required=True, help="directory with cohort CSV files")
@@ -482,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a seeded synthetic cohort")
     common(p, cohort=False, seed=True)
     p.add_argument("--n", type=int, default=60, help="approximate total cohort size")
-    p.add_argument("--noise", type=float, default=0.1)
+    p.add_argument("--noise", type=_finite_float, default=0.1)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("smooth", help="write smoothed Time-Volume curves")
@@ -496,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-detect", help="train the detection stack and fusion model")
     common(p, seed=True, smoother=True)
     p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--lr", type=float, default=0.05)
+    p.add_argument("--lr", type=_finite_float, default=0.05)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--k", type=int, default=32, help="patch length in samples")
     p.add_argument("--hidden", type=int, default=32)
@@ -506,13 +514,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-horizon", help="train the onset-horizon model")
     common(p, models=True, seed=True)
     p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--lr", type=float, default=0.1)
+    p.add_argument("--lr", type=_finite_float, default=0.1)
     p.add_argument("--batch-size", type=int, default=32)
     p.set_defaults(func=cmd_train_horizon)
 
     p = sub.add_parser("evaluate", help="metrics on the held-out split")
     common(p, models=True)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=_finite_float, default=0.5)
     p.add_argument("--subgroup", choices=["sex", "smoke", "age"], default=None)
     p.set_defaults(func=cmd_evaluate)
 
@@ -524,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="gated detection + horizon prediction")
     common(p, models=True)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=_finite_float, default=0.5)
     p.set_defaults(func=cmd_predict)
 
     return parser

@@ -262,12 +262,3 @@ def volume_flow_curve(vols, flows):
     pairs = _by_block(_volume_flow_block, 2, [c.samples for c in vol_batch], [c.samples for c in flow_batch])
     out = [VolumeFlowCurve(*pair) for pair in pairs]
     return out[0] if single else out
-
-
-def resample_on_volume_grid(curve: VolumeFlowCurve, n_points: int) -> VolumeFlowCurve:
-    """Linearly resample flow onto a uniform volume grid; endpoints exact."""
-    if n_points < 2:
-        raise InvalidArgument("n_points must be >= 2")
-    grid = np.linspace(curve.volumes[0], curve.volumes[-1], n_points)
-    flows = np.interp(grid, curve.volumes, curve.flows)
-    return VolumeFlowCurve(grid, flows)

@@ -48,10 +48,6 @@ class EmptySequence(SpiroError):
     pass
 
 
-class NotTrained(SpiroError):
-    pass
-
-
 class DegenerateLabels(SpiroError):
     pass
 
@@ -61,10 +57,6 @@ class InvalidLoss(SpiroError):
 
 
 class UndefinedMetric(SpiroError):
-    pass
-
-
-class EmptyGroup(SpiroError):
     pass
 
 

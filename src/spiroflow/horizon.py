@@ -13,7 +13,7 @@ from enum import Enum
 import numpy as np
 
 from .attention import DemographicEncoder, DemographicRecord, STRUCT_FEATURE_NAMES
-from .errors import InvalidArgument, NotTrained
+from .errors import InvalidArgument
 from .phases import ConcavityProfile
 from .training import LogisticModel
 
@@ -27,14 +27,7 @@ class HorizonLabel(str, Enum):
     NON_COPD = "NON_COPD"
 
 
-HORIZON_ORDER = [
-    HorizonLabel.WITHIN_1Y,
-    HorizonLabel.WITHIN_2Y,
-    HorizonLabel.WITHIN_3Y,
-    HorizonLabel.WITHIN_4Y,
-    HorizonLabel.YEAR_5_PLUS,
-    HorizonLabel.NON_COPD,
-]
+HORIZON_ORDER = list(HorizonLabel)
 
 FUTURE_FEATURE_NAMES = (
     "fused_risk",
@@ -61,18 +54,11 @@ def future_feature_vector(
     return vecs
 
 
-def predict_future_risk(vec: np.ndarray, model: LogisticModel) -> dict[HorizonLabel, float]:
-    """Distribution over the six onset horizons."""
-    if not model.fitted:
-        raise NotTrained("horizon model has not been trained")
-    probs = model.predict_proba(np.asarray(vec, dtype=float)[None])[0]
-    out = {}
-    for cls, p in zip(model.classes, probs):
-        out[HorizonLabel(str(cls))] = float(p)
-    for label in HORIZON_ORDER:
-        out.setdefault(label, 0.0)
+def predict_future_risk(rows: np.ndarray, model: LogisticModel) -> np.ndarray:
+    """(N, 6) onset-horizon probabilities of the (N, 13) block, columns in
+    HORIZON_ORDER order, from one predict_proba call; a class the model
+    never saw is a column of 0.0."""
+    probs = model.predict_proba(rows)
+    out = np.zeros((probs.shape[0], len(HORIZON_ORDER)))
+    out[:, [HORIZON_ORDER.index(HorizonLabel(c)) for c in model.classes]] = probs
     return out
-
-
-def top_horizon(dist: dict[HorizonLabel, float]) -> HorizonLabel:
-    return max(HORIZON_ORDER, key=lambda label: dist.get(label, 0.0))

@@ -1,4 +1,4 @@
-"""Ranking metrics, subgroup slicing and group medoid extraction.
+"""Ranking metrics and subgroup slicing.
 
 AUROC is the trapezoidal area of the (FPR, TPR) staircase with tied scores
 grouped into single threshold steps, which makes it exactly the tie-aware
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyGroup, UndefinedMetric
+from .errors import UndefinedMetric
 
 YOUTH_MAX_AGE = 45  # Youth 18-44, Middle 45-54, Elderly 55+
 MIDDLE_MAX_AGE = 55
@@ -125,24 +125,4 @@ def subgroup_reports(scores, labels, demos, by: str, threshold: float = 0.5) -> 
             continue
         report["subgroup"] = {"by": by, "value": key}
         out[key] = report
-    return out
-
-
-def group_medoid(curve_matrix: np.ndarray, groups) -> dict:
-    """Per group, the row minimizing summed L1 distance to the group's rows.
-
-    curve_matrix rows are flow values resampled on a shared volume grid.
-    Ties break to the lowest row index.  Returns group -> row index.
-    """
-    curve_matrix = np.asarray(curve_matrix, dtype=float)
-    groups = np.asarray(groups)
-    out = {}
-    for g in sorted(set(groups.tolist())):
-        idx = np.where(groups == g)[0]
-        if idx.size == 0:
-            raise EmptyGroup(f"group {g!r} is empty")
-        rows = curve_matrix[idx]
-        dists = np.abs(rows[:, None, :] - rows[None, :, :]).sum(axis=2)
-        total = dists.sum(axis=1)
-        out[g] = int(idx[int(np.argmin(total))])
     return out

@@ -10,11 +10,12 @@ validated against central finite differences with `grad_check`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLabels, InvalidArgument, InvalidLoss, InvalidParams, NotTrained, ParseError
+from .errors import DegenerateLabels, InvalidArgument, InvalidLoss, InvalidParams, ParseError
 
 PROB_CLAMP = 1e-12
 
@@ -27,8 +28,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise InvalidArgument("learning rate must be positive")
+        if not 0 < self.lr < math.inf:
+            raise InvalidArgument(f"learning rate must be positive and finite, not {self.lr!r}")
         if self.epochs < 0:
             raise InvalidArgument("epochs must be >= 0")
         if self.batch_size < 1:
@@ -97,23 +98,13 @@ def exact_array(blob: dict, name: str, shape: tuple) -> np.ndarray:
 class LogisticModel:
     """Multinomial logistic regression; binary is the two-class case."""
 
-    weights: np.ndarray | None = None  # (K, d)
-    bias: np.ndarray | None = None  # (K,)
-    classes: np.ndarray | None = None  # original label values, sorted
-    loss_trace: list = field(default_factory=list)
-
-    @property
-    def fitted(self) -> bool:
-        return self.weights is not None
-
-    def decision(self, x: np.ndarray) -> np.ndarray:
-        if not self.fitted:
-            raise NotTrained("logistic model has not been trained")
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return x @ self.weights.T + self.bias
+    weights: np.ndarray  # (K, d)
+    bias: np.ndarray  # (K,)
+    classes: np.ndarray  # original label values, sorted
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return softmax_rows(self.decision(x))
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        return softmax_rows(x @ self.weights.T + self.bias)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         idx = np.argmax(self.predict_proba(x), axis=1)
@@ -147,8 +138,10 @@ class LogisticModel:
         )
 
 
-def train_logistic(x: np.ndarray, y, cfg: TrainConfig) -> LogisticModel:
-    """Mean cross-entropy fitted by `sgd` from zero weights."""
+def train_logistic(x: np.ndarray, y, cfg: TrainConfig) -> tuple[LogisticModel, list[float]]:
+    """Mean cross-entropy fitted by `sgd` from zero weights; returns the
+    model and its epoch loss trace.  A fit that ends with non-finite
+    weights raises InvalidLoss."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
@@ -172,7 +165,9 @@ def train_logistic(x: np.ndarray, y, cfg: TrainConfig) -> LogisticModel:
         return mean_cross_entropy(softmax_rows(x @ w.T + b), y_idx)
 
     trace = sgd({"w": w, "b": b}, batch_grads, full_loss, n, cfg)
-    return LogisticModel(weights=w, bias=b, classes=classes, loss_trace=trace)
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+        raise InvalidLoss(f"logistic fit at learning rate {cfg.lr!r} ended with non-finite weights")
+    return LogisticModel(weights=w, bias=b, classes=classes), trace
 
 
 def grad_check(loss_fn, params: dict[str, np.ndarray], eps: float = 1e-6) -> float:

@@ -23,7 +23,7 @@ from spiroflow.attention import (
 )
 from spiroflow.curves import VolumeFlowCurve
 from spiroflow.encoder import PatchPlan
-from spiroflow.errors import EmptySequence, InvalidParams, NotTrained, PlanViolation
+from spiroflow.errors import EmptySequence, InvalidParams, PlanViolation
 from spiroflow.metrics import auroc
 from spiroflow.training import TrainConfig, train_logistic
 
@@ -211,7 +211,7 @@ class TestDemographics:
             DemographicRecord("male", 62.0, "current", 0.61),
             DemographicRecord("female", 48.0, "never", 0.82),
         ]
-        enc = DemographicEncoder().fit(recs)
+        enc = DemographicEncoder.fit(recs)
         enc2 = DemographicEncoder.from_dict(enc.to_dict())
         assert np.array_equal(enc.transform(recs), enc2.transform(recs))
 
@@ -241,8 +241,9 @@ class TestDemographics:
         assert block.shape == (2, len(STRUCT_FEATURE_NAMES))
 
     def test_unfitted_rejected(self):
-        with pytest.raises(NotTrained):
-            DemographicEncoder().transform([DemographicRecord("male", 60.0, "never", 0.7)])
+        # an encoder is born fitted: there are no statistics-free encoders
+        with pytest.raises(TypeError):
+            DemographicEncoder()
 
     def test_bad_codes_rejected(self):
         with pytest.raises(InvalidParams):
@@ -269,7 +270,7 @@ class TestFusion:
             demos.append(demo)
             p_hats.append(float(np.clip(0.5 + (0.25 if y else -0.25) + 0.2 * rng.standard_normal(), 0.01, 0.99)))
         x = fusion_features(p_hats, demos, encoder)
-        model = train_logistic(x, labels, TrainConfig(lr=0.2, epochs=150, batch_size=32, seed=0))
+        model, _ = train_logistic(x, labels, TrainConfig(lr=0.2, epochs=150, batch_size=32, seed=0))
         return model, encoder, x, labels
 
     def test_contributions_are_weight_times_value(self):

@@ -339,6 +339,20 @@ class TestPredict:
                 assert sum(probs.values()) == pytest.approx(1.0, abs=1e-9)
                 assert rec["horizon"]["top_label"] in probs
                 assert len(rec["horizon"]["features_used"]) == 13
+        # a horizon model without preference ties all six labels; the nearer horizon wins
+        flat = tmp_path / "flat"
+        flat.mkdir()
+        for f in ("detect_model.json", "fusion_model.json"):
+            (flat / f).write_bytes((models / f).read_bytes())
+        blob = json.loads((models / "horizon_model.json").read_text())
+        assert len(blob["model"]["classes"]) == 6
+        blob["model"].update(weights=[[0.0] * 13] * 6, bias=[0.0] * 6)
+        (flat / "horizon_model.json").write_text(json.dumps(blob))
+        tied = tmp_path / "tied"
+        assert _run("predict", "--out-dir", str(tied), "--cohort", str(cohort), "--models", str(flat),
+                    "--threshold=1") == 0
+        lines = [json.loads(l) for l in (tied / "predictions.jsonl").read_text().splitlines()]
+        assert [rec["horizon"]["top_label"] for rec in lines] == ["WITHIN_1Y"] * 36
 
     def test_repeat_run_byte_identical(self, pipeline, tmp_path):
         _, cohort, models = pipeline
@@ -388,7 +402,7 @@ class TestBatchedFusion:
     def test_horizon_rows_equal_one_record_calls(self, pipeline, tmp_path, monkeypatch):
         import spiroflow.cli
         from spiroflow.cli import _load_cohort, _load_models, _preprocess
-        from spiroflow.horizon import future_feature_vector
+        from spiroflow.horizon import HORIZON_ORDER, future_feature_vector
         from spiroflow.phases import concavity_features
 
         _, cohort, models = pipeline
@@ -396,19 +410,31 @@ class TestBatchedFusion:
         assert _run("predict", "--out-dir", str(tmp_path / "all"), *args) == 0
         p_hats = [json.loads(l)["p_hat"] for l in (tmp_path / "all" / "predictions.jsonl").read_text().splitlines()]
         threshold = sorted(p_hats)[len(p_hats) // 2]
-        blocks = []
+        blocks, scored = [], []
         rows = spiroflow.cli.future_feature_vector
+        score = spiroflow.cli.predict_future_risk
 
         def recording_rows(risks, profiles, demos, encoder):
             blocks.append(rows(risks, profiles, demos, encoder))
             return blocks[-1]
 
+        def recording_score(block, model):
+            scored.append((block, score(block, model)))
+            return scored[-1][1]
+
         monkeypatch.setattr(spiroflow.cli, "future_feature_vector", recording_rows)
+        monkeypatch.setattr(spiroflow.cli, "predict_future_risk", recording_score)
         assert _run("predict", "--out-dir", str(tmp_path / "split"), *args, "--threshold", repr(threshold)) == 0
         lines = [json.loads(l) for l in (tmp_path / "split" / "predictions.jsonl").read_text().splitlines()]
         negative = [i for i, rec in enumerate(lines) if rec["verdict"] == "non_copd"]
         assert 0 < len(negative) < len(lines)
         assert [b.shape for b in blocks] == [(len(negative), 13)]
+        # the horizon model scores exactly that block, in one call
+        assert len(scored) == 1 and scored[0][0] is blocks[0]
+        labels = [h.value for h in HORIZON_ORDER]
+        for i, probs in zip(negative, scored[0][1]):
+            assert lines[i]["horizon"]["label_probs"] == dict(zip(labels, probs.tolist())), lines[i]["id"]
+            assert lines[i]["horizon"]["top_label"] == labels[int(np.argmax(probs))], lines[i]["id"]
 
         ids, curves, demos, _, _ = _load_cohort(cohort)
         (_, _, encoder, _), smoother = _load_models(models)
@@ -419,8 +445,10 @@ class TestBatchedFusion:
             assert np.array_equal(np.array(lines[i]["horizon"]["features_used"]), alone[0]), ids[i]
 
         blocks.clear()
+        scored.clear()
         assert _run("predict", "--out-dir", str(tmp_path / "none"), *args, "--threshold", "-1") == 0
         assert [b.shape for b in blocks] == [(0, 13)]
+        assert [(b.shape, p.shape) for b, p in scored] == [((0, 13), (0, 6))]
 
 
 class TestCheckpointSmoother:
@@ -539,10 +567,22 @@ class TestErrors:
         code = _run("featurize", "--out-dir", str(out), "--cohort", str(tmp_path / "nope"))
         assert code != 0
 
-    def test_unknown_command_exits_2(self):
+    def test_unknown_command_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             _run("frobnicate", "--out-dir", "x")
         assert exc.value.code == 2
+        # so is a float flag that is nan or infinite, as a word already was
+        inputs = ["--out-dir", str(tmp_path), "--cohort", "c", "--models", "m"]
+        cases = [("synth", "--noise", ["--out-dir", str(tmp_path)]), ("featurize", "--sigma", inputs[:4])]
+        cases += [("train-detect", "--lr", inputs[:4]), ("train-detect", "--sigma", inputs[:4])]
+        cases += [("train-horizon", "--lr", inputs), ("evaluate", "--threshold", inputs)]
+        cases += [("predict", "--threshold", inputs)]
+        for command, flag, required in cases:
+            for value in ("nan", "inf", "-inf", "abc"):
+                with pytest.raises(SystemExit) as exc:
+                    _run(command, *required, f"{flag}={value}")
+                assert exc.value.code == 2, (command, flag, value)
+                assert f"argument {flag}" in capsys.readouterr().err, (command, flag, value)
 
     def test_every_cohort_subcommand_reports_a_broken_join(self, pipeline, tmp_path, capsys):
         # all six subcommands that read a cohort go through the same checks
@@ -649,6 +689,15 @@ class TestErrors:
                 payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
                 assert payload["error"] == "InvalidParams", (name, command)
                 assert name in payload["message"], (name, command)
+        # a horizon fit that diverges to non-finite weights fails before it writes its model file
+        out = tmp_path / "diverged"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = _run("train-horizon", "--out-dir", str(out), "--cohort", str(cohort), "--models", str(models),
+                        "--lr=1e308")
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "InvalidLoss" and "non-finite weights" in payload["message"]
+        assert not (out / "horizon_model.json").exists()
 
     @pytest.mark.parametrize(
         "name, cases",

@@ -11,10 +11,9 @@ from spiroflow.curves import (
     VolumeFlowCurve,
     differentiate_flow,
     gaussian_smooth,
-    resample_on_volume_grid,
     volume_flow_curve,
 )
-from spiroflow.errors import InvalidArgument, InvalidCurve, NonMonotonicVolume
+from spiroflow.errors import InvalidCurve, NonMonotonicVolume
 
 
 def tv(samples, dt=0.010):
@@ -124,38 +123,6 @@ class TestVolumeFlowCurve:
         v = tv(np.concatenate([[0.0], np.cumsum(increments)]))
         vf = volume_flow_curve(v, differentiate_flow(v))
         assert np.all(np.diff(vf.volumes) >= 0)
-
-
-class TestResample:
-    def test_own_grid_identity(self):
-        vf = VolumeFlowCurve(np.linspace(0, 2, 5), np.array([0.0, 3.0, 2.0, 1.0, 0.5]))
-        out = resample_on_volume_grid(vf, 5)
-        assert np.allclose(out.volumes, vf.volumes)
-        assert np.allclose(out.flows, vf.flows)
-
-    def test_linear_segment_stays_on_line(self):
-        vf = VolumeFlowCurve(np.array([0.0, 2.0]), np.array([4.0, 0.0]))
-        out = resample_on_volume_grid(vf, 9)
-        assert np.allclose(out.flows, 4.0 - 2.0 * out.volumes)
-
-    def test_midpoints_are_neighbor_means(self):
-        vf = VolumeFlowCurve(np.array([0.0, 1.0, 2.0]), np.array([1.0, 3.0, 2.0]))
-        out = resample_on_volume_grid(vf, 5)
-        assert out.flows[1] == pytest.approx((1.0 + 3.0) / 2)
-        assert out.flows[3] == pytest.approx((3.0 + 2.0) / 2)
-
-    def test_endpoints_exact(self):
-        vf = VolumeFlowCurve(np.array([0.3, 1.7, 2.9]), np.array([2.0, 1.0, 0.2]))
-        out = resample_on_volume_grid(vf, 50)
-        assert out.volumes[0] == vf.volumes[0]
-        assert out.volumes[-1] == vf.volumes[-1]
-        assert out.flows[0] == vf.flows[0]
-        assert out.flows[-1] == vf.flows[-1]
-
-    def test_too_few_points_rejected(self):
-        vf = VolumeFlowCurve(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
-        with pytest.raises(InvalidArgument):
-            resample_on_volume_grid(vf, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,9 @@ import numpy as np
 import pytest
 
 from spiroflow.attention import DemographicEncoder, DemographicRecord
-from spiroflow.errors import InvalidArgument, NotTrained
-from spiroflow.horizon import (
-    FUTURE_FEATURE_NAMES,
-    HORIZON_ORDER,
-    HorizonLabel,
-    future_feature_vector,
-    predict_future_risk,
-    top_horizon,
-)
+from spiroflow.errors import InvalidArgument
+from spiroflow.horizon import FUTURE_FEATURE_NAMES, HORIZON_ORDER, HorizonLabel
+from spiroflow.horizon import future_feature_vector, predict_future_risk
 from spiroflow.phases import ConcavityProfile
 from spiroflow.training import LogisticModel, TrainConfig, train_logistic
 
@@ -35,10 +29,6 @@ class TestFeatureVector:
         with pytest.raises(InvalidArgument):
             future_feature_vector([0.5, np.nan], [ConcavityProfile(0, 0, 0, 0)] * 2, [DEMO] * 2, ENC)
 
-    def test_unfitted_encoder_rejected(self):
-        with pytest.raises(NotTrained):
-            future_feature_vector([0.5], [ConcavityProfile(0, 0, 0, 0)], [DEMO], DemographicEncoder())
-
 
 def _toy_model(rng, n=600):
     """Horizon classes separated along the trend coordinate."""
@@ -46,20 +36,23 @@ def _toy_model(rng, n=600):
     x = rng.standard_normal((n, 13)) * 0.1
     x[:, 5] += (5 - labels) * 1.5  # trend rises with severity
     y = np.array([HORIZON_ORDER[i].value for i in labels])
-    model = train_logistic(x, y, TrainConfig(lr=0.3, epochs=120, batch_size=64, seed=0))
+    model, _ = train_logistic(x, y, TrainConfig(lr=0.3, epochs=120, batch_size=64, seed=0))
     return model, x, labels
 
 
 class TestPrediction:
     def test_distribution_is_valid(self):
+        # one block call: every row a distribution, each row within 1e-12 of
+        # the same row scored alone (BLAS may take another kernel for N rows)
         rng = np.random.default_rng(0)
         model, x, _ = _toy_model(rng)
-        for row in x[:50]:
-            dist = predict_future_risk(row, model)
-            assert set(dist) == set(HORIZON_ORDER)
-            total = sum(dist.values())
-            assert total == pytest.approx(1.0, abs=1e-9)
-            assert all(p >= 0.0 for p in dist.values())
+        block = predict_future_risk(x, model)
+        assert block.shape == (x.shape[0], len(HORIZON_ORDER))
+        assert np.allclose(block.sum(axis=1), 1.0, rtol=0.0, atol=1e-9)
+        assert np.all(block >= 0.0)
+        alone = np.vstack([predict_future_risk(row[None], model) for row in x])
+        assert np.max(np.abs(block - alone)) <= 1e-12
+        assert predict_future_risk(x[:0], model).shape == (0, len(HORIZON_ORDER))
 
     def test_absent_classes_fill_with_zero(self):
         # model trained on just two horizons still reports all six
@@ -67,26 +60,24 @@ class TestPrediction:
         x = rng.standard_normal((40, 13))
         y = np.array([HorizonLabel.WITHIN_1Y.value] * 20 + [HorizonLabel.NON_COPD.value] * 20)
         x[:20, 5] += 3.0
-        model = train_logistic(x, y, TrainConfig(lr=0.3, epochs=50, seed=0))
-        dist = predict_future_risk(x[0], model)
-        assert set(dist) == set(HORIZON_ORDER)
-        assert dist[HorizonLabel.WITHIN_3Y] == 0.0
+        model, _ = train_logistic(x, y, TrainConfig(lr=0.3, epochs=50, seed=0))
+        block = predict_future_risk(x, model)
+        # the model's columns are its sorted classes; the block's follow HORIZON_ORDER
+        assert model.classes.tolist() == ["NON_COPD", "WITHIN_1Y"]
+        seen = [HORIZON_ORDER.index(HorizonLabel.NON_COPD), HORIZON_ORDER.index(HorizonLabel.WITHIN_1Y)]
+        assert np.array_equal(block[:, seen], model.predict_proba(x))
+        assert np.all(np.delete(block, seen, axis=1) == 0.0)
 
     def test_monotone_response_to_trend(self):
         # pushing the trend feature up shifts mass toward nearer horizons
         rng = np.random.default_rng(2)
         model, _, _ = _toy_model(rng)
-        base = np.zeros(13)
-        lows = predict_future_risk(base, model)
-        high = base.copy()
-        high[5] = 8.0
-        highs = predict_future_risk(high, model)
-        assert highs[HorizonLabel.WITHIN_1Y] > lows[HorizonLabel.WITHIN_1Y]
-        assert highs[HorizonLabel.NON_COPD] < lows[HorizonLabel.NON_COPD]
-
-    def test_untrained_model_rejected(self):
-        with pytest.raises(NotTrained):
-            predict_future_risk(np.zeros(13), LogisticModel())
+        rows = np.zeros((2, 13))
+        rows[1, 5] = 8.0
+        lows, highs = predict_future_risk(rows, model)
+        near, far = HORIZON_ORDER.index(HorizonLabel.WITHIN_1Y), HORIZON_ORDER.index(HorizonLabel.NON_COPD)
+        assert highs[near] > lows[near]
+        assert highs[far] < lows[far]
 
     def test_feature_permutation_consistency(self):
         # shuffling training rows must not change the fitted mapping inputs see
@@ -94,7 +85,7 @@ class TestPrediction:
         model, x, labels = _toy_model(rng)
         perm = rng.permutation(x.shape[0])
         y = np.array([HORIZON_ORDER[i].value for i in labels])
-        model_perm = train_logistic(x[perm], y[perm], TrainConfig(lr=0.3, epochs=120, batch_size=64, seed=0))
+        model_perm, _ = train_logistic(x[perm], y[perm], TrainConfig(lr=0.3, epochs=120, batch_size=64, seed=0))
         # same data, different order: predictions agree closely on a probe set
         probe = rng.standard_normal((20, 13))
         a = model.predict_proba(probe)
@@ -103,11 +94,21 @@ class TestPrediction:
 
 
 class TestTopHorizon:
+    # predict labels a row with HORIZON_ORDER[argmax], which takes the first
+    # of tied columns
+    @staticmethod
+    def _model(favoured=None):
+        """Zero-weight model over all six classes, sorted as train_logistic
+        writes them; the favoured class gets a bias of 3."""
+        classes = np.array(sorted(label.value for label in HORIZON_ORDER))
+        return LogisticModel(weights=np.zeros((6, 13)), bias=np.where(classes == favoured, 3.0, 0.0), classes=classes)
+
     def test_picks_argmax(self):
-        dist = {label: 0.0 for label in HORIZON_ORDER}
-        dist[HorizonLabel.WITHIN_4Y] = 0.9
-        assert top_horizon(dist) is HorizonLabel.WITHIN_4Y
+        block = predict_future_risk(np.ones((3, 13)), self._model(HorizonLabel.WITHIN_4Y.value))
+        assert [HORIZON_ORDER[i] for i in np.argmax(block, axis=1)] == [HorizonLabel.WITHIN_4Y] * 3
 
     def test_tie_breaks_to_nearer_horizon(self):
-        dist = {label: 1.0 / 6.0 for label in HORIZON_ORDER}
-        assert top_horizon(dist) is HorizonLabel.WITHIN_1Y
+        assert HORIZON_ORDER[0] is HorizonLabel.WITHIN_1Y
+        block = predict_future_risk(np.ones((2, 13)), self._model())
+        assert np.all(block == 1.0 / 6.0)
+        assert HORIZON_ORDER[int(np.argmax(block[0]))] is HorizonLabel.WITHIN_1Y

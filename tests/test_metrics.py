@@ -4,14 +4,13 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from spiroflow.attention import DemographicRecord
-from spiroflow.errors import EmptyGroup, UndefinedMetric
+from spiroflow.errors import UndefinedMetric
 from spiroflow.metrics import (
     age_bin,
     auprc,
     auroc,
     confusion_counts,
     f1_score,
-    group_medoid,
     metrics_report,
     subgroup_reports,
 )
@@ -195,33 +194,3 @@ class TestSubgroups:
     def test_unknown_axis_rejected(self):
         with pytest.raises(UndefinedMetric):
             subgroup_reports([0.5], [1], self._demos()[:1], by="height")
-
-
-class TestMedoid:
-    def test_matches_exhaustive_search(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            n = int(rng.integers(2, 12))
-            mat = rng.standard_normal((n, 6))
-            groups = rng.integers(0, 3, size=n)
-            out = group_medoid(mat, groups)
-            for g in set(groups.tolist()):
-                idx = np.where(groups == g)[0]
-                totals = np.array([np.abs(mat[i] - mat[idx]).sum() for i in idx])
-                # summation order differs by ulps, so compare with a tolerance
-                near_min = idx[totals <= totals.min() + 1e-9]
-                assert out[g] == near_min[0]
-
-    def test_singleton_group(self):
-        out = group_medoid(np.array([[1.0, 2.0], [5.0, 5.0]]), ["a", "b"])
-        assert out == {"a": 0, "b": 1}
-
-    def test_tie_breaks_to_lowest_index(self):
-        mat = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-        # rows 2 and 3 are identical and both minimize total distance
-        out = group_medoid(mat, np.zeros(4, dtype=int))
-        assert out[0] == 2
-
-    def test_empty_matrix(self):
-        out = group_medoid(np.zeros((3, 2)), ["x", "x", "x"])
-        assert out == {"x": 0}

@@ -13,6 +13,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 
+# call sites the package deleted but WRAPPED still lists, each with the span
+# it fed; another call site still records that span, so no metric reads 0.
+# The next change to the benchmark drops them from WRAPPED, and these tests
+# then fail until the entry here goes too.
+GONE = {"spiroflow.cli:top_horizon": "horizon.predict"}
+
 
 def _env():
     paths = [str(ROOT / "src"), str(PERFBENCH), os.environ.get("PYTHONPATH", "")]
@@ -24,7 +30,7 @@ def test_install_finds_every_call_site():
     proc = subprocess.run(
         [sys.executable, "-c", code], env=_env(), capture_output=True, text=True, check=True, timeout=120
     )
-    assert json.loads(proc.stdout) == []
+    assert json.loads(proc.stdout) == list(GONE)
 
 
 def test_traced_stages_take_every_count(tmp_path):
@@ -47,4 +53,6 @@ def test_traced_stages_take_every_count(tmp_path):
         )
         recorded = json.loads(spans_path.read_text())
         assert recorded["exit_code"] == 0, stage[0]
-        assert recorded["absent"] == [], stage[0]
+        assert recorded["absent"] == list(GONE), stage[0]
+    # predict, the last stage, still records the span of every deleted call site
+    assert set(GONE.values()) <= {span["name"] for span in recorded["spans"]}

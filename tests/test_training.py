@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 
 from spiroflow.attention import head_forward
 from spiroflow.detection import DetectionConfig, DetectionModel
-from spiroflow.errors import DegenerateLabels, InvalidArgument, InvalidLoss, NotTrained
+from spiroflow.errors import DegenerateLabels, InvalidArgument, InvalidLoss
 from spiroflow.training import (
     LogisticModel,
     PROB_CLAMP,
@@ -60,35 +60,35 @@ class TestTrainLogistic:
     def test_zero_epochs_gives_uniform_model(self):
         x = np.random.default_rng(0).standard_normal((10, 3))
         y = np.array([0, 1] * 5)
-        model = train_logistic(x, y, TrainConfig(epochs=0))
+        model, trace = train_logistic(x, y, TrainConfig(epochs=0))
         assert np.all(model.weights == 0.0)
-        assert model.loss_trace == [pytest.approx(math.log(2.0))]
+        assert trace == [pytest.approx(math.log(2.0))]
         assert np.allclose(model.predict_proba(x), 0.5)
 
     def test_learns_and_separable_labels(self):
         rng = np.random.default_rng(1)
         x = rng.integers(0, 2, size=(200, 2)).astype(float)
         y = np.logical_and(x[:, 0], x[:, 1]).astype(int)
-        model = train_logistic(x, y, TrainConfig(lr=0.5, epochs=300, batch_size=32, seed=0))
+        model, _ = train_logistic(x, y, TrainConfig(lr=0.5, epochs=300, batch_size=32, seed=0))
         assert np.mean(model.predict(x) == y) == 1.0
 
     def test_loss_trace_decreases_overall(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((100, 4))
         y = (x[:, 0] + 0.5 * x[:, 1] > 0).astype(int)
-        model = train_logistic(x, y, TrainConfig(lr=0.1, epochs=50, seed=3))
-        assert model.loss_trace[-1] < model.loss_trace[0]
+        _, trace = train_logistic(x, y, TrainConfig(lr=0.1, epochs=50, seed=3))
+        assert trace[-1] < trace[0]
 
     def test_bitwise_reproducible(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((60, 3))
         y = (x[:, 0] > 0).astype(int)
         cfg = TrainConfig(lr=0.1, epochs=20, seed=7)
-        a = train_logistic(x, y, cfg)
-        b = train_logistic(x, y, cfg)
+        a, trace_a = train_logistic(x, y, cfg)
+        b, trace_b = train_logistic(x, y, cfg)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
-        assert a.loss_trace == b.loss_trace
+        assert trace_a == trace_b
 
     def test_multiclass_labels_round_trip(self):
         rng = np.random.default_rng(6)
@@ -97,7 +97,7 @@ class TestTrainLogistic:
         x[:30] += [3, 0]
         x[30:60] += [0, 3]
         x[60:] += [-3, -3]
-        model = train_logistic(x, y, TrainConfig(lr=0.3, epochs=200, seed=0))
+        model, _ = train_logistic(x, y, TrainConfig(lr=0.3, epochs=200, seed=0))
         assert np.mean(model.predict(x) == y) > 0.95
         restored = LogisticModel.from_dict(model.to_dict(), x.shape[1], ("a", "b", "c"))
         assert np.array_equal(restored.predict(x), model.predict(x))
@@ -111,8 +111,9 @@ class TestTrainLogistic:
             train_logistic(np.zeros((5, 2)), np.zeros(4, dtype=int), TrainConfig())
 
     def test_untrained_model_rejected(self):
-        with pytest.raises(NotTrained):
-            LogisticModel().predict_proba(np.zeros((1, 2)))
+        # a model is born fitted: there is no weightless state to score with
+        with pytest.raises(TypeError):
+            LogisticModel()
 
 
 def _reference_logistic(x, y, cfg):
@@ -194,11 +195,11 @@ class TestSgdMatchesReference:
         rng.shuffle(y)
         x[:, 0] += y
         cfg = TrainConfig(lr=0.3, epochs=epochs, batch_size=batch_size, seed=11)
-        model = train_logistic(x, y, cfg)
+        model, model_trace = train_logistic(x, y, cfg)
         w, b, trace = _reference_logistic(x, y, cfg)
         assert _bits(model.weights) == _bits(w)
         assert _bits(model.bias) == _bits(b)
-        assert _bits(model.loss_trace) == _bits(trace)
+        assert _bits(model_trace) == _bits(trace)
         assert len(trace) == epochs + 1
 
     @pytest.mark.parametrize("batch_size, epochs", LOOP_CASES)
@@ -222,8 +223,14 @@ class TestSgdMatchesReference:
 
 class TestTrainConfig:
     def test_invalid_values_rejected(self):
-        with pytest.raises(InvalidArgument):
-            TrainConfig(lr=0.0)
+        for lr in (0.0, math.nan, math.inf):
+            with pytest.raises(InvalidArgument):
+                TrainConfig(lr=lr)
+        # a finite rate so large that the fit overflows ends in InvalidLoss,
+        # not in a model with NaN weights
+        x = np.random.default_rng(0).standard_normal((20, 3))
+        with pytest.raises(InvalidLoss), np.errstate(over="ignore", invalid="ignore"):
+            train_logistic(x, np.arange(20) % 2, TrainConfig(lr=1e308, epochs=3, batch_size=4))
         with pytest.raises(InvalidArgument):
             TrainConfig(epochs=-1)
         with pytest.raises(InvalidArgument):
