@@ -27,7 +27,7 @@ def run(out_root: Path, n: int, epochs: int, seed: int) -> int:
         ],
         [
             "train-horizon", "--out-dir", str(models), "--cohort", str(cohort),
-            "--models", str(models), "--seed", str(seed),
+            "--models", str(models),
         ],
         ["evaluate", "--out-dir", str(outputs), "--cohort", str(cohort), "--models", str(models)],
         [

@@ -222,15 +222,17 @@ def fusion_features(p_hats, demos: list[DemographicRecord], encoder: Demographic
 
 
 def fuse_and_score(p_hats, demos: list[DemographicRecord], fusion_model, encoder: DemographicEncoder):
-    """Fused risks (N,) and per-feature weight*value contributions (N, 8).
+    """Fused risks (N,) and per-feature contributions (N, 8): the weight gap
+    of the two classes times the standardized feature value, so a record at
+    the training mean of a feature gets 0 from it.
 
-    fusion_model is a trained two-class linear model (see training module)
+    fusion_model is a fitted two-class logistic model (see training module)
     over fusion_features; all N records are scored in one call.
     """
     features = fusion_features(p_hats, demos, encoder)
     risks = fusion_model.predict_proba(features)[:, 1]
     gap_w = fusion_model.weights[1] - fusion_model.weights[0]
-    return risks, gap_w * features
+    return risks, gap_w * fusion_model.standardize(features)
 
 
 def attention_overlay(weights: np.ndarray, curve: VolumeFlowCurve, plan: PatchPlan) -> dict:

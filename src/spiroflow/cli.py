@@ -307,7 +307,7 @@ def cmd_train_detect(args):
     # pass), train split only
     train_demos = [demos[i] for i in train_idx]
     encoder = DemographicEncoder.fit(train_demos)
-    fusion, _ = train_logistic(fusion_features(p_train, train_demos, encoder), copd[train_idx], cfg)
+    fusion, _ = train_logistic(fusion_features(p_train, train_demos, encoder), copd[train_idx])
 
     checkpoint = model.to_dict()
     checkpoint.update(
@@ -328,7 +328,8 @@ def cmd_train_detect(args):
             "demographic_encoder": encoder.to_dict(),
         },
     )
-    write_training_log(out_dir / "train_detect_log.jsonl", trace, args.seed)
+    rows = [{"epoch": epoch, "loss": loss, "seed": args.seed} for epoch, loss in enumerate(trace)]
+    write_training_log(out_dir / "train_detect_log.jsonl", rows)
     counts = {"train": len(train_idx), "test": len(test_idx)}
     return _finish(args, counts, run.smoother, final_loss=trace[-1])
 
@@ -382,14 +383,13 @@ def cmd_train_horizon(args):
     profiles = _profiles(run.ids, run.vf_curves)
     features = future_feature_vector(risks, profiles, run.demos, encoder)
     labels = np.array([h.value for h in run.horizons])
-    cfg = TrainConfig(lr=args.lr, epochs=args.epochs, batch_size=args.batch_size, seed=args.seed)
-    horizon_model, trace = train_logistic(features, labels, cfg)
+    horizon_model, trace = train_logistic(features, labels)
     _write_json(
         run.out_dir / "horizon_model.json",
         {"format_version": FORMAT_VERSION, "kind": "horizon", "model": horizon_model.to_dict()},
     )
-    write_training_log(run.out_dir / "train_horizon_log.jsonl", trace, args.seed)
-    return _finish(args, {"records": len(run.ids)}, run.smoother, final_loss=trace[-1])
+    write_training_log(run.out_dir / "train_horizon_log.jsonl", trace)
+    return _finish(args, {"records": len(run.ids)}, run.smoother, final_loss=trace[-1]["loss"])
 
 
 def cmd_evaluate(args):
@@ -511,11 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channels", type=int, default=16)
     p.set_defaults(func=cmd_train_detect)
 
-    p = sub.add_parser("train-horizon", help="train the onset-horizon model")
-    common(p, models=True, seed=True)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--lr", type=_finite_float, default=0.1)
-    p.add_argument("--batch-size", type=int, default=32)
+    p = sub.add_parser("train-horizon", help="fit the onset-horizon model")
+    common(p, models=True)
     p.set_defaults(func=cmd_train_horizon)
 
     p = sub.add_parser("evaluate", help="metrics on the held-out split")

@@ -25,7 +25,7 @@ from spiroflow.curves import VolumeFlowCurve
 from spiroflow.encoder import PatchPlan
 from spiroflow.errors import EmptySequence, InvalidParams, PlanViolation
 from spiroflow.metrics import auroc
-from spiroflow.training import TrainConfig, train_logistic
+from spiroflow.training import train_logistic
 
 
 def _params(rng, width=6, attn=3):
@@ -270,10 +270,12 @@ class TestFusion:
             demos.append(demo)
             p_hats.append(float(np.clip(0.5 + (0.25 if y else -0.25) + 0.2 * rng.standard_normal(), 0.01, 0.99)))
         x = fusion_features(p_hats, demos, encoder)
-        model, _ = train_logistic(x, labels, TrainConfig(lr=0.2, epochs=150, batch_size=32, seed=0))
+        model, _ = train_logistic(x, labels)
         return model, encoder, x, labels
 
     def test_contributions_are_weight_times_value(self):
+        # the value is the standardized one, (value - mean) / scale, which the
+        # weights act on
         rng = np.random.default_rng(12)
         model, encoder, x, _ = self._fit_fusion(rng)
         demos = [DemographicRecord("female", 50.0, "current", 0.6), DemographicRecord("male", 70.0, "never", 0.8)]
@@ -285,7 +287,13 @@ class TestFusion:
         for row, (p_hat, demo) in enumerate(zip([0.8, 0.3], demos)):
             vec = np.concatenate([[p_hat], encoder.transform([demo])[0]])
             for i in range(len(FUSION_FEATURE_NAMES)):
-                assert contributions[row, i] == pytest.approx(gap[i] * vec[i])
+                assert contributions[row, i] == pytest.approx(gap[i] * (vec[i] - model.mean[i]) / model.scale[i])
+        # a record at the training means gets no contribution, and the
+        # contributions and the bias gap give the fused log-odds
+        centred = fuse_and_score([model.mean[0]], demos[:1], model, encoder)[1][0, 0]
+        assert centred == pytest.approx(0.0, abs=1e-12)
+        log_odds = np.log(risks / (1.0 - risks))
+        assert np.allclose(contributions.sum(axis=1) + model.bias[1] - model.bias[0], log_odds, atol=1e-9)
 
     def test_fusion_does_not_hurt_ranking(self):
         # fused risk should rank at least as well as the raw p_hat alone

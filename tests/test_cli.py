@@ -64,8 +64,6 @@ def pipeline(tmp_path_factory):
             "--out-dir", str(models),
             "--cohort", str(cohort),
             "--models", str(models),
-            "--epochs", "60",
-            "--seed", "1",
         )
         == 0
     )
@@ -481,7 +479,7 @@ class TestCheckpointSmoother:
 
     def test_flags_a_stage_does_not_read_are_usage_errors(self, tmp_path, capsys):
         unread = [("synth", "--window"), ("synth", "--sigma"), ("smooth", "--seed"), ("featurize", "--seed")]
-        unread += [("train-horizon", "--window"), ("train-horizon", "--sigma")]
+        unread += [("train-horizon", f) for f in ("--window", "--sigma", "--seed", "--epochs", "--lr", "--batch-size")]
         unread += [(c, f) for c in ("evaluate", "explain", "predict") for f in ("--window", "--sigma", "--seed")]
         required = {"synth": [], "smooth": ["--cohort", "c"], "featurize": ["--cohort", "c"]}
         for command, flag in unread:
@@ -510,7 +508,7 @@ class TestManifests:
             ("smooth", tmp_path / "smooth", (*reads, "--window", "4", "--sigma", "1.5")),
             ("featurize", tmp_path / "featurize", (*reads, "--window", "2", "--sigma", "2.5")),
             ("train-detect", models, (*reads, *detect)),
-            ("train-horizon", models, (*loads, "--batch-size", "7", "--epochs", "2", "--lr", "0.2", "--seed", "4")),
+            ("train-horizon", models, loads),
             ("evaluate", tmp_path / "evaluate", (*loads, "--subgroup", "sex", "--threshold", "0.4")),
             ("explain", tmp_path / "explain", (*loads, "--id", "NON_COPD_0000", "--svg")),
             ("predict", tmp_path / "predict", (*loads, "--threshold", "0.9")),
@@ -525,8 +523,9 @@ class TestManifests:
             manifest = json.loads((out / f"manifest_{command.replace('-', '_')}.json").read_text())
             assert manifest["command"] == command
             assert manifest["config"] == expected, command
+        # train-horizon parses no flag of its own: its fit has no settings
         horizon = json.loads((models / "manifest_train_horizon.json").read_text())
-        assert horizon["config"]["batch_size"] == 7
+        assert horizon["config"] == {"window": 3, "sigma": 1.5}
 
 
 class TestBlasThreads:
@@ -575,7 +574,7 @@ class TestErrors:
         inputs = ["--out-dir", str(tmp_path), "--cohort", "c", "--models", "m"]
         cases = [("synth", "--noise", ["--out-dir", str(tmp_path)]), ("featurize", "--sigma", inputs[:4])]
         cases += [("train-detect", "--lr", inputs[:4]), ("train-detect", "--sigma", inputs[:4])]
-        cases += [("train-horizon", "--lr", inputs), ("evaluate", "--threshold", inputs)]
+        cases += [("evaluate", "--threshold", inputs)]
         cases += [("predict", "--threshold", inputs)]
         for command, flag, required in cases:
             for value in ("nan", "inf", "-inf", "abc"):
@@ -689,15 +688,21 @@ class TestErrors:
                 payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
                 assert payload["error"] == "InvalidParams", (name, command)
                 assert name in payload["message"], (name, command)
-        # a horizon fit that diverges to non-finite weights fails before it writes its model file
-        out = tmp_path / "diverged"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = _run("train-horizon", "--out-dir", str(out), "--cohort", str(cohort), "--models", str(models),
-                        "--lr=1e308")
-        assert code == 1
-        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert payload["error"] == "InvalidLoss" and "non-finite weights" in payload["message"]
-        assert not (out / "horizon_model.json").exists()
+        # a detector fit that diverges is blamed on its learning rate, before
+        # fusion runs or any file is written: on 36 records its loss goes
+        # non-finite first, on 600 records a parameter
+        big = tmp_path / "cohort_600"
+        assert _run("synth", "--out-dir", str(big), "--n", "600", "--seed", "7") == 0
+        capsys.readouterr()
+        for records, where in ((cohort, "the loss after epoch 1"), (big, "conv_w1 is not finite in epoch 1")):
+            out = tmp_path / f"diverged_{records.name}"
+            with np.errstate(over="ignore", invalid="ignore"):
+                code = _run("train-detect", "--out-dir", str(out), "--cohort", str(records), "--lr=1e308")
+            assert code == 1
+            payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert payload["error"] == "InvalidLoss", payload
+            assert f"training diverged at learning rate 1e+308: {where}" in payload["message"]
+            assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
         "name, cases",
@@ -780,6 +785,13 @@ class TestErrors:
                         "InvalidParams",
                         ["fusion_model.json", "'weights'"],
                     ),
+                    "no-mean": (_json_edit(lambda b: b["model"].pop("mean")), "ParseError", ["'mean'"]),
+                    "no-scale": (_json_edit(lambda b: b["model"].pop("scale")), "ParseError", ["'scale'"]),
+                    "zero-scale": (
+                        _json_edit(lambda b: b["model"]["scale"].__setitem__(0, 0.0)),
+                        "InvalidParams",
+                        ["fusion_model.json", "'scale'", "not positive"],
+                    ),
                 },
             ),
             (
@@ -809,6 +821,18 @@ class TestErrors:
                         _json_edit(lambda b: b["model"]["bias"].__setitem__(0, float("inf"))),
                         "InvalidParams",
                         ["horizon_model.json", "'bias'"],
+                    ),
+                    "no-mean": (_json_edit(lambda b: b["model"].pop("mean")), "ParseError", ["'mean'"]),
+                    "no-scale": (_json_edit(lambda b: b["model"].pop("scale")), "ParseError", ["'scale'"]),
+                    "zero-scale": (
+                        _json_edit(lambda b: b["model"]["scale"].__setitem__(12, 0.0)),
+                        "InvalidParams",
+                        ["horizon_model.json", "'scale'", "not positive"],
+                    ),
+                    "short-mean": (
+                        _json_edit(lambda b: b["model"]["mean"].pop()),
+                        "InvalidParams",
+                        ["horizon_model.json", "'mean'"],
                     ),
                 },
             ),

@@ -6,7 +6,7 @@ from spiroflow.errors import InvalidArgument
 from spiroflow.horizon import FUTURE_FEATURE_NAMES, HORIZON_ORDER, HorizonLabel
 from spiroflow.horizon import future_feature_vector, predict_future_risk
 from spiroflow.phases import ConcavityProfile
-from spiroflow.training import LogisticModel, TrainConfig, train_logistic
+from spiroflow.training import LogisticModel, train_logistic
 
 
 ENC = DemographicEncoder(age_mean=55.0, age_std=10.0)
@@ -36,7 +36,7 @@ def _toy_model(rng, n=600):
     x = rng.standard_normal((n, 13)) * 0.1
     x[:, 5] += (5 - labels) * 1.5  # trend rises with severity
     y = np.array([HORIZON_ORDER[i].value for i in labels])
-    model, _ = train_logistic(x, y, TrainConfig(lr=0.3, epochs=120, batch_size=64, seed=0))
+    model, _ = train_logistic(x, y)
     return model, x, labels
 
 
@@ -60,7 +60,7 @@ class TestPrediction:
         x = rng.standard_normal((40, 13))
         y = np.array([HorizonLabel.WITHIN_1Y.value] * 20 + [HorizonLabel.NON_COPD.value] * 20)
         x[:20, 5] += 3.0
-        model, _ = train_logistic(x, y, TrainConfig(lr=0.3, epochs=50, seed=0))
+        model, _ = train_logistic(x, y)
         block = predict_future_risk(x, model)
         # the model's columns are its sorted classes; the block's follow HORIZON_ORDER
         assert model.classes.tolist() == ["NON_COPD", "WITHIN_1Y"]
@@ -85,7 +85,7 @@ class TestPrediction:
         model, x, labels = _toy_model(rng)
         perm = rng.permutation(x.shape[0])
         y = np.array([HORIZON_ORDER[i].value for i in labels])
-        model_perm, _ = train_logistic(x[perm], y[perm], TrainConfig(lr=0.3, epochs=120, batch_size=64, seed=0))
+        model_perm, _ = train_logistic(x[perm], y[perm])
         # same data, different order: predictions agree closely on a probe set
         probe = rng.standard_normal((20, 13))
         a = model.predict_proba(probe)
@@ -101,7 +101,8 @@ class TestTopHorizon:
         """Zero-weight model over all six classes, sorted as train_logistic
         writes them; the favoured class gets a bias of 3."""
         classes = np.array(sorted(label.value for label in HORIZON_ORDER))
-        return LogisticModel(weights=np.zeros((6, 13)), bias=np.where(classes == favoured, 3.0, 0.0), classes=classes)
+        bias = np.where(classes == favoured, 3.0, 0.0)
+        return LogisticModel(np.zeros((6, 13)), bias, classes, mean=np.zeros(13), scale=np.ones(13))
 
     def test_picks_argmax(self):
         block = predict_future_risk(np.ones((3, 13)), self._model(HorizonLabel.WITHIN_4Y.value))

@@ -19,6 +19,13 @@ PERFBENCH = ROOT / "perfbench"
 # then fail until the entry here goes too.
 GONE = {"spiroflow.cli:top_horizon": "horizon.predict"}
 
+# call sites whose counter no longer fits the call, each with the reason; the
+# span is still recorded.  _count_logistic reads the TrainConfig that
+# train_logistic took as its third argument, but the Newton fit takes none,
+# so training.logistic_steps reads 0 until the next change to the benchmark
+# counts Newton iterations instead.
+UNCOUNTED = {"spiroflow.cli:train_logistic (counts)": "train_logistic(x, y) has no TrainConfig to count"}
+
 
 def _env():
     paths = [str(ROOT / "src"), str(PERFBENCH), os.environ.get("PYTHONPATH", "")]
@@ -40,7 +47,7 @@ def test_traced_stages_take_every_count(tmp_path):
     stages = [
         ["synth", "--out-dir", str(cohort), "--n", "36", "--seed", "1"],
         ["train-detect", "--out-dir", str(models), *common, "--seed", "1", "--epochs", "1"],
-        ["train-horizon", "--out-dir", str(models), *common, "--seed", "1", "--models", str(models), "--epochs", "2"],
+        ["train-horizon", "--out-dir", str(models), *common, "--models", str(models)],
         ["evaluate", "--out-dir", str(tmp_path / "evaluate"), *common, "--models", str(models)],
         ["explain", "--out-dir", str(tmp_path / "explain"), *common, "--models", str(models), "--svg"],
         ["predict", "--out-dir", str(tmp_path / "predict"), *common, "--models", str(models)],
@@ -53,6 +60,9 @@ def test_traced_stages_take_every_count(tmp_path):
         )
         recorded = json.loads(spans_path.read_text())
         assert recorded["exit_code"] == 0, stage[0]
-        assert recorded["absent"] == list(GONE), stage[0]
+        fits = stage[0] in ("train-detect", "train-horizon")
+        assert recorded["absent"] == list(GONE) + (list(UNCOUNTED) if fits else []), stage[0]
+        if fits:
+            assert "training.logistic" in {span["name"] for span in recorded["spans"]}, stage[0]
     # predict, the last stage, still records the span of every deleted call site
     assert set(GONE.values()) <= {span["name"] for span in recorded["spans"]}

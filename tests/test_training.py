@@ -10,10 +10,13 @@ from spiroflow.detection import DetectionConfig, DetectionModel
 from spiroflow.errors import DegenerateLabels, InvalidArgument, InvalidLoss
 from spiroflow.training import (
     LogisticModel,
+    NEWTON_TOL,
     PROB_CLAMP,
     TrainConfig,
     grad_check,
     mean_cross_entropy,
+    penalized_cross_entropy,
+    sgd,
     softmax_rows,
     train_logistic,
     write_training_log,
@@ -56,36 +59,91 @@ class TestSoftmax:
         assert np.all(np.isfinite(out))
 
 
+def _losses(trace):
+    return [row["loss"] for row in trace]
+
+
+def _fit_gradient(model, x, y):
+    """The penalized loss's gradient at a fitted model's parameters."""
+    z = np.column_stack([model.standardize(x), np.ones(len(x))])
+    theta = np.column_stack([model.weights, model.bias])
+    _, grad, _ = penalized_cross_entropy(theta, z, np.searchsorted(model.classes, y))
+    return grad
+
+
 class TestTrainLogistic:
-    def test_zero_epochs_gives_uniform_model(self):
-        x = np.random.default_rng(0).standard_normal((10, 3))
+    def test_optimal_start_takes_no_step(self):
+        # balanced labels and a constant column: the zero-weight start is the
+        # penalized optimum, so the fit stops at iteration 0
+        x = np.full((10, 3), 0.1)
         y = np.array([0, 1] * 5)
-        model, trace = train_logistic(x, y, TrainConfig(epochs=0))
-        assert np.all(model.weights == 0.0)
-        assert trace == [pytest.approx(math.log(2.0))]
+        model, trace = train_logistic(x, y)
+        assert np.all(model.weights == 0.0) and np.all(model.bias == 0.0)
+        assert trace == [{"iteration": 0, "loss": pytest.approx(math.log(2.0)), "max_grad": 0.0}]
         assert np.allclose(model.predict_proba(x), 0.5)
 
     def test_learns_and_separable_labels(self):
         rng = np.random.default_rng(1)
         x = rng.integers(0, 2, size=(200, 2)).astype(float)
         y = np.logical_and(x[:, 0], x[:, 1]).astype(int)
-        model, _ = train_logistic(x, y, TrainConfig(lr=0.5, epochs=300, batch_size=32, seed=0))
+        model, _ = train_logistic(x, y)
         assert np.mean(model.predict(x) == y) == 1.0
 
     def test_loss_trace_decreases_overall(self):
+        # every accepted Newton step lowers the penalized loss
         rng = np.random.default_rng(2)
         x = rng.standard_normal((100, 4))
         y = (x[:, 0] + 0.5 * x[:, 1] > 0).astype(int)
-        _, trace = train_logistic(x, y, TrainConfig(lr=0.1, epochs=50, seed=3))
-        assert trace[-1] < trace[0]
+        _, trace = train_logistic(x, y)
+        losses = _losses(trace)
+        assert len(losses) >= 3
+        assert all(later < earlier for earlier, later in zip(losses, losses[1:]))
+        assert [row["iteration"] for row in trace] == list(range(len(trace)))
+
+    @pytest.mark.parametrize("k, n, d", [(2, 40, 3), (2, 400, 8), (6, 120, 13), (6, 600, 13)])
+    def test_converges_below_the_gradient_tolerance(self, k, n, d):
+        # the returned max |gradient| is at most NEWTON_TOL, and it is the
+        # gradient at the returned model's parameters
+        rng = np.random.default_rng(k + n + d)
+        y = np.arange(n) % k
+        x = rng.standard_normal((n, d)) * rng.uniform(0.01, 10.0, size=d)
+        x[:, 0] += y * 0.3  # informative, not separable
+        model, trace = train_logistic(x, y)
+        assert trace[-1]["max_grad"] <= NEWTON_TOL
+        assert np.max(np.abs(_fit_gradient(model, x, y))) <= NEWTON_TOL
+        assert len(trace) <= 20
+
+    def test_penalized_loss_passes_grad_check(self):
+        rng = np.random.default_rng(4)
+        z = np.column_stack([rng.standard_normal((30, 4)), np.ones(30)])
+        y_idx = np.arange(30) % 3
+        theta = rng.standard_normal((3, 5))
+
+        def loss_fn(params):
+            loss, grad, _ = penalized_cross_entropy(params["theta"], z, y_idx)
+            return loss, {"theta": grad}
+
+        assert grad_check(loss_fn, {"theta": theta}, eps=1e-6) < 1e-6
+
+    def test_constant_column_gives_finite_weights(self):
+        # a zero spread scales by 1, and the ridge keeps every weight finite,
+        # also where the classes are separable
+        rng = np.random.default_rng(8)
+        x = np.column_stack([rng.standard_normal(50), np.full(50, 0.1), np.zeros(50)])
+        y = (x[:, 0] > 0).astype(int)
+        model, trace = train_logistic(x, y)
+        assert model.scale[1:].tolist() == [1.0, 1.0]
+        assert np.all(np.isfinite(model.weights)) and np.all(np.isfinite(model.bias))
+        assert np.max(np.abs(model.weights[:, 1:])) < 1e-9
+        assert trace[-1]["max_grad"] <= NEWTON_TOL
+        assert np.mean(model.predict(x) == y) >= 0.95
 
     def test_bitwise_reproducible(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((60, 3))
         y = (x[:, 0] > 0).astype(int)
-        cfg = TrainConfig(lr=0.1, epochs=20, seed=7)
-        a, trace_a = train_logistic(x, y, cfg)
-        b, trace_b = train_logistic(x, y, cfg)
+        a, trace_a = train_logistic(x, y)
+        b, trace_b = train_logistic(x, y)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
         assert trace_a == trace_b
@@ -97,18 +155,20 @@ class TestTrainLogistic:
         x[:30] += [3, 0]
         x[30:60] += [0, 3]
         x[60:] += [-3, -3]
-        model, _ = train_logistic(x, y, TrainConfig(lr=0.3, epochs=200, seed=0))
+        model, _ = train_logistic(x, y)
         assert np.mean(model.predict(x) == y) > 0.95
         restored = LogisticModel.from_dict(model.to_dict(), x.shape[1], ("a", "b", "c"))
-        assert np.array_equal(restored.predict(x), model.predict(x))
+        assert np.array_equal(restored.predict_proba(x), model.predict_proba(x))
 
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateLabels):
-            train_logistic(np.zeros((5, 2)), np.zeros(5, dtype=int), TrainConfig())
+            train_logistic(np.zeros((5, 2)), np.zeros(5, dtype=int))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidArgument):
-            train_logistic(np.zeros((5, 2)), np.zeros(4, dtype=int), TrainConfig())
+            train_logistic(np.zeros((5, 2)), np.zeros(4, dtype=int))
+        with pytest.raises(InvalidArgument):
+            train_logistic(np.array([[0.0], [np.inf]]), np.array([0, 1]))
 
     def test_untrained_model_rejected(self):
         # a model is born fitted: there is no weightless state to score with
@@ -189,18 +249,17 @@ class TestSgdMatchesReference:
     @pytest.mark.parametrize("k", [2, 6])
     @pytest.mark.parametrize("batch_size, epochs", LOOP_CASES)
     def test_train_logistic(self, k, batch_size, epochs):
+        # the Newton fit's penalized loss is at or below the loss that the
+        # reference loop, the SGD fit it replaced, reaches on the same features
         rng = np.random.default_rng(k * 100 + batch_size)
         x = rng.standard_normal((50, 4))
         y = np.arange(50) % k
         rng.shuffle(y)
         x[:, 0] += y
-        cfg = TrainConfig(lr=0.3, epochs=epochs, batch_size=batch_size, seed=11)
-        model, model_trace = train_logistic(x, y, cfg)
-        w, b, trace = _reference_logistic(x, y, cfg)
-        assert _bits(model.weights) == _bits(w)
-        assert _bits(model.bias) == _bits(b)
-        assert _bits(model_trace) == _bits(trace)
+        _, _, trace = _reference_logistic(x, y, TrainConfig(lr=0.3, epochs=epochs, batch_size=batch_size, seed=11))
         assert len(trace) == epochs + 1
+        _, newton = train_logistic(x, y)
+        assert newton[-1]["loss"] <= trace[-1]
 
     @pytest.mark.parametrize("batch_size, epochs", LOOP_CASES)
     def test_detection_train(self, batch_size, epochs):
@@ -226,11 +285,16 @@ class TestTrainConfig:
         for lr in (0.0, math.nan, math.inf):
             with pytest.raises(InvalidArgument):
                 TrainConfig(lr=lr)
-        # a finite rate so large that the fit overflows ends in InvalidLoss,
-        # not in a model with NaN weights
-        x = np.random.default_rng(0).standard_normal((20, 3))
-        with pytest.raises(InvalidLoss), np.errstate(over="ignore", invalid="ignore"):
-            train_logistic(x, np.arange(20) % 2, TrainConfig(lr=1e308, epochs=3, batch_size=4))
+        # a finite rate so large that a step overflows a parameter, or the
+        # loss, ends in InvalidLoss naming the rate, before the next step
+        cfg = TrainConfig(lr=1e308, epochs=3, batch_size=4)
+        w = np.ones(3)
+        with pytest.raises(InvalidLoss, match=r"learning rate 1e\+308: w is not finite in epoch 1"):
+            with np.errstate(over="ignore"):
+                sgd({"w": w}, lambda batch: {"w": 2.0 * w}, lambda: float(w @ w), 8, cfg)
+        w = np.ones(3)
+        with pytest.raises(InvalidLoss, match=r"learning rate 1e\+308: the loss after epoch 1 is not finite"):
+            sgd({"w": w}, lambda batch: {"w": np.zeros(3)}, lambda: math.inf if w[0] else 0.0, 8, cfg)
         with pytest.raises(InvalidArgument):
             TrainConfig(epochs=-1)
         with pytest.raises(InvalidArgument):
@@ -294,10 +358,8 @@ class TestTrainingLog:
         import json
 
         path = tmp_path / "log.jsonl"
-        write_training_log(path, [0.9, 0.5, 0.3], seed=11)
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert lines == [
-            {"epoch": 0, "loss": 0.9, "seed": 11},
-            {"epoch": 1, "loss": 0.5, "seed": 11},
-            {"epoch": 2, "loss": 0.3, "seed": 11},
-        ]
+        rows = [{"epoch": 0, "loss": 0.9, "seed": 11}, {"epoch": 1, "loss": 0.5, "seed": 11}]
+        rows.append({"iteration": 2, "loss": 0.3, "max_grad": 1e-11})
+        write_training_log(path, rows)
+        assert [json.loads(line) for line in path.read_text().splitlines()] == rows
+        assert path.read_text().splitlines()[2] == '{"iteration": 2, "loss": 0.3, "max_grad": 1e-11}'
