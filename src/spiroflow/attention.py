@@ -4,15 +4,15 @@ Attention scores each patch context through linear -> swish -> bilinear ->
 linear layers, normalizes with a softmax restricted to valid patches, and
 pools the contexts with those weights.  A two-class affine head turns the
 pooled context into a detection probability.  Fusion concatenates that
-probability with encoded demographics (`fusion_features`, the one owner of
-that layout) and feeds a trained linear model, whose weight*value terms
-double as per-feature contributions.
+probability with the raw demographics (`fusion_features`, the one owner of
+that layout) and feeds a trained logistic model, which standardizes each
+column itself; its weight gap times the standardized value doubles as each
+feature's contribution.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,50 +109,22 @@ STRUCT_FEATURE_NAMES = (
     "smoking=never",
     "smoking=former",
     "smoking=current",
-    "age_std",
+    "age",
     "fev1_fvc_ratio",
 )
 
 FUSION_FEATURE_NAMES = ("detection_probability",) + STRUCT_FEATURE_NAMES
 
 
-@dataclass
-class DemographicEncoder:
-    """One-hot categoricals plus age standardized by training-set statistics."""
-
-    age_mean: float
-    age_std: float
-
-    @classmethod
-    def fit(cls, records: list[DemographicRecord]) -> "DemographicEncoder":
-        ages = np.array([r.age for r in records], dtype=float)
-        return cls(age_mean=float(ages.mean()), age_std=float(ages.std()) or 1.0)
-
-    def transform(self, records: list[DemographicRecord]) -> np.ndarray:
-        """(N, 7) block in STRUCT_FEATURE_NAMES order, one row per record."""
-        rows = [
-            [r.sex == c for c in SEX_CODES]
-            + [r.smoking == c for c in SMOKING_CODES]
-            + [(r.age - self.age_mean) / self.age_std, r.fev1_fvc_ratio]
-            for r in records
-        ]
-        return np.array(rows, dtype=float).reshape(-1, len(STRUCT_FEATURE_NAMES))
-
-    def to_dict(self) -> dict:
-        return {"age_mean": self.age_mean, "age_std": self.age_std}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DemographicEncoder":
-        """Fitted statistics: finite real numbers, age_std > 0; InvalidParams
-        naming the key otherwise."""
-        for key in ("age_mean", "age_std"):
-            value = d[key]
-            # NaN fails the comparison, and so does an integer too large for a float
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
-                raise InvalidParams(f"{key!r} must be a finite number")
-        if d["age_std"] <= 0:
-            raise InvalidParams(f"'age_std' must be > 0, not {d['age_std']!r}")
-        return cls(age_mean=d["age_mean"], age_std=d["age_std"])
+def demographic_block(demos: list[DemographicRecord]) -> np.ndarray:
+    """(N, 7) block in STRUCT_FEATURE_NAMES order, one row per record:
+    one-hot sex and smoking, raw age and the FEV1/FVC ratio.  The logistic
+    models standardize each column by its own train-split statistics."""
+    rows = [
+        [d.sex == c for c in SEX_CODES] + [d.smoking == c for c in SMOKING_CODES] + [d.age, d.fev1_fvc_ratio]
+        for d in demos
+    ]
+    return np.array(rows, dtype=float).reshape(-1, len(STRUCT_FEATURE_NAMES))
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +187,13 @@ def head_backward(dlogits: np.ndarray, pooled: np.ndarray, params: HeadParams):
     return dpooled, grads
 
 
-def fusion_features(p_hats, demos: list[DemographicRecord], encoder: DemographicEncoder) -> np.ndarray:
+def fusion_features(p_hats, demos: list[DemographicRecord]) -> np.ndarray:
     """(N, 8) fusion inputs in FUSION_FEATURE_NAMES order: each record's
-    detection probability, then its encoded demographics."""
-    return np.column_stack([np.asarray(p_hats, dtype=float), encoder.transform(demos)])
+    detection probability, then its demographic_block row."""
+    return np.column_stack([np.asarray(p_hats, dtype=float), demographic_block(demos)])
 
 
-def fuse_and_score(p_hats, demos: list[DemographicRecord], fusion_model, encoder: DemographicEncoder):
+def fuse_and_score(p_hats, demos: list[DemographicRecord], fusion_model):
     """Fused risks (N,) and per-feature contributions (N, 8): the weight gap
     of the two classes times the standardized feature value, so a record at
     the training mean of a feature gets 0 from it.
@@ -229,7 +201,7 @@ def fuse_and_score(p_hats, demos: list[DemographicRecord], fusion_model, encoder
     fusion_model is a fitted two-class logistic model (see training module)
     over fusion_features; all N records are scored in one call.
     """
-    features = fusion_features(p_hats, demos, encoder)
+    features = fusion_features(p_hats, demos)
     risks = fusion_model.predict_proba(features)[:, 1]
     gap_w = fusion_model.weights[1] - fusion_model.weights[0]
     return risks, gap_w * fusion_model.standardize(features)

@@ -21,7 +21,6 @@ import numpy as np
 from . import __version__
 from .attention import (
     FUSION_FEATURE_NAMES,
-    DemographicEncoder,
     DemographicRecord,
     attention_overlay,
     fuse_and_score,
@@ -177,7 +176,7 @@ class _Run:
     demos: list
     copd: np.ndarray
     horizons: list
-    models: tuple | None  # (detector, fusion model, demographic encoder, detector test_ids)
+    models: tuple | None  # (detector, fusion model, detector test_ids)
 
 
 def _start(args, models: bool = False, record_ids=None, test_split: bool = False) -> _Run:
@@ -195,7 +194,7 @@ def _start(args, models: bool = False, record_ids=None, test_split: bool = False
     else:
         loaded, smoother = None, _smoother(vars(args))
     if test_split:
-        record_ids = loaded[3]
+        record_ids = loaded[2]
     if record_ids is not None:
         cohort = _cut(cohort, record_ids)
     ids, curves, demos, copd, horizons = cohort
@@ -305,9 +304,7 @@ def cmd_train_detect(args):
 
     # fusion model on the trained detector's probabilities (its last loss
     # pass), train split only
-    train_demos = [demos[i] for i in train_idx]
-    encoder = DemographicEncoder.fit(train_demos)
-    fusion, _ = train_logistic(fusion_features(p_train, train_demos, encoder), copd[train_idx])
+    fusion, _ = train_logistic(fusion_features(p_train, [demos[i] for i in train_idx]), copd[train_idx])
 
     checkpoint = model.to_dict()
     checkpoint.update(
@@ -319,15 +316,7 @@ def cmd_train_detect(args):
         }
     )
     _write_json(out_dir / "detect_model.json", checkpoint)
-    _write_json(
-        out_dir / "fusion_model.json",
-        {
-            "format_version": FORMAT_VERSION,
-            "kind": "fusion",
-            "model": fusion.to_dict(),
-            "demographic_encoder": encoder.to_dict(),
-        },
-    )
+    _write_logistic(out_dir, "fusion", fusion)
     rows = [{"epoch": epoch, "loss": loss, "seed": args.seed} for epoch, loss in enumerate(trace)]
     write_training_log(out_dir / "train_detect_log.jsonl", rows)
     counts = {"train": len(train_idx), "test": len(test_idx)}
@@ -359,35 +348,56 @@ def _test_ids(blob) -> list:
     return test_ids
 
 
+# the feature names and the admissible classes of each logistic-model file
+_LOGISTIC_FILES = {
+    "fusion": (FUSION_FEATURE_NAMES, (0, 1)),
+    "horizon": (FUTURE_FEATURE_NAMES, tuple(h.value for h in HORIZON_ORDER)),
+}
+
+
+def _write_logistic(out_dir: Path, kind: str, model: LogisticModel):
+    """<kind>_model.json: the model and the names of the columns it was fitted on."""
+    names, _ = _LOGISTIC_FILES[kind]
+    _write_json(
+        out_dir / f"{kind}_model.json",
+        {"format_version": FORMAT_VERSION, "kind": kind, "features": list(names), "model": model.to_dict()},
+    )
+
+
+def _read_logistic(model_dir: Path, kind: str) -> LogisticModel:
+    """The model in <kind>_model.json.  Its 'features' must equal the
+    stage's feature names, so a file fitted on another column layout does
+    not load: without the key it is a ParseError, with other names an
+    InvalidParams, each naming the file and 'features'."""
+    names, labels = _LOGISTIC_FILES[kind]
+
+    def build(blob):
+        if blob["features"] != list(names):
+            raise InvalidParams(f"'features' must be {list(names)}")
+        return LogisticModel.from_dict(json_object(blob, "model"), len(names), labels)
+
+    return _read_model(model_dir / f"{kind}_model.json", build)
+
+
 def _load_models(model_dir: Path):
-    """(detector, fusion model, demographic encoder, the detector's test_ids)
-    and the checkpoint's smoother."""
+    """(detector, fusion model, the detector's test_ids) and the
+    checkpoint's smoother."""
     model, smoother, test_ids = _read_model(
         model_dir / "detect_model.json",
         lambda blob: (DetectionModel.from_dict(blob), _smoother(json_object(blob, "smoother")), _test_ids(blob)),
     )
-    fusion, encoder = _read_model(
-        model_dir / "fusion_model.json",
-        lambda blob: (
-            LogisticModel.from_dict(json_object(blob, "model"), len(FUSION_FEATURE_NAMES), (0, 1)),
-            DemographicEncoder.from_dict(json_object(blob, "demographic_encoder")),
-        ),
-    )
-    return (model, fusion, encoder, test_ids), smoother
+    return (model, _read_logistic(model_dir, "fusion"), test_ids), smoother
 
 
 def cmd_train_horizon(args):
     run = _start(args, models=True)
-    model, fusion, encoder, _ = run.models
-    risks, _ = fuse_and_score(model.predict_proba(run.series), run.demos, fusion, encoder)
+    model, fusion, _ = run.models
+    risks, _ = fuse_and_score(model.predict_proba(run.series), run.demos, fusion)
     profiles = _profiles(run.ids, run.vf_curves)
-    features = future_feature_vector(risks, profiles, run.demos, encoder)
+    features = future_feature_vector(risks, profiles, run.demos)
     labels = np.array([h.value for h in run.horizons])
     horizon_model, trace = train_logistic(features, labels)
-    _write_json(
-        run.out_dir / "horizon_model.json",
-        {"format_version": FORMAT_VERSION, "kind": "horizon", "model": horizon_model.to_dict()},
-    )
+    _write_logistic(run.out_dir, "horizon", horizon_model)
     write_training_log(run.out_dir / "train_horizon_log.jsonl", trace)
     return _finish(args, {"records": len(run.ids)}, run.smoother, final_loss=trace[-1]["loss"])
 
@@ -395,9 +405,9 @@ def cmd_train_horizon(args):
 def cmd_evaluate(args):
     run = _start(args, models=True, test_split=True)
     out_dir, demos, labels = run.out_dir, run.demos, run.copd
-    model, fusion, encoder, _ = run.models
+    model, fusion, _ = run.models
     p_hat = model.predict_proba(run.series)
-    risks, _ = fuse_and_score(p_hat, demos, fusion, encoder)
+    risks, _ = fuse_and_score(p_hat, demos, fusion)
     report = {
         "detection": metrics_report(p_hat, labels, args.threshold, split="test"),
         "fused": metrics_report(risks, labels, args.threshold, split="test"),
@@ -410,9 +420,9 @@ def cmd_evaluate(args):
 
 def cmd_explain(args):
     run = _start(args, models=True, record_ids=None if args.id is None else [args.id])
-    model, fusion, encoder, _ = run.models
+    model, fusion, _ = run.models
     p_hats, weights, plans = model.explain(run.series)
-    risks, contributions = fuse_and_score(p_hats, run.demos, fusion, encoder)
+    risks, contributions = fuse_and_score(p_hats, run.demos, fusion)
     for row, (blow_id, vf, plan) in enumerate(zip(run.ids, run.vf_curves, plans)):
         overlay = attention_overlay(weights[row, : plan.s], vf, plan)
         overlay.update({"p_hat": float(p_hats[row]), "fused_risk": float(risks[row])})
@@ -426,17 +436,14 @@ def cmd_explain(args):
 def cmd_predict(args):
     run = _start(args, models=True)
     out_dir, ids, vf_curves, demos = run.out_dir, run.ids, run.vf_curves, run.demos
-    model, fusion, encoder, _ = run.models
+    model, fusion, _ = run.models
     labels = tuple(h.value for h in HORIZON_ORDER)
-    horizon_model = _read_model(
-        Path(args.models) / "horizon_model.json",
-        lambda blob: LogisticModel.from_dict(json_object(blob, "model"), len(FUTURE_FEATURE_NAMES), labels),
-    )
+    horizon_model = _read_logistic(Path(args.models), "horizon")
     p_hats = model.predict_proba(run.series)
-    risks, _ = fuse_and_score(p_hats, demos, fusion, encoder)
+    risks, _ = fuse_and_score(p_hats, demos, fusion)
     negative = [i for i, p_hat in enumerate(p_hats) if p_hat <= args.threshold]
     profiles = _profiles([ids[i] for i in negative], [vf_curves[i] for i in negative])
-    rows = future_feature_vector(risks[negative], profiles, [demos[i] for i in negative], encoder)
+    rows = future_feature_vector(risks[negative], profiles, [demos[i] for i in negative])
     probs = predict_future_risk(rows, horizon_model)
     horizon = {i: (vec, dist) for i, vec, dist in zip(negative, rows, probs)}
     with open(out_dir / "predictions.jsonl", "w") as fh:

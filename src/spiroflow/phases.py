@@ -51,10 +51,6 @@ class Phase:
         if not self.start < self.end:
             raise EmptyPhase(f"phase {self.label} has start {self.start} >= end {self.end}")
 
-    @property
-    def width(self) -> float:
-        return self.end - self.start
-
 
 @dataclass(frozen=True)
 class ConcavityProfile:

@@ -128,10 +128,6 @@ class LogisticModel:
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         return softmax_rows(self.standardize(x) @ self.weights.T + self.bias)
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        idx = np.argmax(self.predict_proba(x), axis=1)
-        return self.classes[idx]
-
     def to_dict(self) -> dict:
         return {
             "weights": self.weights.tolist(),

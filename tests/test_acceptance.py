@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 
-from spiroflow.attention import DemographicEncoder
 from spiroflow.cli import main as cli_main
 from spiroflow.curves import (
     SmootherConfig,
@@ -235,19 +234,19 @@ def test_horizon_model_sanity():
     """Criterion 7: valid output distributions and separable-class accuracy."""
     start = time.perf_counter()
     records, vfs = _cohort_series(CohortSpec(n_per_class=25, noise=0.1, seed=2))
-    encoder = DemographicEncoder.fit([rec.demo for rec in records])
     x = future_feature_vector(
         [float(rec.copd) for rec in records],
         [concavity_features(vf) for vf in vfs],
         [rec.demo for rec in records],
-        encoder,
     )
     y = np.array([rec.horizon.value for rec in records])
     model, _ = train_logistic(x, y)
 
-    dists = predict_future_risk(np.random.default_rng(3).standard_normal((1000, 13)), model)
+    # random rows spread like the fitted block, whose age column is in years
+    rows = x.mean(axis=0) + x.std(axis=0) * np.random.default_rng(3).standard_normal((1000, 13))
+    dists = predict_future_risk(rows, model)
     dist_ok = dists.shape == (1000, 6) and np.all(np.abs(dists.sum(axis=1) - 1.0) <= 1e-9) and np.all(dists >= 0.0)
-    preds = model.predict(x)
+    preds = model.classes[np.argmax(model.predict_proba(x), axis=1)]
     per_class = [float(np.mean(preds[y == c] == c)) for c in np.unique(y)]
     macro = float(np.mean(per_class))
     elapsed = time.perf_counter() - start

@@ -5,7 +5,6 @@ import hypothesis.strategies as st
 
 from spiroflow.attention import (
     AttentionParams,
-    DemographicEncoder,
     DemographicRecord,
     FUSION_FEATURE_NAMES,
     HeadParams,
@@ -13,6 +12,7 @@ from spiroflow.attention import (
     attention_backward_padded,
     attention_forward_padded,
     attention_overlay,
+    demographic_block,
     fuse_and_score,
     fusion_features,
     head_backward,
@@ -206,44 +206,14 @@ class TestHead:
 
 
 class TestDemographics:
-    def test_encoder_round_trip(self):
-        recs = [
-            DemographicRecord("male", 62.0, "current", 0.61),
-            DemographicRecord("female", 48.0, "never", 0.82),
-        ]
-        enc = DemographicEncoder.fit(recs)
-        enc2 = DemographicEncoder.from_dict(enc.to_dict())
-        assert np.array_equal(enc.transform(recs), enc2.transform(recs))
-
-    @pytest.mark.parametrize(
-        "key, value",
-        [
-            ("age_mean", "50"),
-            ("age_mean", True),
-            ("age_mean", float("nan")),
-            ("age_std", float("inf")),
-            ("age_std", None),
-            ("age_std", 0.0),
-            ("age_std", -2.0),
-        ],
-    )
-    def test_bad_statistics_rejected_naming_the_key(self, key, value):
-        with pytest.raises(InvalidParams, match=key):
-            DemographicEncoder.from_dict({"age_mean": 50.0, "age_std": 10.0, key: value})
-
     def test_one_hot_layout(self):
-        enc = DemographicEncoder(age_mean=50.0, age_std=10.0)
-        block = enc.transform(
+        # age is raw, in years: the logistic models standardize each column
+        block = demographic_block(
             [DemographicRecord("male", 60.0, "former", 0.7), DemographicRecord("female", 45.0, "current", 0.55)]
         )
-        assert block.tolist() == [[0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.7], [1.0, 0.0, 0.0, 0.0, 1.0, -0.5, 0.55]]
-        assert enc.transform([]).shape == (0, len(STRUCT_FEATURE_NAMES))
-        assert block.shape == (2, len(STRUCT_FEATURE_NAMES))
-
-    def test_unfitted_rejected(self):
-        # an encoder is born fitted: there are no statistics-free encoders
-        with pytest.raises(TypeError):
-            DemographicEncoder()
+        assert block.tolist() == [[0.0, 1.0, 0.0, 1.0, 0.0, 60.0, 0.7], [1.0, 0.0, 0.0, 0.0, 1.0, 45.0, 0.55]]
+        assert demographic_block([]).shape == (0, len(STRUCT_FEATURE_NAMES))
+        assert STRUCT_FEATURE_NAMES[5] == "age"
 
     def test_bad_codes_rejected(self):
         with pytest.raises(InvalidParams):
@@ -259,7 +229,6 @@ class TestFusion:
     def _fit_fusion(rng, n=200):
         # p_hat mildly informative, ratio strongly so
         labels = rng.integers(0, 2, size=n)
-        encoder = DemographicEncoder(age_mean=55.0, age_std=8.0)
         demos, p_hats = [], []
         for y in labels:
             ratio = 0.55 + 0.1 * rng.random() if y else 0.75 + 0.1 * rng.random()
@@ -269,28 +238,28 @@ class TestFusion:
                                      ratio)
             demos.append(demo)
             p_hats.append(float(np.clip(0.5 + (0.25 if y else -0.25) + 0.2 * rng.standard_normal(), 0.01, 0.99)))
-        x = fusion_features(p_hats, demos, encoder)
+        x = fusion_features(p_hats, demos)
         model, _ = train_logistic(x, labels)
-        return model, encoder, x, labels
+        return model, x, labels
 
     def test_contributions_are_weight_times_value(self):
         # the value is the standardized one, (value - mean) / scale, which the
         # weights act on
         rng = np.random.default_rng(12)
-        model, encoder, x, _ = self._fit_fusion(rng)
+        model, x, _ = self._fit_fusion(rng)
         demos = [DemographicRecord("female", 50.0, "current", 0.6), DemographicRecord("male", 70.0, "never", 0.8)]
-        risks, contributions = fuse_and_score([0.8, 0.3], demos, model, encoder)
+        risks, contributions = fuse_and_score([0.8, 0.3], demos, model)
         assert risks.shape == (2,) and np.all((0.0 < risks) & (risks < 1.0))
         assert contributions.shape == (2, len(FUSION_FEATURE_NAMES))
         assert FUSION_FEATURE_NAMES == ("detection_probability",) + STRUCT_FEATURE_NAMES
         gap = model.weights[1] - model.weights[0]
         for row, (p_hat, demo) in enumerate(zip([0.8, 0.3], demos)):
-            vec = np.concatenate([[p_hat], encoder.transform([demo])[0]])
+            vec = np.concatenate([[p_hat], demographic_block([demo])[0]])
             for i in range(len(FUSION_FEATURE_NAMES)):
                 assert contributions[row, i] == pytest.approx(gap[i] * (vec[i] - model.mean[i]) / model.scale[i])
         # a record at the training means gets no contribution, and the
         # contributions and the bias gap give the fused log-odds
-        centred = fuse_and_score([model.mean[0]], demos[:1], model, encoder)[1][0, 0]
+        centred = fuse_and_score([model.mean[0]], demos[:1], model)[1][0, 0]
         assert centred == pytest.approx(0.0, abs=1e-12)
         log_odds = np.log(risks / (1.0 - risks))
         assert np.allclose(contributions.sum(axis=1) + model.bias[1] - model.bias[0], log_odds, atol=1e-9)
@@ -298,7 +267,7 @@ class TestFusion:
     def test_fusion_does_not_hurt_ranking(self):
         # fused risk should rank at least as well as the raw p_hat alone
         rng = np.random.default_rng(13)
-        model, encoder, x, labels = self._fit_fusion(rng)
+        model, x, labels = self._fit_fusion(rng)
         fused = model.predict_proba(x)[:, 1]
         assert auroc(fused, labels) >= auroc(x[:, 0], labels) - 0.02
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import spiroflow
+from spiroflow.attention import FUSION_FEATURE_NAMES
 from spiroflow.cli import main
 from spiroflow.metrics import auroc
 
@@ -154,7 +155,7 @@ class TestTrainAndEvaluate:
         report = json.loads((out / "metrics.json").read_text())
 
         ids, curves, demos, copd, _ = _load_cohort(cohort)
-        (model, _, _, test_ids), smoother = _load_models(models)
+        (model, _, test_ids), smoother = _load_models(models)
         _, series = _preprocess(curves, smoother)
         sel = [i for i, blow_id in enumerate(ids) if blow_id in set(test_ids)]
         p_hat = model.predict_proba([series[i] for i in sel])
@@ -241,9 +242,15 @@ class TestExplain:
         # --id preprocesses only its record: the spans and the curve are
         # byte-equal.  Its detector batch has one record, and BLAS may round a
         # batch of one differently from the full run's batch in the last bits.
+        # The demographic contributions are elementwise in the record's own
+        # row, so they are equal; the detection probability's carries p_hat's
+        # difference times its weight gap over its scale, plus the rounding
+        # of the two values.
         from spiroflow.cli import _load_cohort
 
         _, cohort, models = pipeline
+        fusion = json.loads((models / "fusion_model.json").read_text())["model"]
+        slope = abs(fusion["weights"][1][0] - fusion["weights"][0][0]) / fusion["scale"][0]
         every = tmp_path / "every"
         args = ("--cohort", str(cohort), "--models", str(models), "--svg")
         assert _run("explain", "--out-dir", str(every), *args) == 0
@@ -266,9 +273,12 @@ class TestExplain:
             assert np.max(np.abs(weights_a - weights_b)) <= 1e-12
             assert abs(a["p_hat"] - b["p_hat"]) <= 1e-12
             assert abs(a["fused_risk"] - b["fused_risk"]) <= 1e-12
-            assert a["contributions"].keys() == b["contributions"].keys()
-            for name, value in a["contributions"].items():
-                assert abs(value - b["contributions"][name]) <= 1e-12
+            assert sorted(a["contributions"]) == sorted(b["contributions"]) == sorted(FUSION_FEATURE_NAMES)
+            detection_a = a["contributions"].pop("detection_probability")
+            detection_b = b["contributions"].pop("detection_probability")
+            assert a["contributions"] == b["contributions"]
+            rounding = 4 * (np.spacing(abs(detection_a)) + np.spacing(abs(detection_b)))
+            assert abs(detection_a - detection_b) <= slope * abs(a["p_hat"] - b["p_hat"]) + rounding
 
     def test_overlays_equal_predictions_bit_for_bit(self, pipeline, tmp_path):
         # explain and predict score the cohort in the same batch
@@ -368,7 +378,7 @@ class TestPredict:
         lines = [json.loads(l) for l in (out / "predictions.jsonl").read_text().splitlines()]
 
         ids, curves, _, _, _ = _load_cohort(cohort)
-        (model, _, _, _), smoother = _load_models(models)
+        (model, _, _), smoother = _load_models(models)
         _, series = _preprocess(curves, smoother)
         assert [rec["id"] for rec in lines] == ids
         for rec, flows in zip(lines, series):
@@ -386,9 +396,9 @@ class TestBatchedFusion:
         calls = []
         fuse = spiroflow.cli.fuse_and_score
 
-        def recording_fuse(p_hats, demos, fusion, encoder):
+        def recording_fuse(p_hats, demos, fusion):
             calls.append((len(p_hats), len(demos)))
-            return fuse(p_hats, demos, fusion, encoder)
+            return fuse(p_hats, demos, fusion)
 
         monkeypatch.setattr(spiroflow.cli, "fuse_and_score", recording_fuse)
         for command, n in (("train-horizon", 36), ("evaluate", n_test), ("explain", 36), ("predict", 36)):
@@ -412,8 +422,8 @@ class TestBatchedFusion:
         rows = spiroflow.cli.future_feature_vector
         score = spiroflow.cli.predict_future_risk
 
-        def recording_rows(risks, profiles, demos, encoder):
-            blocks.append(rows(risks, profiles, demos, encoder))
+        def recording_rows(risks, profiles, demos):
+            blocks.append(rows(risks, profiles, demos))
             return blocks[-1]
 
         def recording_score(block, model):
@@ -435,11 +445,11 @@ class TestBatchedFusion:
             assert lines[i]["horizon"]["top_label"] == labels[int(np.argmax(probs))], lines[i]["id"]
 
         ids, curves, demos, _, _ = _load_cohort(cohort)
-        (_, _, encoder, _), smoother = _load_models(models)
+        _, smoother = _load_models(models)
         vf_curves, _ = _preprocess(curves, smoother)
         for i in negative:
             profile = concavity_features(vf_curves[i])
-            alone = future_feature_vector([lines[i]["fused_risk"]], [profile], [demos[i]], encoder)
+            alone = future_feature_vector([lines[i]["fused_risk"]], [profile], [demos[i]])
             assert np.array_equal(np.array(lines[i]["horizon"]["features_used"]), alone[0]), ids[i]
 
         blocks.clear()
@@ -752,8 +762,11 @@ class TestErrors:
                         "ParseError",
                         ["not valid JSON"],
                     ),
-                    "no-encoder": (
-                        _json_edit(lambda b: b.pop("demographic_encoder")), "ParseError", ["'demographic_encoder'"]
+                    "no-features": (_json_edit(lambda b: b.pop("features")), "ParseError", ["'features'"]),
+                    "reordered-features": (
+                        _json_edit(lambda b: b["features"].reverse()),
+                        "InvalidParams",
+                        ["fusion_model.json", "'features'"],
                     ),
                     "width-3-weights": (
                         _json_edit(lambda b: b["model"].update(weights=[[0.0] * 3, [0.0] * 3])),
@@ -769,16 +782,6 @@ class TestErrors:
                         _json_edit(lambda b: b["model"].update(classes=[1, 0])),
                         "InvalidParams",
                         ["fusion_model.json", "'classes'"],
-                    ),
-                    "string-age-mean": (
-                        _json_edit(lambda b: b["demographic_encoder"].update(age_mean="50")),
-                        "InvalidParams",
-                        ["fusion_model.json", "'age_mean'"],
-                    ),
-                    "zero-age-std": (
-                        _json_edit(lambda b: b["demographic_encoder"].update(age_std=0.0)),
-                        "InvalidParams",
-                        ["fusion_model.json", "'age_std'"],
                     ),
                     "nan-weight": (
                         _json_edit(lambda b: b["model"]["weights"][1].__setitem__(0, float("nan"))),
@@ -800,6 +803,12 @@ class TestErrors:
                     "truncated": (_truncate, "ParseError", ["not valid JSON"]),
                     "not-an-object": (lambda text: "[]", "ParseError", ["not a JSON object"]),
                     "no-model": (_json_edit(lambda b: b.pop("model")), "ParseError", ["'model'"]),
+                    "no-features": (_json_edit(lambda b: b.pop("features")), "ParseError", ["'features'"]),
+                    "reordered-features": (
+                        _json_edit(lambda b: b["features"].reverse()),
+                        "InvalidParams",
+                        ["horizon_model.json", "'features'"],
+                    ),
                     "width-3-weights": (
                         _json_edit(lambda b: b["model"].update(weights=[[0.0] * 3] * 6)),
                         "InvalidParams",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spiroflow.attention import DemographicEncoder, DemographicRecord
+from spiroflow.attention import DemographicRecord, demographic_block
 from spiroflow.errors import InvalidArgument
 from spiroflow.horizon import FUTURE_FEATURE_NAMES, HORIZON_ORDER, HorizonLabel
 from spiroflow.horizon import future_feature_vector, predict_future_risk
@@ -9,7 +9,6 @@ from spiroflow.phases import ConcavityProfile
 from spiroflow.training import LogisticModel, train_logistic
 
 
-ENC = DemographicEncoder(age_mean=55.0, age_std=10.0)
 DEMO = DemographicRecord("male", 60.0, "current", 0.62)
 
 
@@ -17,17 +16,17 @@ class TestFeatureVector:
     def test_width_and_order(self):
         profiles = [ConcavityProfile(0.1, 0.2, -0.3, -0.4), ConcavityProfile(-0.5, 0.6, 0.7, 0.8)]
         demos = [DEMO, DemographicRecord("female", 45.0, "never", 0.8)]
-        block = future_feature_vector([0.7, 0.2], profiles, demos, ENC)
+        block = future_feature_vector([0.7, 0.2], profiles, demos)
         assert block.shape == (2, len(FUTURE_FEATURE_NAMES)) and len(FUTURE_FEATURE_NAMES) == 13
         assert block[:, 0].tolist() == [0.7, 0.2]
         assert np.allclose(block[:, 1:5], [[0.1, 0.2, -0.3, -0.4], [-0.5, 0.6, 0.7, 0.8]])
         assert block[:, 5].tolist() == [p.trend for p in profiles]
-        assert np.array_equal(block[:, 6:], ENC.transform(demos))
-        assert future_feature_vector([], [], [], ENC).shape == (0, len(FUTURE_FEATURE_NAMES))
+        assert np.array_equal(block[:, 6:], demographic_block(demos))
+        assert future_feature_vector([], [], []).shape == (0, len(FUTURE_FEATURE_NAMES))
 
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidArgument):
-            future_feature_vector([0.5, np.nan], [ConcavityProfile(0, 0, 0, 0)] * 2, [DEMO] * 2, ENC)
+            future_feature_vector([0.5, np.nan], [ConcavityProfile(0, 0, 0, 0)] * 2, [DEMO] * 2)
 
 
 def _toy_model(rng, n=600):

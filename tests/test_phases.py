@@ -125,7 +125,7 @@ class TestConcavityMeasure:
         phase = Phase(PhaseLabel.FEF50_FEF75, 0.2, 1.8)
         c1 = concavity_measure(curve, phase, n_grid=1000)
         c2 = concavity_measure(curve, phase, n_grid=2000)
-        assert abs(c2 - c1) <= 1e-3 * phase.width * flows.max()
+        assert abs(c2 - c1) <= 1e-3 * (phase.end - phase.start) * flows.max()
 
 
 class TestTrend:

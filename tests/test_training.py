@@ -63,6 +63,11 @@ def _losses(trace):
     return [row["loss"] for row in trace]
 
 
+def _predicted(model, x):
+    """The most probable class of each row."""
+    return model.classes[np.argmax(model.predict_proba(x), axis=1)]
+
+
 def _fit_gradient(model, x, y):
     """The penalized loss's gradient at a fitted model's parameters."""
     z = np.column_stack([model.standardize(x), np.ones(len(x))])
@@ -87,7 +92,7 @@ class TestTrainLogistic:
         x = rng.integers(0, 2, size=(200, 2)).astype(float)
         y = np.logical_and(x[:, 0], x[:, 1]).astype(int)
         model, _ = train_logistic(x, y)
-        assert np.mean(model.predict(x) == y) == 1.0
+        assert np.mean(_predicted(model, x) == y) == 1.0
 
     def test_loss_trace_decreases_overall(self):
         # every accepted Newton step lowers the penalized loss
@@ -113,6 +118,22 @@ class TestTrainLogistic:
         assert np.max(np.abs(_fit_gradient(model, x, y))) <= NEWTON_TOL
         assert len(trace) <= 20
 
+    @pytest.mark.parametrize("k", [2, 6])
+    def test_fit_is_invariant_to_column_affine_maps(self, k):
+        # every column is standardized by its own mean and spread, so x * a + b
+        # with one a, b per column fits the same probabilities in the same
+        # iterations: the fused and horizon models take raw age for this
+        rng = np.random.default_rng(30 + k)
+        y = np.arange(300) % k
+        x = rng.standard_normal((300, 13))
+        x[:, :3] += y[:, None] * 0.3  # informative, not separable
+        a = rng.uniform(0.01, 100.0, size=13)
+        b = rng.uniform(-50.0, 50.0, size=13)
+        model, trace = train_logistic(x, y)
+        moved, moved_trace = train_logistic(x * a + b, y)
+        assert len(moved_trace) == len(trace) > 2
+        assert np.max(np.abs(moved.predict_proba(x * a + b) - model.predict_proba(x))) <= 1e-12
+
     def test_penalized_loss_passes_grad_check(self):
         rng = np.random.default_rng(4)
         z = np.column_stack([rng.standard_normal((30, 4)), np.ones(30)])
@@ -136,7 +157,7 @@ class TestTrainLogistic:
         assert np.all(np.isfinite(model.weights)) and np.all(np.isfinite(model.bias))
         assert np.max(np.abs(model.weights[:, 1:])) < 1e-9
         assert trace[-1]["max_grad"] <= NEWTON_TOL
-        assert np.mean(model.predict(x) == y) >= 0.95
+        assert np.mean(_predicted(model, x) == y) >= 0.95
 
     def test_bitwise_reproducible(self):
         rng = np.random.default_rng(5)
@@ -156,7 +177,7 @@ class TestTrainLogistic:
         x[30:60] += [0, 3]
         x[60:] += [-3, -3]
         model, _ = train_logistic(x, y)
-        assert np.mean(model.predict(x) == y) > 0.95
+        assert np.mean(_predicted(model, x) == y) > 0.95
         restored = LogisticModel.from_dict(model.to_dict(), x.shape[1], ("a", "b", "c"))
         assert np.array_equal(restored.predict_proba(x), model.predict_proba(x))
 
