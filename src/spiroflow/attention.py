@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import VolumeFlowCurve
-from .encoder import PatchPlan, _check_finite, _sigmoid
-from .errors import EmptySequence, InvalidParams, PlanViolation
+from .encoder import _check_finite, _sigmoid
+from .errors import EmptySequence, InvalidParams
 from .training import softmax_rows
 
 MASKED_SCORE = -1e300  # stands in for -inf so masked patches claim no mass
@@ -207,18 +207,18 @@ def fuse_and_score(p_hats, demos: list[DemographicRecord], fusion_model):
     return risks, gap_w * fusion_model.standardize(features)
 
 
-def attention_overlay(weights: np.ndarray, curve: VolumeFlowCurve, plan: PatchPlan) -> dict:
-    """Map one sample's per-patch weights (S,) onto contiguous volume spans of the curve."""
+def attention_overlay(weights: np.ndarray, curve: VolumeFlowCurve, k: int) -> dict:
+    """Map one sample's padded row of per-patch weights onto contiguous
+    volume spans of the curve: its first ceil(len(curve) / k) entries, one
+    per patch of k samples."""
     n_points = len(curve)
-    if math.ceil(n_points / plan.k) != weights.size:
-        raise PlanViolation("plan does not match the number of attention weights")
     volumes = curve.volumes
     patches = []
-    for j, weight in enumerate(weights):
+    for j, weight in enumerate(weights[: math.ceil(n_points / k)]):
         patches.append(
             {
-                "v_start": float(volumes[j * plan.k]),
-                "v_end": float(volumes[min((j + 1) * plan.k, n_points - 1)]),
+                "v_start": float(volumes[j * k]),
+                "v_end": float(volumes[min((j + 1) * k, n_points - 1)]),
                 "weight": float(weight),
             }
         )

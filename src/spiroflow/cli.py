@@ -66,6 +66,14 @@ def _finish(args, counts: dict, smoother: SmootherConfig | None = None, **summar
     return 0
 
 
+def _out_dir(args) -> Path:
+    """--out-dir, created.  Each stage calls this just before its first
+    write, so a stage that fails leaves no directory behind."""
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
 # ---------------------------------------------------------------------------
 # cohort files
 
@@ -164,11 +172,9 @@ def _preprocess(curves, smoother: SmootherConfig):
 
 @dataclass
 class _Run:
-    """What a cohort subcommand starts from: its output directory, the
-    smoother, the cohort in id order with preprocessed curves, and the
-    trained models if loaded."""
+    """What a cohort subcommand starts from: the smoother, the cohort in id
+    order with preprocessed curves, and the trained models if loaded."""
 
-    out_dir: Path
     smoother: SmootherConfig
     ids: list
     vf_curves: list
@@ -180,14 +186,12 @@ class _Run:
 
 
 def _start(args, models: bool = False, record_ids=None, test_split: bool = False) -> _Run:
-    """Create --out-dir, load the cohort and, if models, --models, then
-    preprocess the curves with the detector checkpoint's smoother, or
-    without models with --window/--sigma.  With record_ids, or with
-    test_split (the detector checkpoint's test_ids), the cohort is first
-    cut to those records, kept in cohort order, so only their curves are
-    preprocessed.  A curve that fails preprocessing is named by its id."""
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Load the cohort and, if models, --models, then preprocess the
+    curves with the detector checkpoint's smoother, or without models with
+    --window/--sigma.  With record_ids, or with test_split (the detector
+    checkpoint's test_ids), the cohort is first cut to those records, kept
+    in cohort order, so only their curves are preprocessed.  A curve that
+    fails preprocessing is named by its id."""
     cohort = _load_cohort(Path(args.cohort))
     if models:
         loaded, smoother = _load_models(Path(args.models))
@@ -204,7 +208,7 @@ def _start(args, models: bool = False, record_ids=None, test_split: bool = False
         if exc.row is None:
             raise
         raise _naming(exc, ids[exc.row]) from None
-    return _Run(out_dir, smoother, ids, vf_curves, series, demos, copd, horizons, loaded)
+    return _Run(smoother, ids, vf_curves, series, demos, copd, horizons, loaded)
 
 
 def _naming(exc: SpiroError, blow_id: str) -> SpiroError:
@@ -255,32 +259,28 @@ def _split(ids, seed: int, test_fraction: float = 0.2):
 
 
 def cmd_synth(args):
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     n_per_class = max(1, args.n // len(HORIZON_ORDER))
     spec = CohortSpec(n_per_class=n_per_class, noise=args.noise, seed=args.seed)
     records = generate_synthetic_cohort(spec)
-    _write_cohort(out_dir, records)
+    _write_cohort(_out_dir(args), records)
     counts = {"total": len(records), "copd": sum(r.copd for r in records), "n_per_class": n_per_class}
     return _finish(args, counts, records=len(records))
 
 
 def cmd_smooth(args):
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     records = load_time_volume_csv(Path(args.cohort) / "curves.csv")
     cfg = _smoother(vars(args))
     ids = [blow_id for blow_id, _ in records]
     smoothed = gaussian_smooth([curve for _, curve in records], cfg)
-    write_time_volume_csv(out_dir / "smoothed_curves.csv", list(zip(ids, smoothed)))
+    write_time_volume_csv(_out_dir(args) / "smoothed_curves.csv", list(zip(ids, smoothed)))
     return _finish(args, {"curves": len(smoothed)}, cfg, curves=len(smoothed))
 
 
 def cmd_featurize(args):
     run = _start(args)
-    out_dir, ids = run.out_dir, run.ids
+    ids = run.ids
     profiles = _profiles(ids, run.vf_curves)
-    with open(out_dir / "features.csv", "w", newline="") as fh:
+    with open(_out_dir(args) / "features.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "c_pef_fef25", "c_fef25_fef50", "c_fef50_fef75", "c_fef75_plus", "trend"])
         for blow_id, profile in zip(ids, profiles):
@@ -294,7 +294,7 @@ def cmd_featurize(args):
 
 def cmd_train_detect(args):
     run = _start(args)
-    out_dir, ids, series, demos, copd = run.out_dir, run.ids, run.series, run.demos, run.copd
+    ids, series, demos, copd = run.ids, run.series, run.demos, run.copd
     train_idx, test_idx = _split(ids, args.seed)
     model = DetectionModel(
         DetectionConfig(patch_len=args.k, channels=args.channels, hidden=args.hidden, seed=args.seed)
@@ -315,6 +315,7 @@ def cmd_train_detect(args):
             "smoother": _smoother_record(run.smoother),
         }
     )
+    out_dir = _out_dir(args)
     _write_json(out_dir / "detect_model.json", checkpoint)
     _write_logistic(out_dir, "fusion", fusion)
     rows = [{"epoch": epoch, "loss": loss, "seed": args.seed} for epoch, loss in enumerate(trace)]
@@ -323,10 +324,12 @@ def cmd_train_detect(args):
     return _finish(args, counts, run.smoother, final_loss=trace[-1])
 
 
-def _read_model(path: Path, build):
-    """build(blob) of the JSON object in a model file.  Text that is not a
-    JSON object, or a key that build misses, raises ParseError naming the
-    file; any other error build raises is re-raised naming the file."""
+def _read_model(path: Path, kind: str, build):
+    """build(blob) of the JSON object in a model file whose format_version
+    is FORMAT_VERSION and whose kind is kind; another value of either is an
+    InvalidParams naming the key.  Text that is not a JSON object, or a key
+    that is missing, raises ParseError naming the file; any other error
+    build raises is re-raised naming the file."""
     try:
         blob = json.loads(path.read_text())
     except ValueError as exc:  # a JSONDecodeError, text that is not UTF-8, or an integer too long to convert
@@ -334,6 +337,9 @@ def _read_model(path: Path, build):
     if not isinstance(blob, dict):
         raise ParseError(f"{path.name}: not a JSON object")
     try:
+        for key, value in (("format_version", FORMAT_VERSION), ("kind", kind)):
+            if (type(blob[key]), blob[key]) != (type(value), value):
+                raise InvalidParams(f"{key!r} must be {value!r}, not {blob[key]!r}")
         return build(blob)
     except KeyError as exc:
         raise ParseError(f"{path.name}: missing key {exc}") from None
@@ -376,7 +382,7 @@ def _read_logistic(model_dir: Path, kind: str) -> LogisticModel:
             raise InvalidParams(f"'features' must be {list(names)}")
         return LogisticModel.from_dict(json_object(blob, "model"), len(names), labels)
 
-    return _read_model(model_dir / f"{kind}_model.json", build)
+    return _read_model(model_dir / f"{kind}_model.json", kind, build)
 
 
 def _load_models(model_dir: Path):
@@ -384,6 +390,7 @@ def _load_models(model_dir: Path):
     checkpoint's smoother."""
     model, smoother, test_ids = _read_model(
         model_dir / "detect_model.json",
+        "detection",
         lambda blob: (DetectionModel.from_dict(blob), _smoother(json_object(blob, "smoother")), _test_ids(blob)),
     )
     return (model, _read_logistic(model_dir, "fusion"), test_ids), smoother
@@ -397,14 +404,15 @@ def cmd_train_horizon(args):
     features = future_feature_vector(risks, profiles, run.demos)
     labels = np.array([h.value for h in run.horizons])
     horizon_model, trace = train_logistic(features, labels)
-    _write_logistic(run.out_dir, "horizon", horizon_model)
-    write_training_log(run.out_dir / "train_horizon_log.jsonl", trace)
+    out_dir = _out_dir(args)
+    _write_logistic(out_dir, "horizon", horizon_model)
+    write_training_log(out_dir / "train_horizon_log.jsonl", trace)
     return _finish(args, {"records": len(run.ids)}, run.smoother, final_loss=trace[-1]["loss"])
 
 
 def cmd_evaluate(args):
     run = _start(args, models=True, test_split=True)
-    out_dir, demos, labels = run.out_dir, run.demos, run.copd
+    demos, labels = run.demos, run.copd
     model, fusion, _ = run.models
     p_hat = model.predict_proba(run.series)
     risks, _ = fuse_and_score(p_hat, demos, fusion)
@@ -414,28 +422,29 @@ def cmd_evaluate(args):
     }
     if args.subgroup:
         report["subgroups"] = subgroup_reports(p_hat, labels, demos, args.subgroup, args.threshold)
-    _write_json(out_dir / "metrics.json", report)
+    _write_json(_out_dir(args) / "metrics.json", report)
     return _finish(args, {}, run.smoother, auroc=report["detection"]["auroc"])
 
 
 def cmd_explain(args):
     run = _start(args, models=True, record_ids=None if args.id is None else [args.id])
     model, fusion, _ = run.models
-    p_hats, weights, plans = model.explain(run.series)
+    p_hats, weights = model.explain(run.series)
     risks, contributions = fuse_and_score(p_hats, run.demos, fusion)
-    for row, (blow_id, vf, plan) in enumerate(zip(run.ids, run.vf_curves, plans)):
-        overlay = attention_overlay(weights[row, : plan.s], vf, plan)
+    out_dir = _out_dir(args)
+    for row, (blow_id, vf) in enumerate(zip(run.ids, run.vf_curves)):
+        overlay = attention_overlay(weights[row], vf, model.config.patch_len)
         overlay.update({"p_hat": float(p_hats[row]), "fused_risk": float(risks[row])})
         overlay["contributions"] = dict(zip(FUSION_FEATURE_NAMES, contributions[row].tolist()))
-        _write_json(run.out_dir / f"overlay_{blow_id}.json", overlay)
+        _write_json(out_dir / f"overlay_{blow_id}.json", overlay)
         if args.svg:
-            (run.out_dir / f"overlay_{blow_id}.svg").write_text(overlay_svg(overlay, vf))
+            (out_dir / f"overlay_{blow_id}.svg").write_text(overlay_svg(overlay, vf))
     return _finish(args, {"overlays": len(run.ids)}, run.smoother, overlays=len(run.ids))
 
 
 def cmd_predict(args):
     run = _start(args, models=True)
-    out_dir, ids, vf_curves, demos = run.out_dir, run.ids, run.vf_curves, run.demos
+    ids, vf_curves, demos = run.ids, run.vf_curves, run.demos
     model, fusion, _ = run.models
     labels = tuple(h.value for h in HORIZON_ORDER)
     horizon_model = _read_logistic(Path(args.models), "horizon")
@@ -446,7 +455,7 @@ def cmd_predict(args):
     rows = future_feature_vector(risks[negative], profiles, [demos[i] for i in negative])
     probs = predict_future_risk(rows, horizon_model)
     horizon = {i: (vec, dist) for i, vec, dist in zip(negative, rows, probs)}
-    with open(out_dir / "predictions.jsonl", "w") as fh:
+    with open(_out_dir(args) / "predictions.jsonl", "w") as fh:
         for i, blow_id in enumerate(ids):
             record = {"id": blow_id, "p_hat": float(p_hats[i]), "fused_risk": float(risks[i])}
             if i not in horizon:

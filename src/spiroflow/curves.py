@@ -14,6 +14,7 @@ from functools import partial
 
 import numpy as np
 
+from .encoder import pad_rows
 from .errors import InvalidArgument, InvalidCurve, NonMonotonicVolume, SpiroError
 
 DEFAULT_DT = 0.010
@@ -153,17 +154,9 @@ def _by_block(kernel, channels: int, *columns: list) -> list[np.ndarray]:
     return np.split(packed[:, : sum(lengths)], np.cumsum(lengths)[:-1], axis=1)
 
 
-def _pad(samples: list[np.ndarray]):
-    """Zero-padded (N, max length) block of 1-D rows and its boolean prefix mask."""
-    lengths = np.array([s.size for s in samples])
-    mask = np.arange(lengths.max()) < lengths[:, None]
-    block = np.zeros(mask.shape)
-    block[mask] = np.concatenate(samples)
-    return block, mask
-
-
 def _smooth_block(out, samples, k: int, sigma: float) -> list[int]:
-    x, mask = _pad(samples)
+    sizes = np.array([s.size for s in samples])
+    x, mask = pad_rows(np.concatenate(samples), sizes)
     width = x.shape[1]
     num = np.zeros_like(x)
     den = np.zeros_like(x)
@@ -178,24 +171,26 @@ def _smooth_block(out, samples, k: int, sigma: float) -> list[int]:
         np.add(den[:, lo:hi], w, out=den[:, lo:hi], where=mask[:, lo + j : hi + j])
     n = int(mask.sum())
     np.divide(num[mask], den[mask], out=out[0, :n])
-    return [s.size for s in samples]
+    return sizes.tolist()
 
 
 def _flow_block(out, samples, dts) -> list[int]:
-    v, mask = _pad(samples)
+    sizes = np.array([s.size for s in samples])
+    v, mask = pad_rows(np.concatenate(samples), sizes)
     q = np.empty_like(v)
     q[:, :-1] = np.diff(v, axis=1) / np.array(dts)[:, None]
     row = np.arange(len(samples))
     last = mask.sum(axis=1) - 1
     q[row, last] = q[row, last - 1]
     out[0, : int(mask.sum())] = q[mask]
-    return [s.size for s in samples]
+    return sizes.tolist()
 
 
 def _volume_flow_block(out, volumes, flows) -> list[int]:
     """Writes each row's kept volumes and flows as out's two channels."""
-    v, mask = _pad(volumes)
-    q, _ = _pad(flows)
+    sizes = np.array([s.size for s in volumes])
+    v, mask = pad_rows(np.concatenate(volumes), sizes)
+    q, _ = pad_rows(np.concatenate(flows), sizes)
     decreasing = np.any((np.diff(v, axis=1) < -VOLUME_TOL) & mask[:, 1:], axis=1)
     keep = mask.copy()
     keep[:, 1:] &= v[:, 1:] > np.maximum.accumulate(v, axis=1)[:, :-1]

@@ -184,7 +184,8 @@ def load_time_volume_csv(path) -> list[tuple[str, TimeVolumeCurve]]:
     """Parse blow rows 'id, ml, ml, ...' into liter curves; an id may not repeat.
 
     A short row, a cell that is not a number, a repeated id or a negative or
-    non-finite volume raises naming the file, the row and the id.
+    non-finite volume raises naming the file, the row and the id; a file
+    without a blow row raises ParseError naming the file.
     """
     out = []
     seen = set()
@@ -210,6 +211,8 @@ def load_time_volume_csv(path) -> list[tuple[str, TimeVolumeCurve]]:
                 out.append((blow_id, TimeVolumeCurve(ml / 1000.0)))
             except InvalidCurve as exc:
                 raise InvalidCurve(f"{where}: {exc}") from None
+    if not out:
+        raise ParseError(f"{name}: no blow rows")
     return out
 
 

@@ -1,11 +1,14 @@
-"""End-to-end detection stack: conv patch embedding -> Bi-LSTM -> volume
-attention -> two-class head, with hand-derived gradients (validated against
-finite differences in the tests) that `training.sgd` trains on.
+"""End-to-end detection stack: key patches -> conv patch embedding ->
+Bi-LSTM -> volume attention -> two-class head, with hand-derived gradients
+(validated against finite differences in the tests) that `training.sgd`
+trains on.  `DetectionModel._prepare` is the one owner of the patch
+geometry: a series of n samples is cut into ceil(n / k) patches of k
+samples, the last one zero-padded, and attention weight j of a record
+belongs to its samples [j k, (j + 1) k).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -30,10 +33,8 @@ from .encoder import (
     init_bilstm_params,
     init_conv_params,
     pad_rows,
-    patch_plan,
-    patchify,
 )
-from .errors import InvalidArgument
+from .errors import DegenerateLabels, InvalidArgument
 from .training import TrainConfig, exact_array, json_object, mean_cross_entropy, sgd
 
 FLOW_SCALE = 10.0  # liters/second; keeps tanh inputs in a sane range
@@ -79,68 +80,68 @@ class DetectionModel:
     # -- forward / backward -------------------------------------------------
 
     def _prepare(self, series_list):
-        """Patchify every sample and stack patches into one conv batch."""
+        """Every series / FLOW_SCALE cut into patches of k samples, the last
+        one zero-padded, in one call over the batch: (patches (P, 1, k),
+        lengths), lengths[i] = ceil(len(series i) / k) patches, in order."""
         k = self.config.patch_len
-        plans = [patch_plan(len(s), k) for s in series_list]
-        patches = np.concatenate(
-            [patchify(np.asarray(s, dtype=float) / FLOW_SCALE, p) for s, p in zip(series_list, plans)],
-            axis=0,
-        )
-        lengths = np.array([p.s for p in plans], dtype=np.int64)
-        return patches, lengths, plans
+        sizes = np.array([len(s) for s in series_list])
+        lengths = -(-sizes // k)
+        rows, _ = pad_rows(np.concatenate(series_list) / FLOW_SCALE, sizes, int(lengths.max()) * k)
+        patches = rows.reshape(len(sizes), -1, k)[np.arange(lengths.max()) < lengths[:, None]]
+        return patches[:, None, :], lengths
 
     def _pool(self, series_list, keep_cache: bool = False, width: int | None = None):
         """Conv, LSTM and attention over one batch padded to width patches
-        (default: the widest series'): (pooled (N, 2H), weights, plans,
-        cache); cache is None unless keep_cache (backward follows)."""
-        patches, lengths, plans = self._prepare(series_list)
+        (default: the widest series'): (pooled (N, 2H), weights, cache);
+        cache is None unless keep_cache (backward follows)."""
+        patches, lengths = self._prepare(series_list)
         feats, conv_cache = conv_embed_forward(patches, self.conv, keep_cache)
         block, mask = pad_rows(feats, lengths, width)
         contexts, lstm_cache = bilstm_forward_padded(block, lengths, self.lstm, keep_cache)
         weights, pooled, _, attn_cache = attention_forward_padded(contexts, mask, self.attn)
         cache = (conv_cache, mask, lstm_cache, attn_cache) if keep_cache else None
-        return pooled, weights, plans, cache
+        return pooled, weights, cache
 
     def _infer(self, series_list):
-        """The one forward-only pass: (probs (N, 2), attention weights (N, S), plans).
+        """The one forward-only pass: (probs (N, 2), attention weights (N, S)).
 
         Conv, LSTM and attention run blocks of RECORD_BLOCK records, the
         last block also taking the remainder, so the padded arrays hold
         fewer than 2 * RECORD_BLOCK records; the head then runs once over
         every block's pooled contexts.  This gives the bits of one
         whole-batch pass:
-        - each block is padded to the batch's widest series, because the
-          attention softmax and pooling sum over the padded patch axis and
-          round by its width;
+        - each block is padded to S, the patch count of the batch's longest
+          series, because the attention softmax and pooling sum over the
+          padded patch axis and round by its width;
         - no block is a short tail and the head sees every row at once,
           because BLAS multiplies a few rows with other kernels than many,
           which round differently.
         """
-        n, width = len(series_list), math.ceil(max(map(len, series_list)) / self.config.patch_len)
+        n = len(series_list)
+        width = int(self._prepare([max(series_list, key=len)])[1][0])
         bounds = [0, *range(RECORD_BLOCK, n - RECORD_BLOCK + 1, RECORD_BLOCK), n]
         blocks = [self._pool(series_list[lo:hi], width=width) for lo, hi in zip(bounds, bounds[1:])]
         probs, _ = head_forward(np.concatenate([b[0] for b in blocks]), self.head)
-        weights = np.concatenate([b[1] for b in blocks])
-        return probs, weights, [plan for b in blocks for plan in b[2]]
+        return probs, np.concatenate([b[1] for b in blocks])
 
     def predict_proba(self, series_list) -> np.ndarray:
         """P(disease) per sample."""
-        probs, _, _ = self._infer(series_list)
+        probs, _ = self._infer(series_list)
         return probs[:, 1]
 
     def explain(self, series_list):
-        """(p_hat (N,), attention weights (N, S), plans).
+        """(p_hat (N,), attention weights (N, S)).
 
-        Row i belongs to series i; its first plans[i].s weights are valid
-        and sum to 1, the rest are 0.
+        Row i belongs to series i; its first ceil(len(series i) / k) weights
+        are valid and sum to 1, the rest are 0.
         """
-        probs, weights, plans = self._infer(series_list)
-        return probs[:, 1], weights, plans
+        probs, weights = self._infer(series_list)
+        return probs[:, 1], weights
 
     def loss_and_grads(self, series_list, labels):
         """Mean cross-entropy and gradients for every parameter."""
         labels = np.asarray(labels, dtype=np.int64)
-        pooled, _, _, cache = self._pool(series_list, keep_cache=True)
+        pooled, _, cache = self._pool(series_list, keep_cache=True)
         conv_cache, mask, lstm_cache, attn_cache = cache
         probs, _ = head_forward(pooled, self.head)
         n = labels.size
@@ -162,10 +163,14 @@ class DetectionModel:
     def train(self, series_list, labels, cfg: TrainConfig):
         """Fit every parameter by `sgd`; returns the epoch loss trace and
         P(disease) per sample from the last loss pass, which is the trained
-        model's."""
+        model's.  Labels that hold fewer than two classes raise
+        DegenerateLabels before the first pass."""
         labels = np.asarray(labels, dtype=np.int64)
         if len(series_list) != labels.size:
             raise InvalidArgument("series and labels must be aligned")
+        classes = np.unique(labels).tolist()
+        if len(classes) < 2:
+            raise DegenerateLabels(f"need both classes to train the detector; its {labels.size} labels hold {classes}")
         p_hat = None
 
         def batch_grads(batch):
@@ -174,7 +179,7 @@ class DetectionModel:
 
         def full_loss():
             nonlocal p_hat
-            probs, _, _ = self._infer(series_list)
+            probs, _ = self._infer(series_list)
             p_hat = probs[:, 1]
             return mean_cross_entropy(probs, labels)
 

@@ -1,14 +1,14 @@
-"""Key-patch decomposition, conv patch embedding, padding and the Bi-LSTM.
+"""Conv patch embedding, padding and the Bi-LSTM.
 
-A varied-length flow series is cut into fixed-length patches (the last one
-zero-padded), each patch is embedded by a small two-layer 1-D conv stack
-with mean pooling, the samples' patch rows are scattered into one
-zero-padded block through a prefix mask, and a bidirectional LSTM
-produces per-patch context features of width 2H.  The conv stack runs
-CONV_BLOCK patches at a time, so an inference pass holds the conv
-activations of one block, not of the batch.  Forward passes can carry
-caches so the manual backward passes used for training stay in one
-place; inference passes ask for none.
+Each key patch (cut by `DetectionModel._prepare`, the one owner of the
+patch geometry) is embedded by a small two-layer 1-D conv stack with mean
+pooling, the samples' patch rows are scattered into one zero-padded block
+through a prefix mask (`pad_rows`, which also pads the curves and the
+patches), and a bidirectional LSTM produces per-patch context features of
+width 2H.  The conv stack runs CONV_BLOCK patches at a time, so an
+inference pass holds the conv activations of one block, not of the batch.
+Forward passes can carry caches so the manual backward passes used for
+training stay in one place; inference passes ask for none.
 """
 
 from __future__ import annotations
@@ -19,31 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidArgument, InvalidParams, ShapeError
+from .errors import InvalidParams
 
 DEFAULT_PATCH_LEN = 32
 DEFAULT_CHANNELS = 16
 DEFAULT_HIDDEN = 32
 DEFAULT_CONV_KERNEL = 5
-
-
-@dataclass(frozen=True)
-class PatchPlan:
-    """Patch geometry of one sequence: s patches of k samples."""
-
-    k: int
-    s: int
-
-    def __post_init__(self):
-        if self.k < 1 or self.s < 1:
-            raise InvalidArgument("patch plan fields must be >= 1")
-
-
-def patch_plan(length: int, k: int) -> PatchPlan:
-    """Patch count via ceiling division; a partial trailing patch counts."""
-    if length < 1 or k < 1:
-        raise InvalidArgument("length and k must be >= 1")
-    return PatchPlan(k=k, s=math.ceil(length / k))
 
 
 def _check_finite(arrays: dict[str, np.ndarray]):
@@ -224,24 +205,12 @@ def conv_embed_backward(dfeats: np.ndarray, cache, params: ConvEncoderParams):
     return {"conv_w1": dw1, "conv_b1": db1, "conv_w2": dw2, "conv_b2": db2}
 
 
-def patchify(series: np.ndarray, plan: PatchPlan) -> np.ndarray:
-    """Cut a 1-D series into (S, 1, k) patches, zero-padding the last one."""
-    series = np.asarray(series, dtype=float)
-    if series.ndim != 1:
-        raise ShapeError("series must be one-dimensional")
-    if math.ceil(series.size / plan.k) != plan.s:
-        raise ShapeError("series length inconsistent with patch plan")
-    padded = np.zeros(plan.s * plan.k)
-    padded[: series.size] = series
-    return padded.reshape(plan.s, 1, plan.k)
-
-
 # ---------------------------------------------------------------------------
 # padding
 
 
 def pad_rows(rows: np.ndarray, lengths: np.ndarray, width: int | None = None):
-    """Scatter packed rows (sum(lengths), C) into a zero (N, width, C) block.
+    """Scatter packed rows (sum(lengths), ...) into a zero (N, width, ...) block.
 
     width defaults to max(lengths); a wider one adds padded slots, and a
     narrower one raises ValueError.  Row i of the block holds sample i's

@@ -32,14 +32,6 @@ class EmptyPhase(SpiroError):
     pass
 
 
-class ShapeError(SpiroError):
-    pass
-
-
-class PlanViolation(SpiroError):
-    pass
-
-
 class InvalidParams(SpiroError):
     pass
 

@@ -22,8 +22,7 @@ from spiroflow.attention import (
     _polyline_points,
 )
 from spiroflow.curves import VolumeFlowCurve
-from spiroflow.encoder import PatchPlan
-from spiroflow.errors import EmptySequence, InvalidParams, PlanViolation
+from spiroflow.errors import EmptySequence, InvalidParams
 from spiroflow.metrics import auroc
 from spiroflow.training import train_logistic
 
@@ -288,7 +287,7 @@ class TestOverlay:
     def test_patches_tile_the_volume_axis(self):
         rng = np.random.default_rng(14)
         curve = self._curve(10)
-        overlay = attention_overlay(_weights(rng, 3), curve, PatchPlan(k=4, s=3))
+        overlay = attention_overlay(_weights(rng, 3), curve, 4)
         patches = overlay["patches"]
         assert len(patches) == 3
         assert patches[0]["v_start"] == curve.volumes[0]
@@ -297,15 +296,24 @@ class TestOverlay:
             assert a["v_end"] == b["v_start"]
         assert sum(p["weight"] for p in patches) == pytest.approx(1.0)
 
-    def test_plan_mismatch_rejected(self):
+    def test_padded_row_maps_exactly_ceil_len_over_k_patches(self):
+        # a row padded with zeros past the curve's last patch: the padded
+        # slots map to nothing, and the valid ones in order
         rng = np.random.default_rng(15)
-        with pytest.raises(PlanViolation):
-            attention_overlay(_weights(rng, 2), self._curve(20), PatchPlan(k=4, s=5))
+        for k, n in [(k, n) for k in (1, 3, 4, 32) for n in (2, k - 1, k, k + 1, 2 * k, 97) if n >= 2]:
+            s = -(-n // k)
+            row = np.concatenate([_weights(rng, s), np.zeros(int(rng.integers(0, 5)))])
+            curve = self._curve(n)
+            patches = attention_overlay(row, curve, k)["patches"]
+            assert len(patches) == s, (k, n)
+            assert [p["weight"] for p in patches] == row[:s].tolist()
+            assert [p["v_start"] for p in patches] == curve.volumes[::k].tolist()
+            assert patches[-1]["v_end"] == curve.volumes[-1]
 
     def test_svg_contains_polyline_and_heat_rects(self):
         rng = np.random.default_rng(16)
         curve = self._curve(8)
-        overlay = attention_overlay(_weights(rng, 2), curve, PatchPlan(k=4, s=2))
+        overlay = attention_overlay(_weights(rng, 2), curve, 4)
         svg = overlay_svg(overlay, curve)
         assert svg.startswith("<svg")
         assert "<polyline" in svg
@@ -332,8 +340,8 @@ class TestOverlay:
 
     def test_svg_polyline_matches_fstring_join(self, small_cohort_series):
         for _, curve, _, _ in small_cohort_series:
-            plan = PatchPlan(k=32, s=-(-len(curve) // 32))
-            svg = overlay_svg(attention_overlay(np.full(plan.s, 1.0 / plan.s), curve, plan), curve)
+            s = -(-len(curve) // 32)
+            svg = overlay_svg(attention_overlay(np.full(s, 1.0 / s), curve, 32), curve)
             v, q = curve.volumes, curve.flows
             xs = (v - v[0]) / max(v[-1] - v[0], 1e-12) * 640
             ys = 210 - q / max(float(q.max()), 1e-12) * 200

@@ -656,6 +656,36 @@ class TestErrors:
             assert payload["error"] == error, case
             assert all(part in payload["message"] for part in named), (case, payload["message"])
 
+    def test_tiny_cohorts_are_clean_failures(self, pipeline, tmp_path, capsys):
+        # a curves.csv without rows fails every cohort stage as it loads; a
+        # detector train split with one class or none fails before training
+        _, cohort, models = pipeline
+        blows = (cohort / "curves.csv").read_text().splitlines(keepends=True)
+        cases = {
+            "no-rows": ("", "ParseError", ["curves.csv", "no blow rows"]),
+            "one-record": (blows[0], "DegenerateLabels", ["0 labels hold []"]),
+            "one-class": (
+                "".join(b for b in blows if b.startswith("NON_COPD")), "DegenerateLabels", ["labels hold [0]"]
+            ),
+        }
+        for case, (curves_csv, error, named) in cases.items():
+            tiny = tmp_path / case
+            tiny.mkdir()
+            (tiny / "curves.csv").write_text(curves_csv)
+            for f in ("demographics.csv", "labels.csv"):
+                (tiny / f).write_bytes((cohort / f).read_bytes())
+            cohort_only = ["smooth", "featurize", "train-detect"]
+            model_stages = ["train-horizon", "evaluate", "explain", "predict"]
+            for command in cohort_only + model_stages if case == "no-rows" else ["train-detect"]:
+                extra = ["--models", str(models)] if command in model_stages else []
+                out = tmp_path / f"{case}_{command}"
+                code = _run(command, "--out-dir", str(out), "--cohort", str(tiny), *extra)
+                assert code == 1, (case, command)
+                payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+                assert payload["error"] == error, (case, command)
+                assert all(part in payload["message"] for part in named), (case, command, payload["message"])
+                assert not out.exists(), (case, command)
+
     def test_duplicate_ids_are_rejected(self, tmp_path, capsys):
         # a repeated id in any cohort file is an error, not a silent last-row-wins
         curves = "a,0,100,200\nb,0,150,300\n"
@@ -698,6 +728,7 @@ class TestErrors:
                 payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
                 assert payload["error"] == "InvalidParams", (name, command)
                 assert name in payload["message"], (name, command)
+                assert not out.exists(), (name, command)
         # a detector fit that diverges is blamed on its learning rate, before
         # fusion runs or any file is written: on 36 records its loss goes
         # non-finite first, on 600 records a parameter
@@ -712,7 +743,7 @@ class TestErrors:
             payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
             assert payload["error"] == "InvalidLoss", payload
             assert f"training diverged at learning rate 1e+308: {where}" in payload["message"]
-            assert list(out.iterdir()) == []
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "name, cases",
@@ -743,6 +774,9 @@ class TestErrors:
                     "config-not-an-object": (_json_edit(lambda b: b.update(config=[])), "ParseError", ["'config'"]),
                     "string-hidden": (
                         _json_edit(lambda b: b["config"].update(hidden="32")), "InvalidArgument", ["hidden"]
+                    ),
+                    "zero-patch-len": (
+                        _json_edit(lambda b: b["config"].update(patch_len=0)), "InvalidArgument", ["patch_len"]
                     ),
                     "arrays-a-list": (_json_edit(lambda b: b.update(arrays=[])), "ParseError", ["'arrays'"]),
                     "no-head-w": (_json_edit(lambda b: b["arrays"].pop("head_w")), "ParseError", ["'head_w'"]),
@@ -848,9 +882,19 @@ class TestErrors:
         ],
     )
     def test_malformed_model_file_is_clean_failure(self, pipeline, tmp_path, capsys, name, cases):
-        # every stage that reads the file ends in the JSON error; a ParseError names the file
+        # every stage that reads the file ends in the JSON error and leaves no
+        # --out-dir behind; a ParseError names the file
         _, cohort, models = pipeline
         commands = ["predict"] if name == "horizon_model.json" else ["train-horizon", "evaluate", "explain", "predict"]
+        other_kind = "fusion" if name == "detect_model.json" else "detection"
+        cases = {
+            **cases,
+            "no-format-version": (_json_edit(lambda b: b.pop("format_version")), "ParseError", ["'format_version'"]),
+            "format-version-2": (
+                _json_edit(lambda b: b.update(format_version=2)), "InvalidParams", [name, "'format_version'"]
+            ),
+            "wrong-kind": (_json_edit(lambda b: b.update(kind=other_kind)), "InvalidParams", [name, "'kind'"]),
+        }
         for case, (edit, error, named) in cases.items():
             broken = tmp_path / case
             broken.mkdir()
@@ -866,6 +910,7 @@ class TestErrors:
                 payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
                 assert payload["error"] == error, (case, command)
                 assert all(part in payload["message"] for part in named), (case, command, payload["message"])
+                assert not out.exists(), (case, command)
 
     def test_curve_error_names_its_record(self, tmp_path, capsys):
         # the batched pass knows the failing row; the error names its id

@@ -10,7 +10,6 @@ from spiroflow import detection, encoder
 from spiroflow.detection import DetectionConfig, DetectionModel
 from spiroflow.encoder import (
     BiLstmParams,
-    PatchPlan,
     bilstm_backward_padded,
     bilstm_forward_padded,
     conv_embed_backward,
@@ -18,17 +17,23 @@ from spiroflow.encoder import (
     init_bilstm_params,
     init_conv_params,
     pad_rows,
-    patch_plan,
-    patchify,
     _conv1d_same,
     _conv1d_same_backward,
     _sigmoid,
 )
-from spiroflow.errors import InvalidArgument, InvalidParams, ShapeError
+from spiroflow.errors import InvalidArgument, InvalidParams
 from spiroflow.training import TrainConfig
 
 
+def _model(k: int) -> DetectionModel:
+    """A detector with k-sample patches, for its _prepare."""
+    return DetectionModel(DetectionConfig(patch_len=k))
+
+
 class TestPatchPlan:
+    """The patch geometry, which DetectionModel._prepare owns: a series of n
+    samples is cut into s = ceil(n / k) patches of k samples."""
+
     # n_max: the padded block width of a batch whose longest series has max_length samples
     @pytest.mark.parametrize(
         "length,max_length,k,s,n_max",
@@ -42,45 +47,55 @@ class TestPatchPlan:
         ],
     )
     def test_ceiling_division(self, length, max_length, k, s, n_max):
-        plans = [patch_plan(length, k), patch_plan(max_length, k)]
-        lengths = np.array([p.s for p in plans])
+        _, lengths = _model(k)._prepare([np.ones(length), np.ones(max_length)])
         block, _ = pad_rows(np.zeros((lengths.sum(), 1)), lengths)
-        assert (plans[0].s, block.shape[1]) == (s, n_max)
+        assert (lengths[0], block.shape[1]) == (s, n_max)
 
     @given(st.integers(1, 500), st.integers(0, 500), st.integers(1, 64))
     def test_counts_cover_without_overflow(self, length, extra, k):
-        plan = patch_plan(length, k)
+        _, (s, longer) = _model(k)._prepare([np.ones(length), np.ones(length + extra)])
         # s patches of k samples cover the series and waste less than one patch
-        assert plan.s * k >= length
-        assert (plan.s - 1) * k < length
-        assert plan.s <= patch_plan(length + extra, k).s
+        assert s * k >= length
+        assert (s - 1) * k < length
+        assert s <= longer
 
     def test_invalid_sizes_rejected(self):
-        with pytest.raises(InvalidArgument):
-            patch_plan(0, 4)
-        with pytest.raises(InvalidArgument):
-            patch_plan(5, 0)
+        for k in (0, -1):
+            with pytest.raises(InvalidArgument, match="patch_len"):
+                DetectionConfig(patch_len=k)
 
 
 class TestPatchify:
+    """_prepare cuts a whole batch into patches in one call."""
+
     def test_exact_multiple(self):
-        series = np.arange(6, dtype=float)
-        out = patchify(series, PatchPlan(k=3, s=2))
-        assert out.shape == (2, 1, 3)
-        assert np.array_equal(out[0, 0], [0, 1, 2])
-        assert np.array_equal(out[1, 0], [3, 4, 5])
+        patches, lengths = _model(3)._prepare([np.arange(6.0) * detection.FLOW_SCALE])
+        assert patches.shape == (2, 1, 3) and lengths.tolist() == [2]
+        assert np.array_equal(patches[0, 0], [0, 1, 2])
+        assert np.array_equal(patches[1, 0], [3, 4, 5])
 
     def test_last_patch_zero_padded(self):
-        out = patchify(np.array([1.0, 2.0, 3.0, 4.0]), PatchPlan(k=3, s=2))
-        assert np.array_equal(out[1, 0], [4.0, 0.0, 0.0])
+        patches, _ = _model(3)._prepare([np.array([1.0, 2.0, 3.0, 4.0]) * detection.FLOW_SCALE])
+        assert np.array_equal(patches[1, 0], [4.0, 0.0, 0.0])
 
-    def test_plan_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            patchify(np.arange(10, dtype=float), PatchPlan(k=3, s=2))
-
-    def test_two_dimensional_rejected(self):
-        with pytest.raises(ShapeError):
-            patchify(np.zeros((2, 3)), PatchPlan(k=3, s=2))
+    @pytest.mark.parametrize("k", [1, 3, 8, 32])
+    def test_ragged_batch_equals_each_series_patched_alone_bit_for_bit(self, k):
+        # each series / FLOW_SCALE, zero-padded to a multiple of k, cut into
+        # rows of k and stacked in batch order
+        rng = np.random.default_rng(k)
+        sizes = [m for m in (1, k - 1, k, k + 1, 2 * k) if m >= 1] + rng.integers(1, 501, size=24).tolist()
+        rng.shuffle(sizes)
+        series = [rng.uniform(0.0, 12.0, size=m) for m in sizes]
+        patches, lengths = _model(k)._prepare(series)
+        expected = []
+        for x in series:
+            padded = np.zeros(math.ceil(x.size / k) * k)
+            padded[: x.size] = x / detection.FLOW_SCALE
+            expected.append(padded.reshape(-1, 1, k))
+        expected = np.concatenate(expected)
+        assert patches.shape == expected.shape and patches.dtype == expected.dtype
+        assert patches.tobytes() == expected.tobytes()
+        assert lengths.tolist() == [math.ceil(m / k) for m in sizes]
 
 
 class TestConvEmbed:
@@ -219,31 +234,34 @@ class TestForwardOnlyLoss:
         series = [s for s, _, _, _ in small_cohort_series]
         labels = np.array([y for _, _, y, _ in small_cohort_series])
         model = DetectionModel(DetectionConfig(seed=3))
-        for n in (len(series), 3):
-            trace, _ = model.train(series[:n], labels[:n], TrainConfig(epochs=0))
-            assert trace == [model.loss_and_grads(series[:n], labels[:n])[0]]
+        # the whole fixture, and three records that hold both classes
+        for rows in (np.arange(len(series)), np.array([0, 1, len(series) - 1])):
+            assert set(labels[rows]) == {0, 1}
+            subset = [series[i] for i in rows]
+            trace, _ = model.train(subset, labels[rows], TrainConfig(epochs=0))
+            assert trace == [model.loss_and_grads(subset, labels[rows])[0]]
 
 
 class TestCacheFreeForward:
     def test_matches_caching_pass_bit_for_bit(self, small_cohort_series):
         series = [s for s, _, _, _ in small_cohort_series]
         model = DetectionModel(DetectionConfig(seed=4))
-        pooled, weights, plans, cache = model._pool(series)
-        pooled_c, weights_c, plans_c, cache_c = model._pool(series, keep_cache=True)
+        pooled, weights, cache = model._pool(series)
+        pooled_c, weights_c, cache_c = model._pool(series, keep_cache=True)
         assert cache is None and cache_c is not None
         assert np.array_equal(pooled, pooled_c)
         assert np.array_equal(weights, weights_c)
-        assert plans == plans_c
 
     def test_explain_rows_equal_predict_proba(self, small_cohort_series):
         series = [s for s, _, _, _ in small_cohort_series]
         model = DetectionModel(DetectionConfig(seed=4))
-        p_hat, weights, plans = model.explain(series)
+        p_hat, weights = model.explain(series)
         assert np.array_equal(p_hat, model.predict_proba(series))
-        assert weights.shape == (len(series), max(p.s for p in plans))
-        for row, plan in zip(weights, plans):
-            assert row[: plan.s].sum() == pytest.approx(1.0)
-            assert np.all(row[plan.s :] == 0.0)
+        counts = [math.ceil(len(x) / model.config.patch_len) for x in series]
+        assert weights.shape == (len(series), max(counts))
+        for row, s in zip(weights, counts):
+            assert row[:s].sum() == pytest.approx(1.0)
+            assert np.all(row[s:] == 0.0)
 
     def test_record_blocks_match_one_whole_batch_pass_bit_for_bit(self, monkeypatch):
         # 700 mixed-length records in blocks of RECORD_BLOCK, the last block
@@ -256,19 +274,19 @@ class TestCacheFreeForward:
         blocks = []
         pool = model._pool
         monkeypatch.setattr(model, "_pool", lambda *a, **kw: blocks.append(len(a[0])) or pool(*a, **kw))
-        p_hat, weights, plans = model.explain(series)
+        p_hat, weights = model.explain(series)
         step = detection.RECORD_BLOCK
         n_blocks = 700 // step
         assert n_blocks >= 3 and blocks == [step] * (n_blocks - 1) + [700 - step * (n_blocks - 1)]
         blocks.clear()
         monkeypatch.setattr(detection, "RECORD_BLOCK", 700)
-        p_whole, whole, whole_plans = model.explain(series)
+        p_whole, whole = model.explain(series)
         assert blocks == [700]
         assert np.array_equal(p_hat, p_whole)
         assert np.array_equal(weights, whole)
-        assert plans == whole_plans
-        for row, plan in zip(weights, plans):
-            assert np.all(row[plan.s :] == 0.0)
+        assert weights.shape == (700, math.ceil(300 / 8))
+        for row, m in zip(weights, lengths):
+            assert np.all(row[math.ceil(m / 8) :] == 0.0)
         assert np.array_equal(model.predict_proba(series), p_hat)
 
     def test_blocked_conv_matches_whole_batch_bit_for_bit(self, monkeypatch):
@@ -499,18 +517,16 @@ class TestEncodePatches:
     def test_full_path_shape(self):
         rng = np.random.default_rng(13)
         conv = init_conv_params(rng, channels=4, kernel=3)
-        series = rng.standard_normal(37)
-        plan = patch_plan(37, 8)
-        feats, _ = conv_embed_forward(patchify(series, plan), conv)
-        assert feats.shape == (plan.s, 4)
+        patches, lengths = _model(8)._prepare([rng.standard_normal(37)])
+        feats, _ = conv_embed_forward(patches, conv)
+        assert feats.shape == (lengths[0], 4) == (5, 4)
 
     def test_deterministic(self):
         rng = np.random.default_rng(14)
         conv = init_conv_params(rng, channels=4, kernel=5)
-        series = rng.standard_normal(50)
-        plan = patch_plan(50, 16)
-        first, _ = conv_embed_forward(patchify(series, plan), conv)
-        second, _ = conv_embed_forward(patchify(series, plan), conv)
+        patches, _ = _model(16)._prepare([rng.standard_normal(50)])
+        first, _ = conv_embed_forward(patches, conv)
+        second, _ = conv_embed_forward(patches, conv)
         assert np.array_equal(first, second)
 
 
