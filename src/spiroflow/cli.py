@@ -40,7 +40,7 @@ FORMAT_VERSION = 1
 
 
 def _write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 
 # parsed values that name the stage's inputs and outputs, not its configuration
@@ -302,8 +302,8 @@ def cmd_train_detect(args):
     cfg = TrainConfig(lr=args.lr, epochs=args.epochs, batch_size=args.batch_size, seed=args.seed)
     trace, p_train = model.train([series[i] for i in train_idx], copd[train_idx], cfg)
 
-    # fusion model on the trained detector's probabilities (its last loss
-    # pass), train split only
+    # fusion model on the trained detector's probabilities (its one
+    # forward pass after the last epoch), train split only
     fusion, _ = train_logistic(fusion_features(p_train, [demos[i] for i in train_idx]), copd[train_idx])
 
     checkpoint = model.to_dict()
@@ -318,7 +318,11 @@ def cmd_train_detect(args):
     out_dir = _out_dir(args)
     _write_json(out_dir / "detect_model.json", checkpoint)
     _write_logistic(out_dir, "fusion", fusion)
-    rows = [{"epoch": epoch, "loss": loss, "seed": args.seed} for epoch, loss in enumerate(trace)]
+    rows = [
+        {"epoch": epoch, "loss": loss, "pass": "batches", "seed": args.seed}
+        for epoch, loss in enumerate(trace[:-1], 1)
+    ]
+    rows.append({"epoch": args.epochs, "loss": trace[-1], "pass": "full", "seed": args.seed})
     write_training_log(out_dir / "train_detect_log.jsonl", rows)
     counts = {"train": len(train_idx), "test": len(test_idx)}
     return _finish(args, counts, run.smoother, final_loss=trace[-1])

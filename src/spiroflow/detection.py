@@ -9,6 +9,7 @@ belongs to its samples [j k, (j + 1) k).
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -35,7 +36,7 @@ from .encoder import (
     pad_rows,
 )
 from .errors import DegenerateLabels, InvalidArgument
-from .training import TrainConfig, exact_array, json_object, mean_cross_entropy, sgd
+from .training import TrainConfig, diverged, exact_array, json_object, mean_cross_entropy, sgd
 
 FLOW_SCALE = 10.0  # liters/second; keeps tanh inputs in a sane range
 RECORD_BLOCK = 128  # records per forward-only block; a multiple of BLAS's row tiles
@@ -161,30 +162,31 @@ class DetectionModel:
     # -- training -----------------------------------------------------------
 
     def train(self, series_list, labels, cfg: TrainConfig):
-        """Fit every parameter by `sgd`; returns the epoch loss trace and
-        P(disease) per sample from the last loss pass, which is the trained
-        model's.  Labels that hold fewer than two classes raise
-        DegenerateLabels before the first pass."""
+        """Fit every parameter by `sgd`, then score the split once.
+
+        Returns (trace, p_hat): trace holds each epoch's mean mini-batch
+        loss from `sgd`, then the trained model's mean cross-entropy over
+        the whole split, so len(trace) == cfg.epochs + 1; p_hat is
+        P(disease) per sample from that one forward-only pass.  Labels that
+        hold fewer than two classes raise DegenerateLabels before training,
+        and a final loss that is not finite raises InvalidLoss.
+        """
         labels = np.asarray(labels, dtype=np.int64)
         if len(series_list) != labels.size:
             raise InvalidArgument("series and labels must be aligned")
         classes = np.unique(labels).tolist()
         if len(classes) < 2:
             raise DegenerateLabels(f"need both classes to train the detector; its {labels.size} labels hold {classes}")
-        p_hat = None
 
-        def batch_grads(batch):
-            _, grads = self.loss_and_grads([series_list[i] for i in batch], labels[batch])
-            return grads
+        def batch_loss_grads(batch):
+            return self.loss_and_grads([series_list[i] for i in batch], labels[batch])
 
-        def full_loss():
-            nonlocal p_hat
-            probs, _ = self._infer(series_list)
-            p_hat = probs[:, 1]
-            return mean_cross_entropy(probs, labels)
-
-        trace = sgd(self.params(), batch_grads, full_loss, labels.size, cfg)
-        return trace, p_hat
+        trace = sgd(self.params(), batch_loss_grads, labels.size, cfg)
+        probs, _ = self._infer(series_list)
+        trace.append(mean_cross_entropy(probs, labels))
+        if not math.isfinite(trace[-1]):
+            raise diverged(cfg, f"the loss after epoch {cfg.epochs} is not finite")
+        return trace, probs[:, 1]
 
     # -- checkpointing ------------------------------------------------------
 

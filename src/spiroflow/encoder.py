@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidParams
 
@@ -123,29 +122,42 @@ CONV_BLOCK = 256  # patches per block; bounds the column buffer and the forward 
 
 
 def _im2col(x: np.ndarray, kernel: int, pad_left: int) -> np.ndarray:
-    """Zero-padded windows of x (P, L, C) as rows (P*L, kernel*C), ordered (tap, c)."""
+    """Zero-padded windows of x (P, L, C) as rows (P*L, kernel*C), ordered (tap, c).
+
+    P is at most CONV_BLOCK.  The rows are the head of a buffer of
+    CONV_BLOCK * L rows, one size for every block of a layer, so each
+    block's allocation can reuse the memory that the last one freed.
+    """
     p, length, c = x.shape
-    padded = np.zeros((p, length + kernel - 1, c))
-    padded[:, pad_left : pad_left + length] = x
-    windows = sliding_window_view(padded, kernel, axis=1)  # (P, L, C, kernel)
-    return windows.transpose(0, 1, 3, 2).reshape(p * length, kernel * c)
+    cols = np.empty((CONV_BLOCK * length, kernel * c))[: p * length]
+    rows = cols.reshape(p, length, kernel, c)
+    for tap in range(kernel):
+        shift = tap - pad_left  # row l of this tap holds x[l + shift]
+        lo, hi = min(max(-shift, 0), length), max(min(length - shift, length), 0)
+        rows[:, :lo, tap] = 0.0
+        rows[:, lo:hi, tap] = x[:, lo + shift : hi + shift]
+        rows[:, hi:, tap] = 0.0
+    return cols
 
 
-def _correlate(x: np.ndarray, w: np.ndarray, pad_left: int) -> np.ndarray:
-    """Zero-padded 1-D correlation of x (P, L, Cin) with w (Cout, Cin, K): (P, L, Cout)."""
+def _correlate(x: np.ndarray, w: np.ndarray, pad_left: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Zero-padded 1-D correlation of x (P, L, Cin) with w (Cout, Cin, K): (P, L, Cout),
+    written into out when given."""
     p, length, _ = x.shape
     c_out, c_in, kernel = w.shape
     wmat = w.transpose(2, 1, 0).reshape(kernel * c_in, c_out)
-    out = np.empty((p, length, c_out))
+    if out is None:
+        out = np.empty((p, length, c_out))
     for lo in range(0, p, CONV_BLOCK):
         block = slice(lo, lo + CONV_BLOCK)
-        out[block] = (_im2col(x[block], kernel, pad_left) @ wmat).reshape(-1, length, c_out)
+        np.matmul(_im2col(x[block], kernel, pad_left), wmat, out=out[block].reshape(-1, c_out))
     return out
 
 
-def _conv1d_same(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Same-length correlation, kernel // 2 zeros on the left. x: (P, L, Cin), w: (Cout, Cin, K)."""
-    out = _correlate(x, w, w.shape[2] // 2)
+def _conv1d_same(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Same-length correlation, kernel // 2 zeros on the left, written into out
+    when given. x: (P, L, Cin), w: (Cout, Cin, K)."""
+    out = _correlate(x, w, w.shape[2] // 2, out)
     out += b
     return out
 
@@ -172,36 +184,42 @@ def conv_embed_forward(patches: np.ndarray, params: ConvEncoderParams, keep_cach
 
     Each block runs both layers, their tanh and the mean pool, so without
     keep_cache a pass holds conv activations for at most CONV_BLOCK patches
-    and returns None for the cache.  With keep_cache the blocks' activations
-    are also written into whole-batch z1 and z2 arrays, the cache that
+    and returns None for the cache.  With keep_cache each block is computed
+    in place in whole-batch z1 and z2 arrays, the cache that
     conv_embed_backward reads.
     """
     params.validate()
     x = patches.transpose(0, 2, 1)
     p, length, _ = x.shape
     feats = np.empty((p, params.channels))
+    z1s = z2s = None
     if keep_cache:
         z1s = np.empty((p, length, params.w1.shape[0]))
         z2s = np.empty((p, length, params.channels))
     for lo in range(0, p, CONV_BLOCK):
         block = slice(lo, lo + CONV_BLOCK)
-        z1 = _conv1d_same(x[block], params.w1, params.b1)
+        z1 = _conv1d_same(x[block], params.w1, params.b1, None if z1s is None else z1s[block])
         np.tanh(z1, out=z1)
-        z2 = _conv1d_same(z1, params.w2, params.b2)
+        z2 = _conv1d_same(z1, params.w2, params.b2, None if z2s is None else z2s[block])
         np.tanh(z2, out=z2)
         feats[block] = z2.mean(axis=1)
-        if keep_cache:
-            z1s[block], z2s[block] = z1, z2
     return feats, ((x, z1s, z2s) if keep_cache else None)
+
+
+def _tanh_slope(z: np.ndarray) -> np.ndarray:
+    """1 - z * z, the slope of tanh where it takes the value z, in one new array."""
+    slope = np.multiply(z, z)
+    return np.subtract(1.0, slope, out=slope)
 
 
 def conv_embed_backward(dfeats: np.ndarray, cache, params: ConvEncoderParams):
     x, z1, z2 = cache
     length = x.shape[1]
-    da2 = (dfeats[:, None, :] / length) * (1.0 - z2 * z2)
+    da2 = _tanh_slope(z2)
+    da2 *= dfeats[:, None, :] / length
     dz1, dw2, db2 = _conv1d_same_backward(da2, z1, params.w2)
-    da1 = dz1 * (1.0 - z1 * z1)
-    _, dw1, db1 = _conv1d_same_backward(da1, x, params.w1, input_grad=False)
+    dz1 *= _tanh_slope(z1)
+    _, dw1, db1 = _conv1d_same_backward(dz1, x, params.w1, input_grad=False)
     return {"conv_w1": dw1, "conv_b1": db1, "conv_w2": dw2, "conv_b2": db2}
 
 

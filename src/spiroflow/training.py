@@ -3,13 +3,15 @@ finite-difference checks.
 
 Everything here runs in double precision.  `sgd` is the seeded mini-batch
 gradient-descent loop under a fixed learning rate that trains the detection
-stack, so seeded runs are bitwise reproducible.  The fusion and horizon
-models are multinomial logistic regressions, which are convex:
-`train_logistic` fits them exactly by penalized Newton steps (iteratively
-reweighted least squares; McCullagh & Nelder 1989, Hastie et al., *The
-Elements of Statistical Learning* §4.4.1) on standardized columns, with no
-randomness and no learning rate.  Every analytic gradient in the repo can
-be validated against central finite differences with `grad_check`.
+stack, so seeded runs are bitwise reproducible; it returns each epoch's
+mean mini-batch loss, which the batches compute anyway, and runs no loss
+pass of its own.  The fusion and horizon models are multinomial logistic
+regressions, which are convex: `train_logistic` fits them exactly by
+penalized Newton steps (iteratively reweighted least squares; McCullagh &
+Nelder 1989, Hastie et al., *The Elements of Statistical Learning* §4.4.1)
+on standardized columns, with no randomness and no learning rate.  Every
+analytic gradient in the repo can be validated against central finite
+differences with `grad_check`.
 """
 
 from __future__ import annotations
@@ -60,32 +62,40 @@ def mean_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.log(picked).mean())
 
 
-def sgd(params: dict[str, np.ndarray], batch_grads, full_loss, n: int, cfg: TrainConfig) -> list[float]:
-    """Seeded mini-batch gradient descent; returns the epoch loss trace.
+def diverged(cfg: TrainConfig, what: str) -> InvalidLoss:
+    """The error that ends a fit whose loss or parameters stopped being finite."""
+    return InvalidLoss(f"training diverged at learning rate {cfg.lr!r}: {what}")
+
+
+def sgd(params: dict[str, np.ndarray], batch_loss_grads, n: int, cfg: TrainConfig) -> list[float]:
+    """Seeded mini-batch gradient descent; returns each epoch's mean loss.
 
     params are updated in place.  Each epoch visits a fresh permutation of
     the n records in batches of cfg.batch_size (the last may be short);
-    batch_grads(indices) returns a gradient for every name in params.
-    full_loss() is a forward-only loss over all n records, taken before
-    training and after each epoch.  A step that leaves a parameter
-    non-finite, or a loss that is not finite, raises InvalidLoss naming the
-    learning rate.
+    batch_loss_grads(indices) returns the batch's mean loss and a gradient
+    for every name in params.  An epoch's entry is its batch losses
+    weighted by batch size, sum(loss_b * len(b)) / n, each taken at the
+    parameters before that batch's step.  A batch loss that is not finite,
+    or a step that leaves a parameter non-finite, raises InvalidLoss naming
+    the learning rate.
     """
     rng = np.random.default_rng(cfg.seed)
-    diverged = f"training diverged at learning rate {cfg.lr!r}"
-    trace = [full_loss()]
+    means = []
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
+        total = 0.0
         for start in range(0, n, cfg.batch_size):
-            grads = batch_grads(order[start : start + cfg.batch_size])
+            batch = order[start : start + cfg.batch_size]
+            loss, grads = batch_loss_grads(batch)
+            if not math.isfinite(loss):
+                raise diverged(cfg, f"a batch loss in epoch {epoch} is not finite")
+            total += loss * batch.size
             for name, p in params.items():
                 p -= cfg.lr * grads[name]
                 if not np.all(np.isfinite(p)):
-                    raise InvalidLoss(f"{diverged}: {name} is not finite in epoch {epoch}")
-        trace.append(full_loss())
-        if not math.isfinite(trace[-1]):
-            raise InvalidLoss(f"{diverged}: the loss after epoch {epoch} is not finite")
-    return trace
+                    raise diverged(cfg, f"{name} is not finite in epoch {epoch}")
+        means.append(total / n)
+    return means
 
 
 def json_object(blob: dict, key: str) -> dict:

@@ -184,7 +184,7 @@ class TestTrainAndEvaluate:
         assert all(np.array_equal(c.samples, by_id[i].samples) for c, i in zip(smoothed[0], test_ids))
 
     def test_train_detect_fits_fusion_on_its_last_loss_pass(self, pipeline, tmp_path, monkeypatch):
-        # one forward-only pass over the train split per parameter state, and no other inference pass
+        # one forward-only pass over the train split, after the last epoch, and no other inference pass
         from spiroflow.detection import DetectionModel
 
         _, cohort, _ = pipeline
@@ -202,7 +202,7 @@ class TestTrainAndEvaluate:
         assert _run("train-detect", "--out-dir", str(out), "--cohort", str(cohort), "--epochs", str(epochs)) == 0
         n_train = json.loads((out / "manifest_train_detect.json").read_text())["counts"]["train"]
         assert predicts == []
-        assert passes == [n_train] * (epochs + 1)
+        assert passes == [n_train]
 
     def test_subgroup_flag(self, pipeline, tmp_path):
         _, cohort, models = pipeline
@@ -730,15 +730,24 @@ class TestErrors:
                 assert name in payload["message"], (name, command)
                 assert not out.exists(), (name, command)
         # a detector fit that diverges is blamed on its learning rate, before
-        # fusion runs or any file is written: on 36 records its loss goes
-        # non-finite first, on 600 records a parameter
+        # fusion runs or any file is written: on 36 records the first step
+        # leaves finite parameters whose loss is not, so the pass after a
+        # one-epoch fit fails, and a longer fit fails on epoch 2's first
+        # batch loss; on 600 records the second batch's loss fails
         big = tmp_path / "cohort_600"
         assert _run("synth", "--out-dir", str(big), "--n", "600", "--seed", "7") == 0
         capsys.readouterr()
-        for records, where in ((cohort, "the loss after epoch 1"), (big, "conv_w1 is not finite in epoch 1")):
-            out = tmp_path / f"diverged_{records.name}"
+        cases = [
+            (cohort, "1", "the loss after epoch 1 is not finite"),
+            (cohort, "40", "a batch loss in epoch 2 is not finite"),
+            (big, "40", "a batch loss in epoch 1 is not finite"),
+        ]
+        for records, epochs, where in cases:
+            out = tmp_path / f"diverged_{records.name}_{epochs}"
             with np.errstate(over="ignore", invalid="ignore"):
-                code = _run("train-detect", "--out-dir", str(out), "--cohort", str(records), "--lr=1e308")
+                code = _run(
+                    "train-detect", "--out-dir", str(out), "--cohort", str(records), "--epochs", epochs, "--lr=1e308"
+                )
             assert code == 1
             payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
             assert payload["error"] == "InvalidLoss", payload

@@ -230,7 +230,8 @@ def test_sigmoid_matches_masked_reference_bit_for_bit():
 
 class TestForwardOnlyLoss:
     def test_equals_loss_and_grads_bit_for_bit(self, small_cohort_series):
-        # the loss train logs before its first epoch is the forward-only pass
+        # the loss that train logs after its last epoch, here the zeroth, is
+        # the forward-only pass
         series = [s for s, _, _, _ in small_cohort_series]
         labels = np.array([y for _, _, y, _ in small_cohort_series])
         model = DetectionModel(DetectionConfig(seed=3))

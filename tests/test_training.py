@@ -234,7 +234,8 @@ def _reference_detection(model, series, labels, cfg):
     """Written-out mini-batch loop over every detector parameter, in place.
 
     `+ 0.0 * p` is the weight-decay term at 0.0, as in _reference_logistic.
-    Returns the loss trace.
+    Returns the loss trace: each epoch's batch losses weighted by batch
+    size, over n, then one whole-batch loss pass after the last epoch.
     """
     labels = np.asarray(labels, dtype=np.int64)
     n = labels.size
@@ -245,15 +246,18 @@ def _reference_detection(model, series, labels, cfg):
 
     rng = np.random.default_rng(cfg.seed)
     params = model.params()
-    trace = [loss()]
+    trace = []
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
+        weighted = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            _, grads = model.loss_and_grads([series[i] for i in batch], labels[batch])
+            batch_loss, grads = model.loss_and_grads([series[i] for i in batch], labels[batch])
+            weighted += batch_loss * batch.size
             for name, p in params.items():
                 p -= cfg.lr * (grads[name] + 0.0 * p)
-        trace.append(loss())
+        trace.append(weighted / n)
+    trace.append(loss())
     return trace
 
 
@@ -297,8 +301,59 @@ class TestSgdMatchesReference:
         assert len(trace) == epochs + 1
         for name, value in reference.params().items():
             assert _bits(model.params()[name]) == _bits(value), name
-        # the last loss pass's P(disease) is the trained model's
+        # the one loss pass's P(disease) is the trained model's
         assert _bits(p_hat) == _bits(model.predict_proba(series))
+
+
+def _tiny_detector():
+    """Seven records of two to sixteen 4-sample patches and an untrained
+    detector small enough to train in a test."""
+    rng = np.random.default_rng(3)
+    series = [np.cumsum(rng.uniform(0.0, 0.5, size=m)) for m in (9, 40, 17, 64, 23, 5, 33)]
+    labels = np.array([1, 0, 1, 1, 0, 0, 1])
+    config = DetectionConfig(patch_len=4, channels=3, hidden=3, conv_kernel=3, seed=2)
+    return series, labels, DetectionModel(config)
+
+
+class TestOneLossPass:
+    """DetectionModel.train scores its split once, after the last epoch; the
+    epochs' entries are the mini-batch losses that training computed anyway."""
+
+    @pytest.mark.parametrize("epochs", [0, 1, 3])
+    def test_one_forward_pass_per_fit(self, epochs, monkeypatch):
+        series, labels, model = _tiny_detector()
+        passes = []
+        infer = DetectionModel._infer
+        monkeypatch.setattr(DetectionModel, "_infer", lambda self, s: passes.append(len(s)) or infer(self, s))
+        trace, _ = model.train(series, labels, TrainConfig(lr=0.5, epochs=epochs, batch_size=3, seed=5))
+        assert passes == [len(series)]
+        assert len(trace) == epochs + 1
+
+    @pytest.mark.parametrize("epochs", [0, 2])
+    def test_last_entry_is_the_trained_models_loss(self, epochs):
+        series, labels, model = _tiny_detector()
+        trace, p_hat = model.train(series, labels, TrainConfig(lr=0.5, epochs=epochs, batch_size=3, seed=5))
+        probs, _ = model._infer(series)
+        assert _bits(probs[:, 1]) == _bits(model.predict_proba(series)) == _bits(p_hat)
+        assert _bits(trace[-1]) == _bits(mean_cross_entropy(probs, labels))
+
+    def test_epoch_entries_are_size_weighted_means_of_batch_losses(self, monkeypatch):
+        series, labels, model = _tiny_detector()
+        seen = []
+        loss_and_grads = DetectionModel.loss_and_grads
+
+        def recording(self, batch_series, batch_labels):
+            loss, grads = loss_and_grads(self, batch_series, batch_labels)
+            seen.append((loss, len(batch_series)))
+            return loss, grads
+
+        monkeypatch.setattr(DetectionModel, "loss_and_grads", recording)
+        trace, _ = model.train(series, labels, TrainConfig(lr=0.5, epochs=3, batch_size=3, seed=5))
+        assert [size for _, size in seen] == [3, 3, 1] * 3  # 7 records in batches of 3
+        for epoch in range(3):
+            (a, size_a), (b, size_b), (c, size_c) = seen[3 * epoch : 3 * epoch + 3]
+            assert _bits(trace[epoch]) == _bits((a * size_a + b * size_b + c * size_c) / 7)
+        assert len(trace) == 4
 
 
 class TestTrainConfig:
@@ -306,16 +361,24 @@ class TestTrainConfig:
         for lr in (0.0, math.nan, math.inf):
             with pytest.raises(InvalidArgument):
                 TrainConfig(lr=lr)
-        # a finite rate so large that a step overflows a parameter, or the
-        # loss, ends in InvalidLoss naming the rate, before the next step
+        # a finite rate so large that a step overflows a parameter, or a
+        # batch loss that is not finite, ends in InvalidLoss naming the rate,
+        # before the next step
         cfg = TrainConfig(lr=1e308, epochs=3, batch_size=4)
         w = np.ones(3)
         with pytest.raises(InvalidLoss, match=r"learning rate 1e\+308: w is not finite in epoch 1"):
             with np.errstate(over="ignore"):
-                sgd({"w": w}, lambda batch: {"w": 2.0 * w}, lambda: float(w @ w), 8, cfg)
+                sgd({"w": w}, lambda batch: (float(w @ w), {"w": 2.0 * w}), 8, cfg)
         w = np.ones(3)
-        with pytest.raises(InvalidLoss, match=r"learning rate 1e\+308: the loss after epoch 1 is not finite"):
-            sgd({"w": w}, lambda batch: {"w": np.zeros(3)}, lambda: math.inf if w[0] else 0.0, 8, cfg)
+        calls = []
+
+        def batch_loss_grads(batch):
+            calls.append(batch.size)
+            return (math.inf if len(calls) == 2 else 0.0), {"w": np.zeros(3)}
+
+        with pytest.raises(InvalidLoss, match=r"learning rate 1e\+308: a batch loss in epoch 1 is not finite"):
+            sgd({"w": w}, batch_loss_grads, 8, cfg)
+        assert calls == [4, 4]
         with pytest.raises(InvalidArgument):
             TrainConfig(epochs=-1)
         with pytest.raises(InvalidArgument):
