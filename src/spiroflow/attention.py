@@ -4,8 +4,9 @@ Attention scores each patch context through linear -> swish -> bilinear ->
 linear layers, normalizes with a softmax restricted to valid patches, and
 pools the contexts with those weights.  A two-class affine head turns the
 pooled context into a detection probability.  Fusion concatenates that
-probability with the raw demographics (`fusion_features`, the one owner of
-that layout) and feeds a trained logistic model, which standardizes each
+probability with each record's structural row, the raw demographics plus
+the FEV1/FVC ratio read from its curve (`fusion_features`, the one owner of
+that layout), and feeds a trained logistic model, which standardizes each
 column itself; its weight gap times the standardized value doubles as each
 feature's contribution.
 """
@@ -85,12 +86,11 @@ def init_head_params(rng: np.random.Generator, context_width: int) -> HeadParams
 
 @dataclass(frozen=True)
 class DemographicRecord:
-    """Sex, age, smoking status and the FEV1/FVC ratio."""
+    """Sex, age and smoking status; the FEV1/FVC ratio is read from the curve."""
 
     sex: str
     age: float
     smoking: str
-    fev1_fvc_ratio: float
 
     def __post_init__(self):
         if self.sex not in SEX_CODES:
@@ -99,8 +99,6 @@ class DemographicRecord:
             raise InvalidParams(f"unknown smoking code {self.smoking!r}")
         if not 0 < self.age < math.inf:
             raise InvalidParams(f"age must be positive and finite, not {self.age!r}")
-        if not (0.0 < self.fev1_fvc_ratio <= 1.0):
-            raise InvalidParams("FEV1/FVC ratio must be in (0, 1]")
 
 
 STRUCT_FEATURE_NAMES = (
@@ -116,13 +114,14 @@ STRUCT_FEATURE_NAMES = (
 FUSION_FEATURE_NAMES = ("detection_probability",) + STRUCT_FEATURE_NAMES
 
 
-def demographic_block(demos: list[DemographicRecord]) -> np.ndarray:
-    """(N, 7) block in STRUCT_FEATURE_NAMES order, one row per record:
-    one-hot sex and smoking, raw age and the FEV1/FVC ratio.  The logistic
-    models standardize each column by its own train-split statistics."""
+def demographic_block(demos: list[DemographicRecord], ratios) -> np.ndarray:
+    """(N, 7) structural block in STRUCT_FEATURE_NAMES order, one row per
+    record: one-hot sex and smoking, raw age, then the record's FEV1/FVC
+    ratio from ratios (curves.fev1_fvc_ratio).  The logistic models
+    standardize each column by its own train-split statistics."""
     rows = [
-        [d.sex == c for c in SEX_CODES] + [d.smoking == c for c in SMOKING_CODES] + [d.age, d.fev1_fvc_ratio]
-        for d in demos
+        [d.sex == c for c in SEX_CODES] + [d.smoking == c for c in SMOKING_CODES] + [d.age, ratio]
+        for d, ratio in zip(demos, ratios, strict=True)
     ]
     return np.array(rows, dtype=float).reshape(-1, len(STRUCT_FEATURE_NAMES))
 
@@ -187,13 +186,13 @@ def head_backward(dlogits: np.ndarray, pooled: np.ndarray, params: HeadParams):
     return dpooled, grads
 
 
-def fusion_features(p_hats, demos: list[DemographicRecord]) -> np.ndarray:
+def fusion_features(p_hats, struct: np.ndarray) -> np.ndarray:
     """(N, 8) fusion inputs in FUSION_FEATURE_NAMES order: each record's
-    detection probability, then its demographic_block row."""
-    return np.column_stack([np.asarray(p_hats, dtype=float), demographic_block(demos)])
+    detection probability, then its row of struct (demographic_block)."""
+    return np.column_stack([np.asarray(p_hats, dtype=float), struct])
 
 
-def fuse_and_score(p_hats, demos: list[DemographicRecord], fusion_model):
+def fuse_and_score(p_hats, struct: np.ndarray, fusion_model):
     """Fused risks (N,) and per-feature contributions (N, 8): the weight gap
     of the two classes times the standardized feature value, so a record at
     the training mean of a feature gets 0 from it.
@@ -201,7 +200,7 @@ def fuse_and_score(p_hats, demos: list[DemographicRecord], fusion_model):
     fusion_model is a fitted two-class logistic model (see training module)
     over fusion_features; all N records are scored in one call.
     """
-    features = fusion_features(p_hats, demos)
+    features = fusion_features(p_hats, struct)
     risks = fusion_model.predict_proba(features)[:, 1]
     gap_w = fusion_model.weights[1] - fusion_model.weights[0]
     return risks, gap_w * fusion_model.standardize(features)

@@ -23,11 +23,12 @@ from .attention import (
     FUSION_FEATURE_NAMES,
     DemographicRecord,
     attention_overlay,
+    demographic_block,
     fuse_and_score,
     fusion_features,
     overlay_svg,
 )
-from .curves import SmootherConfig, differentiate_flow, gaussian_smooth, volume_flow_curve
+from .curves import SmootherConfig, differentiate_flow, fev1_fvc_ratio, gaussian_smooth, volume_flow_curve
 from .data import CohortSpec, generate_synthetic_cohort, load_time_volume_csv, write_time_volume_csv
 from .detection import DetectionConfig, DetectionModel
 from .errors import InvalidArgument, InvalidParams, ParseError, SpiroError, ValidationError
@@ -82,9 +83,9 @@ def _write_cohort(out_dir: Path, records):
     write_time_volume_csv(out_dir / "curves.csv", [(r.record_id, r.curve) for r in records])
     with open(out_dir / "demographics.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["id", "sex", "age", "smoking", "fev1_fvc_ratio"])
+        writer.writerow(["id", "sex", "age", "smoking"])
         for r in records:
-            writer.writerow([r.record_id, r.demo.sex, repr(r.demo.age), r.demo.smoking, repr(r.demo.fev1_fvc_ratio)])
+            writer.writerow([r.record_id, r.demo.sex, repr(r.demo.age), r.demo.smoking])
     with open(out_dir / "labels.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "copd", "horizon"])
@@ -114,12 +115,9 @@ def _read_rows(path: Path, parse) -> dict:
 
 
 def _parse_demographics(row) -> DemographicRecord:
-    return DemographicRecord(
-        sex=row["sex"],
-        age=float(row["age"]),
-        smoking=row["smoking"],
-        fev1_fvc_ratio=float(row["fev1_fvc_ratio"]),
-    )
+    if "fev1_fvc_ratio" in row:
+        raise ValueError("the fev1_fvc_ratio column is no longer read: the ratio comes from curves.csv")
+    return DemographicRecord(sex=row["sex"], age=float(row["age"]), smoking=row["smoking"])
 
 
 def _parse_labels(row) -> tuple[int, HorizonLabel]:
@@ -180,6 +178,7 @@ class _Run:
     vf_curves: list
     series: list
     demos: list
+    struct: np.ndarray  # (N, 7) demographic_block: demographics and the curve's FEV1/FVC ratio
     copd: np.ndarray
     horizons: list
     models: tuple | None  # (detector, fusion model, detector test_ids)
@@ -191,7 +190,8 @@ def _start(args, models: bool = False, record_ids=None, test_split: bool = False
     --window/--sigma.  With record_ids, or with test_split (the detector
     checkpoint's test_ids), the cohort is first cut to those records, kept
     in cohort order, so only their curves are preprocessed.  A curve that
-    fails preprocessing is named by its id."""
+    fails preprocessing is named by its id; the FEV1/FVC ratios are read
+    from the accepted curves, whose largest volumes are positive."""
     cohort = _load_cohort(Path(args.cohort))
     if models:
         loaded, smoother = _load_models(Path(args.models))
@@ -208,7 +208,8 @@ def _start(args, models: bool = False, record_ids=None, test_split: bool = False
         if exc.row is None:
             raise
         raise _naming(exc, ids[exc.row]) from None
-    return _Run(smoother, ids, vf_curves, series, demos, copd, horizons, loaded)
+    struct = demographic_block(demos, fev1_fvc_ratio(curves))
+    return _Run(smoother, ids, vf_curves, series, demos, struct, copd, horizons, loaded)
 
 
 def _naming(exc: SpiroError, blow_id: str) -> SpiroError:
@@ -294,7 +295,7 @@ def cmd_featurize(args):
 
 def cmd_train_detect(args):
     run = _start(args)
-    ids, series, demos, copd = run.ids, run.series, run.demos, run.copd
+    ids, series, copd = run.ids, run.series, run.copd
     train_idx, test_idx = _split(ids, args.seed)
     model = DetectionModel(
         DetectionConfig(patch_len=args.k, channels=args.channels, hidden=args.hidden, seed=args.seed)
@@ -304,7 +305,7 @@ def cmd_train_detect(args):
 
     # fusion model on the trained detector's probabilities (its one
     # forward pass after the last epoch), train split only
-    fusion, _ = train_logistic(fusion_features(p_train, [demos[i] for i in train_idx]), copd[train_idx])
+    fusion, _ = train_logistic(fusion_features(p_train, run.struct[train_idx]), copd[train_idx])
 
     checkpoint = model.to_dict()
     checkpoint.update(
@@ -403,9 +404,9 @@ def _load_models(model_dir: Path):
 def cmd_train_horizon(args):
     run = _start(args, models=True)
     model, fusion, _ = run.models
-    risks, _ = fuse_and_score(model.predict_proba(run.series), run.demos, fusion)
+    risks, _ = fuse_and_score(model.predict_proba(run.series), run.struct, fusion)
     profiles = _profiles(run.ids, run.vf_curves)
-    features = future_feature_vector(risks, profiles, run.demos)
+    features = future_feature_vector(risks, profiles, run.struct)
     labels = np.array([h.value for h in run.horizons])
     horizon_model, trace = train_logistic(features, labels)
     out_dir = _out_dir(args)
@@ -416,16 +417,16 @@ def cmd_train_horizon(args):
 
 def cmd_evaluate(args):
     run = _start(args, models=True, test_split=True)
-    demos, labels = run.demos, run.copd
+    labels = run.copd
     model, fusion, _ = run.models
     p_hat = model.predict_proba(run.series)
-    risks, _ = fuse_and_score(p_hat, demos, fusion)
+    risks, _ = fuse_and_score(p_hat, run.struct, fusion)
     report = {
         "detection": metrics_report(p_hat, labels, args.threshold, split="test"),
         "fused": metrics_report(risks, labels, args.threshold, split="test"),
     }
     if args.subgroup:
-        report["subgroups"] = subgroup_reports(p_hat, labels, demos, args.subgroup, args.threshold)
+        report["subgroups"] = subgroup_reports(p_hat, labels, run.demos, args.subgroup, args.threshold)
     _write_json(_out_dir(args) / "metrics.json", report)
     return _finish(args, {}, run.smoother, auroc=report["detection"]["auroc"])
 
@@ -434,7 +435,7 @@ def cmd_explain(args):
     run = _start(args, models=True, record_ids=None if args.id is None else [args.id])
     model, fusion, _ = run.models
     p_hats, weights = model.explain(run.series)
-    risks, contributions = fuse_and_score(p_hats, run.demos, fusion)
+    risks, contributions = fuse_and_score(p_hats, run.struct, fusion)
     out_dir = _out_dir(args)
     for row, (blow_id, vf) in enumerate(zip(run.ids, run.vf_curves)):
         overlay = attention_overlay(weights[row], vf, model.config.patch_len)
@@ -448,15 +449,15 @@ def cmd_explain(args):
 
 def cmd_predict(args):
     run = _start(args, models=True)
-    ids, vf_curves, demos = run.ids, run.vf_curves, run.demos
+    ids, vf_curves = run.ids, run.vf_curves
     model, fusion, _ = run.models
     labels = tuple(h.value for h in HORIZON_ORDER)
     horizon_model = _read_logistic(Path(args.models), "horizon")
     p_hats = model.predict_proba(run.series)
-    risks, _ = fuse_and_score(p_hats, demos, fusion)
+    risks, _ = fuse_and_score(p_hats, run.struct, fusion)
     negative = [i for i, p_hat in enumerate(p_hats) if p_hat <= args.threshold]
     profiles = _profiles([ids[i] for i in negative], [vf_curves[i] for i in negative])
-    rows = future_feature_vector(risks[negative], profiles, [demos[i] for i in negative])
+    rows = future_feature_vector(risks[negative], profiles, run.struct[negative])
     probs = predict_future_risk(rows, horizon_model)
     horizon = {i: (vec, dist) for i, vec, dist in zip(negative, rows, probs)}
     with open(_out_dir(args) / "predictions.jsonl", "w") as fh:
@@ -500,8 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if smoother:
-            p.add_argument("--sigma", type=_finite_float, default=2.0)
-            p.add_argument("--window", type=int, default=5)
+            p.add_argument("--sigma", type=_finite_float, default=SmootherConfig.sigma)
+            p.add_argument("--window", type=int, default=SmootherConfig.k)
         if cohort:
             p.add_argument("--cohort", required=True, help="directory with cohort CSV files")
         if models:
@@ -510,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a seeded synthetic cohort")
     common(p, cohort=False, seed=True)
     p.add_argument("--n", type=int, default=60, help="approximate total cohort size")
-    p.add_argument("--noise", type=_finite_float, default=0.1)
+    p.add_argument("--noise", type=_finite_float, default=CohortSpec.noise)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("smooth", help="write smoothed Time-Volume curves")
@@ -523,12 +524,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-detect", help="train the detection stack and fusion model")
     common(p, seed=True, smoother=True)
-    p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--lr", type=_finite_float, default=0.05)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--k", type=int, default=32, help="patch length in samples")
-    p.add_argument("--hidden", type=int, default=32)
-    p.add_argument("--channels", type=int, default=16)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--lr", type=_finite_float, default=TrainConfig.lr)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--k", type=int, default=DetectionConfig.patch_len, help="patch length in samples")
+    p.add_argument("--hidden", type=int, default=DetectionConfig.hidden)
+    p.add_argument("--channels", type=int, default=DetectionConfig.channels)
     p.set_defaults(func=cmd_train_detect)
 
     p = sub.add_parser("train-horizon", help="fit the onset-horizon model")

@@ -4,7 +4,8 @@ The raw signal from a forced-exhalation maneuver is a uniformly sampled
 exhaled-volume series.  Flow is obtained by forward finite differences and
 the Volume-Flow curve by composing flow with the (first-attainment) inverse
 of the volume trace.  A truncated, renormalized Gaussian kernel is used to
-suppress sampling jitter before differentiation.
+suppress sampling jitter before differentiation.  `fev1_fvc_ratio` is the
+one owner of the FEV1/FVC ratio, read from the raw volume series.
 """
 
 from __future__ import annotations
@@ -257,3 +258,10 @@ def volume_flow_curve(vols, flows):
     pairs = _by_block(_volume_flow_block, 2, [c.samples for c in vol_batch], [c.samples for c in flow_batch])
     out = [VolumeFlowCurve(*pair) for pair in pairs]
     return out[0] if single else out
+
+
+def fev1_fvc_ratio(curves) -> np.ndarray:
+    """(N,) FEV1/FVC of each TimeVolumeCurve of a sequence: FEV1 is the
+    volume at 1 s, sample round(1 / dt), or the last sample of a shorter
+    curve, and FVC is the curve's largest volume."""
+    return np.array([c.samples[min(round(1.0 / c.dt), len(c) - 1)] / c.samples.max() for c in curves], dtype=float)

@@ -6,7 +6,7 @@ signs flip with severity (early phases sag in severe classes, late phases
 sag in healthy ones), which is exactly what the concavity trend measures,
 so class templates come with known ground truth.  Demographic rates
 (smoking, sex, age) shift with severity in the clinically expected
-directions.
+directions; the FEV1/FVC ratio is not sampled but read from each curve.
 """
 
 from __future__ import annotations
@@ -128,24 +128,13 @@ def template_curve(template: ClassTemplate) -> np.ndarray:
     return np.array(volumes)
 
 
-def _sample_demo(rng: np.random.Generator, class_idx: int, ratio: float) -> DemographicRecord:
+def _sample_demo(rng: np.random.Generator, class_idx: int) -> DemographicRecord:
     male = rng.random() < MALE_FRACTIONS[class_idx]
     smokes = rng.random() < SMOKING_RATES[class_idx]
     smoking = "current" if smokes else ("former" if rng.random() < 0.4 else "never")
     lo, hi = AGE_RANGES[class_idx]
     age = float(rng.uniform(lo, hi))
-    return DemographicRecord(
-        sex=SEX_CODES[1] if male else SEX_CODES[0],
-        age=age,
-        smoking=smoking,
-        fev1_fvc_ratio=ratio,
-    )
-
-
-def _fev1_fvc(volumes: np.ndarray) -> float:
-    one_second = min(int(round(1.0 / DEFAULT_DT)), volumes.size - 1)
-    fvc = volumes[-1]
-    return float(np.clip(volumes[one_second] / fvc, 1e-6, 1.0))
+    return DemographicRecord(sex=SEX_CODES[1] if male else SEX_CODES[0], age=age, smoking=smoking)
 
 
 def generate_synthetic_cohort(spec: CohortSpec) -> list[CohortRecord]:
@@ -162,8 +151,7 @@ def generate_synthetic_cohort(spec: CohortSpec) -> list[CohortRecord]:
                 volumes = np.concatenate([[0.0], np.cumsum(np.clip(increments, 0.0, None))])
             else:
                 volumes = base.copy()
-            ratio = _fev1_fvc(volumes)
-            demo = _sample_demo(rng, class_idx, ratio)
+            demo = _sample_demo(rng, class_idx)
             records.append(
                 CohortRecord(
                     record_id=f"{label.value}_{i:04d}",

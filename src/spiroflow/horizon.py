@@ -1,9 +1,10 @@
 """Future-risk features and multi-horizon onset classification.
 
 The feature block concatenates, per record, the fused COPD risk, the four
-phase concavities, the concavity trend and the raw demographics; a trained
-multinomial logistic model, which standardizes each column itself, maps it
-to a distribution over six onset horizons.
+phase concavities, the concavity trend and the structural row (the raw
+demographics and the curve's FEV1/FVC ratio); a trained multinomial
+logistic model, which standardizes each column itself, maps it to a
+distribution over six onset horizons.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .attention import STRUCT_FEATURE_NAMES, DemographicRecord, demographic_block
+from .attention import STRUCT_FEATURE_NAMES
 from .errors import InvalidArgument
 from .phases import ConcavityProfile
 from .training import LogisticModel
@@ -39,11 +40,11 @@ FUTURE_FEATURE_NAMES = (
 ) + STRUCT_FEATURE_NAMES
 
 
-def future_feature_vector(risks, profiles: list[ConcavityProfile], demos: list[DemographicRecord]) -> np.ndarray:
+def future_feature_vector(risks, profiles: list[ConcavityProfile], struct: np.ndarray) -> np.ndarray:
     """(N, 13) block in FUTURE_FEATURE_NAMES order, one row per record:
-    fused risk, four concavities, trend, demographic_block row."""
+    fused risk, four concavities, trend, its struct (demographic_block) row."""
     concavities = np.array([[*p.as_array(), p.trend] for p in profiles], dtype=float).reshape(-1, 5)
-    vecs = np.column_stack([np.asarray(risks, dtype=float), concavities, demographic_block(demos)])
+    vecs = np.column_stack([np.asarray(risks, dtype=float), concavities, struct])
     if not np.all(np.isfinite(vecs)):
         raise InvalidArgument("future feature vector must be finite")
     return vecs

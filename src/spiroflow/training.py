@@ -34,7 +34,7 @@ NEWTON_MAX_HALVINGS = 30  # backtracking halvings of one Newton step before the 
 @dataclass(frozen=True)
 class TrainConfig:
     lr: float = 0.05
-    epochs: int = 100
+    epochs: int = 40
     batch_size: int = 32
     seed: int = 0
 

@@ -7,12 +7,14 @@ from pathlib import Path
 
 import numpy as np
 
+from spiroflow.attention import demographic_block
 from spiroflow.cli import main as cli_main
 from spiroflow.curves import (
     SmootherConfig,
     TimeVolumeCurve,
     VolumeFlowCurve,
     differentiate_flow,
+    fev1_fvc_ratio,
     gaussian_smooth,
     volume_flow_curve,
 )
@@ -238,7 +240,7 @@ def test_horizon_model_sanity():
     x = future_feature_vector(
         [float(rec.copd) for rec in records],
         [concavity_features(vf) for vf in vfs],
-        [rec.demo for rec in records],
+        demographic_block([rec.demo for rec in records], fev1_fvc_ratio([rec.curve for rec in records])),
     )
     y = np.array([rec.horizon.value for rec in records])
     model, _ = train_logistic(x, y)

@@ -207,20 +207,19 @@ class TestHead:
 class TestDemographics:
     def test_one_hot_layout(self):
         # age is raw, in years: the logistic models standardize each column
+        # and the FEV1/FVC ratio comes from the curve, not the demographics
         block = demographic_block(
-            [DemographicRecord("male", 60.0, "former", 0.7), DemographicRecord("female", 45.0, "current", 0.55)]
+            [DemographicRecord("male", 60.0, "former"), DemographicRecord("female", 45.0, "current")], [0.7, 0.55]
         )
         assert block.tolist() == [[0.0, 1.0, 0.0, 1.0, 0.0, 60.0, 0.7], [1.0, 0.0, 0.0, 0.0, 1.0, 45.0, 0.55]]
-        assert demographic_block([]).shape == (0, len(STRUCT_FEATURE_NAMES))
-        assert STRUCT_FEATURE_NAMES[5] == "age"
+        assert demographic_block([], []).shape == (0, len(STRUCT_FEATURE_NAMES))
+        assert STRUCT_FEATURE_NAMES[5:] == ("age", "fev1_fvc_ratio")
 
     def test_bad_codes_rejected(self):
         with pytest.raises(InvalidParams):
-            DemographicRecord("other", 60.0, "never", 0.7)
+            DemographicRecord("other", 60.0, "never")
         with pytest.raises(InvalidParams):
-            DemographicRecord("male", 60.0, "sometimes", 0.7)
-        with pytest.raises(InvalidParams):
-            DemographicRecord("male", 60.0, "never", 1.5)
+            DemographicRecord("male", 60.0, "sometimes")
 
 
 class TestFusion:
@@ -228,16 +227,15 @@ class TestFusion:
     def _fit_fusion(rng, n=200):
         # p_hat mildly informative, ratio strongly so
         labels = rng.integers(0, 2, size=n)
-        demos, p_hats = [], []
+        demos, ratios, p_hats = [], [], []
         for y in labels:
-            ratio = 0.55 + 0.1 * rng.random() if y else 0.75 + 0.1 * rng.random()
+            ratios.append(0.55 + 0.1 * rng.random() if y else 0.75 + 0.1 * rng.random())
             demo = DemographicRecord("male" if rng.random() < 0.5 else "female",
                                      float(rng.uniform(40, 75)),
-                                     "current" if y and rng.random() < 0.7 else "never",
-                                     ratio)
+                                     "current" if y and rng.random() < 0.7 else "never")
             demos.append(demo)
             p_hats.append(float(np.clip(0.5 + (0.25 if y else -0.25) + 0.2 * rng.standard_normal(), 0.01, 0.99)))
-        x = fusion_features(p_hats, demos)
+        x = fusion_features(p_hats, demographic_block(demos, ratios))
         model, _ = train_logistic(x, labels)
         return model, x, labels
 
@@ -246,19 +244,21 @@ class TestFusion:
         # weights act on
         rng = np.random.default_rng(12)
         model, x, _ = self._fit_fusion(rng)
-        demos = [DemographicRecord("female", 50.0, "current", 0.6), DemographicRecord("male", 70.0, "never", 0.8)]
-        risks, contributions = fuse_and_score([0.8, 0.3], demos, model)
+        struct = demographic_block(
+            [DemographicRecord("female", 50.0, "current"), DemographicRecord("male", 70.0, "never")], [0.6, 0.8]
+        )
+        risks, contributions = fuse_and_score([0.8, 0.3], struct, model)
         assert risks.shape == (2,) and np.all((0.0 < risks) & (risks < 1.0))
         assert contributions.shape == (2, len(FUSION_FEATURE_NAMES))
         assert FUSION_FEATURE_NAMES == ("detection_probability",) + STRUCT_FEATURE_NAMES
         gap = model.weights[1] - model.weights[0]
-        for row, (p_hat, demo) in enumerate(zip([0.8, 0.3], demos)):
-            vec = np.concatenate([[p_hat], demographic_block([demo])[0]])
+        for row, (p_hat, struct_row) in enumerate(zip([0.8, 0.3], struct)):
+            vec = np.concatenate([[p_hat], struct_row])
             for i in range(len(FUSION_FEATURE_NAMES)):
                 assert contributions[row, i] == pytest.approx(gap[i] * (vec[i] - model.mean[i]) / model.scale[i])
         # a record at the training means gets no contribution, and the
         # contributions and the bias gap give the fused log-odds
-        centred = fuse_and_score([model.mean[0]], demos[:1], model)[1][0, 0]
+        centred = fuse_and_score([model.mean[0]], struct[:1], model)[1][0, 0]
         assert centred == pytest.approx(0.0, abs=1e-12)
         log_odds = np.log(risks / (1.0 - risks))
         assert np.allclose(contributions.sum(axis=1) + model.bias[1] - model.bias[0], log_odds, atol=1e-9)

@@ -78,6 +78,8 @@ class TestSynth:
         assert sorted(p.name for p in out.iterdir()) == [
             "curves.csv", "demographics.csv", "labels.csv", "manifest_synth.json"
         ]
+        # the FEV1/FVC ratio is read from curves.csv, so demographics.csv does not carry it
+        assert (out / "demographics.csv").read_text().splitlines()[0] == "id,sex,age,smoking"
         manifest = json.loads((out / "manifest_synth.json").read_text())
         assert manifest["counts"] == {"total": 12, "copd": 10, "n_per_class": 2}
         assert manifest["config"]["seed"] == 0
@@ -386,6 +388,35 @@ class TestPredict:
             assert abs(rec["p_hat"] - single) <= 1e-12
             assert rec["verdict"] == ("copd" if single > 0.5 else "non_copd")
 
+    def test_ratio_is_read_from_the_curve(self, pipeline, tmp_path):
+        # stretch one blow after 1 s: its FVC grows and its FEV1 stays, so
+        # the ratio the horizon rows use must follow the edited curve
+        from spiroflow.data import load_time_volume_csv
+        from spiroflow.horizon import FUTURE_FEATURE_NAMES
+
+        _, cohort, models = pipeline
+        edited = tmp_path / "edited"
+        edited.mkdir()
+        for name in ("demographics.csv", "labels.csv"):
+            (edited / name).write_bytes((cohort / name).read_bytes())
+        blows = (cohort / "curves.csv").read_text().splitlines()
+        cells = blows[0].split(",")
+        ml = np.array([float(cell) for cell in cells[1:]])
+        ml[101:] = ml[100] + 1.2 * (ml[101:] - ml[100])
+        blows[0] = ",".join([cells[0]] + [repr(v) for v in ml.tolist()])
+        (edited / "curves.csv").write_text("\n".join(blows) + "\n")
+        v = dict(load_time_volume_csv(edited / "curves.csv"))[cells[0]].samples
+        original = dict(load_time_volume_csv(cohort / "curves.csv"))[cells[0]].samples
+
+        out = tmp_path / "pred"
+        args = ("--cohort", str(edited), "--models", str(models), "--threshold", "1.0")
+        assert _run("predict", "--out-dir", str(out), *args) == 0
+        lines = [json.loads(line) for line in (out / "predictions.jsonl").read_text().splitlines()]
+        [rec] = [rec for rec in lines if rec["id"] == cells[0]]
+        ratio = rec["horizon"]["features_used"][FUTURE_FEATURE_NAMES.index("fev1_fvc_ratio")]
+        assert ratio == v[100] / v.max()
+        assert ratio < original[100] / original.max()
+
 
 class TestBatchedFusion:
     def test_each_model_stage_fuses_all_its_records_in_one_call(self, pipeline, tmp_path, monkeypatch):
@@ -396,20 +427,22 @@ class TestBatchedFusion:
         calls = []
         fuse = spiroflow.cli.fuse_and_score
 
-        def recording_fuse(p_hats, demos, fusion):
-            calls.append((len(p_hats), len(demos)))
-            return fuse(p_hats, demos, fusion)
+        def recording_fuse(p_hats, struct, fusion):
+            calls.append((len(p_hats), struct.shape))
+            return fuse(p_hats, struct, fusion)
 
         monkeypatch.setattr(spiroflow.cli, "fuse_and_score", recording_fuse)
         for command, n in (("train-horizon", 36), ("evaluate", n_test), ("explain", 36), ("predict", 36)):
             calls.clear()
             out = tmp_path / command
             assert _run(command, "--out-dir", str(out), "--cohort", str(cohort), "--models", str(models)) == 0
-            assert calls == [(n, n)], command
+            assert calls == [(n, (n, 7))], command
 
     def test_horizon_rows_equal_one_record_calls(self, pipeline, tmp_path, monkeypatch):
         import spiroflow.cli
+        from spiroflow.attention import demographic_block
         from spiroflow.cli import _load_cohort, _load_models, _preprocess
+        from spiroflow.curves import fev1_fvc_ratio
         from spiroflow.horizon import HORIZON_ORDER, future_feature_vector
         from spiroflow.phases import concavity_features
 
@@ -422,8 +455,8 @@ class TestBatchedFusion:
         rows = spiroflow.cli.future_feature_vector
         score = spiroflow.cli.predict_future_risk
 
-        def recording_rows(risks, profiles, demos):
-            blocks.append(rows(risks, profiles, demos))
+        def recording_rows(risks, profiles, struct):
+            blocks.append(rows(risks, profiles, struct))
             return blocks[-1]
 
         def recording_score(block, model):
@@ -449,7 +482,8 @@ class TestBatchedFusion:
         vf_curves, _ = _preprocess(curves, smoother)
         for i in negative:
             profile = concavity_features(vf_curves[i])
-            alone = future_feature_vector([lines[i]["fused_risk"]], [profile], [demos[i]])
+            struct = demographic_block([demos[i]], fev1_fvc_ratio([curves[i]]))
+            alone = future_feature_vector([lines[i]["fused_risk"]], [profile], struct)
             assert np.array_equal(np.array(lines[i]["horizon"]["features_used"]), alone[0]), ids[i]
 
         blocks.clear()
@@ -537,6 +571,23 @@ class TestManifests:
         horizon = json.loads((models / "manifest_train_horizon.json").read_text())
         assert horizon["config"] == {"window": 3, "sigma": 1.5}
 
+    def test_flag_defaults_are_the_dataclass_defaults(self):
+        # one owner per default: a flag left out configures what the library's
+        # own default would
+        from spiroflow.cli import build_parser
+        from spiroflow.curves import SmootherConfig
+        from spiroflow.data import CohortSpec
+        from spiroflow.detection import DetectionConfig
+        from spiroflow.training import TrainConfig
+
+        parse = build_parser().parse_args
+        detect = vars(parse(["train-detect", "--out-dir", "o", "--cohort", "c"]))
+        train, config, smoother = TrainConfig(), DetectionConfig(), SmootherConfig()
+        assert (detect["epochs"], detect["lr"], detect["batch_size"]) == (train.epochs, train.lr, train.batch_size)
+        assert (detect["k"], detect["hidden"], detect["channels"]) == (config.patch_len, config.hidden, config.channels)
+        assert (detect["window"], detect["sigma"]) == (smoother.k, smoother.sigma)
+        assert parse(["synth", "--out-dir", "o"]).noise == CohortSpec(n_per_class=1).noise
+
 
 class TestBlasThreads:
     @staticmethod
@@ -614,7 +665,7 @@ class TestErrors:
         # malformed hand-written cohorts end in the JSON error, not a traceback;
         # each case: (curves.csv, demographics.csv, labels.csv, error, parts of its message)
         curves = "a,0,100,200\n"
-        demographics = "id,sex,age,smoking,fev1_fvc_ratio\na,male,60,never,0.7\n"
+        demographics = "id,sex,age,smoking\na,male,60,never\n"
         labels = "id,copd,horizon\na,0,NON_COPD\n"
         cases = {
             "negative-volume": ("a,0,-100,200\n", demographics, labels, "ValidationError", ["curves.csv row 1", "'a'"]),
@@ -633,6 +684,13 @@ class TestErrors:
             ),
             "infinite-age": (
                 curves, demographics.replace("60", "inf"), labels, "ParseError", ["demographics.csv row 2", "'a'"]
+            ),
+            "old-ratio-column": (
+                curves,
+                "id,sex,age,smoking,fev1_fvc_ratio\na,male,60,never,0.7\n",
+                labels,
+                "ParseError",
+                ["demographics.csv row 2", "fev1_fvc_ratio"],
             ),
             "unknown-horizon": (
                 curves, demographics, labels.replace("NON_COPD", "SOON"), "ParseError", ["labels.csv row 2", "'a'"]
@@ -689,11 +747,11 @@ class TestErrors:
     def test_duplicate_ids_are_rejected(self, tmp_path, capsys):
         # a repeated id in any cohort file is an error, not a silent last-row-wins
         curves = "a,0,100,200\nb,0,150,300\n"
-        demographics = "id,sex,age,smoking,fev1_fvc_ratio\na,male,60,never,0.7\nb,female,50,current,0.6\n"
+        demographics = "id,sex,age,smoking\na,male,60,never\nb,female,50,current\n"
         labels = "id,copd,horizon\na,0,NON_COPD\nb,1,WITHIN_1Y\n"
         cases = {
             "curves.csv": (curves + "a,0,120,240\n", demographics, labels, "curves.csv row 3"),
-            "demographics.csv": (curves, demographics + "b,male,70,former,0.5\n", labels, "demographics.csv row 4"),
+            "demographics.csv": (curves, demographics + "b,male,70,former\n", labels, "demographics.csv row 4"),
             "labels.csv": (curves, demographics, labels + "a,1,WITHIN_1Y\n", "labels.csv row 4"),
         }
         for case, (curves_csv, demographics_csv, labels_csv, where) in cases.items():
@@ -929,7 +987,7 @@ class TestErrors:
         cohort.mkdir()
         (cohort / "curves.csv").write_text(f"a,{rise}\nb,{drop}\nc,{rise}\n")
         (cohort / "demographics.csv").write_text(
-            "id,sex,age,smoking,fev1_fvc_ratio\n" + "".join(f"{i},male,60,never,0.7\n" for i in "abc")
+            "id,sex,age,smoking\n" + "".join(f"{i},male,60,never\n" for i in "abc")
         )
         (cohort / "labels.csv").write_text("id,copd,horizon\n" + "".join(f"{i},0,NON_COPD\n" for i in "abc"))
         assert _run("featurize", "--out-dir", str(tmp_path / "out"), "--cohort", str(cohort)) == 1
@@ -949,7 +1007,7 @@ class TestErrors:
         late.mkdir()
         rows = {
             "curves.csv": "late_peak," + ",".join(repr(v) for v in ml.tolist()) + "\n",
-            "demographics.csv": "late_peak,male,60,never,0.7\n",
+            "demographics.csv": "late_peak,male,60,never\n",
             "labels.csv": "late_peak,0,NON_COPD\n",
         }
         for name, row in rows.items():

@@ -10,6 +10,7 @@ from spiroflow.curves import (
     TimeVolumeCurve,
     VolumeFlowCurve,
     differentiate_flow,
+    fev1_fvc_ratio,
     gaussian_smooth,
     volume_flow_curve,
 )
@@ -258,3 +259,22 @@ class TestBatchedMatchesReference:
         assert exc.value.row == 1
         with pytest.raises(InvalidCurve):
             volume_flow_curve(v, q[:1])
+
+
+class TestFev1FvcRatio:
+    def test_ragged_batch_matches_each_curve_alone(self):
+        # FEV1 is sample round(1 / dt), or the last sample of a curve shorter
+        # than 1 s; FVC is the largest sample, wherever it falls
+        rng = np.random.default_rng(17)
+        shapes = [(150, 0.01), (101, 0.01), (40, 0.01), (300, 0.004), (5, 0.25), (4, 0.25), (2, 0.01)]
+        curves = [tv(random_volume_series(rng, n) + 0.1, dt) for n, dt in shapes]
+        curves.append(tv([0.0, 2.0, 1.5] + [1.0] * 120))
+        ratios = fev1_fvc_ratio(curves)
+        assert ratios.shape == (len(curves),)
+        for curve, ratio in zip(curves, ratios):
+            v = curve.samples
+            expected = v[min(round(1.0 / curve.dt), v.size - 1)] / v.max()
+            assert bits(fev1_fvc_ratio([curve])) == bits(ratio[None]) == bits(np.array([expected]))
+        assert ratios[2] == curves[2].samples[-1] / curves[2].samples.max()  # 0.4 s long
+        assert ratios[-1] == 0.5  # FVC came before 1 s
+        assert fev1_fvc_ratio([]).shape == (0,)

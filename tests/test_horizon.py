@@ -9,24 +9,26 @@ from spiroflow.phases import ConcavityProfile
 from spiroflow.training import LogisticModel, train_logistic
 
 
-DEMO = DemographicRecord("male", 60.0, "current", 0.62)
+DEMO = DemographicRecord("male", 60.0, "current")
 
 
 class TestFeatureVector:
     def test_width_and_order(self):
         profiles = [ConcavityProfile(0.1, 0.2, -0.3, -0.4), ConcavityProfile(-0.5, 0.6, 0.7, 0.8)]
-        demos = [DEMO, DemographicRecord("female", 45.0, "never", 0.8)]
-        block = future_feature_vector([0.7, 0.2], profiles, demos)
+        struct = demographic_block([DEMO, DemographicRecord("female", 45.0, "never")], [0.62, 0.8])
+        block = future_feature_vector([0.7, 0.2], profiles, struct)
         assert block.shape == (2, len(FUTURE_FEATURE_NAMES)) and len(FUTURE_FEATURE_NAMES) == 13
         assert block[:, 0].tolist() == [0.7, 0.2]
         assert np.allclose(block[:, 1:5], [[0.1, 0.2, -0.3, -0.4], [-0.5, 0.6, 0.7, 0.8]])
         assert block[:, 5].tolist() == [p.trend for p in profiles]
-        assert np.array_equal(block[:, 6:], demographic_block(demos))
-        assert future_feature_vector([], [], []).shape == (0, len(FUTURE_FEATURE_NAMES))
+        assert np.array_equal(block[:, 6:], struct)
+        assert future_feature_vector([], [], struct[:0]).shape == (0, len(FUTURE_FEATURE_NAMES))
 
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidArgument):
-            future_feature_vector([0.5, np.nan], [ConcavityProfile(0, 0, 0, 0)] * 2, [DEMO] * 2)
+            future_feature_vector(
+                [0.5, np.nan], [ConcavityProfile(0, 0, 0, 0)] * 2, demographic_block([DEMO] * 2, [0.62] * 2)
+            )
 
 
 def _toy_model(rng, n=600):

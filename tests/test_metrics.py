@@ -153,12 +153,12 @@ class TestSubgroups:
     @staticmethod
     def _demos():
         return [
-            DemographicRecord("male", 40.0, "current", 0.6),
-            DemographicRecord("male", 50.0, "never", 0.8),
-            DemographicRecord("female", 60.0, "former", 0.7),
-            DemographicRecord("female", 44.0, "current", 0.65),
-            DemographicRecord("male", 70.0, "current", 0.55),
-            DemographicRecord("female", 52.0, "never", 0.85),
+            DemographicRecord("male", 40.0, "current"),
+            DemographicRecord("male", 50.0, "never"),
+            DemographicRecord("female", 60.0, "former"),
+            DemographicRecord("female", 44.0, "current"),
+            DemographicRecord("male", 70.0, "current"),
+            DemographicRecord("female", 52.0, "never"),
         ]
 
     def test_age_bins(self):
