@@ -96,14 +96,17 @@ def _write_cohort(out_dir: Path, records):
 def _read_rows(path: Path, parse) -> dict:
     """id -> parse(row) over a cohort CSV with a header row.
 
-    A missing column or a value that parse rejects raises ParseError, and a
-    repeated id raises ValidationError, naming the file, the row and the id.
+    A missing column, a row with more cells than the header or a value that
+    parse rejects raises ParseError, and a repeated id raises
+    ValidationError, naming the file, the row and the id.
     """
     out = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             where = f"{path.name} row {reader.line_num} (id {row.get('id')!r})"
+            if None in row:  # DictReader files the cells past the header's under None
+                raise ParseError(f"{where}: {len(row[None])} more cells than the header's {len(reader.fieldnames)}")
             try:
                 value = parse(row)
             except (KeyError, TypeError, ValueError, InvalidParams) as exc:

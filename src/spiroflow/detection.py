@@ -4,7 +4,10 @@ Bi-LSTM -> volume attention -> two-class head, with hand-derived gradients
 trains on.  `DetectionModel._prepare` is the one owner of the patch
 geometry: a series of n samples is cut into ceil(n / k) patches of k
 samples, the last one zero-padded, and attention weight j of a record
-belongs to its samples [j k, (j + 1) k).
+belongs to its samples [j k, (j + 1) k).  A new model draws its parameters
+from its config's seed; a checkpoint is loaded by building each parameter
+group from its arrays, in the shapes its config gives, so loading a fitted
+detector draws no random numbers and never imports numpy.random.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .attention import (
+    AttentionParams,
+    HeadParams,
     attention_backward_padded,
     attention_forward_padded,
     head_backward,
@@ -27,6 +32,8 @@ from .encoder import (
     DEFAULT_CONV_KERNEL,
     DEFAULT_HIDDEN,
     DEFAULT_PATCH_LEN,
+    BiLstmParams,
+    ConvEncoderParams,
     bilstm_backward_padded,
     bilstm_forward_padded,
     conv_embed_backward,
@@ -59,16 +66,37 @@ class DetectionConfig:
                 raise InvalidArgument(f"{name} must be >= {lowest}, not {value}")
 
 
+def _parameter_layout(config: DetectionConfig):
+    """Each parameter group's class and its arrays' checkpoint names and
+    shapes, in the order of the class's fields: the shapes that the init_*
+    functions draw for this config."""
+    c, h, kernel = config.channels, config.hidden, config.conv_kernel
+    lstm = {"w": (4 * h, c), "u": (4 * h, h), "b": (4 * h,)}
+    return (
+        (ConvEncoderParams, {"conv_w1": (c, 1, kernel), "conv_b1": (c,), "conv_w2": (c, c, kernel), "conv_b2": (c,)}),
+        (BiLstmParams, {f"lstm_{d}_{name}": shape for d in ("fw", "bw") for name, shape in lstm.items()}),
+        # the attention width is half the context width 2h
+        (AttentionParams, {"attn_w1": (h, 2 * h), "attn_b1": (h,), "attn_bil": (h, h), "attn_w2": (h,), "attn_b2": ()}),
+        (HeadParams, {"head_w": (2, 2 * h), "head_b": (2,)}),
+    )
+
+
 class DetectionModel:
     """Binary COPD detector over varied-length flow series."""
 
-    def __init__(self, config: DetectionConfig):
+    def __init__(self, config: DetectionConfig, groups: tuple | None = None):
+        """A detector of config's shape with these parameter groups (conv,
+        lstm, attn, head); without them, each is drawn from config.seed."""
         self.config = config
-        rng = np.random.default_rng(config.seed)
-        self.conv = init_conv_params(rng, config.channels, config.conv_kernel)
-        self.lstm = init_bilstm_params(rng, config.channels, config.hidden)
-        self.attn = init_attention_params(rng, 2 * config.hidden)
-        self.head = init_head_params(rng, 2 * config.hidden)
+        if groups is None:
+            rng = np.random.default_rng(config.seed)
+            groups = (
+                init_conv_params(rng, config.channels, config.conv_kernel),
+                init_bilstm_params(rng, config.channels, config.hidden),
+                init_attention_params(rng, 2 * config.hidden),
+                init_head_params(rng, 2 * config.hidden),
+            )
+        self.conv, self.lstm, self.attn, self.head = groups
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -199,9 +227,13 @@ class DetectionModel:
     @classmethod
     def from_dict(cls, d: dict) -> "DetectionModel":
         """Each config field and each parameter array by name, the arrays in
-        exactly the shapes the config gives; other keys are ignored."""
-        config, arrays = json_object(d, "config"), json_object(d, "arrays")
-        model = cls(DetectionConfig(**{f.name: config[f.name] for f in fields(DetectionConfig)}))
-        for name, own in model.params().items():
-            np.copyto(own, exact_array(arrays, name, own.shape))
-        return model
+        exactly the shapes the config gives; other keys are ignored.  The
+        parameter groups are built from the checkpoint's arrays alone, so
+        loading draws no random numbers."""
+        record, arrays = json_object(d, "config"), json_object(d, "arrays")
+        config = DetectionConfig(**{f.name: record[f.name] for f in fields(DetectionConfig)})
+        groups = tuple(
+            group(*(exact_array(arrays, name, shape) for name, shape in shapes.items()))
+            for group, shapes in _parameter_layout(config)
+        )
+        return cls(config, groups)

@@ -5,8 +5,9 @@ patch geometry) is embedded by a small two-layer 1-D conv stack with mean
 pooling, the samples' patch rows are scattered into one zero-padded block
 through a prefix mask (`pad_rows`, which also pads the curves and the
 patches), and a bidirectional LSTM produces per-patch context features of
-width 2H.  The conv stack runs CONV_BLOCK patches at a time, so an
-inference pass holds the conv activations of one block, not of the batch.
+width 2H.  The conv stack runs CONV_BLOCK = 64 patches at a time, so an
+inference pass holds the conv activations of one block, not of the batch,
+and every im2col buffer, forward or backward, holds one block's windows.
 Forward passes can carry caches so the manual backward passes used for
 training stay in one place; inference passes ask for none.
 """
@@ -118,7 +119,7 @@ def init_bilstm_params(
 # ---------------------------------------------------------------------------
 # conv kernels (channels-last; im2col in blocks of patches, one GEMM per block)
 
-CONV_BLOCK = 256  # patches per block; bounds the column buffer and the forward activations
+CONV_BLOCK = 64  # patches per block; bounds the column buffer (1.3 MB at k = 32, C = 16) and the forward activations
 
 
 def _im2col(x: np.ndarray, kernel: int, pad_left: int) -> np.ndarray:

@@ -621,6 +621,41 @@ class TestBlasThreads:
         assert digests[0] == digests[1]
 
 
+class TestModelLoadingImports:
+    # run cli.main in a fresh interpreter, then report its exit code and
+    # whether numpy.random was imported on the way
+    PROBE = (
+        "import json, sys\n"
+        "from spiroflow.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(json.dumps({'code': code, 'numpy.random': 'numpy.random' in sys.modules}))\n"
+    )
+
+    def _probe(self, *argv):
+        src = str(Path(spiroflow.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", self.PROBE, *argv], env=env, check=True, capture_output=True, text=True, timeout=300
+        )
+        return json.loads(done.stdout.splitlines()[-1])
+
+    def test_model_loading_stages_never_import_numpy_random(self, pipeline, tmp_path):
+        # a checkpoint's detector is built from its arrays, so a stage that
+        # only loads models draws no random numbers
+        _, cohort, models = pipeline
+        args = ("--cohort", str(cohort), "--models", str(models))
+        for command, extra in (("train-horizon", ()), ("evaluate", ()), ("explain", ("--svg",)), ("predict", ())):
+            seen = self._probe(command, "--out-dir", str(tmp_path / command), *args, *extra)
+            assert seen == {"code": 0, "numpy.random": False}, command
+
+    def test_train_detect_imports_numpy_random(self, pipeline, tmp_path):
+        # the probe sees the import where it happens: training draws the
+        # initial parameters, the split and the batch order
+        _, cohort, _ = pipeline
+        seen = self._probe("train-detect", "--out-dir", str(tmp_path), "--cohort", str(cohort), "--epochs", "1")
+        assert seen == {"code": 0, "numpy.random": True}
+
+
 class TestErrors:
     def test_missing_cohort_is_clean_failure(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -691,6 +726,16 @@ class TestErrors:
                 labels,
                 "ParseError",
                 ["demographics.csv row 2", "fev1_fvc_ratio"],
+            ),
+            "demographics-row-longer-than-header": (
+                curves,
+                demographics.replace("never", "current,0.7,junk"),
+                labels,
+                "ParseError",
+                ["demographics.csv row 2", "'a'", "2 more cells"],
+            ),
+            "labels-row-longer-than-header": (
+                curves, demographics, labels.replace("NON_COPD", "NON_COPD,1"), "ParseError", ["labels.csv row 2", "'a'"]
             ),
             "unknown-horizon": (
                 curves, demographics, labels.replace("NON_COPD", "SOON"), "ParseError", ["labels.csv row 2", "'a'"]

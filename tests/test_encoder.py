@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import tracemalloc
 
@@ -321,6 +323,30 @@ class TestCacheFreeForward:
         extra_rows = 14 * encoder.CONV_BLOCK * params.channels * 8
         assert peaks[16] - peaks[2] <= extra_rows + 2**20, peaks
 
+    def test_training_conv_memory_is_bounded_by_the_block(self):
+        # past two blocks, more patches add only whole-batch arrays of one
+        # value per patch sample and channel -- the caches z1s and z2s, and
+        # the backward pass's da2, dz1 and tanh slope at z1 -- and (P, C)
+        # rows; each im2col buffer stays one block in size, where a
+        # whole-batch one for the second layer alone would add five arrays
+        params = init_conv_params(np.random.default_rng(17))
+        peaks = {}
+        for blocks in (2, 16):
+            rng = np.random.default_rng(blocks)
+            patches = rng.standard_normal((blocks * encoder.CONV_BLOCK, 1, 32))
+            dfeats = rng.standard_normal((blocks * encoder.CONV_BLOCK, params.channels))
+            tracemalloc.start()
+            try:
+                _, cache = conv_embed_forward(patches, params, keep_cache=True)
+                conv_embed_backward(dfeats, cache, params)
+                peaks[blocks] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        extra = 14 * encoder.CONV_BLOCK
+        whole_batch = 5 * extra * 32 * params.channels * 8
+        extra_rows = 2 * extra * params.channels * 8
+        assert peaks[16] - peaks[2] <= whole_batch + extra_rows + 2**20, peaks
+
     def test_lstm_keeps_no_per_step_caches_unless_asked(self):
         rng = np.random.default_rng(15)
         params = init_bilstm_params(rng, channels=2, hidden=3)
@@ -555,3 +581,37 @@ def test_checkpoint_with_max_length_still_loads():
     assert "max_length" not in blob and "attn_width" not in blob["config"]
     old = DetectionModel.from_dict({**blob, "max_length": 240, "config": {**blob["config"], "attn_width": None}})
     assert all(np.array_equal(value, old.params()[name]) for name, value in model.params().items())
+
+
+class TestParameters:
+    def test_initial_parameters_are_the_seeded_draws(self):
+        # the bytes train-detect starts from: sha256 over each array's name
+        # and bytes, in params() order
+        expected = {
+            0: "105ef89bc3226098b2eb19b79f268266b0c080e5b3ed262d7af8014b92833b25",
+            7: "aa0aef6e067024e22c2a978ab763d7f44d901288fa37191e38412693cf2fce9f",
+        }
+        for seed, digest in expected.items():
+            h = hashlib.sha256()
+            for name, value in DetectionModel(DetectionConfig(seed=seed)).params().items():
+                h.update(name.encode())
+                h.update(value.tobytes())
+            assert h.hexdigest() == digest, seed
+
+    @pytest.mark.parametrize(
+        "config", [DetectionConfig(seed=5), DetectionConfig(patch_len=8, channels=3, hidden=2, conv_kernel=3, seed=11)]
+    )
+    def test_loaded_model_owns_the_checkpoint_arrays(self, config):
+        # from_dict builds every group from the checkpoint's arrays: the same
+        # names, shapes and values, each array the model's own, writable and
+        # C-contiguous, because gradient checks perturb params() in place
+        model = DetectionModel(config)
+        loaded = DetectionModel.from_dict(json.loads(json.dumps(model.to_dict())))
+        assert loaded.config == config
+        drawn = model.params()
+        assert list(loaded.params()) == list(drawn)
+        for name, value in loaded.params().items():
+            assert value.shape == drawn[name].shape and np.array_equal(value, drawn[name]), name
+            assert value.flags.c_contiguous and value.flags.writeable, name
+            value.reshape(-1)[0] = 9.0
+            assert loaded.params()[name].reshape(-1)[0] == 9.0, name
