@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -28,7 +29,14 @@ from .attention import (
     fusion_features,
     overlay_svg,
 )
-from .curves import SmootherConfig, differentiate_flow, fev1_fvc_ratio, gaussian_smooth, volume_flow_curve
+from .curves import (
+    SmootherConfig,
+    VolumeFlowCurve,
+    differentiate_flow,
+    fev1_fvc_ratio,
+    gaussian_smooth,
+    volume_flow_curve,
+)
 from .data import CohortSpec, generate_synthetic_cohort, load_time_volume_csv, write_time_volume_csv
 from .detection import DetectionConfig, DetectionModel
 from .errors import InvalidArgument, InvalidParams, ParseError, SpiroError, ValidationError
@@ -36,6 +44,16 @@ from .horizon import FUTURE_FEATURE_NAMES, HORIZON_ORDER, HorizonLabel, future_f
 from .metrics import metrics_report, subgroup_reports
 from .phases import concavity_features
 from .training import LogisticModel, TrainConfig, json_object, train_logistic, write_training_log
+
+# CPython's own SHA-256 rather than hashlib's, which loads OpenSSL: that
+# alone added 2.5-3.8 MB to the peak RSS of every stage (402-600 records).
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 FORMAT_VERSION = 1
 
@@ -48,23 +66,38 @@ def _write_json(path: Path, payload: dict):
 _NOT_CONFIG = ("func", "command", "out_dir", "cohort", "models")
 
 
-def _finish(args, counts: dict, smoother: SmootherConfig | None = None, **summary) -> int:
+def _finish(args, counts: dict, inputs: dict, smoother: SmootherConfig | None = None, **summary) -> int:
     """Write manifest_<command>.json and print the one-line JSON summary.
 
     The manifest's config is every flag the stage parsed except paths, plus
     the window and sigma of the smoother the stage used, which for the
-    model stages is the detector checkpoint's.
+    model stages is the detector checkpoint's.  Its input_sha256 is inputs:
+    the SHA-256 of each file the stage read, keyed by file name.
     """
     config = {key: value for key, value in vars(args).items() if key not in _NOT_CONFIG}
     if smoother is not None:
         config.update(_smoother_record(smoother))
     out_dir, command = Path(args.out_dir), args.command
-    _write_json(
-        out_dir / f"manifest_{command.replace('-', '_')}.json",
-        dict(format_version=FORMAT_VERSION, command=command, config=config, counts=counts, version=__version__),
-    )
+    manifest = dict(format_version=FORMAT_VERSION, command=command, config=config, counts=counts, version=__version__)
+    _write_json(out_dir / f"manifest_{command.replace('-', '_')}.json", {**manifest, "input_sha256": inputs})
     print(json.dumps({"command": command, "out_dir": str(out_dir), **summary}, sort_keys=True))
     return 0
+
+
+# Files are read in chunks of this many bytes.  Like curves.BLOCK_BYTES, it
+# stays below glibc's 128 KiB mmap threshold: freeing larger buffers raises
+# that threshold, and the heap then kept 1-4 MB more resident in the stages
+# that followed (2400-record cohort).
+CHUNK_BYTES = 1 << 16
+
+
+def _sha256(path: Path) -> str:
+    """Hex SHA-256 of a file's bytes, read in chunks."""
+    digest = sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(CHUNK_BYTES), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _out_dir(args) -> Path:
@@ -138,20 +171,21 @@ def _load_cohort(cohort_dir: Path):
     ValidationError.
     """
     curves = dict(load_time_volume_csv(cohort_dir / "curves.csv"))
+    ids = sorted(curves)
+    return (ids, [curves[i] for i in ids], *_join(cohort_dir, ids))
+
+
+def _join(cohort_dir: Path, ids):
+    """demos, copd labels and horizon labels of the curves.csv ids, from
+    demographics.csv and labels.csv; an id without a row in either file
+    raises ValidationError."""
     demos = _read_rows(cohort_dir / "demographics.csv", _parse_demographics)
     labels = _read_rows(cohort_dir / "labels.csv", _parse_labels)
-    ids = sorted(curves)
     for name, table in (("demographics.csv", demos), ("labels.csv", labels)):
         missing = [i for i in ids if i not in table]
         if missing:
             raise ValidationError(f"{name} has no row for curves.csv id {missing[0]!r}")
-    return (
-        ids,
-        [curves[i] for i in ids],
-        [demos[i] for i in ids],
-        np.array([labels[i][0] for i in ids]),
-        [labels[i][1] for i in ids],
-    )
+    return [demos[i] for i in ids], np.array([labels[i][0] for i in ids]), [labels[i][1] for i in ids]
 
 
 def _smoother(record) -> SmootherConfig:
@@ -174,17 +208,20 @@ def _preprocess(curves, smoother: SmootherConfig):
 @dataclass
 class _Run:
     """What a cohort subcommand starts from: the smoother, the cohort in id
-    order with preprocessed curves, and the trained models if loaded."""
+    order with preprocessed curves, the trained models if loaded, and the
+    SHA-256 of each input file read so far, keyed by file name."""
 
     smoother: SmootherConfig
     ids: list
     vf_curves: list
     series: list
     demos: list
+    ratios: np.ndarray  # (N,) FEV1/FVC of each curve
     struct: np.ndarray  # (N, 7) demographic_block: demographics and the curve's FEV1/FVC ratio
     copd: np.ndarray
     horizons: list
     models: tuple | None  # (detector, fusion model, detector test_ids)
+    inputs: dict
 
 
 def _start(args, models: bool = False, record_ids=None, test_split: bool = False) -> _Run:
@@ -194,25 +231,180 @@ def _start(args, models: bool = False, record_ids=None, test_split: bool = False
     checkpoint's test_ids), the cohort is first cut to those records, kept
     in cohort order, so only their curves are preprocessed.  A curve that
     fails preprocessing is named by its id; the FEV1/FVC ratios are read
-    from the accepted curves, whose largest volumes are positive."""
-    cohort = _load_cohort(Path(args.cohort))
+    from the accepted curves, whose largest volumes are positive.
+
+    A model stage whose --models holds train-detect's preprocessed cohort
+    for these curves.csv bytes and the checkpoint's smoother takes the
+    curves and ratios of its records from there, and parses only
+    demographics.csv and labels.csv."""
+    cohort_dir = Path(args.cohort)
+    inputs = {name: _sha256(cohort_dir / name) for name in COHORT_FILES}
+    cached = None
     if models:
-        loaded, smoother = _load_models(Path(args.models))
+        loaded, smoother = _load_models(Path(args.models), inputs)
+        cached = _cached_cohort(Path(args.models), inputs["curves.csv"], smoother)
     else:
         loaded, smoother = None, _smoother(vars(args))
+    if cached is None:
+        cohort = _load_cohort(cohort_dir)
+    else:
+        # the curves column holds each record's row in the cached cohort
+        cohort = (cached["ids"], range(len(cached["ids"])), *_join(cohort_dir, cached["ids"]))
     if test_split:
         record_ids = loaded[2]
     if record_ids is not None:
         cohort = _cut(cohort, record_ids)
     ids, curves, demos, copd, horizons = cohort
-    try:
-        vf_curves, series = _preprocess(curves, smoother)
-    except SpiroError as exc:
-        if exc.row is None:
-            raise
-        raise _naming(exc, ids[exc.row]) from None
-    struct = demographic_block(demos, fev1_fvc_ratio(curves))
-    return _Run(smoother, ids, vf_curves, series, demos, struct, copd, horizons, loaded)
+    if cached is None:
+        try:
+            vf_curves, series = _preprocess(curves, smoother)
+        except SpiroError as exc:
+            if exc.row is None:
+                raise
+            raise _naming(exc, ids[exc.row]) from None
+        ratios = fev1_fvc_ratio(curves)
+    else:
+        vf_curves = _read_cached_curves(Path(args.models) / CACHE_PAYLOAD, cached, curves)
+        series = [vf.flows for vf in vf_curves]
+        ratios = np.array(cached["fev1_fvc_ratios"])[list(curves)]
+    struct = demographic_block(demos, ratios)
+    return _Run(smoother, ids, vf_curves, series, demos, ratios, struct, copd, horizons, loaded, inputs)
+
+
+# ---------------------------------------------------------------------------
+# train-detect's preprocessed cohort, which the model stages reuse
+
+
+COHORT_FILES = ("curves.csv", "demographics.csv", "labels.csv")
+CACHE_RECORD, CACHE_PAYLOAD = "cohort_curves.json", "cohort_curves.npy"
+
+
+def _payload_header(total: int) -> bytes:
+    """The .npy 1.0 header of a C-order (2, total) float64 array, as np.save writes it."""
+    header = io.BytesIO()
+    shape = {"descr": np.lib.format.dtype_to_descr(np.dtype(float)), "fortran_order": False, "shape": (2, total)}
+    np.lib.format.write_array_header_1_0(header, shape)
+    return header.getvalue()
+
+
+def _write_cached_cohort(out_dir: Path, run: _Run):
+    """cohort_curves.npy, every record's Volume-Flow volumes (row 0) and
+    flows (row 1) in id order, written curve by curve, and then
+    cohort_curves.json: the curves.csv digest and the smoother they were
+    preprocessed with, the ids, lengths and FEV1/FVC ratios, and the
+    payload's digest."""
+    lengths = [len(vf) for vf in run.vf_curves]
+    digest = sha256()
+    with open(out_dir / CACHE_PAYLOAD, "wb") as fh:
+        header = _payload_header(sum(lengths))
+        fh.write(header)
+        digest.update(header)
+        for row in ("volumes", "flows"):
+            for vf in run.vf_curves:
+                data = memoryview(np.ascontiguousarray(getattr(vf, row)))
+                fh.write(data)
+                digest.update(data)
+    record = {
+        "format_version": FORMAT_VERSION,
+        "kind": "cohort_curves",
+        "curves_sha256": run.inputs["curves.csv"],
+        "smoother": _smoother_record(run.smoother),
+        "ids": run.ids,
+        "lengths": lengths,
+        "fev1_fvc_ratios": run.ratios.tolist(),
+        "payload_sha256": digest.hexdigest(),
+    }
+    _write_json(out_dir / CACHE_RECORD, record)
+
+
+def _cache_record(blob) -> dict:
+    """cohort_curves.json's object, its smoother a SmootherConfig, once it
+    checks out: ids strictly ascending, one length of at least 2 and one
+    finite ratio per id, and two hex SHA-256 digests."""
+    ids, lengths, ratios = blob["ids"], blob["lengths"], blob["fev1_fvc_ratios"]
+    if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
+        raise ParseError("'ids' is not a list of record ids")
+    if any(a >= b for a, b in zip(ids, ids[1:])):
+        raise ParseError("'ids' are not in ascending order without repeats")
+    if not (isinstance(lengths, list) and all(type(n) is int and n >= 2 for n in lengths) and len(lengths) == len(ids)):
+        raise ParseError("'lengths' is not one integer of at least 2 per id")
+    if not (isinstance(ratios, list) and all(type(r) is float and math.isfinite(r) for r in ratios) and len(ratios) == len(ids)):
+        raise ParseError("'fev1_fvc_ratios' is not one finite number per id")
+    for key in ("curves_sha256", "payload_sha256"):
+        value = blob[key]
+        if not (isinstance(value, str) and len(value) == 64 and set(value) <= set("0123456789abcdef")):
+            raise ParseError(f"{key!r} is not a hex SHA-256 digest")
+    return {**blob, "smoother": _smoother(json_object(blob, "smoother"))}
+
+
+def _cached_cohort(model_dir: Path, curves_sha256: str, smoother: SmootherConfig) -> dict | None:
+    """The checked cohort_curves.json of model_dir if it was written for
+    these curves.csv bytes and this smoother, else None (also when there
+    is none).  A record that fails its checks raises naming the file."""
+    path = model_dir / CACHE_RECORD
+    if not path.exists():
+        return None
+    record = _read_model(path, "cohort_curves", _cache_record)
+    if (record["curves_sha256"], record["smoother"]) != (curves_sha256, smoother):
+        return None
+    return record
+
+
+def _read_cached_curves(path: Path, record: dict, rows) -> list[VolumeFlowCurve]:
+    """The Volume-Flow curves of the cached cohort's rows (ascending).
+
+    The payload is read once, in chunks, and hashed as it is read; only
+    the rows' values are kept.  Its header must give a C-order float64
+    array of shape (2, sum of lengths), its digest must be the record's
+    payload_sha256, and each curve handed out must be a valid
+    VolumeFlowCurve; any fault raises ParseError naming the file."""
+    lengths = record["lengths"]
+    starts = np.concatenate([[0], np.cumsum(lengths)])
+    total = int(starts[-1])
+    # flat [start, stop) of the rows' volumes, then of their flows, adjacent spans merged
+    spans = []
+    for offset in (0, total):
+        for r in rows:
+            start, stop = offset + int(starts[r]), offset + int(starts[r + 1])
+            if spans and spans[-1][1] == start:
+                spans[-1][1] = stop
+            else:
+                spans.append([start, stop])
+    kept = np.empty(sum(stop - start for start, stop in spans))
+    digest = sha256()
+    header = _payload_header(total)
+    with open(path, "rb") as fh:
+        if fh.read(len(header)) != header:
+            raise ParseError(f"{path.name}: header is not that of the (2, {total}) float64 array {CACHE_RECORD} gives")
+        digest.update(header)
+        chunk = np.empty(CHUNK_BYTES // 8)
+        at, span, filled = 0, 0, 0
+        while at < 2 * total:
+            n = min(chunk.size, 2 * total - at)
+            if fh.readinto(memoryview(chunk[:n]).cast("B")) != 8 * n:
+                raise ParseError(f"{path.name}: truncated: {CACHE_RECORD} gives {total} values per row")
+            digest.update(memoryview(chunk[:n]))
+            while span < len(spans) and spans[span][0] < at + n:
+                lo, hi = max(spans[span][0], at), min(spans[span][1], at + n)
+                kept[filled : filled + hi - lo] = chunk[lo - at : hi - at]
+                filled += hi - lo
+                if spans[span][1] > at + n:
+                    break
+                span += 1
+            at += n
+        if fh.read(1):
+            raise ParseError(f"{path.name}: longer than {CACHE_RECORD} gives")
+    if digest.hexdigest() != record["payload_sha256"]:
+        raise ParseError(f"{path.name}: SHA-256 differs from {CACHE_RECORD}'s payload_sha256")
+    volumes, flows = kept.reshape(2, -1)
+    bounds = np.cumsum([0] + [lengths[r] for r in rows]).tolist()
+    curves = []
+    for r, a, b in zip(rows, bounds, bounds[1:]):
+        try:
+            curves.append(VolumeFlowCurve(volumes[a:b], flows[a:b]))
+        except SpiroError as exc:
+            raise ParseError(f"{path.name}: id {record['ids'][r]!r}: {exc}") from None
+    return curves
 
 
 def _naming(exc: SpiroError, blow_id: str) -> SpiroError:
@@ -268,16 +460,17 @@ def cmd_synth(args):
     records = generate_synthetic_cohort(spec)
     _write_cohort(_out_dir(args), records)
     counts = {"total": len(records), "copd": sum(r.copd for r in records), "n_per_class": n_per_class}
-    return _finish(args, counts, records=len(records))
+    return _finish(args, counts, {}, records=len(records))
 
 
 def cmd_smooth(args):
-    records = load_time_volume_csv(Path(args.cohort) / "curves.csv")
+    path = Path(args.cohort) / "curves.csv"
+    records = load_time_volume_csv(path)
     cfg = _smoother(vars(args))
     ids = [blow_id for blow_id, _ in records]
     smoothed = gaussian_smooth([curve for _, curve in records], cfg)
     write_time_volume_csv(_out_dir(args) / "smoothed_curves.csv", list(zip(ids, smoothed)))
-    return _finish(args, {"curves": len(smoothed)}, cfg, curves=len(smoothed))
+    return _finish(args, {"curves": len(smoothed)}, {path.name: _sha256(path)}, cfg, curves=len(smoothed))
 
 
 def cmd_featurize(args):
@@ -293,7 +486,7 @@ def cmd_featurize(args):
                 + [repr(v) for v in profile.as_array().tolist()]
                 + [repr(profile.trend)]
             )
-    return _finish(args, {"curves": len(ids)}, run.smoother, curves=len(ids))
+    return _finish(args, {"curves": len(ids)}, run.inputs, run.smoother, curves=len(ids))
 
 
 def cmd_train_detect(args):
@@ -328,18 +521,23 @@ def cmd_train_detect(args):
     ]
     rows.append({"epoch": args.epochs, "loss": trace[-1], "pass": "full", "seed": args.seed})
     write_training_log(out_dir / "train_detect_log.jsonl", rows)
+    _write_cached_cohort(out_dir, run)
     counts = {"train": len(train_idx), "test": len(test_idx)}
-    return _finish(args, counts, run.smoother, final_loss=trace[-1])
+    return _finish(args, counts, run.inputs, run.smoother, final_loss=trace[-1])
 
 
-def _read_model(path: Path, kind: str, build):
+def _read_model(path: Path, kind: str, build, inputs: dict | None = None):
     """build(blob) of the JSON object in a model file whose format_version
     is FORMAT_VERSION and whose kind is kind; another value of either is an
     InvalidParams naming the key.  Text that is not a JSON object, or a key
     that is missing, raises ParseError naming the file; any other error
-    build raises is re-raised naming the file."""
+    build raises is re-raised naming the file.  With inputs, the SHA-256 of
+    the bytes read is recorded there under the file's name."""
+    data = path.read_bytes()
+    if inputs is not None:
+        inputs[path.name] = sha256(data).hexdigest()
     try:
-        blob = json.loads(path.read_text())
+        blob = json.loads(data)
     except ValueError as exc:  # a JSONDecodeError, text that is not UTF-8, or an integer too long to convert
         raise ParseError(f"{path.name}: not valid JSON: {exc}") from None
     if not isinstance(blob, dict):
@@ -378,7 +576,7 @@ def _write_logistic(out_dir: Path, kind: str, model: LogisticModel):
     )
 
 
-def _read_logistic(model_dir: Path, kind: str) -> LogisticModel:
+def _read_logistic(model_dir: Path, kind: str, inputs: dict | None = None) -> LogisticModel:
     """The model in <kind>_model.json.  Its 'features' must equal the
     stage's feature names, so a file fitted on another column layout does
     not load: without the key it is a ParseError, with other names an
@@ -390,18 +588,20 @@ def _read_logistic(model_dir: Path, kind: str) -> LogisticModel:
             raise InvalidParams(f"'features' must be {list(names)}")
         return LogisticModel.from_dict(json_object(blob, "model"), len(names), labels)
 
-    return _read_model(model_dir / f"{kind}_model.json", kind, build)
+    return _read_model(model_dir / f"{kind}_model.json", kind, build, inputs)
 
 
-def _load_models(model_dir: Path):
+def _load_models(model_dir: Path, inputs: dict | None = None):
     """(detector, fusion model, the detector's test_ids) and the
-    checkpoint's smoother."""
+    checkpoint's smoother; with inputs, the digests of both files are
+    recorded there."""
     model, smoother, test_ids = _read_model(
         model_dir / "detect_model.json",
         "detection",
         lambda blob: (DetectionModel.from_dict(blob), _smoother(json_object(blob, "smoother")), _test_ids(blob)),
+        inputs,
     )
-    return (model, _read_logistic(model_dir, "fusion"), test_ids), smoother
+    return (model, _read_logistic(model_dir, "fusion", inputs), test_ids), smoother
 
 
 def cmd_train_horizon(args):
@@ -415,7 +615,7 @@ def cmd_train_horizon(args):
     out_dir = _out_dir(args)
     _write_logistic(out_dir, "horizon", horizon_model)
     write_training_log(out_dir / "train_horizon_log.jsonl", trace)
-    return _finish(args, {"records": len(run.ids)}, run.smoother, final_loss=trace[-1]["loss"])
+    return _finish(args, {"records": len(run.ids)}, run.inputs, run.smoother, final_loss=trace[-1]["loss"])
 
 
 def cmd_evaluate(args):
@@ -431,7 +631,7 @@ def cmd_evaluate(args):
     if args.subgroup:
         report["subgroups"] = subgroup_reports(p_hat, labels, run.demos, args.subgroup, args.threshold)
     _write_json(_out_dir(args) / "metrics.json", report)
-    return _finish(args, {}, run.smoother, auroc=report["detection"]["auroc"])
+    return _finish(args, {}, run.inputs, run.smoother, auroc=report["detection"]["auroc"])
 
 
 def cmd_explain(args):
@@ -447,7 +647,7 @@ def cmd_explain(args):
         _write_json(out_dir / f"overlay_{blow_id}.json", overlay)
         if args.svg:
             (out_dir / f"overlay_{blow_id}.svg").write_text(overlay_svg(overlay, vf))
-    return _finish(args, {"overlays": len(run.ids)}, run.smoother, overlays=len(run.ids))
+    return _finish(args, {"overlays": len(run.ids)}, run.inputs, run.smoother, overlays=len(run.ids))
 
 
 def cmd_predict(args):
@@ -455,7 +655,7 @@ def cmd_predict(args):
     ids, vf_curves = run.ids, run.vf_curves
     model, fusion, _ = run.models
     labels = tuple(h.value for h in HORIZON_ORDER)
-    horizon_model = _read_logistic(Path(args.models), "horizon")
+    horizon_model = _read_logistic(Path(args.models), "horizon", run.inputs)
     p_hats = model.predict_proba(run.series)
     risks, _ = fuse_and_score(p_hats, run.struct, fusion)
     negative = [i for i, p_hat in enumerate(p_hats) if p_hat <= args.threshold]
@@ -478,7 +678,7 @@ def cmd_predict(args):
                     "features_used": vec.tolist(),
                 }
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-    return _finish(args, {"records": len(ids)}, run.smoother, records=len(ids))
+    return _finish(args, {"records": len(ids)}, run.inputs, run.smoother, records=len(ids))
 
 
 # ---------------------------------------------------------------------------

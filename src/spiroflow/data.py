@@ -204,12 +204,24 @@ def load_time_volume_csv(path) -> list[tuple[str, TimeVolumeCurve]]:
     return out
 
 
+def _csv_cell(text: str) -> str:
+    """text as csv.writer's default dialect writes it as one cell of a longer row."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_time_volume_csv(path, records: list[tuple[str, TimeVolumeCurve]]):
-    """Inverse of load_time_volume_csv (liters written back as milliliters)."""
+    """Inverse of load_time_volume_csv (liters written back as milliliters).
+
+    Writes the bytes csv.writer writes for the row [id, repr(ml), ...], but
+    takes each row's samples from one repr of their list, whose items are
+    the same reprs joined by ', '.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
         for blow_id, curve in records:
-            writer.writerow([blow_id] + [repr(v) for v in (curve.samples * 1000.0).tolist()])
+            samples = repr((curve.samples * 1000.0).tolist())[1:-1].replace(", ", ",")
+            fh.write(f"{_csv_cell(blow_id)},{samples}\r\n")
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import hashlib
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,34 @@ def _tree_digest(directory: Path) -> dict:
         for p in sorted(directory.iterdir())
         if p.is_file()
     }
+
+
+CACHE_FILES = ("cohort_curves.json", "cohort_curves.npy")
+
+
+def _without_cache(models: Path, dest: Path) -> Path:
+    """A copy of a models directory without train-detect's preprocessed
+    cohort, as train-detect wrote it before it wrote one."""
+    dest.mkdir()
+    for p in models.iterdir():
+        if p.name not in CACHE_FILES:
+            (dest / p.name).write_bytes(p.read_bytes())
+    return dest
+
+
+def _counting(monkeypatch, name):
+    """Replace spiroflow.cli.<name> by a wrapper; returns the list its calls' first arguments go to."""
+    import spiroflow.cli
+
+    calls = []
+    fn = getattr(spiroflow.cli, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args[0] if args else None)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(spiroflow.cli, name, counting)
+    return calls
 
 
 def _truncate(text):
@@ -164,6 +193,8 @@ class TestTrainAndEvaluate:
         assert report["detection"]["auroc"] == pytest.approx(auroc(p_hat, copd[sel]), abs=1e-12)
 
     def test_evaluate_preprocesses_only_the_test_split(self, pipeline, tmp_path, monkeypatch):
+        # without train-detect's preprocessed cohort, only the test split's
+        # curves are preprocessed; with it, only theirs are built from it
         import spiroflow.cli
         from spiroflow.cli import _load_cohort
 
@@ -176,7 +207,9 @@ class TestTrainAndEvaluate:
             return smooth(curves, cfg)
 
         monkeypatch.setattr(spiroflow.cli, "gaussian_smooth", counting_smooth)
-        assert _run("evaluate", "--out-dir", str(tmp_path / "eval"), "--cohort", str(cohort), "--models", str(models)) == 0
+        built = _counting(monkeypatch, "VolumeFlowCurve")
+        uncached = _without_cache(models, tmp_path / "uncached")
+        assert _run("evaluate", "--out-dir", str(tmp_path / "eval"), "--cohort", str(cohort), "--models", str(uncached)) == 0
         test_ids = json.loads((models / "detect_model.json").read_text())["test_ids"]
         ids, curves, _, _, _ = _load_cohort(cohort)
         by_id = dict(zip(ids, curves))
@@ -184,6 +217,13 @@ class TestTrainAndEvaluate:
         assert len(smoothed) == 1
         assert len(smoothed[0]) == len(test_ids)
         assert all(np.array_equal(c.samples, by_id[i].samples) for c, i in zip(smoothed[0], test_ids))
+        assert built == []
+
+        smoothed.clear()
+        assert _run("evaluate", "--out-dir", str(tmp_path / "hit"), "--cohort", str(cohort), "--models", str(models)) == 0
+        assert smoothed == []
+        assert len(built) == len(test_ids)
+        assert _tree_digest(tmp_path / "hit") == _tree_digest(tmp_path / "eval")
 
     def test_train_detect_fits_fusion_on_its_last_loss_pass(self, pipeline, tmp_path, monkeypatch):
         # one forward-only pass over the train split, after the last epoch, and no other inference pass
@@ -308,11 +348,19 @@ class TestExplain:
             return smooth(curves, cfg)
 
         monkeypatch.setattr(spiroflow.cli, "gaussian_smooth", counting_smooth)
-        args = ("--cohort", str(cohort), "--models", str(models), "--id", "NON_COPD_0000")
-        assert _run("explain", "--out-dir", str(tmp_path / "explain"), *args) == 0
+        built = _counting(monkeypatch, "VolumeFlowCurve")
+        uncached = _without_cache(models, tmp_path / "uncached")
+        args = ("--cohort", str(cohort), "--id", "NON_COPD_0000")
+        assert _run("explain", "--out-dir", str(tmp_path / "explain"), *args, "--models", str(uncached)) == 0
         # one batched call, holding exactly the one curve
         assert len(smoothed) == 1
         assert len(smoothed[0]) == 1
+        # from train-detect's preprocessed cohort: no smoothing, and one curve built
+        smoothed.clear()
+        assert _run("explain", "--out-dir", str(tmp_path / "hit"), *args, "--models", str(models)) == 0
+        assert smoothed == []
+        assert len(built) == 1
+        assert _tree_digest(tmp_path / "hit") == _tree_digest(tmp_path / "explain")
 
     def test_unknown_id_is_clean_failure(self, pipeline, tmp_path, capsys):
         _, cohort, models = pipeline
@@ -505,6 +553,7 @@ class TestCheckpointSmoother:
         models = tmp_path / "models"
         train = ("--cohort", str(cohort), "--epochs", "1", "--window", "3", "--sigma", "1.5")
         assert _run("train-detect", "--out-dir", str(models), *train) == 0
+        assert _run("train-horizon", "--out-dir", str(models), "--cohort", str(cohort), "--models", str(models)) == 0
         configs = []
         smooth = spiroflow.cli.gaussian_smooth
 
@@ -513,13 +562,28 @@ class TestCheckpointSmoother:
             return smooth(curves, cfg)
 
         monkeypatch.setattr(spiroflow.cli, "gaussian_smooth", recording_smooth)
+        # train-detect's preprocessed cohort was smoothed with the same smoother
+        record = json.loads((models / "cohort_curves.json").read_text())
+        assert record["smoother"] == {"window": 3, "sigma": 1.5}
+        # a models directory without it, and one whose record names another
+        # smoother than the checkpoint's, preprocess curves.csv again
+        uncached = _without_cache(models, tmp_path / "uncached")
+        other = tmp_path / "other_smoother"
+        shutil.copytree(models, other)
+        record["smoother"] = {"window": 5, "sigma": 2.0}
+        (other / "cohort_curves.json").write_text(json.dumps(record))
+        checkpoint_smoother = [SmootherConfig(k=3, sigma=1.5)]
         for command in self.MODEL_STAGES:
-            configs.clear()
-            out = models if command == "train-horizon" else tmp_path / command
-            assert _run(command, "--out-dir", str(out), "--cohort", str(cohort), "--models", str(models)) == 0
-            assert configs == [SmootherConfig(k=3, sigma=1.5)], command
-            manifest = json.loads((out / f"manifest_{command.replace('-', '_')}.json").read_text())
-            assert (manifest["config"]["window"], manifest["config"]["sigma"]) == (3, 1.5), command
+            outputs = []
+            for model_dir, smoothed in ((uncached, checkpoint_smoother), (other, checkpoint_smoother), (models, [])):
+                configs.clear()
+                out = tmp_path / f"{command}_{model_dir.name}"
+                assert _run(command, "--out-dir", str(out), "--cohort", str(cohort), "--models", str(model_dir)) == 0
+                assert configs == smoothed, (command, model_dir.name)
+                manifest = json.loads((out / f"manifest_{command.replace('-', '_')}.json").read_text())
+                assert (manifest["config"]["window"], manifest["config"]["sigma"]) == (3, 1.5), command
+                outputs.append(_tree_digest(out))
+            assert outputs[0] == outputs[1] == outputs[2], command
 
     def test_flags_a_stage_does_not_read_are_usage_errors(self, tmp_path, capsys):
         unread = [("synth", "--window"), ("synth", "--sigma"), ("smooth", "--seed"), ("featurize", "--seed")]
@@ -532,6 +596,115 @@ class TestCheckpointSmoother:
                 _run(command, "--out-dir", str(tmp_path), *inputs, flag, "3")
             assert exc.value.code == 2, (command, flag)
             assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err, (command, flag)
+
+
+class TestCohortCache:
+    # train-detect writes the cohort it preprocessed next to its checkpoint
+    # (cohort_curves.json and cohort_curves.npy); a model stage on the same
+    # curves.csv bytes and smoother reads its curves and ratios from there
+    STAGES = (
+        ("train-horizon", ()),
+        ("evaluate", ()),
+        ("explain", ("--id", "NON_COPD_0000", "--svg")),
+        ("predict", ("--threshold", "1.0")),
+    )
+
+    def _outputs(self, cohort, models, root) -> dict:
+        outputs = {}
+        for command, extra in self.STAGES:
+            out = root / command
+            assert _run(command, "--out-dir", str(out), "--cohort", str(cohort), "--models", str(models), *extra) == 0
+            outputs[command] = _tree_digest(out)
+        return outputs
+
+    def test_hit_reads_no_curves_csv_and_equals_a_models_dir_without_the_cache(self, pipeline, tmp_path, monkeypatch):
+        # the copy without the two files is what train-detect wrote before it wrote them
+        _, cohort, models = pipeline
+        loads = _counting(monkeypatch, "load_time_volume_csv")
+        hit = self._outputs(cohort, models, tmp_path / "hit")
+        assert loads == []
+        miss = self._outputs(cohort, _without_cache(models, tmp_path / "uncached"), tmp_path / "miss")
+        assert len(loads) == len(self.STAGES)
+        assert hit == miss
+
+    def test_payload_is_the_preprocessed_cohort(self, pipeline):
+        from spiroflow.cli import _load_cohort, _load_models, _preprocess
+        from spiroflow.curves import fev1_fvc_ratio
+
+        _, cohort, models = pipeline
+        ids, curves, _, _, _ = _load_cohort(cohort)
+        _, smoother = _load_models(models)
+        vf_curves, _ = _preprocess(curves, smoother)
+        record = json.loads((models / "cohort_curves.json").read_text())
+        payload = np.load(models / "cohort_curves.npy")
+        assert record["curves_sha256"] == hashlib.sha256((cohort / "curves.csv").read_bytes()).hexdigest()
+        assert record["payload_sha256"] == hashlib.sha256((models / "cohort_curves.npy").read_bytes()).hexdigest()
+        assert record["ids"] == ids
+        assert record["lengths"] == [len(vf) for vf in vf_curves]
+        assert record["fev1_fvc_ratios"] == fev1_fvc_ratio(curves).tolist()
+        assert np.array_equal(payload[0], np.concatenate([vf.volumes for vf in vf_curves]))
+        assert np.array_equal(payload[1], np.concatenate([vf.flows for vf in vf_curves]))
+
+    def test_changed_sample_is_read_again(self, pipeline, tmp_path, monkeypatch):
+        # one blow's last sample, its FVC, grows by 5 ml: the stages read the
+        # edited curves.csv and answer as for a models directory without the cache
+        _, cohort, models = pipeline
+        edited = tmp_path / "edited"
+        edited.mkdir()
+        for name in ("demographics.csv", "labels.csv"):
+            (edited / name).write_bytes((cohort / name).read_bytes())
+        blows = (cohort / "curves.csv").read_text().splitlines()
+        cells = blows[0].split(",")
+        cells[-1] = repr(float(cells[-1]) + 5.0)
+        blows[0] = ",".join(cells)
+        (edited / "curves.csv").write_text("\n".join(blows) + "\n")
+        loads = _counting(monkeypatch, "load_time_volume_csv")
+        changed = self._outputs(edited, models, tmp_path / "changed")
+        assert len(loads) == len(self.STAGES)
+        assert changed == self._outputs(edited, _without_cache(models, tmp_path / "uncached"), tmp_path / "expected")
+        original = self._outputs(cohort, models, tmp_path / "original")
+        assert changed["predict"]["predictions.jsonl"] != original["predict"]["predictions.jsonl"]
+
+    @pytest.mark.parametrize(
+        "case, name, edit, error",
+        [
+            ("truncated-payload", "cohort_curves.npy", lambda b: b[: len(b) // 2], "ParseError"),
+            ("one-edited-payload-byte", "cohort_curves.npy", lambda b: b[:-3] + bytes([b[-3] ^ 1]) + b[-2:], "ParseError"),
+            ("one-more-payload-value", "cohort_curves.npy", lambda b: b + bytes(8), "ParseError"),
+            ("no-payload", "cohort_curves.npy", None, "FileNotFoundError"),
+            ("lengths-do-not-match", "cohort_curves.json", _json_edit(lambda r: r["lengths"].__setitem__(0, r["lengths"][0] + 1)), "ParseError"),
+            ("one-length-short", "cohort_curves.json", _json_edit(lambda r: r["lengths"].pop()), "ParseError"),
+            ("one-length-below-two", "cohort_curves.json", _json_edit(lambda r: r["lengths"].__setitem__(0, 1)), "ParseError"),
+            ("ids-out-of-order", "cohort_curves.json", _json_edit(lambda r: r["ids"].reverse()), "ParseError"),
+            ("nan-ratio", "cohort_curves.json", _json_edit(lambda r: r["fev1_fvc_ratios"].__setitem__(0, float("nan"))), "ParseError"),
+            ("no-payload-digest", "cohort_curves.json", _json_edit(lambda r: r.pop("payload_sha256")), "ParseError"),
+            ("wrong-kind", "cohort_curves.json", _json_edit(lambda r: r.update(kind="detection")), "InvalidParams"),
+            ("format-version-2", "cohort_curves.json", _json_edit(lambda r: r.update(format_version=2)), "InvalidParams"),
+            ("not-json", "cohort_curves.json", _truncate, "ParseError"),
+        ],
+    )
+    def test_corrupt_cache_is_a_clean_failure(self, pipeline, tmp_path, capsys, case, name, edit, error):
+        # the cache matches the cohort, so it must load; every model stage
+        # ends in the JSON error naming the file and leaves no --out-dir behind
+        _, cohort, models = pipeline
+        broken = tmp_path / "models"
+        shutil.copytree(models, broken)
+        if edit is None:
+            (broken / name).unlink()
+        elif name.endswith(".json"):
+            (broken / name).write_text(edit((models / name).read_text()))
+        else:
+            (broken / name).write_bytes(edit((models / name).read_bytes()))
+        for command, extra in self.STAGES:
+            out = tmp_path / command
+            code = _run(command, "--out-dir", str(out), "--cohort", str(cohort), "--models", str(broken), *extra)
+            assert code == 1, (case, command)
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            payload = json.loads(err.strip().splitlines()[-1])
+            assert payload["error"] == error, (case, command, payload)
+            assert name in payload["message"], (case, command, payload["message"])
+            assert not out.exists(), (case, command)
 
 
 class TestManifests:
@@ -570,6 +743,45 @@ class TestManifests:
         # train-horizon parses no flag of its own: its fit has no settings
         horizon = json.loads((models / "manifest_train_horizon.json").read_text())
         assert horizon["config"] == {"window": 3, "sigma": 1.5}
+
+    def test_input_digests_are_the_sha256_of_each_file_read(self, tmp_path):
+        # keyed by file name, so two runs in other directories write the same bytes
+        cohort_files = ("curves.csv", "demographics.csv", "labels.csv")
+        model_files = ("detect_model.json", "fusion_model.json")
+        read = {
+            "synth": (),
+            "smooth": ("curves.csv",),
+            "featurize": cohort_files,
+            "train-detect": cohort_files,
+            "train-horizon": cohort_files + model_files,
+            "evaluate": cohort_files + model_files,
+            "explain": cohort_files + model_files,
+            "predict": cohort_files + model_files + ("horizon_model.json",),
+        }
+        manifests = []
+        for root in (tmp_path / "a", tmp_path / "b"):
+            cohort, models = root / "cohort", root / "models"
+            reads, loads = ("--cohort", str(cohort)), ("--cohort", str(cohort), "--models", str(models))
+            stages = [
+                ("synth", cohort, ("--n", "36", "--seed", "1")),
+                ("smooth", root / "smooth", reads),
+                ("featurize", root / "featurize", reads),
+                ("train-detect", models, (*reads, "--epochs", "1")),
+                ("train-horizon", models, loads),
+                ("evaluate", root / "evaluate", loads),
+                ("explain", root / "explain", (*loads, "--id", "NON_COPD_0000")),
+                ("predict", root / "predict", loads),
+            ]
+            texts = {}
+            for command, out, flags in stages:
+                assert _run(command, "--out-dir", str(out), *flags) == 0, command
+                text = (out / f"manifest_{command.replace('-', '_')}.json").read_text()
+                directory = {name: (models if name.endswith(".json") else cohort) for name in read[command]}
+                expected = {name: hashlib.sha256((d / name).read_bytes()).hexdigest() for name, d in directory.items()}
+                assert json.loads(text)["input_sha256"] == expected, command
+                texts[command] = text
+            manifests.append(texts)
+        assert manifests[0] == manifests[1]
 
     def test_flag_defaults_are_the_dataclass_defaults(self):
         # one owner per default: a flag left out configures what the library's

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spiroflow.curves import differentiate_flow, fev1_fvc_ratio, gaussian_smooth, volume_flow_curve
+from spiroflow.curves import TimeVolumeCurve, differentiate_flow, fev1_fvc_ratio, gaussian_smooth, volume_flow_curve
 from spiroflow.data import (
     DEFAULT_TEMPLATES,
     CohortSpec,
@@ -100,6 +100,22 @@ class TestCsv:
         for (id_a, curve_a), (id_b, curve_b) in zip(records, loaded):
             assert id_a == id_b
             assert np.allclose(curve_a.samples, curve_b.samples, atol=1e-9)
+
+    def test_writes_the_bytes_of_csv_writer(self, tmp_path, small_cohort):
+        # the reference: one csv cell per sample, each its float's repr
+        import csv
+
+        ids = ["plain", "with,comma", 'with"quote', '"', "two\nlines", "cr\rhere", " spaced ", "", "tab\there", "é"]
+        records = [(blow_id, rec.curve) for blow_id, rec in zip(ids, small_cohort)]
+        records.append(("tiny", TimeVolumeCurve(np.array([0.0, 1e-05, 0.1 + 0.2, 1e16, 4.0]))))
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            for blow_id, curve in records:
+                writer.writerow([blow_id] + [repr(v) for v in (curve.samples * 1000.0).tolist()])
+        path = tmp_path / "curves.csv"
+        write_time_volume_csv(path, records)
+        assert path.read_bytes() == reference.read_bytes()
 
     def test_milliliters_to_liters(self, tmp_path):
         path = tmp_path / "one.csv"
