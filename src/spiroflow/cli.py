@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
@@ -37,7 +36,7 @@ from .curves import (
     gaussian_smooth,
     volume_flow_curve,
 )
-from .data import CohortSpec, generate_synthetic_cohort, load_time_volume_csv, write_time_volume_csv
+from .data import CohortSpec, generate_synthetic_cohort, load_time_volume_csv, open_csv, write_time_volume_csv
 from .detection import DetectionConfig, DetectionModel
 from .errors import InvalidArgument, InvalidParams, ParseError, SpiroError, ValidationError
 from .horizon import FUTURE_FEATURE_NAMES, HORIZON_ORDER, HorizonLabel, future_feature_vector, predict_future_risk
@@ -91,9 +90,9 @@ def _finish(args, counts: dict, inputs: dict, smoother: SmootherConfig | None = 
 CHUNK_BYTES = 1 << 16
 
 
-def _sha256(path: Path) -> str:
-    """Hex SHA-256 of a file's bytes, read in chunks."""
-    digest = sha256()
+def _sha256(path: Path, prefix: bytes = b"") -> str:
+    """Hex SHA-256 of prefix followed by a file's bytes, read in chunks."""
+    digest = sha256(prefix)
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(CHUNK_BYTES), b""):
             digest.update(chunk)
@@ -126,15 +125,17 @@ def _write_cohort(out_dir: Path, records):
             writer.writerow([r.record_id, r.copd, r.horizon.value])
 
 
-def _read_rows(path: Path, parse) -> dict:
-    """id -> parse(row) over a cohort CSV with a header row.
+def _read_rows(path: Path, parse, inputs: dict) -> dict:
+    """id -> parse(row) over a cohort CSV with a header row; the SHA-256 of
+    the bytes parsed is recorded in inputs under the file's name.
 
     A missing column, a row with more cells than the header or a value that
     parse rejects raises ParseError, and a repeated id raises
     ValidationError, naming the file, the row and the id.
     """
     out = {}
-    with open(path, newline="") as fh:
+    digest = sha256()
+    with open_csv(path, digest) as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             where = f"{path.name} row {reader.line_num} (id {row.get('id')!r})"
@@ -147,6 +148,7 @@ def _read_rows(path: Path, parse) -> dict:
             if row["id"] in out:
                 raise ValidationError(f"{where}: duplicate id")
             out[row["id"]] = value
+    inputs[path.name] = digest.hexdigest()
     return out
 
 
@@ -163,24 +165,30 @@ def _parse_labels(row) -> tuple[int, HorizonLabel]:
     return copd, HorizonLabel(row["horizon"])
 
 
-def _load_cohort(cohort_dir: Path):
+def _load_cohort(cohort_dir: Path, inputs: dict):
     """Returns aligned lists: ids, curves, demos, copd labels, horizon labels.
 
     Every curves.csv id must have a row in demographics.csv and in
     labels.csv, and no file may repeat an id; either fault raises
-    ValidationError.
+    ValidationError.  Each file is read once, and the SHA-256 of the bytes
+    parsed is recorded in inputs under its name, unless inputs already
+    holds the digest of curves.csv.
     """
-    curves = dict(load_time_volume_csv(cohort_dir / "curves.csv"))
+    path = cohort_dir / "curves.csv"
+    digest = None if path.name in inputs else sha256()
+    curves = dict(load_time_volume_csv(path, digest))
+    if digest is not None:
+        inputs[path.name] = digest.hexdigest()
     ids = sorted(curves)
-    return (ids, [curves[i] for i in ids], *_join(cohort_dir, ids))
+    return (ids, [curves[i] for i in ids], *_join(cohort_dir, ids, inputs))
 
 
-def _join(cohort_dir: Path, ids):
+def _join(cohort_dir: Path, ids, inputs: dict):
     """demos, copd labels and horizon labels of the curves.csv ids, from
-    demographics.csv and labels.csv; an id without a row in either file
-    raises ValidationError."""
-    demos = _read_rows(cohort_dir / "demographics.csv", _parse_demographics)
-    labels = _read_rows(cohort_dir / "labels.csv", _parse_labels)
+    demographics.csv and labels.csv, whose digests go to inputs; an id
+    without a row in either file raises ValidationError."""
+    demos = _read_rows(cohort_dir / "demographics.csv", _parse_demographics, inputs)
+    labels = _read_rows(cohort_dir / "labels.csv", _parse_labels, inputs)
     for name, table in (("demographics.csv", demos), ("labels.csv", labels)):
         missing = [i for i in ids if i not in table]
         if missing:
@@ -216,7 +224,6 @@ class _Run:
     vf_curves: list
     series: list
     demos: list
-    ratios: np.ndarray  # (N,) FEV1/FVC of each curve
     struct: np.ndarray  # (N, 7) demographic_block: demographics and the curve's FEV1/FVC ratio
     copd: np.ndarray
     horizons: list
@@ -236,20 +243,24 @@ def _start(args, models: bool = False, record_ids=None, test_split: bool = False
     A model stage whose --models holds train-detect's preprocessed cohort
     for these curves.csv bytes and the checkpoint's smoother takes the
     curves and ratios of its records from there, and parses only
-    demographics.csv and labels.csv."""
+    demographics.csv and labels.csv.  It reads curves.csv only to hash it;
+    a stage that misses the cache then parses it as one without models
+    does, and keeps that one digest."""
     cohort_dir = Path(args.cohort)
-    inputs = {name: _sha256(cohort_dir / name) for name in COHORT_FILES}
+    inputs = {}
     cached = None
     if models:
-        loaded, smoother = _load_models(Path(args.models), inputs)
-        cached = _cached_cohort(Path(args.models), inputs["curves.csv"], smoother)
+        model_dir = Path(args.models)
+        loaded, smoother = _load_models(model_dir, inputs)
+        inputs["curves.csv"] = _sha256(cohort_dir / "curves.csv")
+        cached = _cached_cohort(model_dir, inputs["curves.csv"], smoother)
     else:
         loaded, smoother = None, _smoother(vars(args))
     if cached is None:
-        cohort = _load_cohort(cohort_dir)
+        cohort = _load_cohort(cohort_dir, inputs)
     else:
         # the curves column holds each record's row in the cached cohort
-        cohort = (cached["ids"], range(len(cached["ids"])), *_join(cohort_dir, cached["ids"]))
+        cohort = (cached["ids"], range(len(cached["ids"])), *_join(cohort_dir, cached["ids"], inputs))
     if test_split:
         record_ids = loaded[2]
     if record_ids is not None:
@@ -264,63 +275,57 @@ def _start(args, models: bool = False, record_ids=None, test_split: bool = False
             raise _naming(exc, ids[exc.row]) from None
         ratios = fev1_fvc_ratio(curves)
     else:
-        vf_curves = _read_cached_curves(Path(args.models) / CACHE_PAYLOAD, cached, curves)
+        vf_curves = _read_cached_curves(model_dir / CACHE_PAYLOAD, cached, curves)
         series = [vf.flows for vf in vf_curves]
         ratios = np.array(cached["fev1_fvc_ratios"])[list(curves)]
     struct = demographic_block(demos, ratios)
-    return _Run(smoother, ids, vf_curves, series, demos, ratios, struct, copd, horizons, loaded, inputs)
+    return _Run(smoother, ids, vf_curves, series, demos, struct, copd, horizons, loaded, inputs)
 
 
 # ---------------------------------------------------------------------------
 # train-detect's preprocessed cohort, which the model stages reuse
 
 
-COHORT_FILES = ("curves.csv", "demographics.csv", "labels.csv")
 CACHE_RECORD, CACHE_PAYLOAD = "cohort_curves.json", "cohort_curves.npy"
 
 
-def _payload_header(total: int) -> bytes:
-    """The .npy 1.0 header of a C-order (2, total) float64 array, as np.save writes it."""
-    header = io.BytesIO()
-    shape = {"descr": np.lib.format.dtype_to_descr(np.dtype(float)), "fortran_order": False, "shape": (2, total)}
-    np.lib.format.write_array_header_1_0(header, shape)
-    return header.getvalue()
+def _record_bytes(record: dict) -> bytes:
+    """What the digest of cohort_curves.json covers before the payload's
+    bytes: every other field of the record, as sorted-key JSON."""
+    return json.dumps({key: value for key, value in record.items() if key != "sha256"}, sort_keys=True).encode()
 
 
 def _write_cached_cohort(out_dir: Path, run: _Run):
     """cohort_curves.npy, every record's Volume-Flow volumes (row 0) and
     flows (row 1) in id order, written curve by curve, and then
     cohort_curves.json: the curves.csv digest and the smoother they were
-    preprocessed with, the ids, lengths and FEV1/FVC ratios, and the
-    payload's digest."""
-    lengths = [len(vf) for vf in run.vf_curves]
-    digest = sha256()
-    with open(out_dir / CACHE_PAYLOAD, "wb") as fh:
-        header = _payload_header(sum(lengths))
-        fh.write(header)
-        digest.update(header)
-        for row in ("volumes", "flows"):
-            for vf in run.vf_curves:
-                data = memoryview(np.ascontiguousarray(getattr(vf, row)))
-                fh.write(data)
-                digest.update(data)
+    preprocessed with, the ids, lengths and FEV1/FVC ratios, and sha256,
+    the SHA-256 of those fields followed by the payload's bytes, so that
+    no value of either file can change unseen."""
     record = {
         "format_version": FORMAT_VERSION,
         "kind": "cohort_curves",
         "curves_sha256": run.inputs["curves.csv"],
         "smoother": _smoother_record(run.smoother),
         "ids": run.ids,
-        "lengths": lengths,
-        "fev1_fvc_ratios": run.ratios.tolist(),
-        "payload_sha256": digest.hexdigest(),
+        "lengths": [len(vf) for vf in run.vf_curves],
+        "fev1_fvc_ratios": run.struct[:, -1].tolist(),
     }
+    path = out_dir / CACHE_PAYLOAD
+    header = {"descr": np.lib.format.dtype_to_descr(np.dtype(float)), "fortran_order": False}
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, {**header, "shape": (2, sum(record["lengths"]))})
+        for row in ("volumes", "flows"):
+            for vf in run.vf_curves:
+                fh.write(memoryview(np.ascontiguousarray(getattr(vf, row))))
+    record["sha256"] = _sha256(path, _record_bytes(record))
     _write_json(out_dir / CACHE_RECORD, record)
 
 
 def _cache_record(blob) -> dict:
-    """cohort_curves.json's object, its smoother a SmootherConfig, once it
-    checks out: ids strictly ascending, one length of at least 2 and one
-    finite ratio per id, and two hex SHA-256 digests."""
+    """cohort_curves.json's object once it checks out: ids strictly
+    ascending, one length of at least 2 and one finite ratio per id, and a
+    hex SHA-256 digest."""
     ids, lengths, ratios = blob["ids"], blob["lengths"], blob["fev1_fvc_ratios"]
     if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
         raise ParseError("'ids' is not a list of record ids")
@@ -330,78 +335,51 @@ def _cache_record(blob) -> dict:
         raise ParseError("'lengths' is not one integer of at least 2 per id")
     if not (isinstance(ratios, list) and all(type(r) is float and math.isfinite(r) for r in ratios) and len(ratios) == len(ids)):
         raise ParseError("'fev1_fvc_ratios' is not one finite number per id")
-    for key in ("curves_sha256", "payload_sha256"):
-        value = blob[key]
-        if not (isinstance(value, str) and len(value) == 64 and set(value) <= set("0123456789abcdef")):
-            raise ParseError(f"{key!r} is not a hex SHA-256 digest")
-    return {**blob, "smoother": _smoother(json_object(blob, "smoother"))}
+    digest = blob["sha256"]
+    if not (isinstance(digest, str) and len(digest) == 64 and set(digest) <= set("0123456789abcdef")):
+        raise ParseError("'sha256' is not a hex SHA-256 digest")
+    return blob
 
 
 def _cached_cohort(model_dir: Path, curves_sha256: str, smoother: SmootherConfig) -> dict | None:
     """The checked cohort_curves.json of model_dir if it was written for
     these curves.csv bytes and this smoother, else None (also when there
-    is none).  A record that fails its checks raises naming the file."""
+    is none).  A record that matches but fails its checks raises naming
+    the file; one that does not match is not checked further."""
     path = model_dir / CACHE_RECORD
     if not path.exists():
         return None
-    record = _read_model(path, "cohort_curves", _cache_record)
-    if (record["curves_sha256"], record["smoother"]) != (curves_sha256, smoother):
-        return None
-    return record
+
+    def build(blob):
+        if (blob["curves_sha256"], _smoother(json_object(blob, "smoother"))) != (curves_sha256, smoother):
+            return None
+        return _cache_record(blob)
+
+    return _read_model(path, "cohort_curves", build)
 
 
 def _read_cached_curves(path: Path, record: dict, rows) -> list[VolumeFlowCurve]:
-    """The Volume-Flow curves of the cached cohort's rows (ascending).
+    """The Volume-Flow curves of the cached cohort's rows.
 
-    The payload is read once, in chunks, and hashed as it is read; only
-    the rows' values are kept.  Its header must give a C-order float64
-    array of shape (2, sum of lengths), its digest must be the record's
-    payload_sha256, and each curve handed out must be a valid
-    VolumeFlowCurve; any fault raises ParseError naming the file."""
-    lengths = record["lengths"]
-    starts = np.concatenate([[0], np.cumsum(lengths)])
-    total = int(starts[-1])
-    # flat [start, stop) of the rows' volumes, then of their flows, adjacent spans merged
-    spans = []
-    for offset in (0, total):
-        for r in rows:
-            start, stop = offset + int(starts[r]), offset + int(starts[r + 1])
-            if spans and spans[-1][1] == start:
-                spans[-1][1] = stop
-            else:
-                spans.append([start, stop])
-    kept = np.empty(sum(stop - start for start, stop in spans))
-    digest = sha256()
-    header = _payload_header(total)
-    with open(path, "rb") as fh:
-        if fh.read(len(header)) != header:
-            raise ParseError(f"{path.name}: header is not that of the (2, {total}) float64 array {CACHE_RECORD} gives")
-        digest.update(header)
-        chunk = np.empty(CHUNK_BYTES // 8)
-        at, span, filled = 0, 0, 0
-        while at < 2 * total:
-            n = min(chunk.size, 2 * total - at)
-            if fh.readinto(memoryview(chunk[:n]).cast("B")) != 8 * n:
-                raise ParseError(f"{path.name}: truncated: {CACHE_RECORD} gives {total} values per row")
-            digest.update(memoryview(chunk[:n]))
-            while span < len(spans) and spans[span][0] < at + n:
-                lo, hi = max(spans[span][0], at), min(spans[span][1], at + n)
-                kept[filled : filled + hi - lo] = chunk[lo - at : hi - at]
-                filled += hi - lo
-                if spans[span][1] > at + n:
-                    break
-                span += 1
-            at += n
-        if fh.read(1):
-            raise ParseError(f"{path.name}: longer than {CACHE_RECORD} gives")
-    if digest.hexdigest() != record["payload_sha256"]:
-        raise ParseError(f"{path.name}: SHA-256 differs from {CACHE_RECORD}'s payload_sha256")
-    volumes, flows = kept.reshape(2, -1)
-    bounds = np.cumsum([0] + [lengths[r] for r in rows]).tolist()
+    The SHA-256 of the record's fields followed by the payload's bytes
+    must be the record's sha256, the payload must be a float64 array of
+    shape (2, sum of lengths), and each curve handed out must be a valid
+    VolumeFlowCurve; any fault raises ParseError naming the file.  The
+    payload is memory-mapped and only the rows' values are copied out."""
+    if _sha256(path, _record_bytes(record)) != record["sha256"]:
+        raise ParseError(f"{path.name}: SHA-256 of {CACHE_RECORD}'s fields and these bytes differs from its sha256")
+    starts = np.cumsum([0] + record["lengths"]).tolist()
+    try:
+        payload = np.load(path, mmap_mode="r")
+    except (ValueError, EOFError) as exc:
+        raise ParseError(f"{path.name}: not a .npy array: {exc}") from None
+    if payload.dtype != np.float64 or payload.shape != (2, starts[-1]):
+        raise ParseError(f"{path.name}: {payload.dtype} {payload.shape}, not the (2, {starts[-1]}) float64 {CACHE_RECORD} gives")
     curves = []
-    for r, a, b in zip(rows, bounds, bounds[1:]):
+    for r in rows:
+        volumes, flows = np.array(payload[:, starts[r] : starts[r + 1]])
         try:
-            curves.append(VolumeFlowCurve(volumes[a:b], flows[a:b]))
+            curves.append(VolumeFlowCurve(volumes, flows))
         except SpiroError as exc:
             raise ParseError(f"{path.name}: id {record['ids'][r]!r}: {exc}") from None
     return curves
@@ -465,12 +443,13 @@ def cmd_synth(args):
 
 def cmd_smooth(args):
     path = Path(args.cohort) / "curves.csv"
-    records = load_time_volume_csv(path)
+    digest = sha256()
+    records = load_time_volume_csv(path, digest)
     cfg = _smoother(vars(args))
     ids = [blow_id for blow_id, _ in records]
     smoothed = gaussian_smooth([curve for _, curve in records], cfg)
     write_time_volume_csv(_out_dir(args) / "smoothed_curves.csv", list(zip(ids, smoothed)))
-    return _finish(args, {"curves": len(smoothed)}, {path.name: _sha256(path)}, cfg, curves=len(smoothed))
+    return _finish(args, {"curves": len(smoothed)}, {path.name: digest.hexdigest()}, cfg, curves=len(smoothed))
 
 
 def cmd_featurize(args):

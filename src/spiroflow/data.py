@@ -12,6 +12,7 @@ directions; the FEV1/FVC ratio is not sampled but read from each curve.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -168,17 +169,47 @@ def generate_synthetic_cohort(spec: CohortSpec) -> list[CohortRecord]:
 # CSV ingestion (schema: one row per blow, id then milliliter samples)
 
 
-def load_time_volume_csv(path) -> list[tuple[str, TimeVolumeCurve]]:
+class _DigestingFile(io.RawIOBase):
+    """An unbuffered binary file that feeds each byte read from it to digest."""
+
+    def __init__(self, fh, digest):
+        self._fh = fh
+        self._digest = digest
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        n = self._fh.readinto(buffer)
+        self._digest.update(memoryview(buffer)[:n])
+        return n
+
+    def close(self):
+        self._fh.close()
+        super().close()
+
+
+def open_csv(path, digest=None):
+    """path opened as open(path, newline="") opens it.  With digest (a
+    hashlib-style object) every byte read is also fed to it, so a reader
+    that reaches the end leaves there the digest of the bytes it parsed."""
+    if digest is None:
+        return open(path, newline="")
+    return io.TextIOWrapper(io.BufferedReader(_DigestingFile(open(path, "rb", buffering=0), digest), 1 << 16), newline="")
+
+
+def load_time_volume_csv(path, digest=None) -> list[tuple[str, TimeVolumeCurve]]:
     """Parse blow rows 'id, ml, ml, ...' into liter curves; an id may not repeat.
 
     A short row, a cell that is not a number, a repeated id or a negative or
     non-finite volume raises naming the file, the row and the id; a file
-    without a blow row raises ParseError naming the file.
+    without a blow row raises ParseError naming the file.  With digest, the
+    file's bytes are fed to it as they are read (open_csv).
     """
     out = []
     seen = set()
     name = Path(path).name
-    with open(path, newline="") as fh:
+    with open_csv(path, digest) as fh:
         for row_no, row in enumerate(csv.reader(fh), start=1):
             if not row or all(not cell.strip() for cell in row):
                 continue

@@ -60,6 +60,17 @@ def _truncate(text):
     return text[: len(text) // 2]
 
 
+def _shift_a_sample(record):
+    # the lengths still sum to the payload's size
+    record["lengths"][0] -= 1
+    record["lengths"][1] += 1
+
+
+def _longer_first_length(record, payload):
+    record["lengths"][0] += 1
+    return payload
+
+
 def _json_edit(change):
     """A text edit that applies change to the parsed JSON object."""
 
@@ -185,7 +196,7 @@ class TestTrainAndEvaluate:
         _run("evaluate", "--out-dir", str(out), "--cohort", str(cohort), "--models", str(models))
         report = json.loads((out / "metrics.json").read_text())
 
-        ids, curves, demos, copd, _ = _load_cohort(cohort)
+        ids, curves, demos, copd, _ = _load_cohort(cohort, {})
         (model, _, test_ids), smoother = _load_models(models)
         _, series = _preprocess(curves, smoother)
         sel = [i for i, blow_id in enumerate(ids) if blow_id in set(test_ids)]
@@ -211,7 +222,7 @@ class TestTrainAndEvaluate:
         uncached = _without_cache(models, tmp_path / "uncached")
         assert _run("evaluate", "--out-dir", str(tmp_path / "eval"), "--cohort", str(cohort), "--models", str(uncached)) == 0
         test_ids = json.loads((models / "detect_model.json").read_text())["test_ids"]
-        ids, curves, _, _, _ = _load_cohort(cohort)
+        ids, curves, _, _, _ = _load_cohort(cohort, {})
         by_id = dict(zip(ids, curves))
         assert 0 < len(test_ids) < len(ids)
         assert len(smoothed) == 1
@@ -296,7 +307,7 @@ class TestExplain:
         every = tmp_path / "every"
         args = ("--cohort", str(cohort), "--models", str(models), "--svg")
         assert _run("explain", "--out-dir", str(every), *args) == 0
-        ids = _load_cohort(cohort)[0]
+        ids = _load_cohort(cohort, {})[0]
         assert len(ids) == 36
         for blow_id in ids:
             one = tmp_path / blow_id
@@ -427,7 +438,7 @@ class TestPredict:
         assert _run("predict", "--out-dir", str(out), "--cohort", str(cohort), "--models", str(models)) == 0
         lines = [json.loads(l) for l in (out / "predictions.jsonl").read_text().splitlines()]
 
-        ids, curves, _, _, _ = _load_cohort(cohort)
+        ids, curves, _, _, _ = _load_cohort(cohort, {})
         (model, _, _), smoother = _load_models(models)
         _, series = _preprocess(curves, smoother)
         assert [rec["id"] for rec in lines] == ids
@@ -525,7 +536,7 @@ class TestBatchedFusion:
             assert lines[i]["horizon"]["label_probs"] == dict(zip(labels, probs.tolist())), lines[i]["id"]
             assert lines[i]["horizon"]["top_label"] == labels[int(np.argmax(probs))], lines[i]["id"]
 
-        ids, curves, demos, _, _ = _load_cohort(cohort)
+        ids, curves, demos, _, _ = _load_cohort(cohort, {})
         _, smoother = _load_models(models)
         vf_curves, _ = _preprocess(curves, smoother)
         for i in negative:
@@ -632,13 +643,14 @@ class TestCohortCache:
         from spiroflow.curves import fev1_fvc_ratio
 
         _, cohort, models = pipeline
-        ids, curves, _, _, _ = _load_cohort(cohort)
+        ids, curves, _, _, _ = _load_cohort(cohort, {})
         _, smoother = _load_models(models)
         vf_curves, _ = _preprocess(curves, smoother)
         record = json.loads((models / "cohort_curves.json").read_text())
         payload = np.load(models / "cohort_curves.npy")
         assert record["curves_sha256"] == hashlib.sha256((cohort / "curves.csv").read_bytes()).hexdigest()
-        assert record["payload_sha256"] == hashlib.sha256((models / "cohort_curves.npy").read_bytes()).hexdigest()
+        fields = json.dumps({k: v for k, v in record.items() if k != "sha256"}, sort_keys=True).encode()
+        assert record["sha256"] == hashlib.sha256(fields + (models / "cohort_curves.npy").read_bytes()).hexdigest()
         assert record["ids"] == ids
         assert record["lengths"] == [len(vf) for vf in vf_curves]
         assert record["fev1_fvc_ratios"] == fev1_fvc_ratio(curves).tolist()
@@ -673,11 +685,13 @@ class TestCohortCache:
             ("one-more-payload-value", "cohort_curves.npy", lambda b: b + bytes(8), "ParseError"),
             ("no-payload", "cohort_curves.npy", None, "FileNotFoundError"),
             ("lengths-do-not-match", "cohort_curves.json", _json_edit(lambda r: r["lengths"].__setitem__(0, r["lengths"][0] + 1)), "ParseError"),
+            ("one-sample-moves-to-a-neighbour", "cohort_curves.json", _json_edit(_shift_a_sample), "ParseError"),
+            ("one-edited-ratio", "cohort_curves.json", _json_edit(lambda r: r["fev1_fvc_ratios"].__setitem__(0, r["fev1_fvc_ratios"][0] / 2)), "ParseError"),
             ("one-length-short", "cohort_curves.json", _json_edit(lambda r: r["lengths"].pop()), "ParseError"),
             ("one-length-below-two", "cohort_curves.json", _json_edit(lambda r: r["lengths"].__setitem__(0, 1)), "ParseError"),
             ("ids-out-of-order", "cohort_curves.json", _json_edit(lambda r: r["ids"].reverse()), "ParseError"),
             ("nan-ratio", "cohort_curves.json", _json_edit(lambda r: r["fev1_fvc_ratios"].__setitem__(0, float("nan"))), "ParseError"),
-            ("no-payload-digest", "cohort_curves.json", _json_edit(lambda r: r.pop("payload_sha256")), "ParseError"),
+            ("no-digest", "cohort_curves.json", _json_edit(lambda r: r.pop("sha256")), "ParseError"),
             ("wrong-kind", "cohort_curves.json", _json_edit(lambda r: r.update(kind="detection")), "InvalidParams"),
             ("format-version-2", "cohort_curves.json", _json_edit(lambda r: r.update(format_version=2)), "InvalidParams"),
             ("not-json", "cohort_curves.json", _truncate, "ParseError"),
@@ -705,6 +719,34 @@ class TestCohortCache:
             assert payload["error"] == error, (case, command, payload)
             assert name in payload["message"], (case, command, payload["message"])
             assert not out.exists(), (case, command)
+
+    @pytest.mark.parametrize(
+        "case, edit",
+        [
+            ("lengths-sum-too-long", _longer_first_length),
+            ("float32-payload", lambda record, payload: payload.astype(np.float32)),
+        ],
+    )
+    def test_payload_is_checked_against_a_record_whose_digest_matches(self, pipeline, tmp_path, capsys, case, edit):
+        # a record rewritten with its digest recomputed still has its payload's
+        # dtype and shape checked against its lengths
+        _, cohort, models = pipeline
+        broken = tmp_path / "models"
+        shutil.copytree(models, broken)
+        record = json.loads((models / "cohort_curves.json").read_text())
+        np.save(broken / "cohort_curves.npy", edit(record, np.load(models / "cohort_curves.npy")))
+        fields = json.dumps({k: v for k, v in record.items() if k != "sha256"}, sort_keys=True).encode()
+        record["sha256"] = hashlib.sha256(fields + (broken / "cohort_curves.npy").read_bytes()).hexdigest()
+        (broken / "cohort_curves.json").write_text(json.dumps(record))
+        out = tmp_path / "evaluate"
+        assert _run("evaluate", "--out-dir", str(out), "--cohort", str(cohort), "--models", str(broken)) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        payload = json.loads(err.strip().splitlines()[-1])
+        assert payload["error"] == "ParseError"
+        assert payload["message"].startswith("cohort_curves.npy: "), payload["message"]
+        assert "(2, " in payload["message"]
+        assert not out.exists()
 
 
 class TestManifests:
