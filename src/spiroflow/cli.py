@@ -253,14 +253,16 @@ def _start(args, models: bool = False, record_ids=None, test_split: bool = False
         model_dir = Path(args.models)
         loaded, smoother = _load_models(model_dir, inputs)
         inputs["curves.csv"] = _sha256(cohort_dir / "curves.csv")
-        cached = _cached_cohort(model_dir, inputs["curves.csv"], smoother)
+        key = {"curves_sha256": inputs["curves.csv"], "smoother": _smoother_record(smoother)}
+        cached = _read_cache(model_dir, "cohort_curves", key, lambda r: (2, sum(r["lengths"])), _check_cohort_record)
     else:
         loaded, smoother = None, _smoother(vars(args))
     if cached is None:
         cohort = _load_cohort(cohort_dir, inputs)
     else:
         # the curves column holds each record's row in the cached cohort
-        cohort = (cached["ids"], range(len(cached["ids"])), *_join(cohort_dir, cached["ids"], inputs))
+        record, payload = cached
+        cohort = (record["ids"], range(len(record["ids"])), *_join(cohort_dir, record["ids"], inputs))
     if test_split:
         record_ids = loaded[2]
     if record_ids is not None:
@@ -275,57 +277,84 @@ def _start(args, models: bool = False, record_ids=None, test_split: bool = False
             raise _naming(exc, ids[exc.row]) from None
         ratios = fev1_fvc_ratio(curves)
     else:
-        vf_curves = _read_cached_curves(model_dir / CACHE_PAYLOAD, cached, curves)
+        vf_curves = _cached_curves(record, payload, curves)
         series = [vf.flows for vf in vf_curves]
-        ratios = np.array(cached["fev1_fvc_ratios"])[list(curves)]
+        ratios = np.array(record["fev1_fvc_ratios"])[list(curves)]
     struct = demographic_block(demos, ratios)
     return _Run(smoother, ids, vf_curves, series, demos, struct, copd, horizons, loaded, inputs)
 
 
 # ---------------------------------------------------------------------------
-# train-detect's preprocessed cohort, which the model stages reuse
-
-
-CACHE_RECORD, CACHE_PAYLOAD = "cohort_curves.json", "cohort_curves.npy"
+# caches in the models directory: a JSON record whose sha256 binds it to a
+# .npy payload.  train-detect writes its preprocessed cohort (cohort_curves),
+# which the model stages reuse, and train-horizon its detector pass over the
+# whole cohort (cohort_scores), which predict and explain reuse.
 
 
 def _record_bytes(record: dict) -> bytes:
-    """What the digest of cohort_curves.json covers before the payload's
-    bytes: every other field of the record, as sorted-key JSON."""
+    """What a record's digest covers before the payload's bytes: every
+    other field of the record, as sorted-key JSON."""
     return json.dumps({key: value for key, value in record.items() if key != "sha256"}, sort_keys=True).encode()
 
 
-def _write_cached_cohort(out_dir: Path, run: _Run):
-    """cohort_curves.npy, every record's Volume-Flow volumes (row 0) and
-    flows (row 1) in id order, written curve by curve, and then
-    cohort_curves.json: the curves.csv digest and the smoother they were
-    preprocessed with, the ids, lengths and FEV1/FVC ratios, and sha256,
-    the SHA-256 of those fields followed by the payload's bytes, so that
-    no value of either file can change unseen."""
-    record = {
-        "format_version": FORMAT_VERSION,
-        "kind": "cohort_curves",
-        "curves_sha256": run.inputs["curves.csv"],
-        "smoother": _smoother_record(run.smoother),
-        "ids": run.ids,
-        "lengths": [len(vf) for vf in run.vf_curves],
-        "fev1_fvc_ratios": run.struct[:, -1].tolist(),
-    }
-    path = out_dir / CACHE_PAYLOAD
-    header = {"descr": np.lib.format.dtype_to_descr(np.dtype(float)), "fortran_order": False}
+def _write_cache(out_dir: Path, kind: str, fields: dict, shape: tuple, pieces):
+    """<kind>.npy, a float64 array of this shape written from pieces, one
+    after another in C order, and then <kind>.json: format_version, kind,
+    fields and sha256, the SHA-256 of the other fields followed by the
+    payload's bytes, so that no value of either file can change unseen."""
+    record = {"format_version": FORMAT_VERSION, "kind": kind, **fields}
+    path = out_dir / f"{kind}.npy"
+    header = {"descr": np.lib.format.dtype_to_descr(np.dtype(float)), "fortran_order": False, "shape": shape}
     with open(path, "wb") as fh:
-        np.lib.format.write_array_header_1_0(fh, {**header, "shape": (2, sum(record["lengths"]))})
-        for row in ("volumes", "flows"):
-            for vf in run.vf_curves:
-                fh.write(memoryview(np.ascontiguousarray(getattr(vf, row))))
+        np.lib.format.write_array_header_1_0(fh, header)
+        for piece in pieces:
+            fh.write(memoryview(np.ascontiguousarray(piece)))
     record["sha256"] = _sha256(path, _record_bytes(record))
-    _write_json(out_dir / CACHE_RECORD, record)
+    _write_json(out_dir / f"{kind}.json", record)
 
 
-def _cache_record(blob) -> dict:
-    """cohort_curves.json's object once it checks out: ids strictly
-    ascending, one length of at least 2 and one finite ratio per id, and a
-    hex SHA-256 digest."""
+def _read_cache(model_dir: Path, kind: str, key: dict, shape, check=None):
+    """(record, payload) of model_dir's <kind>.json and <kind>.npy if the
+    record's key fields equal key, else None (also when there is no
+    record); the payload is memory-mapped.
+
+    A record that does not match is not checked further.  One that matches
+    must pass check(record) and hold a hex SHA-256 digest; the SHA-256 of
+    its fields followed by the payload's bytes must be that digest, and the
+    payload must be a float64 array of shape(record).  Any fault raises
+    naming the file, as _read_model does."""
+    path = model_dir / f"{kind}.json"
+    if not path.exists():
+        return None
+
+    def build(blob):
+        if any(blob[name] != value for name, value in key.items()):
+            return None
+        digest = blob["sha256"]
+        if not (isinstance(digest, str) and len(digest) == 64 and set(digest) <= set("0123456789abcdef")):
+            raise ParseError("'sha256' is not a hex SHA-256 digest")
+        if check is not None:
+            check(blob)
+        return blob
+
+    record = _read_model(path, kind, build)
+    if record is None:
+        return None
+    payload_path = model_dir / f"{kind}.npy"
+    if _sha256(payload_path, _record_bytes(record)) != record["sha256"]:
+        raise ParseError(f"{payload_path.name}: SHA-256 of {path.name}'s fields and these bytes differs from its sha256")
+    try:
+        payload = np.load(payload_path, mmap_mode="r")
+    except (ValueError, EOFError) as exc:
+        raise ParseError(f"{payload_path.name}: not a .npy array: {exc}") from None
+    if payload.dtype != np.float64 or payload.shape != shape(record):
+        raise ParseError(f"{payload_path.name}: {payload.dtype} {payload.shape}, not the {shape(record)} float64 {path.name} gives")
+    return record, payload
+
+
+def _check_cohort_record(blob):
+    """A cohort_curves record checks out: ids strictly ascending, and one
+    length of at least 2 and one finite FEV1/FVC ratio per id."""
     ids, lengths, ratios = blob["ids"], blob["lengths"], blob["fev1_fvc_ratios"]
     if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
         raise ParseError("'ids' is not a list of record ids")
@@ -335,54 +364,60 @@ def _cache_record(blob) -> dict:
         raise ParseError("'lengths' is not one integer of at least 2 per id")
     if not (isinstance(ratios, list) and all(type(r) is float and math.isfinite(r) for r in ratios) and len(ratios) == len(ids)):
         raise ParseError("'fev1_fvc_ratios' is not one finite number per id")
-    digest = blob["sha256"]
-    if not (isinstance(digest, str) and len(digest) == 64 and set(digest) <= set("0123456789abcdef")):
-        raise ParseError("'sha256' is not a hex SHA-256 digest")
-    return blob
 
 
-def _cached_cohort(model_dir: Path, curves_sha256: str, smoother: SmootherConfig) -> dict | None:
-    """The checked cohort_curves.json of model_dir if it was written for
-    these curves.csv bytes and this smoother, else None (also when there
-    is none).  A record that matches but fails its checks raises naming
-    the file; one that does not match is not checked further."""
-    path = model_dir / CACHE_RECORD
-    if not path.exists():
-        return None
+def _write_cached_cohort(out_dir: Path, run: _Run):
+    """cohort_curves: every record's Volume-Flow volumes (payload row 0) and
+    flows (row 1) in id order, written curve by curve, keyed by the
+    curves.csv digest and the smoother they were preprocessed with; the
+    record also holds the ids, lengths and FEV1/FVC ratios."""
+    lengths = [len(vf) for vf in run.vf_curves]
+    fields = {
+        "curves_sha256": run.inputs["curves.csv"],
+        "smoother": _smoother_record(run.smoother),
+        "ids": run.ids,
+        "lengths": lengths,
+        "fev1_fvc_ratios": run.struct[:, -1].tolist(),
+    }
+    pieces = (getattr(vf, row) for row in ("volumes", "flows") for vf in run.vf_curves)
+    _write_cache(out_dir, "cohort_curves", fields, (2, sum(lengths)), pieces)
 
-    def build(blob):
-        if (blob["curves_sha256"], _smoother(json_object(blob, "smoother"))) != (curves_sha256, smoother):
-            return None
-        return _cache_record(blob)
 
-    return _read_model(path, "cohort_curves", build)
-
-
-def _read_cached_curves(path: Path, record: dict, rows) -> list[VolumeFlowCurve]:
-    """The Volume-Flow curves of the cached cohort's rows.
-
-    The SHA-256 of the record's fields followed by the payload's bytes
-    must be the record's sha256, the payload must be a float64 array of
-    shape (2, sum of lengths), and each curve handed out must be a valid
-    VolumeFlowCurve; any fault raises ParseError naming the file.  The
-    payload is memory-mapped and only the rows' values are copied out."""
-    if _sha256(path, _record_bytes(record)) != record["sha256"]:
-        raise ParseError(f"{path.name}: SHA-256 of {CACHE_RECORD}'s fields and these bytes differs from its sha256")
+def _cached_curves(record: dict, payload, rows) -> list[VolumeFlowCurve]:
+    """The Volume-Flow curves of the cached cohort's rows, only their
+    values copied out of the payload; a curve that is not a valid
+    VolumeFlowCurve raises ParseError naming the file."""
     starts = np.cumsum([0] + record["lengths"]).tolist()
-    try:
-        payload = np.load(path, mmap_mode="r")
-    except (ValueError, EOFError) as exc:
-        raise ParseError(f"{path.name}: not a .npy array: {exc}") from None
-    if payload.dtype != np.float64 or payload.shape != (2, starts[-1]):
-        raise ParseError(f"{path.name}: {payload.dtype} {payload.shape}, not the (2, {starts[-1]}) float64 {CACHE_RECORD} gives")
     curves = []
     for r in rows:
         volumes, flows = np.array(payload[:, starts[r] : starts[r + 1]])
         try:
             curves.append(VolumeFlowCurve(volumes, flows))
         except SpiroError as exc:
-            raise ParseError(f"{path.name}: id {record['ids'][r]!r}: {exc}") from None
+            raise ParseError(f"cohort_curves.npy: id {record['ids'][r]!r}: {exc}") from None
     return curves
+
+
+def _scores_key(run: _Run) -> dict:
+    """What a cohort_scores memo holds the detector pass of: these
+    curves.csv bytes, this detector checkpoint and these ids, in order."""
+    return {"curves_sha256": run.inputs["curves.csv"], "detect_sha256": run.inputs["detect_model.json"], "ids": run.ids}
+
+
+def _detector_pass(args, run: _Run, memo: bool):
+    """(p_hat (N,), attention weights (N, S)) of the run's records.  With
+    memo, from --models' cohort_scores when it holds the pass over exactly
+    these records, which train-horizon wrote: a stage that scores a subset
+    may differ from the whole-cohort pass in the last bit, so it passes
+    memo=False.  Otherwise from the detector's one forward-only pass."""
+    model = run.models[0]
+    if memo:
+        width = -(-max(len(s) for s in run.series) // model.config.patch_len)
+        cached = _read_cache(Path(args.models), "cohort_scores", _scores_key(run), lambda r: (len(run.ids), 1 + width))
+        if cached is not None:
+            scores = np.array(cached[1])
+            return scores[:, 0], scores[:, 1:]
+    return model.explain(run.series)
 
 
 def _naming(exc: SpiroError, blow_id: str) -> SpiroError:
@@ -586,7 +621,8 @@ def _load_models(model_dir: Path, inputs: dict | None = None):
 def cmd_train_horizon(args):
     run = _start(args, models=True)
     model, fusion, _ = run.models
-    risks, _ = fuse_and_score(model.predict_proba(run.series), run.struct, fusion)
+    p_hats, weights = model.explain(run.series)
+    risks, _ = fuse_and_score(p_hats, run.struct, fusion)
     profiles = _profiles(run.ids, run.vf_curves)
     features = future_feature_vector(risks, profiles, run.struct)
     labels = np.array([h.value for h in run.horizons])
@@ -594,6 +630,8 @@ def cmd_train_horizon(args):
     out_dir = _out_dir(args)
     _write_logistic(out_dir, "horizon", horizon_model)
     write_training_log(out_dir / "train_horizon_log.jsonl", trace)
+    scores = np.column_stack([p_hats, weights])
+    _write_cache(out_dir, "cohort_scores", _scores_key(run), scores.shape, [scores])
     return _finish(args, {"records": len(run.ids)}, run.inputs, run.smoother, final_loss=trace[-1]["loss"])
 
 
@@ -616,7 +654,7 @@ def cmd_evaluate(args):
 def cmd_explain(args):
     run = _start(args, models=True, record_ids=None if args.id is None else [args.id])
     model, fusion, _ = run.models
-    p_hats, weights = model.explain(run.series)
+    p_hats, weights = _detector_pass(args, run, memo=args.id is None)
     risks, contributions = fuse_and_score(p_hats, run.struct, fusion)
     out_dir = _out_dir(args)
     for row, (blow_id, vf) in enumerate(zip(run.ids, run.vf_curves)):
@@ -632,10 +670,10 @@ def cmd_explain(args):
 def cmd_predict(args):
     run = _start(args, models=True)
     ids, vf_curves = run.ids, run.vf_curves
-    model, fusion, _ = run.models
+    _, fusion, _ = run.models
     labels = tuple(h.value for h in HORIZON_ORDER)
     horizon_model = _read_logistic(Path(args.models), "horizon", run.inputs)
-    p_hats = model.predict_proba(run.series)
+    p_hats, _ = _detector_pass(args, run, memo=True)
     risks, _ = fuse_and_score(p_hats, run.struct, fusion)
     negative = [i for i, p_hat in enumerate(p_hats) if p_hat <= args.threshold]
     profiles = _profiles([ids[i] for i in negative], [vf_curves[i] for i in negative])
