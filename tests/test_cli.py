@@ -5,10 +5,13 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 import spiroflow
 from spiroflow.attention import FUSION_FEATURE_NAMES
@@ -29,16 +32,67 @@ def _tree_digest(directory: Path) -> dict:
 
 
 CACHE_FILES = ("cohort_curves.json", "cohort_curves.npy")
+SCORE_FILES = ("cohort_scores.json", "cohort_scores.npy")
 
 
-def _without_cache(models: Path, dest: Path) -> Path:
-    """A copy of a models directory without train-detect's preprocessed
-    cohort, as train-detect wrote it before it wrote one."""
+def _without_cache(models: Path, dest: Path, files=CACHE_FILES) -> Path:
+    """A copy of a models directory without files: by default train-detect's
+    preprocessed cohort, as train-detect wrote it before it wrote one."""
     dest.mkdir()
     for p in models.iterdir():
-        if p.name not in CACHE_FILES:
+        if p.name not in files:
             (dest / p.name).write_bytes(p.read_bytes())
     return dest
+
+
+def _edited_cohort(cohort: Path, dest: Path) -> Path:
+    """A copy of a cohort whose first blow's last sample, its FVC, grows by 5 ml."""
+    dest.mkdir()
+    for name in ("demographics.csv", "labels.csv"):
+        (dest / name).write_bytes((cohort / name).read_bytes())
+    blows = (cohort / "curves.csv").read_text().splitlines()
+    cells = blows[0].split(",")
+    cells[-1] = repr(float(cells[-1]) + 5.0)
+    blows[0] = ",".join(cells)
+    (dest / "curves.csv").write_text("\n".join(blows) + "\n")
+    return dest
+
+
+def _counting_passes(monkeypatch) -> list:
+    """Record the batch size of every detector forward-only pass."""
+    from spiroflow.detection import DetectionModel
+
+    passes = []
+    infer = DetectionModel._infer
+
+    def counting(self, series_list):
+        passes.append(len(series_list))
+        return infer(self, series_list)
+
+    monkeypatch.setattr(DetectionModel, "_infer", counting)
+    return passes
+
+
+def _rewrite_with_digest(models: Path, broken: Path, kind: str, edit):
+    """broken's <kind>.npy replaced by edit(record, payload), which may also
+    change the record, and the record's sha256 recomputed, so that the
+    digest check passes and only the payload's checks remain."""
+    record = json.loads((models / f"{kind}.json").read_text())
+    np.save(broken / f"{kind}.npy", edit(record, np.load(models / f"{kind}.npy")))
+    fields = json.dumps({k: v for k, v in record.items() if k != "sha256"}, sort_keys=True).encode()
+    record["sha256"] = hashlib.sha256(fields + (broken / f"{kind}.npy").read_bytes()).hexdigest()
+    (broken / f"{kind}.json").write_text(json.dumps(record))
+
+
+def _clean_failure(capsys, code: int, out: Path) -> dict:
+    """The JSON error of a stage that exited 1 without a traceback and left no --out-dir."""
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert not out.exists()
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert sorted(payload) == ["error", "message"]
+    return payload
 
 
 def _counting(monkeypatch, name):
@@ -333,18 +387,25 @@ class TestExplain:
             rounding = 4 * (np.spacing(abs(detection_a)) + np.spacing(abs(detection_b)))
             assert abs(detection_a - detection_b) <= slope * abs(a["p_hat"] - b["p_hat"]) + rounding
 
-    def test_overlays_equal_predictions_bit_for_bit(self, pipeline, tmp_path):
-        # explain and predict score the cohort in the same batch
+    def test_overlays_equal_predictions_bit_for_bit(self, pipeline, tmp_path, monkeypatch):
+        # explain and predict score the whole cohort in the same batch, or
+        # both take train-horizon's pass over it from cohort_scores
         _, cohort, models = pipeline
-        args = ("--cohort", str(cohort), "--models", str(models))
-        assert _run("explain", "--out-dir", str(tmp_path / "explain"), *args) == 0
-        assert _run("predict", "--out-dir", str(tmp_path / "pred"), *args) == 0
-        lines = [json.loads(l) for l in (tmp_path / "pred" / "predictions.jsonl").read_text().splitlines()]
-        assert len(lines) == 36
-        for rec in lines:
-            overlay = json.loads((tmp_path / "explain" / f"overlay_{rec['id']}.json").read_text())
-            assert overlay["p_hat"] == rec["p_hat"]
-            assert overlay["fused_risk"] == rec["fused_risk"]
+        passes = _counting_passes(monkeypatch)
+        without_memo = _without_cache(models, tmp_path / "without_memo", SCORE_FILES)
+        for model_dir, computed in ((models, []), (without_memo, [36, 36])):
+            passes.clear()
+            args = ("--cohort", str(cohort), "--models", str(model_dir))
+            explained, predicted = tmp_path / model_dir.name / "explain", tmp_path / model_dir.name / "pred"
+            assert _run("explain", "--out-dir", str(explained), "--svg", *args) == 0
+            assert _run("predict", "--out-dir", str(predicted), *args) == 0
+            assert passes == computed, model_dir.name
+            lines = [json.loads(l) for l in (predicted / "predictions.jsonl").read_text().splitlines()]
+            assert len(lines) == 36
+            for rec in lines:
+                overlay = json.loads((explained / f"overlay_{rec['id']}.json").read_text())
+                assert overlay["p_hat"] == rec["p_hat"]
+                assert overlay["fused_risk"] == rec["fused_risk"]
 
     def test_id_preprocesses_only_its_record(self, pipeline, tmp_path, monkeypatch):
         # the per-layer trace wraps the curve functions as spiroflow.cli globals
@@ -661,15 +722,7 @@ class TestCohortCache:
         # one blow's last sample, its FVC, grows by 5 ml: the stages read the
         # edited curves.csv and answer as for a models directory without the cache
         _, cohort, models = pipeline
-        edited = tmp_path / "edited"
-        edited.mkdir()
-        for name in ("demographics.csv", "labels.csv"):
-            (edited / name).write_bytes((cohort / name).read_bytes())
-        blows = (cohort / "curves.csv").read_text().splitlines()
-        cells = blows[0].split(",")
-        cells[-1] = repr(float(cells[-1]) + 5.0)
-        blows[0] = ",".join(cells)
-        (edited / "curves.csv").write_text("\n".join(blows) + "\n")
+        edited = _edited_cohort(cohort, tmp_path / "edited")
         loads = _counting(monkeypatch, "load_time_volume_csv")
         changed = self._outputs(edited, models, tmp_path / "changed")
         assert len(loads) == len(self.STAGES)
@@ -712,13 +765,9 @@ class TestCohortCache:
         for command, extra in self.STAGES:
             out = tmp_path / command
             code = _run(command, "--out-dir", str(out), "--cohort", str(cohort), "--models", str(broken), *extra)
-            assert code == 1, (case, command)
-            err = capsys.readouterr().err
-            assert "Traceback" not in err
-            payload = json.loads(err.strip().splitlines()[-1])
+            payload = _clean_failure(capsys, code, out)
             assert payload["error"] == error, (case, command, payload)
             assert name in payload["message"], (case, command, payload["message"])
-            assert not out.exists(), (case, command)
 
     @pytest.mark.parametrize(
         "case, edit",
@@ -733,20 +782,206 @@ class TestCohortCache:
         _, cohort, models = pipeline
         broken = tmp_path / "models"
         shutil.copytree(models, broken)
-        record = json.loads((models / "cohort_curves.json").read_text())
-        np.save(broken / "cohort_curves.npy", edit(record, np.load(models / "cohort_curves.npy")))
-        fields = json.dumps({k: v for k, v in record.items() if k != "sha256"}, sort_keys=True).encode()
-        record["sha256"] = hashlib.sha256(fields + (broken / "cohort_curves.npy").read_bytes()).hexdigest()
-        (broken / "cohort_curves.json").write_text(json.dumps(record))
+        _rewrite_with_digest(models, broken, "cohort_curves", edit)
         out = tmp_path / "evaluate"
-        assert _run("evaluate", "--out-dir", str(out), "--cohort", str(cohort), "--models", str(broken)) == 1
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        payload = json.loads(err.strip().splitlines()[-1])
+        code = _run("evaluate", "--out-dir", str(out), "--cohort", str(cohort), "--models", str(broken))
+        payload = _clean_failure(capsys, code, out)
         assert payload["error"] == "ParseError"
         assert payload["message"].startswith("cohort_curves.npy: "), payload["message"]
         assert "(2, " in payload["message"]
-        assert not out.exists()
+
+
+class TestCohortScores:
+    # train-horizon writes its detector pass over the whole cohort next to
+    # the checkpoint (cohort_scores.json and cohort_scores.npy); predict and
+    # explain without --id take p_hat and the attention weights from there
+    # when the curves.csv bytes, the checkpoint and the ids match.  Stages
+    # that score a subset run the detector: their batch rounds differently.
+    STAGES = (
+        ("evaluate", ()),
+        ("explain", ("--svg",)),
+        ("explain", ("--id", "NON_COPD_0000", "--svg")),
+        ("predict", ("--threshold", "1.0")),
+    )
+
+    def _outputs(self, cohort, models, root) -> dict:
+        outputs = {}
+        for command, extra in self.STAGES:
+            out = root / f"{command}{len(extra)}"
+            assert _run(command, "--out-dir", str(out), "--cohort", str(cohort), "--models", str(models), *extra) == 0
+            outputs[out.name] = _tree_digest(out)
+        return outputs
+
+    def test_memo_is_the_detector_pass_over_the_cohort(self, pipeline):
+        from spiroflow.cli import _load_cohort, _load_models, _preprocess
+
+        _, cohort, models = pipeline
+        ids, curves, _, _, _ = _load_cohort(cohort, {})
+        (model, _, _), smoother = _load_models(models)
+        p_hat, weights = model.explain(_preprocess(curves, smoother)[1])
+        record = json.loads((models / "cohort_scores.json").read_text())
+        payload = np.load(models / "cohort_scores.npy")
+        digest = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in
+                  (("curves", cohort / "curves.csv"), ("detect", models / "detect_model.json"))}
+        fields = {k: v for k, v in record.items() if k != "sha256"}
+        assert fields == {
+            "format_version": 1, "kind": "cohort_scores", "ids": ids,
+            "curves_sha256": digest["curves"], "detect_sha256": digest["detect"],
+        }
+        fields_bytes = json.dumps(fields, sort_keys=True).encode()
+        assert record["sha256"] == hashlib.sha256(fields_bytes + (models / "cohort_scores.npy").read_bytes()).hexdigest()
+        assert payload.dtype == np.float64 and payload.shape == (36, 1 + weights.shape[1])
+        assert np.array_equal(payload, np.column_stack([p_hat, weights]))
+
+    def test_full_cohort_stages_skip_the_detector_pass(self, pipeline, tmp_path, monkeypatch):
+        # a hit answers with the very bits a miss computes, with either cache
+        # missing; manifests do not list the memo
+        _, cohort, models = pipeline
+        n_test = len(json.loads((models / "detect_model.json").read_text())["test_ids"])
+        passes = _counting_passes(monkeypatch)
+        hit = self._outputs(cohort, models, tmp_path / "hit")
+        assert passes == [n_test, 1]  # evaluate's test split and explain --id's one record
+        passes.clear()
+        without_memo = _without_cache(models, tmp_path / "without_memo", SCORE_FILES)
+        assert self._outputs(cohort, without_memo, tmp_path / "without_memo_out") == hit
+        assert passes == [n_test, 36, 1, 36]
+        uncached = _without_cache(models, tmp_path / "uncached", CACHE_FILES + SCORE_FILES)
+        assert self._outputs(cohort, uncached, tmp_path / "uncached_out") == hit
+
+    def test_train_horizon_writes_the_memo_with_or_without_one(self, pipeline, tmp_path, monkeypatch):
+        # train-horizon writes the memo and never reads it: it runs the pass
+        # whether --models holds a memo or not, and writes the same bytes
+        _, cohort, models = pipeline
+        passes = _counting_passes(monkeypatch)
+        without_memo = _without_cache(models, tmp_path / "without_memo", SCORE_FILES)
+        for model_dir in (models, without_memo):
+            out = tmp_path / f"again_{model_dir.name}"
+            assert _run("train-horizon", "--out-dir", str(out), "--cohort", str(cohort), "--models", str(model_dir)) == 0
+            for name in SCORE_FILES + ("horizon_model.json", "train_horizon_log.jsonl", "manifest_train_horizon.json"):
+                assert (out / name).read_bytes() == (models / name).read_bytes(), (model_dir.name, name)
+        assert passes == [36, 36]
+
+    def test_stale_memo_is_a_miss(self, pipeline, tmp_path, monkeypatch):
+        # a memo of another curves.csv or of another checkpoint is not read:
+        # the stages run the detector and answer as without the memo
+        _, cohort, models = pipeline
+        edited = _edited_cohort(cohort, tmp_path / "edited")
+        retrained = tmp_path / "retrained"
+        shutil.copytree(models, retrained)
+        args = ("--cohort", str(cohort), "--epochs", "1", "--seed", "2")
+        assert _run("train-detect", "--out-dir", str(tmp_path / "other_detector"), *args) == 0
+        for name in ("detect_model.json", "fusion_model.json"):
+            (retrained / name).write_bytes((tmp_path / "other_detector" / name).read_bytes())
+        passes = _counting_passes(monkeypatch)
+        for cohort_dir, model_dir in ((edited, models), (cohort, retrained)):
+            passes.clear()
+            root = tmp_path / f"{cohort_dir.name}_{model_dir.name}"
+            stale = self._outputs(cohort_dir, model_dir, root / "stale")
+            assert len(passes) == len(self.STAGES), model_dir.name
+            without_memo = _without_cache(model_dir, root / "without_memo", SCORE_FILES)
+            assert stale == self._outputs(cohort_dir, without_memo, root / "expected"), model_dir.name
+
+    @pytest.mark.parametrize(
+        "case, name, edit, error",
+        [
+            ("truncated-payload", "cohort_scores.npy", lambda b: b[: len(b) // 2], "ParseError"),
+            ("one-edited-payload-byte", "cohort_scores.npy", lambda b: b[:-3] + bytes([b[-3] ^ 1]) + b[-2:], "ParseError"),
+            ("one-more-payload-value", "cohort_scores.npy", lambda b: b + bytes(8), "ParseError"),
+            ("no-payload", "cohort_scores.npy", None, "FileNotFoundError"),
+            ("no-digest", "cohort_scores.json", _json_edit(lambda r: r.pop("sha256")), "ParseError"),
+            ("wrong-kind", "cohort_scores.json", _json_edit(lambda r: r.update(kind="cohort_curves")), "InvalidParams"),
+            ("format-version-2", "cohort_scores.json", _json_edit(lambda r: r.update(format_version=2)), "InvalidParams"),
+            ("not-json", "cohort_scores.json", _truncate, "ParseError"),
+        ],
+    )
+    def test_corrupt_memo_is_a_clean_failure(self, pipeline, tmp_path, capsys, case, name, edit, error):
+        # the memo's key matches, so the full-cohort stages must load it; the
+        # subset stages never read it
+        _, cohort, models = pipeline
+        broken = tmp_path / "models"
+        shutil.copytree(models, broken)
+        if edit is None:
+            (broken / name).unlink()
+        elif name.endswith(".json"):
+            (broken / name).write_text(edit((models / name).read_text()))
+        else:
+            (broken / name).write_bytes(edit((models / name).read_bytes()))
+        for command, extra in self.STAGES:
+            out = tmp_path / f"{command}{len(extra)}"
+            code = _run(command, "--out-dir", str(out), "--cohort", str(cohort), "--models", str(broken), *extra)
+            if command == "evaluate" or "--id" in extra:
+                assert code == 0, (case, command)
+                continue
+            payload = _clean_failure(capsys, code, out)
+            assert payload["error"] == error, (case, command, payload)
+            assert name in payload["message"], (case, command, payload["message"])
+
+    @pytest.mark.parametrize(
+        "case, edit",
+        [
+            ("float32-payload", lambda record, payload: payload.astype(np.float32)),
+            ("one-more-weight-column", lambda record, payload: np.column_stack([payload, np.zeros(len(payload))])),
+            ("one-record-short", lambda record, payload: payload[:-1]),
+        ],
+    )
+    def test_payload_is_checked_against_a_record_whose_digest_matches(self, pipeline, tmp_path, capsys, case, edit):
+        _, cohort, models = pipeline
+        broken = tmp_path / "models"
+        shutil.copytree(models, broken)
+        _rewrite_with_digest(models, broken, "cohort_scores", edit)
+        out = tmp_path / "predict"
+        code = _run("predict", "--out-dir", str(out), "--cohort", str(cohort), "--models", str(broken))
+        payload = _clean_failure(capsys, code, out)
+        assert payload["error"] == "ParseError"
+        assert payload["message"].startswith("cohort_scores.npy: "), payload["message"]
+        assert "(36, " in payload["message"]
+
+
+@pytest.fixture(scope="module")
+def uncached_outputs(pipeline, tmp_path_factory):
+    """The outputs of TestCacheFuzz's stages from a models directory
+    without either cache."""
+    _, cohort, models = pipeline
+    root = tmp_path_factory.mktemp("uncached_outputs")
+    uncached = _without_cache(models, root / "models", CACHE_FILES + SCORE_FILES)
+    outputs = {}
+    for command, extra in TestCacheFuzz.STAGES:
+        out = root / command
+        assert _run(command, "--out-dir", str(out), "--cohort", str(cohort), "--models", str(uncached), *extra) == 0
+        outputs[command] = _tree_digest(out)
+    return outputs
+
+
+class TestCacheFuzz:
+    # one flipped or truncated byte in either cache of the models directory:
+    # a stage answers as without the caches or fails with the JSON error
+    # naming the file, never with a traceback, and leaves no --out-dir
+    STAGES = (("train-horizon", ()), ("evaluate", ()), ("explain", ()), ("predict", ("--threshold", "1.0")))
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(name=st.sampled_from(CACHE_FILES + SCORE_FILES), data=st.data())
+    def test_one_bad_byte_is_a_miss_or_a_clean_failure(self, pipeline, uncached_outputs, capsys, name, data):
+        _, cohort, models = pipeline
+        original = (models / name).read_bytes()
+        offset = data.draw(st.integers(0, len(original) - 1), label="offset")
+        if data.draw(st.booleans(), label="truncate"):
+            corrupt = original[:offset]
+        else:
+            flip = data.draw(st.integers(1, 255), label="xor")
+            corrupt = original[:offset] + bytes([original[offset] ^ flip]) + original[offset + 1 :]
+        with tempfile.TemporaryDirectory() as tmp:
+            broken = Path(tmp) / "models"
+            shutil.copytree(models, broken)
+            (broken / name).write_bytes(corrupt)
+            for command, extra in self.STAGES:
+                out = Path(tmp) / command
+                code = _run(command, "--out-dir", str(out), "--cohort", str(cohort), "--models", str(broken), *extra)
+                if code == 0:
+                    assert "Traceback" not in capsys.readouterr().err
+                    assert _tree_digest(out) == uncached_outputs[command], command
+                else:
+                    payload = _clean_failure(capsys, code, out)
+                    assert name in payload["message"], (command, payload)
 
 
 class TestManifests:
@@ -863,15 +1098,19 @@ class TestBlasThreads:
         assert digests[0] == digests[1]
 
     def test_explain_and_predict_identical_at_one_and_two_threads(self, pipeline, tmp_path):
+        # without train-horizon's memo, so that explain and predict run the
+        # detector at each thread count; train-horizon writes the memo at each
         _, cohort, models = pipeline
-        args = ("--cohort", str(cohort), "--models", str(models))
+        args = ("--cohort", str(cohort), "--models", str(_without_cache(models, tmp_path / "models", SCORE_FILES)))
         digests = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads_{threads}"
             self._cli(threads, "explain", "--out-dir", str(out / "explain"), "--svg", *args)
             self._cli(threads, "predict", "--out-dir", str(out / "predict"), *args)
-            digests.append((_tree_digest(out / "explain"), _tree_digest(out / "predict")))
+            self._cli(threads, "train-horizon", "--out-dir", str(out / "horizon"), *args)
+            digests.append([_tree_digest(out / stage) for stage in ("explain", "predict", "horizon")])
         assert len(digests[0][0]) == 2 * 36 + 1  # JSON and SVG overlays plus the manifest
+        assert set(SCORE_FILES) <= set(digests[0][2])
         assert digests[0] == digests[1]
 
 
