@@ -404,19 +404,17 @@ def _scores_key(run: _Run) -> dict:
     return {"curves_sha256": run.inputs["curves.csv"], "detect_sha256": run.inputs["detect_model.json"], "ids": run.ids}
 
 
-def _detector_pass(args, run: _Run, memo: bool):
-    """(p_hat (N,), attention weights (N, S)) of the run's records.  With
-    memo, from --models' cohort_scores when it holds the pass over exactly
-    these records, which train-horizon wrote: a stage that scores a subset
-    may differ from the whole-cohort pass in the last bit, so it passes
-    memo=False.  Otherwise from the detector's one forward-only pass."""
+def _detector_pass(args, run: _Run):
+    """(p_hat (N,), attention weights (N, S)) of the run's records: from
+    --models' cohort_scores when train-horizon wrote it for exactly these
+    records, else from the detector's one forward-only pass.  The ids in
+    the key make a subset miss, since its batch may round differently."""
     model = run.models[0]
-    if memo:
-        width = -(-max(len(s) for s in run.series) // model.config.patch_len)
-        cached = _read_cache(Path(args.models), "cohort_scores", _scores_key(run), lambda r: (len(run.ids), 1 + width))
-        if cached is not None:
-            scores = np.array(cached[1])
-            return scores[:, 0], scores[:, 1:]
+    shape = (len(run.ids), 1 + model.patch_width(run.series))
+    cached = _read_cache(Path(args.models), "cohort_scores", _scores_key(run), lambda r: shape)
+    if cached is not None:
+        scores = np.array(cached[1])
+        return scores[:, 0], scores[:, 1:]
     return model.explain(run.series)
 
 
@@ -654,7 +652,7 @@ def cmd_evaluate(args):
 def cmd_explain(args):
     run = _start(args, models=True, record_ids=None if args.id is None else [args.id])
     model, fusion, _ = run.models
-    p_hats, weights = _detector_pass(args, run, memo=args.id is None)
+    p_hats, weights = _detector_pass(args, run)
     risks, contributions = fuse_and_score(p_hats, run.struct, fusion)
     out_dir = _out_dir(args)
     for row, (blow_id, vf) in enumerate(zip(run.ids, run.vf_curves)):
@@ -673,7 +671,7 @@ def cmd_predict(args):
     _, fusion, _ = run.models
     labels = tuple(h.value for h in HORIZON_ORDER)
     horizon_model = _read_logistic(Path(args.models), "horizon", run.inputs)
-    p_hats, _ = _detector_pass(args, run, memo=True)
+    p_hats, _ = _detector_pass(args, run)
     risks, _ = fuse_and_score(p_hats, run.struct, fusion)
     negative = [i for i, p_hat in enumerate(p_hats) if p_hat <= args.threshold]
     profiles = _profiles([ids[i] for i in negative], [vf_curves[i] for i in negative])

@@ -147,11 +147,16 @@ class DetectionModel:
           which round differently.
         """
         n = len(series_list)
-        width = int(self._prepare([max(series_list, key=len)])[1][0])
+        width = self.patch_width(series_list)
         bounds = [0, *range(RECORD_BLOCK, n - RECORD_BLOCK + 1, RECORD_BLOCK), n]
         blocks = [self._pool(series_list[lo:hi], width=width) for lo, hi in zip(bounds, bounds[1:])]
         probs, _ = head_forward(np.concatenate([b[0] for b in blocks]), self.head)
         return probs, np.concatenate([b[1] for b in blocks])
+
+    def patch_width(self, series_list) -> int:
+        """S, the patch count of the batch's longest series: the width of
+        the attention weights that explain returns for it."""
+        return int(self._prepare([max(series_list, key=len)])[1][0])
 
     def predict_proba(self, series_list) -> np.ndarray:
         """P(disease) per sample."""
