@@ -46,6 +46,7 @@ from .training import LogisticModel, TrainConfig, json_object, train_logistic, w
 
 # CPython's own SHA-256 rather than hashlib's, which loads OpenSSL: that
 # alone added 2.5-3.8 MB to the peak RSS of every stage (402-600 records).
+# numpy.random would load it anyway; main() keeps it out (see there).
 try:
     from _sha2 import sha256  # Python 3.12 and later
 except ImportError:
@@ -775,6 +776,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # numpy.random.bit_generator imports secrets -> hmac -> hashlib ->
+    # _hashlib, which maps OpenSSL's libcrypto (3.3 MB resident) for an
+    # hmac.compare_digest that nothing calls.  Without _hashlib, hmac and
+    # hashlib fall back to CPython's built-ins (same digests); a process
+    # that has already loaded it keeps it.
+    sys.modules.setdefault("_hashlib", None)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
