@@ -143,12 +143,12 @@ def _read_rows(path: Path, parse, inputs: dict) -> dict:
             if None in row:  # DictReader files the cells past the header's under None
                 raise ParseError(f"{where}: {len(row[None])} more cells than the header's {len(reader.fieldnames)}")
             try:
-                value = parse(row)
+                record_id, value = row["id"], parse(row)
             except (KeyError, TypeError, ValueError, InvalidParams) as exc:
                 raise ParseError(f"{where}: {exc!r}") from None
-            if row["id"] in out:
+            if record_id in out:
                 raise ValidationError(f"{where}: duplicate id")
-            out[row["id"]] = value
+            out[record_id] = value
     inputs[path.name] = digest.hexdigest()
     return out
 

@@ -11,6 +11,7 @@ directions; the FEV1/FVC ratio is not sampled but read from each curve.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 from dataclasses import dataclass
@@ -189,13 +190,22 @@ class _DigestingFile(io.RawIOBase):
         super().close()
 
 
+@contextlib.contextmanager
 def open_csv(path, digest=None):
-    """path opened as open(path, newline="") opens it.  With digest (a
-    hashlib-style object) every byte read is also fed to it, so a reader
-    that reaches the end leaves there the digest of the bytes it parsed."""
+    """A context manager over path opened as open(path, newline="") opens
+    it; a byte the text codec rejects or a csv module error raised in it
+    becomes a ParseError naming the file.  With digest (a hashlib-style
+    object) every byte read is also fed to it, so a reader that reaches the
+    end leaves there the digest of the bytes it parsed."""
     if digest is None:
-        return open(path, newline="")
-    return io.TextIOWrapper(io.BufferedReader(_DigestingFile(open(path, "rb", buffering=0), digest), 1 << 16), newline="")
+        fh = open(path, newline="")
+    else:
+        fh = io.TextIOWrapper(io.BufferedReader(_DigestingFile(open(path, "rb", buffering=0), digest), 1 << 16), newline="")
+    with fh:
+        try:
+            yield fh
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ParseError(f"{Path(path).name}: {exc}") from None
 
 
 def load_time_volume_csv(path, digest=None) -> list[tuple[str, TimeVolumeCurve]]:
