@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 import spiroflow
 from spiroflow.attention import FUSION_FEATURE_NAMES
 from spiroflow.cli import main
+from spiroflow.errors import SpiroError
 from spiroflow.metrics import auroc
 
 
@@ -987,6 +988,50 @@ class TestCacheFuzz:
                     assert name in payload["message"], (command, payload)
 
 
+COHORT_FILES = ("curves.csv", "demographics.csv", "labels.csv")
+
+
+class TestCohortFuzz:
+    # one changed byte in any cohort file: every subcommand that reads the
+    # cohort exits 0 or fails with the JSON error of a documented error
+    # class, never with a traceback, and a failure leaves no --out-dir
+    ERRORS = {cls.__name__ for cls in (SpiroError, *SpiroError.__subclasses__(), FileNotFoundError)}
+    # csv syntax, parts of float literals, NUL and a byte that is not UTF-8
+    SYNTAX = list(b',"\r\n-.e0inf_ \x00\x80')
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(name=st.sampled_from(COHORT_FILES), data=st.data())
+    def test_one_changed_byte_exits_0_or_fails_cleanly(self, pipeline, capsys, name, data):
+        _, cohort, models = pipeline
+        original = (cohort / name).read_bytes()
+        offset = data.draw(st.integers(0, len(original) - 1), label="offset")
+        changed = st.sampled_from(self.SYNTAX) | st.integers(0, 255)
+        byte = data.draw(changed.filter(lambda b: b != original[offset]), label="byte")
+        with tempfile.TemporaryDirectory() as tmp:
+            broken = shutil.copytree(cohort, Path(tmp) / "cohort")
+            (broken / name).write_bytes(original[:offset] + bytes([byte]) + original[offset + 1 :])
+            reads = ("--cohort", str(broken))
+            loads = (*reads, "--models", str(models))
+            stages = [
+                ("smooth", reads),
+                ("featurize", reads),
+                ("train-detect", (*reads, "--epochs", "1")),
+                ("train-horizon", loads),
+                ("evaluate", loads),
+                ("explain", (*loads, "--svg")),
+                ("predict", loads),
+            ]
+            capsys.readouterr()
+            for command, args in stages:
+                out = Path(tmp) / command
+                code = _run(command, "--out-dir", str(out), *args)
+                if code == 0:
+                    assert "Traceback" not in capsys.readouterr().err, command
+                else:
+                    payload = _clean_failure(capsys, code, out)
+                    assert payload["error"] in self.ERRORS, (command, payload)
+
+
 class TestManifests:
     def test_config_is_every_parsed_flag_but_the_paths(self, pipeline, tmp_path):
         # each stage's manifest records all it parsed, so two runs that differ
@@ -1118,13 +1163,19 @@ class TestBlasThreads:
 
 
 class TestModelLoadingImports:
-    # run cli.main in a fresh interpreter, then report its exit code and
-    # whether numpy.random was imported on the way
+    # run cli.main in a fresh interpreter, then report its exit code, whether
+    # numpy.random was imported on the way, whether OpenSSL's libcrypto is
+    # mapped into the process and whether _hashlib was imported as a module
     PROBE = (
-        "import json, sys\n"
+        "import json, sys, types\n"
+        "from pathlib import Path\n"
         "from spiroflow.cli import main\n"
         "code = main(sys.argv[1:])\n"
-        "print(json.dumps({'code': code, 'numpy.random': 'numpy.random' in sys.modules}))\n"
+        "maps = Path('/proc/self/maps')\n"
+        "libcrypto = maps.exists() and 'libcrypto' in maps.read_text()\n"
+        "hashlib_module = isinstance(sys.modules.get('_hashlib'), types.ModuleType)\n"
+        "print(json.dumps({'code': code, 'numpy.random': 'numpy.random' in sys.modules,\n"
+        "                  'libcrypto': libcrypto, '_hashlib': hashlib_module}))\n"
     )
 
     def _probe(self, *argv):
@@ -1142,14 +1193,37 @@ class TestModelLoadingImports:
         args = ("--cohort", str(cohort), "--models", str(models))
         for command, extra in (("train-horizon", ()), ("evaluate", ()), ("explain", ("--svg",)), ("predict", ())):
             seen = self._probe(command, "--out-dir", str(tmp_path / command), *args, *extra)
-            assert seen == {"code": 0, "numpy.random": False}, command
+            assert (seen["code"], seen["numpy.random"]) == (0, False), command
 
     def test_train_detect_imports_numpy_random(self, pipeline, tmp_path):
         # the probe sees the import where it happens: training draws the
         # initial parameters, the split and the batch order
         _, cohort, _ = pipeline
         seen = self._probe("train-detect", "--out-dir", str(tmp_path), "--cohort", str(cohort), "--epochs", "1")
-        assert seen == {"code": 0, "numpy.random": True}
+        assert (seen["code"], seen["numpy.random"]) == (0, True)
+
+    @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="reads the process's memory maps")
+    def test_no_stage_loads_openssl(self, tmp_path):
+        # numpy.random's bit_generator imports secrets -> hmac -> hashlib ->
+        # _hashlib, which maps libcrypto; main() keeps _hashlib out, so hmac
+        # and hashlib use CPython's built-ins in every stage, training ones too
+        cohort, models = str(tmp_path / "cohort"), str(tmp_path / "models")
+        loads = ("--cohort", cohort, "--models", models)
+        stages = [
+            ("synth", ("--out-dir", cohort, "--n", "36", "--seed", "2")),
+            ("featurize", ("--out-dir", str(tmp_path / "features"), "--cohort", cohort)),
+            ("train-detect", ("--out-dir", models, "--cohort", cohort, "--epochs", "1")),
+            ("train-horizon", ("--out-dir", models, *loads)),
+            ("evaluate", ("--out-dir", str(tmp_path / "evaluate"), *loads)),
+            ("explain", ("--out-dir", str(tmp_path / "explain"), "--svg", *loads)),
+            ("predict", ("--out-dir", str(tmp_path / "predict"), *loads)),
+        ]
+        loaded = []
+        for command, args in stages:
+            seen = self._probe(command, *args)
+            assert seen["code"] == 0, command
+            loaded += [(command, key) for key in ("libcrypto", "_hashlib") if seen[key]]
+        assert loaded == []
 
 
 class TestErrors:
@@ -1203,6 +1277,8 @@ class TestErrors:
             "nan-volume": ("a,0,nan,200\n", demographics, labels, "InvalidCurve", ["curves.csv row 1", "'a'"]),
             "inf-volume": ("a,0,100,inf\n", demographics, labels, "InvalidCurve", ["curves.csv row 1", "'a'"]),
             "non-numeric-volume": ("a,0,lots,200\n", demographics, labels, "ParseError", ["curves.csv row 1", "'a'"]),
+            # the byte 0x80, which is not UTF-8 text
+            "undecodable-byte": ("a,0,1\udc8000,200\n", demographics, labels, "ParseError", ["curves.csv"]),
             "short-row": ("a,0\n", demographics, labels, "ParseError", ["curves.csv row 1", "'a'"]),
             "id-missing-from-demographics": (
                 curves, demographics.replace("a,", "b,"), labels, "ValidationError", ["demographics.csv", "'a'"]
@@ -1215,6 +1291,9 @@ class TestErrors:
             ),
             "infinite-age": (
                 curves, demographics.replace("60", "inf"), labels, "ParseError", ["demographics.csv row 2", "'a'"]
+            ),
+            "no-id-column": (
+                curves, demographics.replace("id,", "name,"), labels, "ParseError", ["demographics.csv row 2", "'id'"]
             ),
             "old-ratio-column": (
                 curves,
@@ -1246,9 +1325,8 @@ class TestErrors:
         for case, (curves_csv, demographics_csv, labels_csv, error, named) in cases.items():
             cohort = tmp_path / case
             cohort.mkdir()
-            (cohort / "curves.csv").write_text(curves_csv)
-            (cohort / "demographics.csv").write_text(demographics_csv)
-            (cohort / "labels.csv").write_text(labels_csv)
+            for name, text in (("curves.csv", curves_csv), ("demographics.csv", demographics_csv), ("labels.csv", labels_csv)):
+                (cohort / name).write_bytes(text.encode(errors="surrogateescape"))
             code = _run("featurize", "--out-dir", str(tmp_path / "out"), "--cohort", str(cohort))
             assert code == 1, case
             payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -1298,9 +1376,8 @@ class TestErrors:
         for case, (curves_csv, demographics_csv, labels_csv, where) in cases.items():
             cohort = tmp_path / case
             cohort.mkdir()
-            (cohort / "curves.csv").write_text(curves_csv)
-            (cohort / "demographics.csv").write_text(demographics_csv)
-            (cohort / "labels.csv").write_text(labels_csv)
+            for name, text in (("curves.csv", curves_csv), ("demographics.csv", demographics_csv), ("labels.csv", labels_csv)):
+                (cohort / name).write_bytes(text.encode(errors="surrogateescape"))
             code = _run("featurize", "--out-dir", str(tmp_path / "out"), "--cohort", str(cohort))
             assert code == 1, case
             payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
