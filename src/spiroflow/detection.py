@@ -207,7 +207,7 @@ class DetectionModel:
         labels = np.asarray(labels, dtype=np.int64)
         if len(series_list) != labels.size:
             raise InvalidArgument("series and labels must be aligned")
-        classes = np.unique(labels).tolist()
+        classes = sorted(set(labels.tolist()))  # np.unique would import numpy.ma
         if len(classes) < 2:
             raise DegenerateLabels(f"need both classes to train the detector; its {labels.size} labels hold {classes}")
 

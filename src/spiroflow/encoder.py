@@ -187,7 +187,7 @@ def conv_embed_forward(patches: np.ndarray, params: ConvEncoderParams, keep_cach
     keep_cache a pass holds conv activations for at most CONV_BLOCK patches
     and returns None for the cache.  With keep_cache each block is computed
     in place in whole-batch z1 and z2 arrays, the cache that
-    conv_embed_backward reads.
+    conv_embed_backward reads and overwrites: it feeds one backward pass.
     """
     params.validate()
     x = patches.transpose(0, 2, 1)
@@ -208,12 +208,21 @@ def conv_embed_forward(patches: np.ndarray, params: ConvEncoderParams, keep_cach
 
 
 def _tanh_slope(z: np.ndarray) -> np.ndarray:
-    """1 - z * z, the slope of tanh where it takes the value z, in one new array."""
-    slope = np.multiply(z, z)
-    return np.subtract(1.0, slope, out=slope)
+    """Overwrite z, a tanh output, with 1 - z * z, the slope of tanh where it
+    takes the value z, and return it; no new array is made."""
+    np.multiply(z, z, out=z)
+    return np.subtract(1.0, z, out=z)
 
 
 def conv_embed_backward(dfeats: np.ndarray, cache, params: ConvEncoderParams):
+    """Gradients of the conv parameters from dfeats (P, C), the gradient of
+    conv_embed_forward's features.
+
+    The cache is consumed: z2 is overwritten with the gradient at the
+    second layer's input to tanh, and z1, once the second layer's weight
+    gradient has read it, with its own tanh slope.  So the pass adds one
+    whole-batch array, dz1, to the two cached ones.
+    """
     x, z1, z2 = cache
     length = x.shape[1]
     da2 = _tanh_slope(z2)

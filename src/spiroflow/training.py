@@ -231,7 +231,7 @@ def train_logistic(x: np.ndarray, y) -> tuple[LogisticModel, list[dict]]:
         raise InvalidArgument("X and y shapes are inconsistent")
     if not np.all(np.isfinite(x)):
         raise InvalidArgument("X has non-finite values")
-    classes = np.unique(y)
+    classes = np.array(sorted(set(y.tolist())), dtype=y.dtype)  # np.unique would import numpy.ma
     if classes.size < 2:
         raise DegenerateLabels("need at least two classes present")
     y_idx = np.searchsorted(classes, y)

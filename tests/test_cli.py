@@ -1164,8 +1164,9 @@ class TestBlasThreads:
 
 class TestModelLoadingImports:
     # run cli.main in a fresh interpreter, then report its exit code, whether
-    # numpy.random was imported on the way, whether OpenSSL's libcrypto is
-    # mapped into the process and whether _hashlib was imported as a module
+    # numpy.random and numpy.ma were imported on the way, whether OpenSSL's
+    # libcrypto is mapped into the process and whether _hashlib was imported
+    # as a module
     PROBE = (
         "import json, sys, types\n"
         "from pathlib import Path\n"
@@ -1175,6 +1176,7 @@ class TestModelLoadingImports:
         "libcrypto = maps.exists() and 'libcrypto' in maps.read_text()\n"
         "hashlib_module = isinstance(sys.modules.get('_hashlib'), types.ModuleType)\n"
         "print(json.dumps({'code': code, 'numpy.random': 'numpy.random' in sys.modules,\n"
+        "                  'numpy.ma': 'numpy.ma' in sys.modules,\n"
         "                  'libcrypto': libcrypto, '_hashlib': hashlib_module}))\n"
     )
 
@@ -1206,7 +1208,9 @@ class TestModelLoadingImports:
     def test_no_stage_loads_openssl(self, tmp_path):
         # numpy.random's bit_generator imports secrets -> hmac -> hashlib ->
         # _hashlib, which maps libcrypto; main() keeps _hashlib out, so hmac
-        # and hashlib use CPython's built-ins in every stage, training ones too
+        # and hashlib use CPython's built-ins in every stage, training ones too;
+        # nor does any stage import numpy.ma, which np.unique imports on its
+        # first call, so the two fits take their sorted classes from a set
         cohort, models = str(tmp_path / "cohort"), str(tmp_path / "models")
         loads = ("--cohort", cohort, "--models", models)
         stages = [
@@ -1222,7 +1226,7 @@ class TestModelLoadingImports:
         for command, args in stages:
             seen = self._probe(command, *args)
             assert seen["code"] == 0, command
-            loaded += [(command, key) for key in ("libcrypto", "_hashlib") if seen[key]]
+            loaded += [(command, key) for key in ("libcrypto", "_hashlib", "numpy.ma") if seen[key]]
         assert loaded == []
 
 

@@ -308,6 +308,26 @@ class TestCacheFreeForward:
         assert np.array_equal(z1, ref_z1) and np.array_equal(z2, ref_z2)
         assert np.array_equal(feats, ref_z2.mean(axis=1))
 
+    def test_backward_that_overwrites_its_cache_matches_an_out_of_place_one(self, monkeypatch):
+        # seven patches in blocks of two; the reference reads copies of the
+        # cache and makes a new array for every step, so z1 must still hold
+        # the tanh output when the second layer's weight gradient reads it
+        monkeypatch.setattr(encoder, "CONV_BLOCK", 2)
+        rng = np.random.default_rng(18)
+        params = init_conv_params(rng, channels=3, kernel=5)
+        patches = rng.standard_normal((7, 1, 6))
+        dfeats = rng.standard_normal((7, 3))
+        _, cache = conv_embed_forward(patches, params, keep_cache=True)
+        x, z1, z2 = (a.copy() for a in cache)
+        da2 = (1.0 - z2 * z2) * (dfeats[:, None, :] / x.shape[1])
+        dz1, dw2, db2 = _conv1d_same_backward(da2, z1, params.w2)
+        _, dw1, db1 = _conv1d_same_backward(dz1 * (1.0 - z1 * z1), x, params.w1, input_grad=False)
+        grads = conv_embed_backward(dfeats, cache, params)
+        ref = {"conv_w1": dw1, "conv_b1": db1, "conv_w2": dw2, "conv_b2": db2}
+        assert grads.keys() == ref.keys()
+        for name in ref:
+            assert np.array_equal(grads[name], ref[name]), name
+
     def test_forward_only_conv_memory_is_bounded_by_the_block(self):
         # past two blocks, more patches add only their (P, C) output rows
         params = init_conv_params(np.random.default_rng(17))
@@ -325,10 +345,11 @@ class TestCacheFreeForward:
 
     def test_training_conv_memory_is_bounded_by_the_block(self):
         # past two blocks, more patches add only whole-batch arrays of one
-        # value per patch sample and channel -- the caches z1s and z2s, and
-        # the backward pass's da2, dz1 and tanh slope at z1 -- and (P, C)
-        # rows; each im2col buffer stays one block in size, where a
-        # whole-batch one for the second layer alone would add five arrays
+        # value per patch sample and channel -- the caches z1s and z2s, which
+        # the backward pass overwrites with da2 and the tanh slope at z1, and
+        # its dz1 -- and (P, C) rows; each im2col buffer stays one block in
+        # size, where a whole-batch one for the second layer alone would add
+        # five arrays
         params = init_conv_params(np.random.default_rng(17))
         peaks = {}
         for blocks in (2, 16):
@@ -343,7 +364,7 @@ class TestCacheFreeForward:
             finally:
                 tracemalloc.stop()
         extra = 14 * encoder.CONV_BLOCK
-        whole_batch = 5 * extra * 32 * params.channels * 8
+        whole_batch = 3 * extra * 32 * params.channels * 8
         extra_rows = 2 * extra * params.channels * 8
         assert peaks[16] - peaks[2] <= whole_batch + extra_rows + 2**20, peaks
 
