@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import VolumeFlowCurve
-from .encoder import _check_finite, _sigmoid
+from .encoder import _sigmoid
 from .errors import EmptySequence, InvalidParams
 from .training import softmax_rows
 
@@ -48,9 +48,6 @@ class AttentionParams:
             "attn_b2": self.b2,
         }
 
-    def validate(self):
-        _check_finite(self.arrays())
-
 
 def init_attention_params(rng: np.random.Generator, context_width: int) -> AttentionParams:
     a = max(context_width // 2, 1)
@@ -72,9 +69,6 @@ class HeadParams:
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {"head_w": self.w, "head_b": self.b}
-
-    def validate(self):
-        _check_finite(self.arrays())
 
 
 def init_head_params(rng: np.random.Generator, context_width: int) -> HeadParams:
@@ -135,7 +129,6 @@ def attention_forward_padded(contexts: np.ndarray, mask: np.ndarray, params: Att
 
     Returns (weights (B, S), pooled (B, 2H), scores (B, S), cache).
     """
-    params.validate()
     if not np.any(mask):
         raise EmptySequence("no valid patches")
     x1 = contexts @ params.w1.T + params.b1
@@ -175,7 +168,6 @@ def attention_backward_padded(dpooled: np.ndarray, cache, params: AttentionParam
 
 def head_forward(pooled: np.ndarray, params: HeadParams):
     """Class probabilities (B, 2) from pooled contexts (B, 2H)."""
-    params.validate()
     logits = pooled @ params.w.T + params.b
     return softmax_rows(logits), logits
 

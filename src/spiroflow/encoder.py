@@ -19,19 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams
-
 DEFAULT_PATCH_LEN = 32
 DEFAULT_CHANNELS = 16
 DEFAULT_HIDDEN = 32
 DEFAULT_CONV_KERNEL = 5
-
-
-def _check_finite(arrays: dict[str, np.ndarray]):
-    """Raise InvalidParams naming the first parameter array with a non-finite value."""
-    for name, a in arrays.items():
-        if not np.all(np.isfinite(a)):
-            raise InvalidParams(f"non-finite values in {name}")
 
 
 @dataclass
@@ -49,9 +40,6 @@ class ConvEncoderParams:
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {"conv_w1": self.w1, "conv_b1": self.b1, "conv_w2": self.w2, "conv_b2": self.b2}
-
-    def validate(self):
-        _check_finite(self.arrays())
 
 
 def init_conv_params(
@@ -94,9 +82,6 @@ class BiLstmParams:
             "lstm_bw_u": self.u_b,
             "lstm_bw_b": self.b_b,
         }
-
-    def validate(self):
-        _check_finite(self.arrays())
 
 
 def init_bilstm_params(
@@ -189,7 +174,6 @@ def conv_embed_forward(patches: np.ndarray, params: ConvEncoderParams, keep_cach
     in place in whole-batch z1 and z2 arrays, the cache that
     conv_embed_backward reads and overwrites: it feeds one backward pass.
     """
-    params.validate()
     x = patches.transpose(0, 2, 1)
     p, length, _ = x.shape
     feats = np.empty((p, params.channels))
@@ -328,7 +312,8 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _reverse_padded(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Reverse each sample's valid prefix in place along the time axis."""
+    """A new array with each sample's valid prefix reversed along the time
+    axis and its padding zero."""
     out = np.zeros_like(x)
     for i, length in enumerate(lengths):
         s = int(length)
@@ -341,7 +326,6 @@ def bilstm_forward_padded(x: np.ndarray, lengths: np.ndarray, params: BiLstmPara
 
     Only a keep_cache pass can be fed to bilstm_backward_padded.
     """
-    params.validate()
     out_f, cache_f = _lstm_forward_padded(x, lengths, params.w_f, params.u_f, params.b_f, keep_cache)
     x_rev = _reverse_padded(x, lengths)
     out_b_rev, cache_b = _lstm_forward_padded(x_rev, lengths, params.w_b, params.u_b, params.b_b, keep_cache)

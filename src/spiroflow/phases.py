@@ -102,27 +102,17 @@ def phases_from_landmarks(lm: Landmarks) -> list[Phase]:
     return [Phase(label, b, g) for label, b, g in bounds]
 
 
-def baseline_line(curve: VolumeFlowCurve, phase: Phase) -> tuple[float, float]:
-    """Chord through the phase endpoints: returns (slope, intercept)."""
-    if phase.end == phase.start:
-        raise EmptyPhase("phase has zero width")
-    fb = float(curve.flow_at(phase.start))
-    fg = float(curve.flow_at(phase.end))
-    slope = (fg - fb) / (phase.end - phase.start)
-    intercept = fb - slope * phase.start
-    return slope, intercept
-
-
 def _directed_areas(curve: VolumeFlowCurve, phases: list[Phase], n_grid: int) -> np.ndarray:
     """Signed area between each phase's chord and the curve.
 
+    Positive when the curve lies below its chord (collapsed), negative when
+    above (full).  The sum over the uniform volume grid is weighted by the
+    grid spacing, so each value is a true area, independent of grid density.
     All phases share one (phases, n_grid) volume grid and one interpolation
     call for their endpoints and grid points.
     """
     if n_grid < 2:
         raise InvalidArgument("n_grid must be >= 2")
-    if any(p.end == p.start for p in phases):
-        raise EmptyPhase("phase has zero width")
     starts = np.array([p.start for p in phases])
     ends = np.array([p.end for p in phases])
     dv = (ends - starts) / (n_grid - 1)
@@ -136,16 +126,6 @@ def _directed_areas(curve: VolumeFlowCurve, phases: list[Phase], n_grid: int) ->
     intercept = fb - slope * starts
     baseline = slope[:, None] * grid + intercept[:, None]
     return np.sum((baseline - on_grid) * dv[:, None], axis=1)
-
-
-def concavity_measure(curve: VolumeFlowCurve, phase: Phase, n_grid: int = DEFAULT_N_GRID) -> float:
-    """Signed area between the phase baseline and the curve.
-
-    Positive when the curve lies below its chord (collapsed), negative when
-    above (full).  The sum over the uniform volume grid is weighted by the
-    grid spacing so the value is a true area, independent of grid density.
-    """
-    return float(_directed_areas(curve, [phase], n_grid)[0])
 
 
 def concavity_features(curve: VolumeFlowCurve, n_grid: int = DEFAULT_N_GRID) -> ConcavityProfile:

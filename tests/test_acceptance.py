@@ -23,7 +23,7 @@ from spiroflow.detection import DetectionConfig, DetectionModel
 from spiroflow.encoder import pad_rows
 from spiroflow.horizon import HORIZON_ORDER, future_feature_vector, predict_future_risk
 from spiroflow.metrics import auprc, auroc
-from spiroflow.phases import Phase, PhaseLabel, baseline_line, concavity_features, concavity_measure
+from spiroflow.phases import Phase, PhaseLabel, _directed_areas, concavity_features
 from spiroflow.training import TrainConfig, grad_check, train_logistic
 
 
@@ -95,11 +95,16 @@ def test_metric_oracle_equivalence():
 
 
 def test_concavity_correctness():
-    """Criterion 3: analytic 1/6 value plus sign-flip and baseline-zero laws."""
+    """Criterion 3: analytic 1/6 value plus sign-flip and baseline-zero laws,
+    measured by _directed_areas, the kernel concavity_features runs."""
     start = time.perf_counter()
+
+    def area(curve, phase, n_grid=1000):
+        return float(_directed_areas(curve, [phase], n_grid)[0])
+
     volumes = np.linspace(0, 1, 2001)
     quad = VolumeFlowCurve(volumes, volumes**2)
-    c = concavity_measure(quad, Phase(PhaseLabel.PEF_FEF25, 0.0, 1.0), n_grid=1000)
+    c = area(quad, Phase(PhaseLabel.PEF_FEF25, 0.0, 1.0))
     analytic_ok = abs(c - 1.0 / 6.0) < 1e-3
 
     rng = np.random.default_rng(11)
@@ -110,13 +115,16 @@ def test_concavity_correctness():
         f = rng.uniform(0.0, 6.0, size=n)
         curve = VolumeFlowCurve(v, f)
         phase = Phase(PhaseLabel.FEF25_FEF50, v[0], v[-1])
-        m, b = baseline_line(curve, phase)
-        measured = concavity_measure(curve, phase)
+        # the chord, from two interpolated reads at the phase's endpoints
+        fb, fg = np.interp([phase.start, phase.end], v, f)
+        m = (fg - fb) / (phase.end - phase.start)
+        b = fb - m * phase.start
+        measured = area(curve, phase)
         reflected = VolumeFlowCurve(v, 2 * (m * v + b) - f)
-        if abs(concavity_measure(reflected, phase) + measured) > 1e-9:
+        if abs(area(reflected, phase) + measured) > 1e-9:
             props_ok = False
         chord = VolumeFlowCurve(v, m * v + b)
-        if abs(concavity_measure(chord, phase)) > 1e-9:
+        if abs(area(chord, phase)) > 1e-9:
             props_ok = False
     elapsed = time.perf_counter() - start
     _verdict(

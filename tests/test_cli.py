@@ -1390,7 +1390,9 @@ class TestErrors:
 
     def test_non_finite_detector_weights_are_rejected(self, pipeline, tmp_path, capsys):
         _, cohort, models = pipeline
-        for name in ("head_w", "conv_w1"):
+        # the checkpoint loader is the one check on detector arrays, so one
+        # array per parameter group: conv, Bi-LSTM, attention and head
+        for name in ("conv_w1", "lstm_bw_u", "attn_w2", "head_w"):
             broken = tmp_path / name
             broken.mkdir()
             for f in ("fusion_model.json", "horizon_model.json"):

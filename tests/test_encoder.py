@@ -23,7 +23,7 @@ from spiroflow.encoder import (
     _conv1d_same_backward,
     _sigmoid,
 )
-from spiroflow.errors import InvalidArgument, InvalidParams
+from spiroflow.errors import InvalidArgument
 from spiroflow.training import TrainConfig
 
 
@@ -535,12 +535,6 @@ class TestLstm:
             cd = (up - down) / (2 * eps)
             denom = max(abs(gx[idx]), abs(cd), 1e-8)
             assert abs(gx[idx] - cd) / denom < 1e-4
-
-    def test_non_finite_params_rejected(self):
-        params = init_bilstm_params(np.random.default_rng(0), channels=2, hidden=2)
-        params.w_f[0, 0] = np.nan
-        with pytest.raises(InvalidParams):
-            params.validate()
 
     def test_packed_wrapper_matches_padded(self):
         # rows padded by pad_rows, run as one batch and packed back through its

@@ -12,12 +12,12 @@ from spiroflow.data import DEFAULT_TEMPLATES, template_curve
 from spiroflow.errors import DegenerateCurve, EmptyPhase
 from spiroflow.horizon import HorizonLabel
 from spiroflow.phases import (
+    DEFAULT_N_GRID,
     ConcavityProfile,
     Phase,
     PhaseLabel,
-    baseline_line,
+    _directed_areas,
     concavity_features,
-    concavity_measure,
     locate_landmarks,
     phases_from_landmarks,
 )
@@ -25,6 +25,18 @@ from spiroflow.phases import (
 
 def vf(volumes, flows):
     return VolumeFlowCurve(np.asarray(volumes, dtype=float), np.asarray(flows, dtype=float))
+
+
+def area(curve, phase, n_grid=DEFAULT_N_GRID):
+    """One phase's directed area, through the kernel concavity_features runs."""
+    return float(_directed_areas(curve, [phase], n_grid)[0])
+
+
+def chord(curve, phase):
+    """(slope, intercept) of the line through the curve at the phase's endpoints."""
+    fb, fg = np.interp([phase.start, phase.end], curve.volumes, curve.flows)
+    slope = (fg - fb) / (phase.end - phase.start)
+    return slope, fb - slope * phase.start
 
 
 class TestLandmarks:
@@ -58,27 +70,27 @@ class TestLandmarks:
 
 class TestBaseline:
     def test_flat_phase(self):
+        # a flat curve is its own chord
         curve = vf([0, 1, 2, 3], [4, 4, 4, 4])
-        m, b = baseline_line(curve, Phase(PhaseLabel.PEF_FEF25, 0.5, 2.5))
-        assert m == 0.0
-        assert b == 4.0
+        assert area(curve, Phase(PhaseLabel.PEF_FEF25, 0.5, 2.5)) == 0.0
 
     def test_direct_arithmetic(self):
+        # chord 5 - 5v/3 on [0, 3]; the curve sits 2/3 above it at the kink
+        # v = 1, so the area is the triangle -(1/2) * 3 * (2/3) = -1.  The
+        # kink falls on the grid (999 = 3 * 333 steps), so the sum is exact.
         curve = vf([0, 1, 3, 4], [5, 4, 0, 0])
-        m, b = baseline_line(curve, Phase(PhaseLabel.PEF_FEF25, 1.0, 3.0))
-        assert m == pytest.approx(-2.0)
-        assert b == pytest.approx(6.0)
+        assert area(curve, Phase(PhaseLabel.PEF_FEF25, 0.0, 3.0), n_grid=1000) == pytest.approx(-1.0, abs=1e-12)
 
     def test_line_passes_through_endpoints(self):
+        # at n_grid = 2 the grid is the two endpoints, so the area is the
+        # chord's miss there times the phase width
         rng = np.random.default_rng(9)
         for _ in range(20):
             volumes = np.cumsum(rng.uniform(0.05, 0.3, size=12))
             flows = rng.uniform(0, 6, size=12)
             curve = vf(volumes, flows)
-            lo, hi = volumes[2], volumes[-2]
-            m, b = baseline_line(curve, Phase(PhaseLabel.FEF25_FEF50, lo, hi))
-            assert m * lo + b == pytest.approx(curve.flow_at(lo), abs=1e-12)
-            assert m * hi + b == pytest.approx(curve.flow_at(hi), abs=1e-12)
+            phase = Phase(PhaseLabel.FEF25_FEF50, volumes[2], volumes[-2])
+            assert area(curve, phase, n_grid=2) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_width_phase_rejected(self):
         with pytest.raises(EmptyPhase):
@@ -88,21 +100,21 @@ class TestBaseline:
 class TestConcavityMeasure:
     def test_on_baseline_is_zero(self):
         curve = vf([0, 1, 2], [3, 2, 1])
-        c = concavity_measure(curve, Phase(PhaseLabel.PEF_FEF25, 0.0, 2.0))
+        c = area(curve, Phase(PhaseLabel.PEF_FEF25, 0.0, 2.0))
         assert c == pytest.approx(0.0, abs=1e-12)
 
     def test_above_baseline_is_negative(self):
         # bulging (full) segment lies above its chord
         volumes = np.linspace(0, 1, 101)
         flows = np.sin(np.pi * volumes)  # above the zero chord
-        c = concavity_measure(vf(volumes, flows), Phase(PhaseLabel.PEF_FEF25, 0.0, 1.0))
+        c = area(vf(volumes, flows), Phase(PhaseLabel.PEF_FEF25, 0.0, 1.0))
         assert c < 0
 
     def test_quadratic_analytic_integral(self):
         # flow v^2 on [0,1] against chord v: integral of (v - v^2) dv = 1/6
         volumes = np.linspace(0, 1, 2001)
         flows = volumes**2
-        c = concavity_measure(vf(volumes, flows), Phase(PhaseLabel.PEF_FEF25, 0.0, 1.0), n_grid=1000)
+        c = area(vf(volumes, flows), Phase(PhaseLabel.PEF_FEF25, 0.0, 1.0), n_grid=1000)
         assert c == pytest.approx(1.0 / 6.0, abs=1e-3)
 
     def test_sign_flip_on_reflection(self):
@@ -112,10 +124,10 @@ class TestConcavityMeasure:
             flows = rng.uniform(0, 5, size=15)
             curve = vf(volumes, flows)
             phase = Phase(PhaseLabel.FEF25_FEF50, volumes[1], volumes[-2])
-            m, b = baseline_line(curve, phase)
+            m, b = chord(curve, phase)
             reflected = vf(volumes, 2 * (m * volumes + b) - flows)
-            c = concavity_measure(curve, phase)
-            c_ref = concavity_measure(reflected, phase)
+            c = area(curve, phase)
+            c_ref = area(reflected, phase)
             assert c_ref == pytest.approx(-c, abs=1e-9)
 
     def test_grid_convergence(self):
@@ -123,8 +135,8 @@ class TestConcavityMeasure:
         flows = 4 * np.exp(-1.5 * volumes)
         curve = vf(volumes, flows)
         phase = Phase(PhaseLabel.FEF50_FEF75, 0.2, 1.8)
-        c1 = concavity_measure(curve, phase, n_grid=1000)
-        c2 = concavity_measure(curve, phase, n_grid=2000)
+        c1 = area(curve, phase, n_grid=1000)
+        c2 = area(curve, phase, n_grid=2000)
         assert abs(c2 - c1) <= 1e-3 * (phase.end - phase.start) * flows.max()
 
 
@@ -185,7 +197,7 @@ def concavity_reference(curve, phase, n_grid):
     """The per-phase measure the one-shot kernel replaced: its own grid and interpolations."""
     grid = np.linspace(phase.start, phase.end, n_grid)
     dv = (phase.end - phase.start) / (n_grid - 1)
-    slope, intercept = baseline_line(curve, phase)
+    slope, intercept = chord(curve, phase)
     baseline = slope * grid + intercept
     return float(np.sum((baseline - curve.flow_at(grid)) * dv))
 
@@ -207,7 +219,7 @@ class TestOneShotMatchesPerPhase:
             expected = [concavity_reference(curve, p, n_grid) for p in phases]
             assert concavity_features(curve, n_grid).as_array().tobytes() == np.array(expected).tobytes()
             for p, e in zip(phases, expected):
-                assert concavity_measure(curve, p, n_grid) == e
+                assert area(curve, p, n_grid) == e
 
     def test_cohort_curves_bit_for_bit(self, small_cohort_series):
         for _, curve, _, _ in small_cohort_series:
