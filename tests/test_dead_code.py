@@ -63,7 +63,7 @@ def unreferenced(root: Path = ROOT) -> list[str]:
     dead = []
     for path in sorted(package.glob("*.py")):
         for qualname, node in _definitions(trees[path], path.stem):
-            if node.name.startswith("__") and node.name.endswith("__") or qualname in EXEMPT:
+            if (node.name.startswith("__") and node.name.endswith("__")) or qualname in EXEMPT:
                 continue
             if not any(id(node) not in enclosing for enclosing in refs.get(node.name, [])):
                 dead.append(qualname)
