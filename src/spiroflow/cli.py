@@ -58,8 +58,11 @@ except ImportError:
 FORMAT_VERSION = 1
 
 
-def _write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, sort_keys=True) + "\n")
+def _write_json(path: Path, payload: dict) -> str:
+    """payload as one line of sorted-key JSON; returns the SHA-256 of the bytes written."""
+    data = (json.dumps(payload, sort_keys=True) + "\n").encode()
+    path.write_bytes(data)
+    return sha256(data).hexdigest()
 
 
 # parsed values that name the stage's inputs and outputs, not its configuration
@@ -288,8 +291,8 @@ def _start(args, models: bool = False, record_ids=None, test_split: bool = False
 # ---------------------------------------------------------------------------
 # caches in the models directory: a JSON record whose sha256 binds it to a
 # .npy payload.  train-detect writes its preprocessed cohort (cohort_curves),
-# which the model stages reuse, and train-horizon its detector pass over the
-# whole cohort (cohort_scores), which predict and explain reuse.
+# which the model stages reuse, and its trained detector's pass over the
+# whole cohort (cohort_scores), which train-horizon, predict and explain reuse.
 
 
 def _record_bytes(record: dict) -> bytes:
@@ -399,20 +402,22 @@ def _cached_curves(record: dict, payload, rows) -> list[VolumeFlowCurve]:
     return curves
 
 
-def _scores_key(run: _Run) -> dict:
+def _scores_key(run: _Run, detect_sha256: str) -> dict:
     """What a cohort_scores memo holds the detector pass of: these
-    curves.csv bytes, this detector checkpoint and these ids, in order."""
-    return {"curves_sha256": run.inputs["curves.csv"], "detect_sha256": run.inputs["detect_model.json"], "ids": run.ids}
+    curves.csv bytes, the detector checkpoint of this digest and these ids,
+    in order."""
+    return {"curves_sha256": run.inputs["curves.csv"], "detect_sha256": detect_sha256, "ids": run.ids}
 
 
 def _detector_pass(args, run: _Run):
     """(p_hat (N,), attention weights (N, S)) of the run's records: from
-    --models' cohort_scores when train-horizon wrote it for exactly these
+    --models' cohort_scores when train-detect wrote it for exactly these
     records, else from the detector's one forward-only pass.  The ids in
     the key make a subset miss, since its batch may round differently."""
     model = run.models[0]
     shape = (len(run.ids), 1 + model.patch_width(run.series))
-    cached = _read_cache(Path(args.models), "cohort_scores", _scores_key(run), lambda r: shape)
+    key = _scores_key(run, run.inputs["detect_model.json"])
+    cached = _read_cache(Path(args.models), "cohort_scores", key, lambda r: shape)
     if cached is not None:
         scores = np.array(cached[1])
         return scores[:, 0], scores[:, 1:]
@@ -510,11 +515,11 @@ def cmd_train_detect(args):
         DetectionConfig(patch_len=args.k, channels=args.channels, hidden=args.hidden, seed=args.seed)
     )
     cfg = TrainConfig(lr=args.lr, epochs=args.epochs, batch_size=args.batch_size, seed=args.seed)
-    trace, p_train = model.train([series[i] for i in train_idx], copd[train_idx], cfg)
+    trace, p_hats, weights = model.train(series, copd, cfg, train_idx)
 
     # fusion model on the trained detector's probabilities (its one
-    # forward pass after the last epoch), train split only
-    fusion, _ = train_logistic(fusion_features(p_train, run.struct[train_idx]), copd[train_idx])
+    # forward pass over the cohort after the last epoch), train split only
+    fusion, _ = train_logistic(fusion_features(p_hats[train_idx], run.struct[train_idx]), copd[train_idx])
 
     checkpoint = model.to_dict()
     checkpoint.update(
@@ -526,7 +531,7 @@ def cmd_train_detect(args):
         }
     )
     out_dir = _out_dir(args)
-    _write_json(out_dir / "detect_model.json", checkpoint)
+    detect_sha256 = _write_json(out_dir / "detect_model.json", checkpoint)
     _write_logistic(out_dir, "fusion", fusion)
     rows = [
         {"epoch": epoch, "loss": loss, "pass": "batches", "seed": args.seed}
@@ -535,6 +540,8 @@ def cmd_train_detect(args):
     rows.append({"epoch": args.epochs, "loss": trace[-1], "pass": "full", "seed": args.seed})
     write_training_log(out_dir / "train_detect_log.jsonl", rows)
     _write_cached_cohort(out_dir, run)
+    scores = np.column_stack([p_hats, weights])
+    _write_cache(out_dir, "cohort_scores", _scores_key(run, detect_sha256), scores.shape, [scores])
     counts = {"train": len(train_idx), "test": len(test_idx)}
     return _finish(args, counts, run.inputs, run.smoother, final_loss=trace[-1])
 
@@ -619,8 +626,8 @@ def _load_models(model_dir: Path, inputs: dict | None = None):
 
 def cmd_train_horizon(args):
     run = _start(args, models=True)
-    model, fusion, _ = run.models
-    p_hats, weights = model.explain(run.series)
+    _, fusion, _ = run.models
+    p_hats, _ = _detector_pass(args, run)
     risks, _ = fuse_and_score(p_hats, run.struct, fusion)
     profiles = _profiles(run.ids, run.vf_curves)
     features = future_feature_vector(risks, profiles, run.struct)
@@ -629,8 +636,6 @@ def cmd_train_horizon(args):
     out_dir = _out_dir(args)
     _write_logistic(out_dir, "horizon", horizon_model)
     write_training_log(out_dir / "train_horizon_log.jsonl", trace)
-    scores = np.column_stack([p_hats, weights])
-    _write_cache(out_dir, "cohort_scores", _scores_key(run), scores.shape, [scores])
     return _finish(args, {"records": len(run.ids)}, run.inputs, run.smoother, final_loss=trace[-1]["loss"])
 
 

@@ -194,32 +194,36 @@ class DetectionModel:
 
     # -- training -----------------------------------------------------------
 
-    def train(self, series_list, labels, cfg: TrainConfig):
-        """Fit every parameter by `sgd`, then score the split once.
+    def train(self, series_list, labels, cfg: TrainConfig, rows):
+        """Fit every parameter by `sgd` on these rows of series_list, then
+        score every series once.
 
-        Returns (trace, p_hat): trace holds each epoch's mean mini-batch
-        loss from `sgd`, then the trained model's mean cross-entropy over
-        the whole split, so len(trace) == cfg.epochs + 1; p_hat is
-        P(disease) per sample from that one forward-only pass.  Labels that
+        Returns (trace, p_hat, weights): trace holds each epoch's mean
+        mini-batch loss from `sgd`, then the trained model's mean
+        cross-entropy over the rows, so len(trace) == cfg.epochs + 1; p_hat
+        (N,) and weights (N, S) are `explain`'s answer for all of
+        series_list, from that one forward-only pass.  Rows whose labels
         hold fewer than two classes raise DegenerateLabels before training,
         and a final loss that is not finite raises InvalidLoss.
         """
         labels = np.asarray(labels, dtype=np.int64)
         if len(series_list) != labels.size:
             raise InvalidArgument("series and labels must be aligned")
-        classes = sorted(set(labels.tolist()))  # np.unique would import numpy.ma
+        rows = np.asarray(rows, dtype=np.int64)
+        fitted = labels[rows]
+        classes = sorted(set(fitted.tolist()))  # np.unique would import numpy.ma
         if len(classes) < 2:
-            raise DegenerateLabels(f"need both classes to train the detector; its {labels.size} labels hold {classes}")
+            raise DegenerateLabels(f"need both classes to train the detector; its {fitted.size} labels hold {classes}")
 
         def batch_loss_grads(batch):
-            return self.loss_and_grads([series_list[i] for i in batch], labels[batch])
+            return self.loss_and_grads([series_list[i] for i in rows[batch]], fitted[batch])
 
-        trace = sgd(self.params(), batch_loss_grads, labels.size, cfg)
-        probs, _ = self._infer(series_list)
-        trace.append(mean_cross_entropy(probs, labels))
+        trace = sgd(self.params(), batch_loss_grads, fitted.size, cfg)
+        probs, weights = self._infer(series_list)
+        trace.append(mean_cross_entropy(probs[rows], fitted))
         if not math.isfinite(trace[-1]):
             raise diverged(cfg, f"the loss after epoch {cfg.epochs} is not finite")
-        return trace, probs[:, 1]
+        return trace, probs[:, 1], weights
 
     # -- checkpointing ------------------------------------------------------
 

@@ -202,9 +202,10 @@ def test_end_to_end_separation():
     train_idx = order[n_test:]
     model = DetectionModel(DetectionConfig(seed=0))
     model.train(
-        [series[i] for i in train_idx],
-        labels[train_idx],
+        series,
+        labels,
         TrainConfig(lr=0.05, epochs=30, batch_size=32, seed=0),
+        train_idx,
     )
     scores = model.predict_proba([series[i] for i in test_idx])
     value = auroc(scores, labels[test_idx])

@@ -292,7 +292,8 @@ class TestTrainAndEvaluate:
         assert _tree_digest(tmp_path / "hit") == _tree_digest(tmp_path / "eval")
 
     def test_train_detect_fits_fusion_on_its_last_loss_pass(self, pipeline, tmp_path, monkeypatch):
-        # one forward-only pass over the train split, after the last epoch, and no other inference pass
+        # one forward-only pass over every cohort record, after the last
+        # epoch, and no other inference pass; its train rows fit fusion
         from spiroflow.detection import DetectionModel
 
         _, cohort, _ = pipeline
@@ -308,9 +309,9 @@ class TestTrainAndEvaluate:
         out = tmp_path / "models"
         epochs = 2
         assert _run("train-detect", "--out-dir", str(out), "--cohort", str(cohort), "--epochs", str(epochs)) == 0
-        n_train = json.loads((out / "manifest_train_detect.json").read_text())["counts"]["train"]
+        counts = json.loads((out / "manifest_train_detect.json").read_text())["counts"]
         assert predicts == []
-        assert passes == [n_train]
+        assert passes == [counts["train"] + counts["test"]] == [36]
 
     def test_subgroup_flag(self, pipeline, tmp_path):
         _, cohort, models = pipeline
@@ -793,13 +794,15 @@ class TestCohortCache:
 
 
 class TestCohortScores:
-    # train-horizon writes its detector pass over the whole cohort next to
-    # the checkpoint (cohort_scores.json and cohort_scores.npy); predict and
-    # explain without --id take p_hat and the attention weights from there
-    # when the curves.csv bytes, the checkpoint and the ids match.  Stages
-    # that score a subset run the detector: their batch rounds differently,
-    # and their ids miss the key (evaluate does not read the memo at all).
+    # train-detect writes its trained detector's pass over the whole cohort
+    # next to the checkpoint (cohort_scores.json and cohort_scores.npy);
+    # train-horizon, predict and explain without --id take p_hat and the
+    # attention weights from there when the curves.csv bytes, the checkpoint
+    # and the ids match.  Stages that score a subset run the detector: their
+    # batch rounds differently, and their ids miss the key (evaluate does not
+    # read the memo at all).
     STAGES = (
+        ("train-horizon", ()),
         ("evaluate", ()),
         ("explain", ("--svg",)),
         ("explain", ("--id", "NON_COPD_0000", "--svg")),
@@ -846,22 +849,59 @@ class TestCohortScores:
         passes.clear()
         without_memo = _without_cache(models, tmp_path / "without_memo", SCORE_FILES)
         assert self._outputs(cohort, without_memo, tmp_path / "without_memo_out") == hit
-        assert passes == [n_test, 36, 1, 36]
+        assert passes == [36, n_test, 36, 1, 36]
         uncached = _without_cache(models, tmp_path / "uncached", CACHE_FILES + SCORE_FILES)
         assert self._outputs(cohort, uncached, tmp_path / "uncached_out") == hit
 
-    def test_train_horizon_writes_the_memo_with_or_without_one(self, pipeline, tmp_path, monkeypatch):
-        # train-horizon writes the memo and never reads it: it runs the pass
-        # whether --models holds a memo or not, and writes the same bytes
+    def test_train_horizon_reads_the_memo_or_runs_one_pass(self, pipeline, tmp_path, monkeypatch):
+        # the memo has one writer, train-detect: train-horizon runs no pass
+        # on a hit and one over the cohort on a miss, never writes the memo,
+        # and writes the same bytes either way
         _, cohort, models = pipeline
         passes = _counting_passes(monkeypatch)
         without_memo = _without_cache(models, tmp_path / "without_memo", SCORE_FILES)
-        for model_dir in (models, without_memo):
+        for model_dir, expected in ((models, []), (without_memo, [36])):
+            passes.clear()
             out = tmp_path / f"again_{model_dir.name}"
             assert _run("train-horizon", "--out-dir", str(out), "--cohort", str(cohort), "--models", str(model_dir)) == 0
-            for name in SCORE_FILES + ("horizon_model.json", "train_horizon_log.jsonl", "manifest_train_horizon.json"):
+            assert passes == expected, model_dir.name
+            names = ("horizon_model.json", "train_horizon_log.jsonl", "manifest_train_horizon.json")
+            assert sorted(p.name for p in out.iterdir()) == sorted(names), model_dir.name
+            for name in names:
                 assert (out / name).read_bytes() == (models / name).read_bytes(), (model_dir.name, name)
-        assert passes == [36, 36]
+
+    def test_train_rows_equal_a_pass_over_the_train_split(self, pipeline):
+        # fusion is fitted on the memo's train rows, which must be the bits a
+        # pass over the train split alone gives, as before the pass covered
+        # the whole cohort
+        from spiroflow.cli import _load_cohort, _load_models, _preprocess
+
+        _, cohort, models = pipeline
+        ids, curves, _, _, _ = _load_cohort(cohort, {})
+        (model, _, test_ids), smoother = _load_models(models)
+        series = _preprocess(curves, smoother)[1]
+        train = [i for i, blow_id in enumerate(ids) if blow_id not in set(test_ids)]
+        assert 0 < len(test_ids) and len(train) + len(test_ids) == 36
+        probs, weights = model._infer([series[i] for i in train])
+        payload = np.load(models / "cohort_scores.npy")
+        assert np.array_equal(payload[train, 0], probs[:, 1])
+        assert np.array_equal(payload[train, 1 : 1 + weights.shape[1]], weights)
+        assert not payload[train, 1 + weights.shape[1] :].any()  # the padding of the cohort's wider pass
+
+    def test_train_detect_overwrites_another_detectors_memo(self, pipeline, tmp_path):
+        # a models directory that holds the memo of another detector gets the
+        # new detector's memo, keyed by the new checkpoint's digest
+        _, cohort, models = pipeline
+        other = tmp_path / "models"
+        shutil.copytree(models, other)
+        assert _run("train-detect", "--out-dir", str(other), "--cohort", str(cohort), "--epochs", "1", "--seed", "2") == 0
+        fresh = tmp_path / "fresh"
+        assert _run("train-detect", "--out-dir", str(fresh), "--cohort", str(cohort), "--epochs", "1", "--seed", "2") == 0
+        record = json.loads((other / "cohort_scores.json").read_text())
+        assert record["detect_sha256"] == hashlib.sha256((other / "detect_model.json").read_bytes()).hexdigest()
+        assert record["detect_sha256"] != json.loads((models / "cohort_scores.json").read_text())["detect_sha256"]
+        for name in SCORE_FILES:
+            assert (other / name).read_bytes() == (fresh / name).read_bytes(), name
 
     def test_stale_memo_is_a_miss(self, pipeline, tmp_path, monkeypatch):
         # a memo of another curves.csv or of another checkpoint is not read:
@@ -897,7 +937,8 @@ class TestCohortScores:
         ],
     )
     def test_corrupt_memo_is_a_clean_failure(self, pipeline, tmp_path, capsys, case, name, edit, error):
-        # the memo's key matches, so the full-cohort stages must load it;
+        # the memo's key matches, so the full-cohort stages, train-horizon
+        # among them, must load it;
         # explain --id reads the record up to its key, which its one id
         # misses, and evaluate never reads it
         _, cohort, models = pipeline
@@ -1143,11 +1184,12 @@ class TestBlasThreads:
             out = tmp_path / f"threads_{threads}"
             self._cli(threads, "train-detect", "--out-dir", str(out), "--cohort", str(cohort), "--epochs", "2", "--seed", "1")
             digests.append(_tree_digest(out))
+        assert set(SCORE_FILES) <= set(digests[0])
         assert digests[0] == digests[1]
 
     def test_explain_and_predict_identical_at_one_and_two_threads(self, pipeline, tmp_path):
-        # without train-horizon's memo, so that explain and predict run the
-        # detector at each thread count; train-horizon writes the memo at each
+        # without train-detect's memo, so that explain, predict and
+        # train-horizon run the detector at each thread count
         _, cohort, models = pipeline
         args = ("--cohort", str(cohort), "--models", str(_without_cache(models, tmp_path / "models", SCORE_FILES)))
         digests = []
@@ -1158,7 +1200,7 @@ class TestBlasThreads:
             self._cli(threads, "train-horizon", "--out-dir", str(out / "horizon"), *args)
             digests.append([_tree_digest(out / stage) for stage in ("explain", "predict", "horizon")])
         assert len(digests[0][0]) == 2 * 36 + 1  # JSON and SVG overlays plus the manifest
-        assert set(SCORE_FILES) <= set(digests[0][2])
+        assert "horizon_model.json" in digests[0][2]
         assert digests[0] == digests[1]
 
 

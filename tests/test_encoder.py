@@ -233,7 +233,8 @@ def test_sigmoid_matches_masked_reference_bit_for_bit():
 class TestForwardOnlyLoss:
     def test_equals_loss_and_grads_bit_for_bit(self, small_cohort_series):
         # the loss that train logs after its last epoch, here the zeroth, is
-        # the forward-only pass
+        # the fitted rows' loss in the forward-only pass over every series,
+        # and equals a loss pass over those rows alone
         series = [s for s, _, _, _ in small_cohort_series]
         labels = np.array([y for _, _, y, _ in small_cohort_series])
         model = DetectionModel(DetectionConfig(seed=3))
@@ -241,7 +242,7 @@ class TestForwardOnlyLoss:
         for rows in (np.arange(len(series)), np.array([0, 1, len(series) - 1])):
             assert set(labels[rows]) == {0, 1}
             subset = [series[i] for i in rows]
-            trace, _ = model.train(subset, labels[rows], TrainConfig(epochs=0))
+            trace, _, _ = model.train(series, labels, TrainConfig(epochs=0), rows)
             assert trace == [model.loss_and_grads(subset, labels[rows])[0]]
 
 
@@ -578,7 +579,7 @@ class TestUnseenLength:
         short = [s[:64] for s, _, _, _ in small_cohort_series]
         labels = np.array([y for _, _, y, _ in small_cohort_series])
         model = DetectionModel(DetectionConfig(seed=6))
-        model.train(short, labels, TrainConfig(lr=0.05, epochs=1, batch_size=8, seed=0))
+        model.train(short, labels, TrainConfig(lr=0.05, epochs=1, batch_size=8, seed=0), range(len(short)))
         longest = max((s for s, _, _, _ in small_cohort_series), key=len)
         assert len(longest) > 3 * 64
         alone = model.predict_proba([longest])[0]

@@ -295,14 +295,16 @@ class TestSgdMatchesReference:
         config = DetectionConfig(patch_len=4, channels=3, hidden=3, conv_kernel=3, seed=2)
         cfg = TrainConfig(lr=0.5, epochs=epochs, batch_size=batch_size, seed=5)
         model, reference = DetectionModel(config), DetectionModel(config)
-        trace, p_hat = model.train(series, labels, cfg)
+        trace, p_hat, weights = model.train(series, labels, cfg, range(len(series)))
         expected = _reference_detection(reference, series, labels, cfg)
         assert _bits(trace) == _bits(expected)
         assert len(trace) == epochs + 1
         for name, value in reference.params().items():
             assert _bits(model.params()[name]) == _bits(value), name
-        # the one loss pass's P(disease) is the trained model's
-        assert _bits(p_hat) == _bits(model.predict_proba(series))
+        # the one loss pass's P(disease) and attention weights are the trained model's
+        explained = model.explain(series)
+        assert _bits(p_hat) == _bits(explained[0])
+        assert _bits(weights) == _bits(explained[1])
 
 
 def _tiny_detector():
@@ -325,17 +327,42 @@ class TestOneLossPass:
         passes = []
         infer = DetectionModel._infer
         monkeypatch.setattr(DetectionModel, "_infer", lambda self, s: passes.append(len(s)) or infer(self, s))
-        trace, _ = model.train(series, labels, TrainConfig(lr=0.5, epochs=epochs, batch_size=3, seed=5))
+        trace, _, _ = model.train(series, labels, TrainConfig(lr=0.5, epochs=epochs, batch_size=3, seed=5), range(7))
         assert passes == [len(series)]
         assert len(trace) == epochs + 1
 
     @pytest.mark.parametrize("epochs", [0, 2])
     def test_last_entry_is_the_trained_models_loss(self, epochs):
         series, labels, model = _tiny_detector()
-        trace, p_hat = model.train(series, labels, TrainConfig(lr=0.5, epochs=epochs, batch_size=3, seed=5))
+        trace, p_hat, _ = model.train(series, labels, TrainConfig(lr=0.5, epochs=epochs, batch_size=3, seed=5), range(7))
         probs, _ = model._infer(series)
         assert _bits(probs[:, 1]) == _bits(model.predict_proba(series)) == _bits(p_hat)
         assert _bits(trace[-1]) == _bits(mean_cross_entropy(probs, labels))
+
+    def test_rows_are_fitted_and_every_series_is_scored(self, monkeypatch):
+        # fitting rows of a batch is fitting those records alone, and the one
+        # pass scores every series; rows 0, 2 and 5 leave out the longest
+        # series, so the pass is wider than a pass over the rows would be
+        series, labels, model = _tiny_detector()
+        _, _, alone = _tiny_detector()
+        rows = np.array([0, 2, 5, 1])
+        cfg = TrainConfig(lr=0.5, epochs=2, batch_size=3, seed=5)
+        passes = []
+        infer = DetectionModel._infer
+        monkeypatch.setattr(DetectionModel, "_infer", lambda self, s: passes.append(len(s)) or infer(self, s))
+        trace, p_hat, weights = model.train(series, labels, cfg, rows)
+        expected, p_rows, w_rows = alone.train([series[i] for i in rows], labels[rows], cfg, range(len(rows)))
+        assert passes == [len(series), len(rows)]
+        assert _bits(trace) == _bits(expected)
+        for name, value in alone.params().items():
+            assert _bits(model.params()[name]) == _bits(value), name
+        assert weights.shape == (len(series), 16) and w_rows.shape == (len(rows), 10)
+        assert _bits(p_hat[rows]) == _bits(p_rows)
+        assert _bits(weights[rows, :10]) == _bits(w_rows)
+        with pytest.raises(DegenerateLabels, match=r"its 2 labels hold \[1\]"):
+            model.train(series, labels, cfg, [0, 2])
+        with pytest.raises(DegenerateLabels, match=r"its 0 labels hold \[\]"):
+            model.train(series, labels, cfg, [])
 
     def test_epoch_entries_are_size_weighted_means_of_batch_losses(self, monkeypatch):
         series, labels, model = _tiny_detector()
@@ -348,7 +375,7 @@ class TestOneLossPass:
             return loss, grads
 
         monkeypatch.setattr(DetectionModel, "loss_and_grads", recording)
-        trace, _ = model.train(series, labels, TrainConfig(lr=0.5, epochs=3, batch_size=3, seed=5))
+        trace, _, _ = model.train(series, labels, TrainConfig(lr=0.5, epochs=3, batch_size=3, seed=5), range(7))
         assert [size for _, size in seen] == [3, 3, 1] * 3  # 7 records in batches of 3
         for epoch in range(3):
             (a, size_a), (b, size_b), (c, size_c) = seen[3 * epoch : 3 * epoch + 3]
