@@ -871,9 +871,8 @@ class TestCohortScores:
                 assert (out / name).read_bytes() == (models / name).read_bytes(), (model_dir.name, name)
 
     def test_train_rows_equal_a_pass_over_the_train_split(self, pipeline):
-        # fusion is fitted on the memo's train rows, which must be the bits a
-        # pass over the train split alone gives, as before the pass covered
-        # the whole cohort
+        # fusion is fitted on the memo's train rows, which must be the bits
+        # that a pass over the train split alone gives
         from spiroflow.cli import _load_cohort, _load_models, _preprocess
 
         _, cohort, models = pipeline

@@ -341,7 +341,7 @@ class TestOneLossPass:
 
     def test_rows_are_fitted_and_every_series_is_scored(self, monkeypatch):
         # fitting rows of a batch is fitting those records alone, and the one
-        # pass scores every series; rows 0, 2 and 5 leave out the longest
+        # pass scores every series; rows 0, 2, 5 and 1 leave out the longest
         # series, so the pass is wider than a pass over the rows would be
         series, labels, model = _tiny_detector()
         _, _, alone = _tiny_detector()
