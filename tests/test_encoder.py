@@ -599,24 +599,36 @@ def test_checkpoint_with_max_length_still_loads():
     assert all(np.array_equal(value, old.params()[name]) for name, value in model.params().items())
 
 
+# a detector whose fan-ins all differ from the default one's: c != h and kernel != kernel * c
+SMALL = DetectionConfig(patch_len=8, channels=3, hidden=2, conv_kernel=3, seed=11)
+
+
 class TestParameters:
     def test_initial_parameters_are_the_seeded_draws(self):
         # the bytes train-detect starts from: sha256 over each array's name
         # and bytes, in params() order
-        expected = {
-            0: "105ef89bc3226098b2eb19b79f268266b0c080e5b3ed262d7af8014b92833b25",
-            7: "aa0aef6e067024e22c2a978ab763d7f44d901288fa37191e38412693cf2fce9f",
-        }
-        for seed, digest in expected.items():
+        expected = [
+            (DetectionConfig(seed=0), "105ef89bc3226098b2eb19b79f268266b0c080e5b3ed262d7af8014b92833b25"),
+            (DetectionConfig(seed=7), "aa0aef6e067024e22c2a978ab763d7f44d901288fa37191e38412693cf2fce9f"),
+            (SMALL, "3c859f229e0f63968b94a8d095f6bd77d62e77aa95045ebaf0a9258b7d103ac7"),
+        ]
+        for config, digest in expected:
             h = hashlib.sha256()
-            for name, value in DetectionModel(DetectionConfig(seed=seed)).params().items():
+            for name, value in DetectionModel(config).params().items():
                 h.update(name.encode())
                 h.update(value.tobytes())
-            assert h.hexdigest() == digest, seed
+            assert h.hexdigest() == digest, config
 
-    @pytest.mark.parametrize(
-        "config", [DetectionConfig(seed=5), DetectionConfig(patch_len=8, channels=3, hidden=2, conv_kernel=3, seed=11)]
-    )
+    def test_gradients_carry_the_parameters_names_order_and_shapes(self, small_cohort_series):
+        # two copd records of different lengths and two non-copd ones
+        batch = [small_cohort_series[i] for i in (0, 6, 30, 31)]
+        model = DetectionModel(SMALL)
+        _, grads = model.loss_and_grads([s for s, _, _, _ in batch], [y for _, _, y, _ in batch])
+        params = model.params()
+        assert list(grads) == list(params)
+        assert [g.shape for g in grads.values()] == [p.shape for p in params.values()]
+
+    @pytest.mark.parametrize("config", [DetectionConfig(seed=5), SMALL])
     def test_loaded_model_owns_the_checkpoint_arrays(self, config):
         # from_dict builds every group from the checkpoint's arrays: the same
         # names, shapes and values, each array the model's own, writable and
