@@ -31,7 +31,8 @@ SMOKING_CODES = ("never", "former", "current")
 
 @dataclass
 class AttentionParams:
-    """Score-stack weights; widths follow the encoder output width 2H."""
+    """Score-stack weights; widths follow the encoder output width 2H.
+    attention_backward_padded returns its gradients in this type too."""
 
     w1: np.ndarray  # (A, 2H)
     b1: np.ndarray  # (A,)
@@ -39,43 +40,14 @@ class AttentionParams:
     w2: np.ndarray  # (A,)
     b2: np.ndarray  # () scalar
 
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {
-            "attn_w1": self.w1,
-            "attn_b1": self.b1,
-            "attn_bil": self.w_bil,
-            "attn_w2": self.w2,
-            "attn_b2": self.b2,
-        }
-
-
-def init_attention_params(rng: np.random.Generator, context_width: int) -> AttentionParams:
-    a = max(context_width // 2, 1)
-    return AttentionParams(
-        w1=rng.normal(0.0, 1.0 / math.sqrt(context_width), size=(a, context_width)),
-        b1=np.zeros(a),
-        w_bil=rng.normal(0.0, 1.0 / math.sqrt(a), size=(a, a)),
-        w2=rng.normal(0.0, 1.0 / math.sqrt(a), size=(a,)),
-        b2=np.zeros(()),
-    )
-
 
 @dataclass
 class HeadParams:
-    """Affine map from pooled context to two class logits."""
+    """Affine map from pooled context to two class logits; head_backward
+    returns its gradients in this type too."""
 
     w: np.ndarray  # (2, 2H)
     b: np.ndarray  # (2,)
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {"head_w": self.w, "head_b": self.b}
-
-
-def init_head_params(rng: np.random.Generator, context_width: int) -> HeadParams:
-    return HeadParams(
-        w=rng.normal(0.0, 1.0 / math.sqrt(context_width), size=(2, context_width)),
-        b=np.zeros(2),
-    )
 
 
 @dataclass(frozen=True)
@@ -146,7 +118,7 @@ def attention_forward_padded(contexts: np.ndarray, mask: np.ndarray, params: Att
 
 
 def attention_backward_padded(dpooled: np.ndarray, cache, params: AttentionParams):
-    """Backward of attention_forward_padded w.r.t. contexts and parameters."""
+    """Backward of attention_forward_padded: (dcontexts, gradients as AttentionParams)."""
     contexts, x1, sig, x2, x3, weights = cache
     dweights = np.einsum("bc,bsc->bs", dpooled, contexts)
     dcontexts = weights[:, :, None] * dpooled[:, None, :]
@@ -162,8 +134,7 @@ def attention_backward_padded(dpooled: np.ndarray, cache, params: AttentionParam
     dcontexts += dx1 @ params.w1
     dw1 = np.einsum("bsa,bsc->ac", dx1, contexts)
     db1 = dx1.sum(axis=(0, 1))
-    grads = {"attn_w1": dw1, "attn_b1": db1, "attn_bil": dw_bil, "attn_w2": dw2, "attn_b2": db2}
-    return dcontexts, grads
+    return dcontexts, AttentionParams(dw1, db1, dw_bil, dw2, db2)
 
 
 def head_forward(pooled: np.ndarray, params: HeadParams):
@@ -174,8 +145,7 @@ def head_forward(pooled: np.ndarray, params: HeadParams):
 
 def head_backward(dlogits: np.ndarray, pooled: np.ndarray, params: HeadParams):
     dpooled = dlogits @ params.w
-    grads = {"head_w": dlogits.T @ pooled, "head_b": dlogits.sum(axis=0)}
-    return dpooled, grads
+    return dpooled, HeadParams(dlogits.T @ pooled, dlogits.sum(axis=0))
 
 
 def fusion_features(p_hats, struct: np.ndarray) -> np.ndarray:

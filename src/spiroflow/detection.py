@@ -4,10 +4,12 @@ Bi-LSTM -> volume attention -> two-class head, with hand-derived gradients
 trains on.  `DetectionModel._prepare` is the one owner of the patch
 geometry: a series of n samples is cut into ceil(n / k) patches of k
 samples, the last one zero-padded, and attention weight j of a record
-belongs to its samples [j k, (j + 1) k).  A new model draws its parameters
-from its config's seed; a checkpoint is loaded by building each parameter
-group from its arrays, in the shapes its config gives, so loading a fitted
-detector draws no random numbers and never imports numpy.random.
+belongs to its samples [j k, (j + 1) k).  `_parameter_layout` is the one
+owner of the parameter arrays' checkpoint names, shapes and initial scales.
+A new model draws its weights from its config's seed; a checkpoint is
+loaded by taking each array by name, in the shape its config gives, so
+loading a fitted detector draws no random numbers and never imports
+numpy.random.
 """
 
 from __future__ import annotations
@@ -24,22 +26,14 @@ from .attention import (
     attention_forward_padded,
     head_backward,
     head_forward,
-    init_attention_params,
-    init_head_params,
 )
 from .encoder import (
-    DEFAULT_CHANNELS,
-    DEFAULT_CONV_KERNEL,
-    DEFAULT_HIDDEN,
-    DEFAULT_PATCH_LEN,
     BiLstmParams,
     ConvEncoderParams,
     bilstm_backward_padded,
     bilstm_forward_padded,
     conv_embed_backward,
     conv_embed_forward,
-    init_bilstm_params,
-    init_conv_params,
     pad_rows,
 )
 from .errors import DegenerateLabels, InvalidArgument
@@ -51,10 +45,10 @@ RECORD_BLOCK = 128  # records per forward-only block; a multiple of BLAS's row t
 
 @dataclass
 class DetectionConfig:
-    patch_len: int = DEFAULT_PATCH_LEN
-    channels: int = DEFAULT_CHANNELS
-    hidden: int = DEFAULT_HIDDEN
-    conv_kernel: int = DEFAULT_CONV_KERNEL
+    patch_len: int = 32
+    channels: int = 16
+    hidden: int = 32
+    conv_kernel: int = 5
     seed: int = 0
 
     def __post_init__(self):
@@ -67,44 +61,71 @@ class DetectionConfig:
 
 
 def _parameter_layout(config: DetectionConfig):
-    """Each parameter group's class and its arrays' checkpoint names and
-    shapes, in the order of the class's fields: the shapes that the init_*
-    functions draw for this config."""
+    """Each parameter group's class and, in the order of its fields, each
+    array's checkpoint name, shape and fan-in.  A weight starts as a draw
+    from N(0, 1/sqrt(fan-in)); a bias, whose fan-in is None, starts at
+    zero and takes no draw."""
     c, h, kernel = config.channels, config.hidden, config.conv_kernel
-    lstm = {"w": (4 * h, c), "u": (4 * h, h), "b": (4 * h,)}
+    conv = {
+        "conv_w1": ((c, 1, kernel), kernel),
+        "conv_b1": ((c,), None),
+        "conv_w2": ((c, c, kernel), kernel * c),
+        "conv_b2": ((c,), None),
+    }
+    lstm = {"w": ((4 * h, c), c), "u": ((4 * h, h), h), "b": ((4 * h,), None)}
+    # the attention width is half the context width 2h
+    attn = {
+        "attn_w1": ((h, 2 * h), 2 * h),
+        "attn_b1": ((h,), None),
+        "attn_bil": ((h, h), h),
+        "attn_w2": ((h,), h),
+        "attn_b2": ((), None),
+    }
     return (
-        (ConvEncoderParams, {"conv_w1": (c, 1, kernel), "conv_b1": (c,), "conv_w2": (c, c, kernel), "conv_b2": (c,)}),
-        (BiLstmParams, {f"lstm_{d}_{name}": shape for d in ("fw", "bw") for name, shape in lstm.items()}),
-        # the attention width is half the context width 2h
-        (AttentionParams, {"attn_w1": (h, 2 * h), "attn_b1": (h,), "attn_bil": (h, h), "attn_w2": (h,), "attn_b2": ()}),
-        (HeadParams, {"head_w": (2, 2 * h), "head_b": (2,)}),
+        (ConvEncoderParams, conv),
+        (BiLstmParams, {f"lstm_{d}_{name}": spec for d in ("fw", "bw") for name, spec in lstm.items()}),
+        (AttentionParams, attn),
+        (HeadParams, {"head_w": ((2, 2 * h), 2 * h), "head_b": ((2,), None)}),
     )
 
 
 class DetectionModel:
     """Binary COPD detector over varied-length flow series."""
 
-    def __init__(self, config: DetectionConfig, groups: tuple | None = None):
-        """A detector of config's shape with these parameter groups (conv,
-        lstm, attn, head); without them, each is drawn from config.seed."""
+    def __init__(self, config: DetectionConfig, arrays: dict | None = None):
+        """A detector of config's shape whose parameter arrays are taken by
+        checkpoint name from arrays, each finite and of exactly its layout
+        shape (InvalidParams naming it otherwise); without arrays, every
+        weight is drawn from config.seed in layout order."""
         self.config = config
-        if groups is None:
+        layout = _parameter_layout(config)
+        if arrays is None:
             rng = np.random.default_rng(config.seed)
-            groups = (
-                init_conv_params(rng, config.channels, config.conv_kernel),
-                init_bilstm_params(rng, config.channels, config.hidden),
-                init_attention_params(rng, 2 * config.hidden),
-                init_head_params(rng, 2 * config.hidden),
-            )
-        self.conv, self.lstm, self.attn, self.head = groups
+            arrays = {
+                name: np.zeros(shape) if fan_in is None else rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=shape)
+                for _, specs in layout
+                for name, (shape, fan_in) in specs.items()
+            }
+        self.conv, self.lstm, self.attn, self.head = (
+            group(*(exact_array(arrays, name, shape) for name, (shape, _) in specs.items()))
+            for group, specs in layout
+        )
 
     # -- parameter plumbing -------------------------------------------------
 
+    def _named(self, groups) -> dict[str, np.ndarray]:
+        """The arrays of groups (conv, lstm, attn, head), parameters or their
+        gradients, by checkpoint name in layout order."""
+        return {
+            name: getattr(group, field.name)
+            for (_, specs), group in zip(_parameter_layout(self.config), groups, strict=True)
+            for name, field in zip(specs, fields(group), strict=True)
+        }
+
     def params(self) -> dict[str, np.ndarray]:
-        out = {}
-        for group in (self.conv, self.lstm, self.attn, self.head):
-            out.update(group.arrays())
-        return out
+        """Every parameter array by checkpoint name: the live arrays, which
+        `sgd` and gradient checks update in place."""
+        return self._named((self.conv, self.lstm, self.attn, self.head))
 
     # -- forward / backward -------------------------------------------------
 
@@ -187,10 +208,7 @@ class DetectionModel:
         dcontexts, attn_grads = attention_backward_padded(dpooled, attn_cache, self.attn)
         dblock, lstm_grads = bilstm_backward_padded(dcontexts, lstm_cache, self.lstm)
         conv_grads = conv_embed_backward(dblock[mask], conv_cache, self.conv)
-        grads = {}
-        for g in (conv_grads, lstm_grads, attn_grads, head_grads):
-            grads.update(g)
-        return loss, grads
+        return loss, self._named((conv_grads, lstm_grads, attn_grads, head_grads))
 
     # -- training -----------------------------------------------------------
 
@@ -237,12 +255,8 @@ class DetectionModel:
     def from_dict(cls, d: dict) -> "DetectionModel":
         """Each config field and each parameter array by name, the arrays in
         exactly the shapes the config gives; other keys are ignored.  The
-        parameter groups are built from the checkpoint's arrays alone, so
-        loading draws no random numbers."""
+        parameters are the checkpoint's arrays alone, so loading draws no
+        random numbers."""
         record, arrays = json_object(d, "config"), json_object(d, "arrays")
         config = DetectionConfig(**{f.name: record[f.name] for f in fields(DetectionConfig)})
-        groups = tuple(
-            group(*(exact_array(arrays, name, shape) for name, shape in shapes.items()))
-            for group, shapes in _parameter_layout(config)
-        )
-        return cls(config, groups)
+        return cls(config, arrays)

@@ -14,20 +14,15 @@ training stay in one place; inference passes ask for none.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_PATCH_LEN = 32
-DEFAULT_CHANNELS = 16
-DEFAULT_HIDDEN = 32
-DEFAULT_CONV_KERNEL = 5
-
 
 @dataclass
 class ConvEncoderParams:
-    """Two-layer 1-D conv stack with tanh nonlinearities and mean pooling."""
+    """Two-layer 1-D conv stack with tanh nonlinearities and mean pooling;
+    conv_embed_backward returns its gradients in this type too."""
 
     w1: np.ndarray  # (c_mid, 1, kernel)
     b1: np.ndarray  # (c_mid,)
@@ -38,29 +33,11 @@ class ConvEncoderParams:
     def channels(self) -> int:
         return self.w2.shape[0]
 
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {"conv_w1": self.w1, "conv_b1": self.b1, "conv_w2": self.w2, "conv_b2": self.b2}
-
-
-def init_conv_params(
-    rng: np.random.Generator,
-    channels: int = DEFAULT_CHANNELS,
-    kernel: int = DEFAULT_CONV_KERNEL,
-) -> ConvEncoderParams:
-    c_mid = channels
-    scale1 = 1.0 / math.sqrt(kernel)
-    scale2 = 1.0 / math.sqrt(kernel * c_mid)
-    return ConvEncoderParams(
-        w1=rng.normal(0.0, scale1, size=(c_mid, 1, kernel)),
-        b1=np.zeros(c_mid),
-        w2=rng.normal(0.0, scale2, size=(channels, c_mid, kernel)),
-        b2=np.zeros(channels),
-    )
-
 
 @dataclass
 class BiLstmParams:
-    """Gate weights for both directions; gate order is (i, f, g, o)."""
+    """Gate weights for both directions; gate order is (i, f, g, o).
+    bilstm_backward_padded returns its gradients in this type too."""
 
     w_f: np.ndarray  # (4H, C) forward direction input weights
     u_f: np.ndarray  # (4H, H)
@@ -72,33 +49,6 @@ class BiLstmParams:
     @property
     def hidden(self) -> int:
         return self.u_f.shape[1]
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {
-            "lstm_fw_w": self.w_f,
-            "lstm_fw_u": self.u_f,
-            "lstm_fw_b": self.b_f,
-            "lstm_bw_w": self.w_b,
-            "lstm_bw_u": self.u_b,
-            "lstm_bw_b": self.b_b,
-        }
-
-
-def init_bilstm_params(
-    rng: np.random.Generator, channels: int = DEFAULT_CHANNELS, hidden: int = DEFAULT_HIDDEN
-) -> BiLstmParams:
-    def one_direction():
-        scale_w = 1.0 / math.sqrt(channels)
-        scale_u = 1.0 / math.sqrt(hidden)
-        return (
-            rng.normal(0.0, scale_w, size=(4 * hidden, channels)),
-            rng.normal(0.0, scale_u, size=(4 * hidden, hidden)),
-            np.zeros(4 * hidden),
-        )
-
-    w_f, u_f, b_f = one_direction()
-    w_b, u_b, b_b = one_direction()
-    return BiLstmParams(w_f, u_f, b_f, w_b, u_b, b_b)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +148,7 @@ def _tanh_slope(z: np.ndarray) -> np.ndarray:
     return np.subtract(1.0, z, out=z)
 
 
-def conv_embed_backward(dfeats: np.ndarray, cache, params: ConvEncoderParams):
+def conv_embed_backward(dfeats: np.ndarray, cache, params: ConvEncoderParams) -> ConvEncoderParams:
     """Gradients of the conv parameters from dfeats (P, C), the gradient of
     conv_embed_forward's features.
 
@@ -214,7 +164,7 @@ def conv_embed_backward(dfeats: np.ndarray, cache, params: ConvEncoderParams):
     dz1, dw2, db2 = _conv1d_same_backward(da2, z1, params.w2)
     dz1 *= _tanh_slope(z1)
     _, dw1, db1 = _conv1d_same_backward(dz1, x, params.w1, input_grad=False)
-    return {"conv_w1": dw1, "conv_b1": db1, "conv_w2": dw2, "conv_b2": db2}
+    return ConvEncoderParams(dw1, db1, dw2, db2)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +284,7 @@ def bilstm_forward_padded(x: np.ndarray, lengths: np.ndarray, params: BiLstmPara
 
 
 def bilstm_backward_padded(dout: np.ndarray, cache, params: BiLstmParams):
-    """Backward of bilstm_forward_padded. Returns (dx, grads dict)."""
+    """Backward of bilstm_forward_padded. Returns (dx, gradients as BiLstmParams)."""
     cache_f, cache_b, lengths = cache
     hdim = params.hidden
     dout_f = dout[:, :, :hdim]
@@ -345,12 +295,4 @@ def bilstm_backward_padded(dout: np.ndarray, cache, params: BiLstmParams):
         dout_b_rev, cache_b, params.w_b, params.u_b
     )
     dx = dx_f + _reverse_padded(dx_b_rev, lengths)
-    grads = {
-        "lstm_fw_w": dw_f,
-        "lstm_fw_u": du_f,
-        "lstm_fw_b": db_f,
-        "lstm_bw_w": dw_b,
-        "lstm_bw_u": du_b,
-        "lstm_bw_b": db_b,
-    }
-    return dx, grads
+    return dx, BiLstmParams(dw_f, du_f, db_f, dw_b, du_b, db_b)

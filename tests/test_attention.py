@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -17,19 +19,20 @@ from spiroflow.attention import (
     fusion_features,
     head_backward,
     head_forward,
-    init_head_params,
     overlay_svg,
     _polyline_points,
 )
 from spiroflow.curves import VolumeFlowCurve
+from spiroflow.detection import DetectionConfig, DetectionModel
 from spiroflow.errors import EmptySequence, InvalidParams
 from spiroflow.metrics import auroc
 from spiroflow.training import train_logistic
 
 
 def _params(rng, width=6, attn=3):
-    """init_attention_params' draws, but with any score width attn, so the
-    kernels are also checked where attn differs from width // 2."""
+    """Draws at the detector's initial scales (detection._parameter_layout),
+    but with any score width attn, so the kernels are also checked where
+    attn differs from width // 2."""
     return AttentionParams(
         w1=rng.normal(0.0, 1.0 / np.sqrt(width), size=(attn, width)),
         b1=np.zeros(attn),
@@ -127,9 +130,10 @@ class TestAttentionBackward:
         _, pooled, _, cache = attention_forward_padded(contexts, mask, params)
         dcontexts, grads = attention_backward_padded(proj, cache, params)
         eps = 3e-5
-        for name, arr in params.arrays().items():
-            flat = np.atleast_1d(arr.reshape(-1))
-            g = np.atleast_1d(np.asarray(grads[name]).reshape(-1))
+        for field in fields(params):
+            name = field.name
+            flat = np.atleast_1d(getattr(params, name).reshape(-1))
+            g = np.atleast_1d(getattr(grads, name).reshape(-1))
             for idx in range(flat.size):
                 keep = flat[idx]
                 flat[idx] = keep + eps
@@ -157,7 +161,7 @@ class TestAttentionBackward:
 class TestHead:
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(9)
-        params = init_head_params(rng, 6)
+        params = DetectionModel(DetectionConfig(hidden=3, seed=9)).head
         probs, _ = head_forward(rng.standard_normal((4, 6)), params)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
@@ -168,7 +172,7 @@ class TestHead:
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(10)
-        params = init_head_params(rng, 4)
+        params = DetectionModel(DetectionConfig(hidden=2, seed=10)).head
         pooled = rng.standard_normal((3, 4))
         labels = np.array([1, 0, 1])
 
@@ -182,9 +186,10 @@ class TestHead:
         dlogits /= 3
         _, grads = head_backward(dlogits, pooled, params)
         eps = 3e-5
-        for name, arr in params.arrays().items():
-            flat = arr.reshape(-1)
-            g = grads[name].reshape(-1)
+        for field in fields(params):
+            name = field.name
+            flat = getattr(params, name).reshape(-1)
+            g = getattr(grads, name).reshape(-1)
             for idx in range(flat.size):
                 keep = flat[idx]
                 flat[idx] = keep + eps

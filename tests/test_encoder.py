@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,12 +13,11 @@ from spiroflow import detection, encoder
 from spiroflow.detection import DetectionConfig, DetectionModel
 from spiroflow.encoder import (
     BiLstmParams,
+    ConvEncoderParams,
     bilstm_backward_padded,
     bilstm_forward_padded,
     conv_embed_backward,
     conv_embed_forward,
-    init_bilstm_params,
-    init_conv_params,
     pad_rows,
     _conv1d_same,
     _conv1d_same_backward,
@@ -103,14 +103,14 @@ class TestPatchify:
 class TestConvEmbed:
     def test_shapes(self):
         rng = np.random.default_rng(0)
-        params = init_conv_params(rng, channels=4, kernel=3)
+        params = DetectionModel(DetectionConfig(channels=4, conv_kernel=3, seed=0)).conv
         feats, _ = conv_embed_forward(rng.standard_normal((5, 1, 8)), params)
         assert feats.shape == (5, 4)
 
     def test_patch_independence(self):
         # embedding is per patch: reordering patches reorders rows
         rng = np.random.default_rng(1)
-        params = init_conv_params(rng, channels=3, kernel=3)
+        params = DetectionModel(DetectionConfig(channels=3, conv_kernel=3, seed=1)).conv
         patches = rng.standard_normal((4, 1, 6))
         feats, _ = conv_embed_forward(patches, params)
         perm = np.array([2, 0, 3, 1])
@@ -119,7 +119,7 @@ class TestConvEmbed:
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(7)
-        params = init_conv_params(rng, channels=2, kernel=3)
+        params = DetectionModel(DetectionConfig(channels=2, conv_kernel=3, seed=7)).conv
         patches = rng.standard_normal((3, 1, 5))
         proj = rng.standard_normal((3, 2))
 
@@ -130,9 +130,10 @@ class TestConvEmbed:
         feats, cache = conv_embed_forward(patches, params, keep_cache=True)
         grads = conv_embed_backward(proj, cache, params)
         eps = 3e-5
-        for name, arr in params.arrays().items():
-            flat = arr.reshape(-1)
-            g = grads[name].reshape(-1)
+        for field in fields(params):
+            name = field.name
+            flat = getattr(params, name).reshape(-1)
+            g = getattr(grads, name).reshape(-1)
             for idx in range(flat.size):
                 keep = flat[idx]
                 flat[idx] = keep + eps
@@ -297,7 +298,7 @@ class TestCacheFreeForward:
         # seven patches in blocks of two: three full blocks and a partial one
         monkeypatch.setattr(encoder, "CONV_BLOCK", 2)
         rng = np.random.default_rng(16)
-        params = init_conv_params(rng, channels=3, kernel=5)
+        params = DetectionModel(DetectionConfig(channels=3, conv_kernel=5, seed=16)).conv
         patches = rng.standard_normal((7, 1, 6))
         feats, none = conv_embed_forward(patches, params)
         feats_c, (x, z1, z2) = conv_embed_forward(patches, params, keep_cache=True)
@@ -315,7 +316,7 @@ class TestCacheFreeForward:
         # the tanh output when the second layer's weight gradient reads it
         monkeypatch.setattr(encoder, "CONV_BLOCK", 2)
         rng = np.random.default_rng(18)
-        params = init_conv_params(rng, channels=3, kernel=5)
+        params = DetectionModel(DetectionConfig(channels=3, conv_kernel=5, seed=18)).conv
         patches = rng.standard_normal((7, 1, 6))
         dfeats = rng.standard_normal((7, 3))
         _, cache = conv_embed_forward(patches, params, keep_cache=True)
@@ -324,14 +325,14 @@ class TestCacheFreeForward:
         dz1, dw2, db2 = _conv1d_same_backward(da2, z1, params.w2)
         _, dw1, db1 = _conv1d_same_backward(dz1 * (1.0 - z1 * z1), x, params.w1, input_grad=False)
         grads = conv_embed_backward(dfeats, cache, params)
-        ref = {"conv_w1": dw1, "conv_b1": db1, "conv_w2": dw2, "conv_b2": db2}
-        assert grads.keys() == ref.keys()
-        for name in ref:
-            assert np.array_equal(grads[name], ref[name]), name
+        ref = ConvEncoderParams(dw1, db1, dw2, db2)
+        assert isinstance(grads, ConvEncoderParams)
+        for field in fields(ref):
+            assert np.array_equal(getattr(grads, field.name), getattr(ref, field.name)), field.name
 
     def test_forward_only_conv_memory_is_bounded_by_the_block(self):
         # past two blocks, more patches add only their (P, C) output rows
-        params = init_conv_params(np.random.default_rng(17))
+        params = DetectionModel(DetectionConfig(seed=17)).conv
         peaks = {}
         for blocks in (2, 16):
             patches = np.random.default_rng(blocks).standard_normal((blocks * encoder.CONV_BLOCK, 1, 32))
@@ -351,7 +352,7 @@ class TestCacheFreeForward:
         # its dz1 -- and (P, C) rows; each im2col buffer stays one block in
         # size, where a whole-batch one for the second layer alone would add
         # five arrays
-        params = init_conv_params(np.random.default_rng(17))
+        params = DetectionModel(DetectionConfig(seed=17)).conv
         peaks = {}
         for blocks in (2, 16):
             rng = np.random.default_rng(blocks)
@@ -371,7 +372,7 @@ class TestCacheFreeForward:
 
     def test_lstm_keeps_no_per_step_caches_unless_asked(self):
         rng = np.random.default_rng(15)
-        params = init_bilstm_params(rng, channels=2, hidden=3)
+        params = DetectionModel(DetectionConfig(channels=2, hidden=3, seed=15)).lstm
         x = rng.standard_normal((2, 4, 2))
         lengths = np.array([4, 2])
         out, (cache_f, cache_b, _) = bilstm_forward_padded(x, lengths, params)
@@ -447,7 +448,7 @@ class TestMaskAndPack:
 class TestLstm:
     def test_zero_input_zero_bias_outputs_zero_cell_path(self):
         # all-zero input with zero biases keeps g = tanh(0) = 0, so c and h stay 0
-        params = init_bilstm_params(np.random.default_rng(0), channels=3, hidden=2)
+        params = DetectionModel(DetectionConfig(channels=3, hidden=2, seed=0)).lstm
         x = np.zeros((2, 4, 3))
         lengths = np.array([4, 2])
         out, _ = bilstm_forward_padded(x, lengths, params)
@@ -455,7 +456,7 @@ class TestLstm:
 
     def test_single_step_closed_form(self):
         rng = np.random.default_rng(8)
-        params = init_bilstm_params(rng, channels=3, hidden=2)
+        params = DetectionModel(DetectionConfig(channels=3, hidden=2, seed=8)).lstm
         x = rng.standard_normal((1, 1, 3))
         out, _ = bilstm_forward_padded(x, np.array([1]), params)
         # with h0 = c0 = 0: h = sigmoid(o_pre) * tanh(sigmoid(i_pre) * tanh(g_pre))
@@ -471,7 +472,7 @@ class TestLstm:
     def test_padding_does_not_leak_across_samples(self):
         # each sample's output is identical whether processed alone or batched
         rng = np.random.default_rng(9)
-        params = init_bilstm_params(rng, channels=2, hidden=3)
+        params = DetectionModel(DetectionConfig(channels=2, hidden=3, seed=9)).lstm
         lengths = np.array([5, 2, 3])
         x = rng.standard_normal((3, 5, 2))
         for i, s in enumerate(lengths):
@@ -485,7 +486,7 @@ class TestLstm:
     def test_forward_backward_direction_symmetry(self):
         # swapping direction weights and reversing the input reverses the output halves
         rng = np.random.default_rng(10)
-        p = init_bilstm_params(rng, channels=2, hidden=2)
+        p = DetectionModel(DetectionConfig(channels=2, hidden=2, seed=10)).lstm
         swapped = BiLstmParams(p.w_b, p.u_b, p.b_b, p.w_f, p.u_f, p.b_f)
         x = rng.standard_normal((1, 4, 2))
         out, _ = bilstm_forward_padded(x, np.array([4]), p)
@@ -496,7 +497,7 @@ class TestLstm:
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(11)
-        params = init_bilstm_params(rng, channels=2, hidden=2)
+        params = DetectionModel(DetectionConfig(channels=2, hidden=2, seed=11)).lstm
         x = rng.standard_normal((2, 3, 2))
         lengths = np.array([3, 2])
         x[1, 2:] = 0.0
@@ -510,9 +511,10 @@ class TestLstm:
         out, cache = bilstm_forward_padded(x, lengths, params, keep_cache=True)
         dx, grads = bilstm_backward_padded(proj, cache, params)
         eps = 3e-5
-        for name, arr in params.arrays().items():
-            flat = arr.reshape(-1)
-            g = grads[name].reshape(-1)
+        for field in fields(params):
+            name = field.name
+            flat = getattr(params, name).reshape(-1)
+            g = getattr(grads, name).reshape(-1)
             for idx in range(flat.size):
                 keep = flat[idx]
                 flat[idx] = keep + eps
@@ -541,7 +543,7 @@ class TestLstm:
         # rows padded by pad_rows, run as one batch and packed back through its
         # mask equal each sample's rows run alone
         rng = np.random.default_rng(12)
-        params = init_bilstm_params(rng, channels=3, hidden=2)
+        params = DetectionModel(DetectionConfig(channels=3, hidden=2, seed=12)).lstm
         lengths = np.array([4, 1, 3])
         rows = rng.standard_normal((8, 3))
         block, mask = pad_rows(rows, lengths)
@@ -559,14 +561,14 @@ class TestEncodePatches:
     # one sequence's patch features: a batch of one through the conv kernel
     def test_full_path_shape(self):
         rng = np.random.default_rng(13)
-        conv = init_conv_params(rng, channels=4, kernel=3)
+        conv = DetectionModel(DetectionConfig(channels=4, conv_kernel=3, seed=13)).conv
         patches, lengths = _model(8)._prepare([rng.standard_normal(37)])
         feats, _ = conv_embed_forward(patches, conv)
         assert feats.shape == (lengths[0], 4) == (5, 4)
 
     def test_deterministic(self):
         rng = np.random.default_rng(14)
-        conv = init_conv_params(rng, channels=4, kernel=5)
+        conv = DetectionModel(DetectionConfig(channels=4, conv_kernel=5, seed=14)).conv
         patches, _ = _model(16)._prepare([rng.standard_normal(50)])
         first, _ = conv_embed_forward(patches, conv)
         second, _ = conv_embed_forward(patches, conv)
