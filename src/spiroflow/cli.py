@@ -58,11 +58,11 @@ except ImportError:
 FORMAT_VERSION = 1
 
 
-def _write_json(path: Path, payload: dict) -> str:
-    """payload as one line of sorted-key JSON; returns the SHA-256 of the bytes written."""
+def _write_json(path: Path, payload: dict) -> bytes:
+    """payload as one line of sorted-key JSON; returns the bytes written."""
     data = (json.dumps(payload, sort_keys=True) + "\n").encode()
     path.write_bytes(data)
-    return sha256(data).hexdigest()
+    return data
 
 
 # parsed values that name the stage's inputs and outputs, not its configuration
@@ -531,7 +531,7 @@ def cmd_train_detect(args):
         }
     )
     out_dir = _out_dir(args)
-    detect_sha256 = _write_json(out_dir / "detect_model.json", checkpoint)
+    detect_sha256 = sha256(_write_json(out_dir / "detect_model.json", checkpoint)).hexdigest()
     _write_logistic(out_dir, "fusion", fusion)
     rows = [
         {"epoch": epoch, "loss": loss, "pass": "batches", "seed": args.seed}
