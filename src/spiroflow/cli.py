@@ -233,6 +233,7 @@ class _Run:
     horizons: list
     models: tuple | None  # (detector, fusion model, detector test_ids)
     inputs: dict
+    scores: np.ndarray | None  # the cached detector pass over the whole cohort, memory-mapped
 
 
 def _start(args, models: bool = False, record_ids=None, test_split: bool = False) -> _Run:
@@ -244,28 +245,28 @@ def _start(args, models: bool = False, record_ids=None, test_split: bool = False
     fails preprocessing is named by its id; the FEV1/FVC ratios are read
     from the accepted curves, whose largest volumes are positive.
 
-    A model stage whose --models holds train-detect's preprocessed cohort
-    for these curves.csv bytes and the checkpoint's smoother takes the
-    curves and ratios of its records from there, and parses only
-    demographics.csv and labels.csv.  It reads curves.csv only to hash it;
-    a stage that misses the cache then parses it as one without models
-    does, and keeps that one digest."""
+    A model stage whose --models holds train-detect's cohort cache for
+    these curves.csv and detect_model.json bytes takes the curves and
+    ratios of its records from there, and parses only demographics.csv and
+    labels.csv; over the whole cohort it also takes the detector pass's
+    scores.  It reads curves.csv only to hash it; a stage that misses the
+    cache then parses it as one without models does, and keeps that one
+    digest."""
     cohort_dir = Path(args.cohort)
     inputs = {}
-    cached = None
+    cached = scores = None
     if models:
         model_dir = Path(args.models)
         loaded, smoother = _load_models(model_dir, inputs)
         inputs["curves.csv"] = _sha256(cohort_dir / "curves.csv")
-        key = {"curves_sha256": inputs["curves.csv"], "smoother": _smoother_record(smoother)}
-        cached = _read_cache(model_dir, "cohort_curves", key, lambda r: (2, sum(r["lengths"])), _check_cohort_record)
+        cached = _read_cache(model_dir, {name: inputs[name] for name in ("curves.csv", "detect_model.json")})
     else:
         loaded, smoother = None, _smoother(vars(args))
     if cached is None:
         cohort = _load_cohort(cohort_dir, inputs)
     else:
         # the curves column holds each record's row in the cached cohort
-        record, payload = cached
+        record, cached_curves, cached_scores = cached
         cohort = (record["ids"], range(len(record["ids"])), *_join(cohort_dir, record["ids"], inputs))
     if test_split:
         record_ids = loaded[2]
@@ -281,18 +282,18 @@ def _start(args, models: bool = False, record_ids=None, test_split: bool = False
             raise _naming(exc, ids[exc.row]) from None
         ratios = fev1_fvc_ratio(curves)
     else:
-        vf_curves = _cached_curves(record, payload, curves)
+        vf_curves = _cached_curves(record, cached_curves, curves)
         series = [vf.flows for vf in vf_curves]
         ratios = np.array(record["fev1_fvc_ratios"])[list(curves)]
+        scores = cached_scores if record_ids is None else None
     struct = demographic_block(demos, ratios)
-    return _Run(smoother, ids, vf_curves, series, demos, struct, copd, horizons, loaded, inputs)
+    return _Run(smoother, ids, vf_curves, series, demos, struct, copd, horizons, loaded, inputs, scores)
 
 
 # ---------------------------------------------------------------------------
-# caches in the models directory: a JSON record whose sha256 binds it to a
-# .npy payload.  train-detect writes its preprocessed cohort (cohort_curves),
-# which the model stages reuse, and its trained detector's pass over the
-# whole cohort (cohort_scores), which train-horizon, predict and explain reuse.
+# the models directory's cache: train-detect's preprocessed cohort and its
+# trained detector's pass over it, which the model stages reuse, as a JSON
+# record (cohort.json) whose sha256 binds it to a .npy payload (cohort.npy)
 
 
 def _record_bytes(record: dict) -> bytes:
@@ -301,96 +302,93 @@ def _record_bytes(record: dict) -> bytes:
     return json.dumps({key: value for key, value in record.items() if key != "sha256"}, sort_keys=True).encode()
 
 
-def _write_cache(out_dir: Path, kind: str, fields: dict, shape: tuple, pieces):
-    """<kind>.npy, a float64 array of this shape written from pieces, one
-    after another in C order, and then <kind>.json: format_version, kind,
-    fields and sha256, the SHA-256 of the other fields followed by the
-    payload's bytes, so that no value of either file can change unseen."""
-    record = {"format_version": FORMAT_VERSION, "kind": kind, **fields}
-    path = out_dir / f"{kind}.npy"
-    header = {"descr": np.lib.format.dtype_to_descr(np.dtype(float)), "fortran_order": False, "shape": shape}
+def _write_cache(out_dir: Path, run: _Run, detect_sha256: str, scores: np.ndarray):
+    """cohort.npy, one flat float64 array: every record's Volume-Flow
+    volumes in id order, then their flows, then the detector pass's
+    (N, 1 + S) rows of p_hat and attention weights; then cohort.json, whose
+    sha256 covers its other fields (input_sha256, ids, lengths, FEV1/FVC
+    ratios, score width) followed by the payload's bytes, so that no value
+    of either file can change unseen."""
+    lengths = [len(vf) for vf in run.vf_curves]
+    record = {
+        "format_version": FORMAT_VERSION,
+        "kind": "cohort",
+        "input_sha256": {"curves.csv": run.inputs["curves.csv"], "detect_model.json": detect_sha256},
+        "ids": run.ids,
+        "lengths": lengths,
+        "fev1_fvc_ratios": run.struct[:, -1].tolist(),
+        "score_width": scores.shape[1],
+    }
+    path = out_dir / "cohort.npy"
+    size = 2 * sum(lengths) + scores.size
+    header = {"descr": np.lib.format.dtype_to_descr(np.dtype(float)), "fortran_order": False, "shape": (size,)}
     with open(path, "wb") as fh:
         np.lib.format.write_array_header_1_0(fh, header)
-        for piece in pieces:
+        for piece in [*(vf.volumes for vf in run.vf_curves), *(vf.flows for vf in run.vf_curves), scores]:
             fh.write(memoryview(np.ascontiguousarray(piece)))
     record["sha256"] = _sha256(path, _record_bytes(record))
-    _write_json(out_dir / f"{kind}.json", record)
+    _write_json(out_dir / "cohort.json", record)
 
 
-def _read_cache(model_dir: Path, kind: str, key: dict, shape, check=None):
-    """(record, payload) of model_dir's <kind>.json and <kind>.npy if the
-    record's key fields equal key, else None (also when there is no
-    record); the payload is memory-mapped.
+def _read_cache(model_dir: Path, key: dict):
+    """(record, curves (2, total length), scores (N, score width)), both
+    memory-mapped, of model_dir's cohort.json and cohort.npy if the
+    record's input_sha256 equals key, else None (also without a record).
 
     A record that does not match is not checked further.  One that matches
-    must pass check(record) and hold a hex SHA-256 digest; the SHA-256 of
-    its fields followed by the payload's bytes must be that digest, and the
-    payload must be a float64 array of shape(record).  Any fault raises
-    naming the file, as _read_model does."""
-    path = model_dir / f"{kind}.json"
+    must hold a hex SHA-256 digest, ascending ids without repeats, one
+    length of at least 2 and one finite FEV1/FVC ratio per id, and a score
+    width of at least 2; its digest must be that of its fields followed by
+    the payload's bytes, and the payload a flat float64 array of the size
+    the fields give.  Any fault raises naming the file, as _read_model does."""
+    path = model_dir / "cohort.json"
     if not path.exists():
         return None
 
     def build(blob):
-        if any(blob[name] != value for name, value in key.items()):
+        if blob["input_sha256"] != key:
             return None
-        digest = blob["sha256"]
+        digest, ids, lengths = blob["sha256"], blob["ids"], blob["lengths"]
+        ratios, width = blob["fev1_fvc_ratios"], blob["score_width"]
         if not (isinstance(digest, str) and len(digest) == 64 and set(digest) <= set("0123456789abcdef")):
             raise ParseError("'sha256' is not a hex SHA-256 digest")
-        if check is not None:
-            check(blob)
+        if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
+            raise ParseError("'ids' is not a list of record ids")
+        if any(a >= b for a, b in zip(ids, ids[1:])):
+            raise ParseError("'ids' are not in ascending order without repeats")
+        if not (isinstance(lengths, list) and all(type(n) is int and n >= 2 for n in lengths) and len(lengths) == len(ids)):
+            raise ParseError("'lengths' is not one integer of at least 2 per id")
+        if not (isinstance(ratios, list) and all(type(r) is float and math.isfinite(r) for r in ratios) and len(ratios) == len(ids)):
+            raise ParseError("'fev1_fvc_ratios' is not one finite number per id")
+        if not (type(width) is int and width >= 2):
+            raise ParseError("'score_width' is not an integer of at least 2")
         return blob
 
-    record = _read_model(path, kind, build)
+    record = _read_model(path, "cohort", build)
     if record is None:
         return None
-    payload_path = model_dir / f"{kind}.npy"
+    payload_path = model_dir / "cohort.npy"
     if _sha256(payload_path, _record_bytes(record)) != record["sha256"]:
         raise ParseError(f"{payload_path.name}: SHA-256 of {path.name}'s fields and these bytes differs from its sha256")
     try:
         payload = np.load(payload_path, mmap_mode="r")
     except (ValueError, EOFError) as exc:
         raise ParseError(f"{payload_path.name}: not a .npy array: {exc}") from None
-    if payload.dtype != np.float64 or payload.shape != shape(record):
-        raise ParseError(f"{payload_path.name}: {payload.dtype} {payload.shape}, not the {shape(record)} float64 {path.name} gives")
-    return record, payload
-
-
-def _check_cohort_record(blob):
-    """A cohort_curves record checks out: ids strictly ascending, and one
-    length of at least 2 and one finite FEV1/FVC ratio per id."""
-    ids, lengths, ratios = blob["ids"], blob["lengths"], blob["fev1_fvc_ratios"]
-    if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
-        raise ParseError("'ids' is not a list of record ids")
-    if any(a >= b for a, b in zip(ids, ids[1:])):
-        raise ParseError("'ids' are not in ascending order without repeats")
-    if not (isinstance(lengths, list) and all(type(n) is int and n >= 2 for n in lengths) and len(lengths) == len(ids)):
-        raise ParseError("'lengths' is not one integer of at least 2 per id")
-    if not (isinstance(ratios, list) and all(type(r) is float and math.isfinite(r) for r in ratios) and len(ratios) == len(ids)):
-        raise ParseError("'fev1_fvc_ratios' is not one finite number per id")
-
-
-def _write_cached_cohort(out_dir: Path, run: _Run):
-    """cohort_curves: every record's Volume-Flow volumes (payload row 0) and
-    flows (row 1) in id order, written curve by curve, keyed by the
-    curves.csv digest and the smoother they were preprocessed with; the
-    record also holds the ids, lengths and FEV1/FVC ratios."""
-    lengths = [len(vf) for vf in run.vf_curves]
-    fields = {
-        "curves_sha256": run.inputs["curves.csv"],
-        "smoother": _smoother_record(run.smoother),
-        "ids": run.ids,
-        "lengths": lengths,
-        "fev1_fvc_ratios": run.struct[:, -1].tolist(),
-    }
-    pieces = (getattr(vf, row) for row in ("volumes", "flows") for vf in run.vf_curves)
-    _write_cache(out_dir, "cohort_curves", fields, (2, sum(lengths)), pieces)
+    total, n, width = sum(record["lengths"]), len(record["ids"]), record["score_width"]
+    shape = (2 * total + n * width,)
+    if payload.dtype != np.float64 or payload.shape != shape:
+        raise ParseError(f"{payload_path.name}: {payload.dtype} {payload.shape}, not the {shape} float64 {path.name} gives")
+    # the scores get a mapping of their own, which nothing reads until the
+    # curves' mapping is gone, so that they add nothing to the stage's peak
+    scores = np.memmap(payload_path, np.float64, "r", payload.offset + 16 * total, (n, width))
+    return record, payload[: 2 * total].reshape(2, total), scores
 
 
 def _cached_curves(record: dict, payload, rows) -> list[VolumeFlowCurve]:
     """The Volume-Flow curves of the cached cohort's rows, only their
-    values copied out of the payload; a curve that is not a valid
-    VolumeFlowCurve raises ParseError naming the file."""
+    values copied out of the payload's volumes (row 0) and flows (row 1); a
+    curve that is not a valid VolumeFlowCurve raises ParseError naming the
+    file."""
     starts = np.cumsum([0] + record["lengths"]).tolist()
     curves = []
     for r in rows:
@@ -398,30 +396,22 @@ def _cached_curves(record: dict, payload, rows) -> list[VolumeFlowCurve]:
         try:
             curves.append(VolumeFlowCurve(volumes, flows))
         except SpiroError as exc:
-            raise ParseError(f"cohort_curves.npy: id {record['ids'][r]!r}: {exc}") from None
+            raise ParseError(f"cohort.npy: id {record['ids'][r]!r}: {exc}") from None
     return curves
 
 
-def _scores_key(run: _Run, detect_sha256: str) -> dict:
-    """What a cohort_scores memo holds the detector pass of: these
-    curves.csv bytes, the detector checkpoint of this digest and these ids,
-    in order."""
-    return {"curves_sha256": run.inputs["curves.csv"], "detect_sha256": detect_sha256, "ids": run.ids}
-
-
-def _detector_pass(args, run: _Run):
-    """(p_hat (N,), attention weights (N, S)) of the run's records: from
-    --models' cohort_scores when train-detect wrote it for exactly these
-    records, else from the detector's one forward-only pass.  The ids in
-    the key make a subset miss, since its batch may round differently."""
+def _detector_pass(run: _Run):
+    """(p_hat (N,), attention weights (N, S)) of the run's records: the
+    cached pass that _start took for the whole cohort, which must be as
+    wide as the detector's pass over it, else that one forward-only pass."""
     model = run.models[0]
+    if run.scores is None:
+        return model.explain(run.series)
     shape = (len(run.ids), 1 + model.patch_width(run.series))
-    key = _scores_key(run, run.inputs["detect_model.json"])
-    cached = _read_cache(Path(args.models), "cohort_scores", key, lambda r: shape)
-    if cached is not None:
-        scores = np.array(cached[1])
-        return scores[:, 0], scores[:, 1:]
-    return model.explain(run.series)
+    if run.scores.shape != shape:
+        raise ParseError(f"cohort.npy: scores of shape {run.scores.shape}, not the {shape} the detector gives")
+    scores = np.array(run.scores)
+    return scores[:, 0], scores[:, 1:]
 
 
 def _naming(exc: SpiroError, blow_id: str) -> SpiroError:
@@ -539,9 +529,7 @@ def cmd_train_detect(args):
     ]
     rows.append({"epoch": args.epochs, "loss": trace[-1], "pass": "full", "seed": args.seed})
     write_training_log(out_dir / "train_detect_log.jsonl", rows)
-    _write_cached_cohort(out_dir, run)
-    scores = np.column_stack([p_hats, weights])
-    _write_cache(out_dir, "cohort_scores", _scores_key(run, detect_sha256), scores.shape, [scores])
+    _write_cache(out_dir, run, detect_sha256, np.column_stack([p_hats, weights]))
     counts = {"train": len(train_idx), "test": len(test_idx)}
     return _finish(args, counts, run.inputs, run.smoother, final_loss=trace[-1])
 
@@ -627,7 +615,7 @@ def _load_models(model_dir: Path, inputs: dict | None = None):
 def cmd_train_horizon(args):
     run = _start(args, models=True)
     _, fusion, _ = run.models
-    p_hats, _ = _detector_pass(args, run)
+    p_hats, _ = _detector_pass(run)
     risks, _ = fuse_and_score(p_hats, run.struct, fusion)
     profiles = _profiles(run.ids, run.vf_curves)
     features = future_feature_vector(risks, profiles, run.struct)
@@ -658,7 +646,7 @@ def cmd_evaluate(args):
 def cmd_explain(args):
     run = _start(args, models=True, record_ids=None if args.id is None else [args.id])
     model, fusion, _ = run.models
-    p_hats, weights = _detector_pass(args, run)
+    p_hats, weights = _detector_pass(run)
     risks, contributions = fuse_and_score(p_hats, run.struct, fusion)
     out_dir = _out_dir(args)
     for row, (blow_id, vf) in enumerate(zip(run.ids, run.vf_curves)):
@@ -677,7 +665,7 @@ def cmd_predict(args):
     _, fusion, _ = run.models
     labels = tuple(h.value for h in HORIZON_ORDER)
     horizon_model = _read_logistic(Path(args.models), "horizon", run.inputs)
-    p_hats, _ = _detector_pass(args, run)
+    p_hats, _ = _detector_pass(run)
     risks, _ = fuse_and_score(p_hats, run.struct, fusion)
     negative = [i for i, p_hat in enumerate(p_hats) if p_hat <= args.threshold]
     profiles = _profiles([ids[i] for i in negative], [vf_curves[i] for i in negative])
@@ -714,6 +702,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type of --seed: numpy's generators take no negative seed."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="spiroflow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -723,7 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, cohort=True, models=False, seed=False, smoother=False):
         p.add_argument("--out-dir", required=True)
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_non_negative_int, default=0)
         if smoother:
             p.add_argument("--sigma", type=_finite_float, default=SmootherConfig.sigma)
             p.add_argument("--window", type=int, default=SmootherConfig.k)

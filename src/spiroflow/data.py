@@ -1,4 +1,4 @@
-"""Synthetic cohort generation, CSV ingestion and QC trimming.
+"""Synthetic cohort generation and CSV ingestion.
 
 Synthetic maneuvers integrate a class-template flow profile: flow ramps to
 a peak, then follows per-phase chords with sinusoidal concavity bumps whose
@@ -263,33 +263,3 @@ def write_time_volume_csv(path, records: list[tuple[str, TimeVolumeCurve]]):
         for blow_id, curve in records:
             samples = repr((curve.samples * 1000.0).tolist())[1:-1].replace(", ", ",")
             fh.write(f"{_csv_cell(blow_id)},{samples}\r\n")
-
-
-# ---------------------------------------------------------------------------
-# QC trimming
-
-
-def _nearest_rank(sorted_values: np.ndarray, pct: float) -> float:
-    n = sorted_values.size
-    rank = max(1, int(np.ceil(pct / 100.0 * n)))
-    return float(sorted_values[rank - 1])
-
-
-def qc_filter(summaries: list[dict], lower_pct: float = 0.5, upper_pct: float = 99.5):
-    """Drop records whose FVC, FEV1 or PEF falls in either 0.5% tail.
-
-    summaries: dicts with keys 'fvc', 'fev1', 'pef' (plus anything else,
-    preserved).  Nearest-rank percentile boundaries are inclusive, so
-    all-identical values are all retained.  Returns (retained, discarded).
-    """
-    if not summaries:
-        return [], []
-    cuts = {}
-    for key in ("fvc", "fev1", "pef"):
-        values = np.sort(np.array([s[key] for s in summaries], dtype=float))
-        cuts[key] = (_nearest_rank(values, lower_pct), _nearest_rank(values, upper_pct))
-    retained, discarded = [], []
-    for s in summaries:
-        ok = all(cuts[k][0] <= s[k] <= cuts[k][1] for k in ("fvc", "fev1", "pef"))
-        (retained if ok else discarded).append(s)
-    return retained, discarded

@@ -52,8 +52,10 @@ def _measure(root: Path) -> dict:
         assert cli_main(stage) == 0, stage[0]
     metrics = json.loads((root / "evaluate" / "metrics.json").read_text())
     p_hat = np.array([r["p_hat"] for r in _predictions(root / "predict")])
-    # the memo holds train-detect's pass over the cohort: p_hat, then the weights
-    weights = np.load(models / "cohort_scores.npy")[:, 1:]
+    # the cache's payload ends in train-detect's pass over the cohort, one
+    # row per record: p_hat, then the attention weights
+    record = json.loads((models / "cohort.json").read_text())
+    weights = np.load(models / "cohort.npy")[2 * sum(record["lengths"]) :].reshape(-1, record["score_width"])[:, 1:]
     answers = {
         "values": {
             "detect_final_loss": _last_loss(models / "train_detect_log.jsonl"),

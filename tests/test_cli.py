@@ -32,18 +32,28 @@ def _tree_digest(directory: Path) -> dict:
     }
 
 
-CACHE_FILES = ("cohort_curves.json", "cohort_curves.npy")
-SCORE_FILES = ("cohort_scores.json", "cohort_scores.npy")
+CACHE_FILES = ("cohort.json", "cohort.npy")
 
 
-def _without_cache(models: Path, dest: Path, files=CACHE_FILES) -> Path:
-    """A copy of a models directory without files: by default train-detect's
-    preprocessed cohort, as train-detect wrote it before it wrote one."""
+def _without_cache(models: Path, dest: Path) -> Path:
+    """A copy of a models directory without train-detect's cache of the
+    preprocessed cohort and its detector pass, as train-detect wrote it
+    before it wrote one."""
     dest.mkdir()
     for p in models.iterdir():
-        if p.name not in files:
+        if p.name not in CACHE_FILES:
             (dest / p.name).write_bytes(p.read_bytes())
     return dest
+
+
+def _cached_parts(models: Path):
+    """cohort.json's record and cohort.npy's payload cut into the records'
+    volumes, their flows and the (N, score_width) detector-pass scores."""
+    record = json.loads((models / "cohort.json").read_text())
+    payload = np.load(models / "cohort.npy")
+    total = sum(record["lengths"])
+    scores = payload[2 * total :].reshape(len(record["ids"]), record["score_width"])
+    return record, payload[:total], payload[total : 2 * total], scores
 
 
 def _edited_cohort(cohort: Path, dest: Path) -> Path:
@@ -74,15 +84,15 @@ def _counting_passes(monkeypatch) -> list:
     return passes
 
 
-def _rewrite_with_digest(models: Path, broken: Path, kind: str, edit):
-    """broken's <kind>.npy replaced by edit(record, payload), which may also
+def _rewrite_with_digest(models: Path, broken: Path, edit):
+    """broken's cohort.npy replaced by edit(record, payload), which may also
     change the record, and the record's sha256 recomputed, so that the
     digest check passes and only the payload's checks remain."""
-    record = json.loads((models / f"{kind}.json").read_text())
-    np.save(broken / f"{kind}.npy", edit(record, np.load(models / f"{kind}.npy")))
+    record = json.loads((models / "cohort.json").read_text())
+    np.save(broken / "cohort.npy", edit(record, np.load(models / "cohort.npy")))
     fields = json.dumps({k: v for k, v in record.items() if k != "sha256"}, sort_keys=True).encode()
-    record["sha256"] = hashlib.sha256(fields + (broken / f"{kind}.npy").read_bytes()).hexdigest()
-    (broken / f"{kind}.json").write_text(json.dumps(record))
+    record["sha256"] = hashlib.sha256(fields + (broken / "cohort.npy").read_bytes()).hexdigest()
+    (broken / "cohort.json").write_text(json.dumps(record))
 
 
 def _clean_failure(capsys, code: int, out: Path) -> dict:
@@ -124,6 +134,15 @@ def _shift_a_sample(record):
 def _longer_first_length(record, payload):
     record["lengths"][0] += 1
     return payload
+
+
+def _one_more_weight_column(record, payload):
+    # the record's score width grows with the payload, so only the width
+    # the detector gives the cohort tells them apart
+    curves = 2 * sum(record["lengths"])
+    scores = payload[curves:].reshape(len(record["ids"]), record["score_width"])
+    record["score_width"] += 1
+    return np.concatenate([payload[:curves], np.column_stack([scores, np.zeros(len(scores))]).ravel()])
 
 
 def _json_edit(change):
@@ -391,11 +410,11 @@ class TestExplain:
 
     def test_overlays_equal_predictions_bit_for_bit(self, pipeline, tmp_path, monkeypatch):
         # explain and predict score the whole cohort in the same batch, or
-        # both take train-horizon's pass over it from cohort_scores
+        # both take train-detect's pass over it from its cache
         _, cohort, models = pipeline
         passes = _counting_passes(monkeypatch)
-        without_memo = _without_cache(models, tmp_path / "without_memo", SCORE_FILES)
-        for model_dir, computed in ((models, []), (without_memo, [36, 36])):
+        uncached = _without_cache(models, tmp_path / "uncached")
+        for model_dir, computed in ((models, []), (uncached, [36, 36])):
             passes.clear()
             args = ("--cohort", str(cohort), "--models", str(model_dir))
             explained, predicted = tmp_path / model_dir.name / "explain", tmp_path / model_dir.name / "pred"
@@ -636,16 +655,18 @@ class TestCheckpointSmoother:
             return smooth(curves, cfg)
 
         monkeypatch.setattr(spiroflow.cli, "gaussian_smooth", recording_smooth)
-        # train-detect's preprocessed cohort was smoothed with the same smoother
-        record = json.loads((models / "cohort_curves.json").read_text())
-        assert record["smoother"] == {"window": 3, "sigma": 1.5}
+        # train-detect's cache is keyed by the digest of the checkpoint,
+        # which holds the smoother the cached cohort was preprocessed with
+        record = json.loads((models / "cohort.json").read_text())
+        detect_sha256 = hashlib.sha256((models / "detect_model.json").read_bytes()).hexdigest()
+        assert record["input_sha256"]["detect_model.json"] == detect_sha256
         # a models directory without it, and one whose record names another
-        # smoother than the checkpoint's, preprocess curves.csv again
+        # checkpoint digest, preprocess curves.csv again
         uncached = _without_cache(models, tmp_path / "uncached")
-        other = tmp_path / "other_smoother"
+        other = tmp_path / "other_checkpoint"
         shutil.copytree(models, other)
-        record["smoother"] = {"window": 5, "sigma": 2.0}
-        (other / "cohort_curves.json").write_text(json.dumps(record))
+        record["input_sha256"]["detect_model.json"] = "0" * 64
+        (other / "cohort.json").write_text(json.dumps(record))
         checkpoint_smoother = [SmootherConfig(k=3, sigma=1.5)]
         for command in self.MODEL_STAGES:
             outputs = []
@@ -672,33 +693,72 @@ class TestCheckpointSmoother:
             assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err, (command, flag)
 
 
-class TestCohortCache:
-    # train-detect writes the cohort it preprocessed next to its checkpoint
-    # (cohort_curves.json and cohort_curves.npy); a model stage on the same
-    # curves.csv bytes and smoother reads its curves and ratios from there
-    STAGES = (
-        ("train-horizon", ()),
-        ("evaluate", ()),
-        ("explain", ("--id", "NON_COPD_0000", "--svg")),
-        ("predict", ("--threshold", "1.0")),
-    )
+# every stage that loads --models: over the whole cohort, which takes
+# train-detect's detector pass from its cache, and over subsets, which only
+# take their curves from there
+CACHE_STAGES = (
+    ("train-horizon", ()),
+    ("evaluate", ()),
+    ("explain", ("--svg",)),
+    ("explain", ("--id", "NON_COPD_0000", "--svg")),
+    ("predict", ("--threshold", "1.0")),
+)
 
-    def _outputs(self, cohort, models, root) -> dict:
-        outputs = {}
-        for command, extra in self.STAGES:
-            out = root / command
-            assert _run(command, "--out-dir", str(out), "--cohort", str(cohort), "--models", str(models), *extra) == 0
-            outputs[command] = _tree_digest(out)
-        return outputs
+
+def _stage_outputs(cohort: Path, models: Path, root: Path) -> dict:
+    outputs = {}
+    for command, extra in CACHE_STAGES:
+        out = root / f"{command}{len(extra)}"
+        assert _run(command, "--out-dir", str(out), "--cohort", str(cohort), "--models", str(models), *extra) == 0
+        outputs[out.name] = _tree_digest(out)
+    return outputs
+
+
+def _earlier_caches(models: Path, dest: Path) -> Path:
+    """A copy of a models directory whose cache is in the two record/payload
+    pairs that earlier versions wrote: cohort_curves (volumes and flows,
+    keyed by the curves.csv digest and the smoother) and cohort_scores (the
+    detector pass, keyed by the curves.csv and checkpoint digests and the
+    ids), each record's sha256 taken over its fields and payload."""
+    _without_cache(models, dest)
+    record, volumes, flows, scores = _cached_parts(models)
+    curves_sha256 = record["input_sha256"]["curves.csv"]
+    smoother = json.loads((models / "detect_model.json").read_text())["smoother"]
+    caches = {
+        "cohort_curves": (
+            {"curves_sha256": curves_sha256, "smoother": smoother, "ids": record["ids"],
+             "lengths": record["lengths"], "fev1_fvc_ratios": record["fev1_fvc_ratios"]},
+            np.stack([volumes, flows]),
+        ),
+        "cohort_scores": (
+            {"curves_sha256": curves_sha256, "detect_sha256": record["input_sha256"]["detect_model.json"],
+             "ids": record["ids"]},
+            scores,
+        ),
+    }
+    for kind, (fields, payload) in caches.items():
+        np.save(dest / f"{kind}.npy", payload)
+        fields = {"format_version": 1, "kind": kind, **fields}
+        fields_bytes = json.dumps(fields, sort_keys=True).encode()
+        fields["sha256"] = hashlib.sha256(fields_bytes + (dest / f"{kind}.npy").read_bytes()).hexdigest()
+        (dest / f"{kind}.json").write_text(json.dumps(fields, sort_keys=True) + "\n")
+    return dest
+
+
+class TestCohortCache:
+    # train-detect writes the cohort it preprocessed and its trained
+    # detector's pass over it next to its checkpoint (cohort.json and
+    # cohort.npy); a model stage on the same curves.csv and detect_model.json
+    # bytes reads its curves and ratios from there
 
     def test_hit_reads_no_curves_csv_and_equals_a_models_dir_without_the_cache(self, pipeline, tmp_path, monkeypatch):
         # the copy without the two files is what train-detect wrote before it wrote them
         _, cohort, models = pipeline
         loads = _counting(monkeypatch, "load_time_volume_csv")
-        hit = self._outputs(cohort, models, tmp_path / "hit")
+        hit = _stage_outputs(cohort, models, tmp_path / "hit")
         assert loads == []
-        miss = self._outputs(cohort, _without_cache(models, tmp_path / "uncached"), tmp_path / "miss")
-        assert len(loads) == len(self.STAGES)
+        miss = _stage_outputs(cohort, _without_cache(models, tmp_path / "uncached"), tmp_path / "miss")
+        assert len(loads) == len(CACHE_STAGES)
         assert hit == miss
 
     def test_payload_is_the_preprocessed_cohort(self, pipeline):
@@ -709,16 +769,17 @@ class TestCohortCache:
         ids, curves, _, _, _ = _load_cohort(cohort, {})
         _, smoother = _load_models(models)
         vf_curves, _ = _preprocess(curves, smoother)
-        record = json.loads((models / "cohort_curves.json").read_text())
-        payload = np.load(models / "cohort_curves.npy")
-        assert record["curves_sha256"] == hashlib.sha256((cohort / "curves.csv").read_bytes()).hexdigest()
+        record, volumes, flows, _ = _cached_parts(models)
+        digest = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+                  for name, path in (("curves.csv", cohort / "curves.csv"), ("detect_model.json", models / "detect_model.json"))}
+        assert record["input_sha256"] == digest
         fields = json.dumps({k: v for k, v in record.items() if k != "sha256"}, sort_keys=True).encode()
-        assert record["sha256"] == hashlib.sha256(fields + (models / "cohort_curves.npy").read_bytes()).hexdigest()
+        assert record["sha256"] == hashlib.sha256(fields + (models / "cohort.npy").read_bytes()).hexdigest()
         assert record["ids"] == ids
         assert record["lengths"] == [len(vf) for vf in vf_curves]
         assert record["fev1_fvc_ratios"] == fev1_fvc_ratio(curves).tolist()
-        assert np.array_equal(payload[0], np.concatenate([vf.volumes for vf in vf_curves]))
-        assert np.array_equal(payload[1], np.concatenate([vf.flows for vf in vf_curves]))
+        assert np.array_equal(volumes, np.concatenate([vf.volumes for vf in vf_curves]))
+        assert np.array_equal(flows, np.concatenate([vf.flows for vf in vf_curves]))
 
     def test_changed_sample_is_read_again(self, pipeline, tmp_path, monkeypatch):
         # one blow's last sample, its FVC, grows by 5 ml: the stages read the
@@ -726,35 +787,51 @@ class TestCohortCache:
         _, cohort, models = pipeline
         edited = _edited_cohort(cohort, tmp_path / "edited")
         loads = _counting(monkeypatch, "load_time_volume_csv")
-        changed = self._outputs(edited, models, tmp_path / "changed")
-        assert len(loads) == len(self.STAGES)
-        assert changed == self._outputs(edited, _without_cache(models, tmp_path / "uncached"), tmp_path / "expected")
-        original = self._outputs(cohort, models, tmp_path / "original")
-        assert changed["predict"]["predictions.jsonl"] != original["predict"]["predictions.jsonl"]
+        changed = _stage_outputs(edited, models, tmp_path / "changed")
+        assert len(loads) == len(CACHE_STAGES)
+        assert changed == _stage_outputs(edited, _without_cache(models, tmp_path / "uncached"), tmp_path / "expected")
+        original = _stage_outputs(cohort, models, tmp_path / "original")
+        assert changed["predict2"]["predictions.jsonl"] != original["predict2"]["predictions.jsonl"]
+
+    def test_caches_of_earlier_versions_are_never_read(self, pipeline, tmp_path, monkeypatch):
+        # a models directory that holds only cohort_curves.* and
+        # cohort_scores.*, as earlier versions wrote them for these very
+        # curves.csv and detect_model.json bytes, is one without a cache
+        _, cohort, models = pipeline
+        n_test = len(json.loads((models / "detect_model.json").read_text())["test_ids"])
+        earlier = _earlier_caches(models, tmp_path / "earlier")
+        loads = _counting(monkeypatch, "load_time_volume_csv")
+        passes = _counting_passes(monkeypatch)
+        outputs = _stage_outputs(cohort, earlier, tmp_path / "earlier_out")
+        assert len(loads) == len(CACHE_STAGES)
+        assert passes == [36, n_test, 36, 1, 36]
+        assert outputs == _stage_outputs(cohort, _without_cache(models, tmp_path / "uncached"), tmp_path / "uncached_out")
 
     @pytest.mark.parametrize(
         "case, name, edit, error",
         [
-            ("truncated-payload", "cohort_curves.npy", lambda b: b[: len(b) // 2], "ParseError"),
-            ("one-edited-payload-byte", "cohort_curves.npy", lambda b: b[:-3] + bytes([b[-3] ^ 1]) + b[-2:], "ParseError"),
-            ("one-more-payload-value", "cohort_curves.npy", lambda b: b + bytes(8), "ParseError"),
-            ("no-payload", "cohort_curves.npy", None, "FileNotFoundError"),
-            ("lengths-do-not-match", "cohort_curves.json", _json_edit(lambda r: r["lengths"].__setitem__(0, r["lengths"][0] + 1)), "ParseError"),
-            ("one-sample-moves-to-a-neighbour", "cohort_curves.json", _json_edit(_shift_a_sample), "ParseError"),
-            ("one-edited-ratio", "cohort_curves.json", _json_edit(lambda r: r["fev1_fvc_ratios"].__setitem__(0, r["fev1_fvc_ratios"][0] / 2)), "ParseError"),
-            ("one-length-short", "cohort_curves.json", _json_edit(lambda r: r["lengths"].pop()), "ParseError"),
-            ("one-length-below-two", "cohort_curves.json", _json_edit(lambda r: r["lengths"].__setitem__(0, 1)), "ParseError"),
-            ("ids-out-of-order", "cohort_curves.json", _json_edit(lambda r: r["ids"].reverse()), "ParseError"),
-            ("nan-ratio", "cohort_curves.json", _json_edit(lambda r: r["fev1_fvc_ratios"].__setitem__(0, float("nan"))), "ParseError"),
-            ("no-digest", "cohort_curves.json", _json_edit(lambda r: r.pop("sha256")), "ParseError"),
-            ("wrong-kind", "cohort_curves.json", _json_edit(lambda r: r.update(kind="detection")), "InvalidParams"),
-            ("format-version-2", "cohort_curves.json", _json_edit(lambda r: r.update(format_version=2)), "InvalidParams"),
-            ("not-json", "cohort_curves.json", _truncate, "ParseError"),
+            ("truncated-payload", "cohort.npy", lambda b: b[: len(b) // 2], "ParseError"),
+            ("one-edited-payload-byte", "cohort.npy", lambda b: b[:-3] + bytes([b[-3] ^ 1]) + b[-2:], "ParseError"),
+            ("one-more-payload-value", "cohort.npy", lambda b: b + bytes(8), "ParseError"),
+            ("no-payload", "cohort.npy", None, "FileNotFoundError"),
+            ("lengths-do-not-match", "cohort.json", _json_edit(lambda r: r["lengths"].__setitem__(0, r["lengths"][0] + 1)), "ParseError"),
+            ("one-sample-moves-to-a-neighbour", "cohort.json", _json_edit(_shift_a_sample), "ParseError"),
+            ("one-edited-ratio", "cohort.json", _json_edit(lambda r: r["fev1_fvc_ratios"].__setitem__(0, r["fev1_fvc_ratios"][0] / 2)), "ParseError"),
+            ("one-length-short", "cohort.json", _json_edit(lambda r: r["lengths"].pop()), "ParseError"),
+            ("one-length-below-two", "cohort.json", _json_edit(lambda r: r["lengths"].__setitem__(0, 1)), "ParseError"),
+            ("ids-out-of-order", "cohort.json", _json_edit(lambda r: r["ids"].reverse()), "ParseError"),
+            ("nan-ratio", "cohort.json", _json_edit(lambda r: r["fev1_fvc_ratios"].__setitem__(0, float("nan"))), "ParseError"),
+            ("score-width-below-two", "cohort.json", _json_edit(lambda r: r.update(score_width=1)), "ParseError"),
+            ("no-digest", "cohort.json", _json_edit(lambda r: r.pop("sha256")), "ParseError"),
+            ("wrong-kind", "cohort.json", _json_edit(lambda r: r.update(kind="detection")), "InvalidParams"),
+            ("format-version-2", "cohort.json", _json_edit(lambda r: r.update(format_version=2)), "InvalidParams"),
+            ("not-json", "cohort.json", _truncate, "ParseError"),
         ],
     )
     def test_corrupt_cache_is_a_clean_failure(self, pipeline, tmp_path, capsys, case, name, edit, error):
-        # the cache matches the cohort, so it must load; every model stage
-        # ends in the JSON error naming the file and leaves no --out-dir behind
+        # the cache matches the cohort and the checkpoint, so it must load;
+        # every model stage ends in the JSON error naming the file and leaves
+        # no --out-dir behind
         _, cohort, models = pipeline
         broken = tmp_path / "models"
         shutil.copytree(models, broken)
@@ -764,8 +841,8 @@ class TestCohortCache:
             (broken / name).write_text(edit((models / name).read_text()))
         else:
             (broken / name).write_bytes(edit((models / name).read_bytes()))
-        for command, extra in self.STAGES:
-            out = tmp_path / command
+        for command, extra in CACHE_STAGES:
+            out = tmp_path / f"{command}{len(extra)}"
             code = _run(command, "--out-dir", str(out), "--cohort", str(cohort), "--models", str(broken), *extra)
             payload = _clean_failure(capsys, code, out)
             assert payload["error"] == error, (case, command, payload)
@@ -780,42 +857,25 @@ class TestCohortCache:
     )
     def test_payload_is_checked_against_a_record_whose_digest_matches(self, pipeline, tmp_path, capsys, case, edit):
         # a record rewritten with its digest recomputed still has its payload's
-        # dtype and shape checked against its lengths
+        # dtype and size checked against its lengths and score width
         _, cohort, models = pipeline
         broken = tmp_path / "models"
         shutil.copytree(models, broken)
-        _rewrite_with_digest(models, broken, "cohort_curves", edit)
+        _rewrite_with_digest(models, broken, edit)
         out = tmp_path / "evaluate"
         code = _run("evaluate", "--out-dir", str(out), "--cohort", str(cohort), "--models", str(broken))
         payload = _clean_failure(capsys, code, out)
         assert payload["error"] == "ParseError"
-        assert payload["message"].startswith("cohort_curves.npy: "), payload["message"]
-        assert "(2, " in payload["message"]
+        assert payload["message"].startswith("cohort.npy: "), payload["message"]
+        assert "float64 cohort.json gives" in payload["message"]
 
 
 class TestCohortScores:
-    # train-detect writes its trained detector's pass over the whole cohort
-    # next to the checkpoint (cohort_scores.json and cohort_scores.npy);
-    # train-horizon, predict and explain without --id take p_hat and the
-    # attention weights from there when the curves.csv bytes, the checkpoint
-    # and the ids match.  Stages that score a subset run the detector: their
-    # batch rounds differently, and their ids miss the key (evaluate does not
-    # read the memo at all).
-    STAGES = (
-        ("train-horizon", ()),
-        ("evaluate", ()),
-        ("explain", ("--svg",)),
-        ("explain", ("--id", "NON_COPD_0000", "--svg")),
-        ("predict", ("--threshold", "1.0")),
-    )
-
-    def _outputs(self, cohort, models, root) -> dict:
-        outputs = {}
-        for command, extra in self.STAGES:
-            out = root / f"{command}{len(extra)}"
-            assert _run(command, "--out-dir", str(out), "--cohort", str(cohort), "--models", str(models), *extra) == 0
-            outputs[out.name] = _tree_digest(out)
-        return outputs
+    # the cache's payload ends in train-detect's trained detector's pass over
+    # the whole cohort; train-horizon, predict and explain without --id take
+    # p_hat and the attention weights from there.  Stages that score a subset
+    # run the detector, because their batch rounds differently (evaluate
+    # never runs the whole-cohort pass).
 
     def test_memo_is_the_detector_pass_over_the_cohort(self, pipeline):
         from spiroflow.cli import _load_cohort, _load_models, _preprocess
@@ -824,43 +884,33 @@ class TestCohortScores:
         ids, curves, _, _, _ = _load_cohort(cohort, {})
         (model, _, _), smoother = _load_models(models)
         p_hat, weights = model.explain(_preprocess(curves, smoother)[1])
-        record = json.loads((models / "cohort_scores.json").read_text())
-        payload = np.load(models / "cohort_scores.npy")
-        digest = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in
-                  (("curves", cohort / "curves.csv"), ("detect", models / "detect_model.json"))}
-        fields = {k: v for k, v in record.items() if k != "sha256"}
-        assert fields == {
-            "format_version": 1, "kind": "cohort_scores", "ids": ids,
-            "curves_sha256": digest["curves"], "detect_sha256": digest["detect"],
-        }
-        fields_bytes = json.dumps(fields, sort_keys=True).encode()
-        assert record["sha256"] == hashlib.sha256(fields_bytes + (models / "cohort_scores.npy").read_bytes()).hexdigest()
-        assert payload.dtype == np.float64 and payload.shape == (36, 1 + weights.shape[1])
-        assert np.array_equal(payload, np.column_stack([p_hat, weights]))
+        record, _, _, scores = _cached_parts(models)
+        assert record["format_version"] == 1 and record["kind"] == "cohort" and record["ids"] == ids
+        assert record["score_width"] == 1 + weights.shape[1]
+        assert np.load(models / "cohort.npy").dtype == np.float64
+        assert np.array_equal(scores, np.column_stack([p_hat, weights]))
 
     def test_full_cohort_stages_skip_the_detector_pass(self, pipeline, tmp_path, monkeypatch):
-        # a hit answers with the very bits a miss computes, with either cache
-        # missing; manifests do not list the memo
+        # a hit answers with the very bits a miss computes; manifests do not
+        # list the cache
         _, cohort, models = pipeline
         n_test = len(json.loads((models / "detect_model.json").read_text())["test_ids"])
         passes = _counting_passes(monkeypatch)
-        hit = self._outputs(cohort, models, tmp_path / "hit")
+        hit = _stage_outputs(cohort, models, tmp_path / "hit")
         assert passes == [n_test, 1]  # evaluate's test split and explain --id's one record
         passes.clear()
-        without_memo = _without_cache(models, tmp_path / "without_memo", SCORE_FILES)
-        assert self._outputs(cohort, without_memo, tmp_path / "without_memo_out") == hit
+        uncached = _without_cache(models, tmp_path / "uncached")
+        assert _stage_outputs(cohort, uncached, tmp_path / "uncached_out") == hit
         assert passes == [36, n_test, 36, 1, 36]
-        uncached = _without_cache(models, tmp_path / "uncached", CACHE_FILES + SCORE_FILES)
-        assert self._outputs(cohort, uncached, tmp_path / "uncached_out") == hit
 
     def test_train_horizon_reads_the_memo_or_runs_one_pass(self, pipeline, tmp_path, monkeypatch):
-        # the memo has one writer, train-detect: train-horizon runs no pass
-        # on a hit and one over the cohort on a miss, never writes the memo,
+        # the cache has one writer, train-detect: train-horizon runs no pass
+        # on a hit and one over the cohort on a miss, never writes the cache,
         # and writes the same bytes either way
         _, cohort, models = pipeline
         passes = _counting_passes(monkeypatch)
-        without_memo = _without_cache(models, tmp_path / "without_memo", SCORE_FILES)
-        for model_dir, expected in ((models, []), (without_memo, [36])):
+        uncached = _without_cache(models, tmp_path / "uncached")
+        for model_dir, expected in ((models, []), (uncached, [36])):
             passes.clear()
             out = tmp_path / f"again_{model_dir.name}"
             assert _run("train-horizon", "--out-dir", str(out), "--cohort", str(cohort), "--models", str(model_dir)) == 0
@@ -871,8 +921,8 @@ class TestCohortScores:
                 assert (out / name).read_bytes() == (models / name).read_bytes(), (model_dir.name, name)
 
     def test_train_rows_equal_a_pass_over_the_train_split(self, pipeline):
-        # fusion is fitted on the memo's train rows, which must be the bits
-        # that a pass over the train split alone gives
+        # fusion is fitted on the cached pass's train rows, which must be the
+        # bits that a pass over the train split alone gives
         from spiroflow.cli import _load_cohort, _load_models, _preprocess
 
         _, cohort, models = pipeline
@@ -882,29 +932,30 @@ class TestCohortScores:
         train = [i for i, blow_id in enumerate(ids) if blow_id not in set(test_ids)]
         assert 0 < len(test_ids) and len(train) + len(test_ids) == 36
         probs, weights = model._infer([series[i] for i in train])
-        payload = np.load(models / "cohort_scores.npy")
-        assert np.array_equal(payload[train, 0], probs[:, 1])
-        assert np.array_equal(payload[train, 1 : 1 + weights.shape[1]], weights)
-        assert not payload[train, 1 + weights.shape[1] :].any()  # the padding of the cohort's wider pass
+        scores = _cached_parts(models)[3]
+        assert np.array_equal(scores[train, 0], probs[:, 1])
+        assert np.array_equal(scores[train, 1 : 1 + weights.shape[1]], weights)
+        assert not scores[train, 1 + weights.shape[1] :].any()  # the padding of the cohort's wider pass
 
     def test_train_detect_overwrites_another_detectors_memo(self, pipeline, tmp_path):
-        # a models directory that holds the memo of another detector gets the
-        # new detector's memo, keyed by the new checkpoint's digest
+        # a models directory that holds the cache of another detector gets the
+        # new detector's cache, keyed by the new checkpoint's digest
         _, cohort, models = pipeline
         other = tmp_path / "models"
         shutil.copytree(models, other)
         assert _run("train-detect", "--out-dir", str(other), "--cohort", str(cohort), "--epochs", "1", "--seed", "2") == 0
         fresh = tmp_path / "fresh"
         assert _run("train-detect", "--out-dir", str(fresh), "--cohort", str(cohort), "--epochs", "1", "--seed", "2") == 0
-        record = json.loads((other / "cohort_scores.json").read_text())
-        assert record["detect_sha256"] == hashlib.sha256((other / "detect_model.json").read_bytes()).hexdigest()
-        assert record["detect_sha256"] != json.loads((models / "cohort_scores.json").read_text())["detect_sha256"]
-        for name in SCORE_FILES:
+        detect_sha256 = json.loads((other / "cohort.json").read_text())["input_sha256"]["detect_model.json"]
+        assert detect_sha256 == hashlib.sha256((other / "detect_model.json").read_bytes()).hexdigest()
+        assert detect_sha256 != json.loads((models / "cohort.json").read_text())["input_sha256"]["detect_model.json"]
+        for name in CACHE_FILES:
             assert (other / name).read_bytes() == (fresh / name).read_bytes(), name
 
     def test_stale_memo_is_a_miss(self, pipeline, tmp_path, monkeypatch):
-        # a memo of another curves.csv or of another checkpoint is not read:
-        # the stages run the detector and answer as without the memo
+        # a cache of another curves.csv or of another checkpoint is not read:
+        # every stage reads curves.csv, runs the detector and answers as
+        # without the cache
         _, cohort, models = pipeline
         edited = _edited_cohort(cohort, tmp_path / "edited")
         retrained = tmp_path / "retrained"
@@ -913,81 +964,47 @@ class TestCohortScores:
         assert _run("train-detect", "--out-dir", str(tmp_path / "other_detector"), *args) == 0
         for name in ("detect_model.json", "fusion_model.json"):
             (retrained / name).write_bytes((tmp_path / "other_detector" / name).read_bytes())
+        loads = _counting(monkeypatch, "load_time_volume_csv")
         passes = _counting_passes(monkeypatch)
         for cohort_dir, model_dir in ((edited, models), (cohort, retrained)):
+            loads.clear()
             passes.clear()
             root = tmp_path / f"{cohort_dir.name}_{model_dir.name}"
-            stale = self._outputs(cohort_dir, model_dir, root / "stale")
-            assert len(passes) == len(self.STAGES), model_dir.name
-            without_memo = _without_cache(model_dir, root / "without_memo", SCORE_FILES)
-            assert stale == self._outputs(cohort_dir, without_memo, root / "expected"), model_dir.name
+            stale = _stage_outputs(cohort_dir, model_dir, root / "stale")
+            assert len(loads) == len(passes) == len(CACHE_STAGES), model_dir.name
+            uncached = _without_cache(model_dir, root / "uncached")
+            assert stale == _stage_outputs(cohort_dir, uncached, root / "expected"), model_dir.name
 
     @pytest.mark.parametrize(
-        "case, name, edit, error",
+        "case, edit, shown",
         [
-            ("truncated-payload", "cohort_scores.npy", lambda b: b[: len(b) // 2], "ParseError"),
-            ("one-edited-payload-byte", "cohort_scores.npy", lambda b: b[:-3] + bytes([b[-3] ^ 1]) + b[-2:], "ParseError"),
-            ("one-more-payload-value", "cohort_scores.npy", lambda b: b + bytes(8), "ParseError"),
-            ("no-payload", "cohort_scores.npy", None, "FileNotFoundError"),
-            ("no-digest", "cohort_scores.json", _json_edit(lambda r: r.pop("sha256")), "ParseError"),
-            ("wrong-kind", "cohort_scores.json", _json_edit(lambda r: r.update(kind="cohort_curves")), "InvalidParams"),
-            ("format-version-2", "cohort_scores.json", _json_edit(lambda r: r.update(format_version=2)), "InvalidParams"),
-            ("not-json", "cohort_scores.json", _truncate, "ParseError"),
+            ("float32-payload", lambda record, payload: payload.astype(np.float32), "float64 cohort.json gives"),
+            ("one-more-weight-column", _one_more_weight_column, "scores of shape (36, "),
+            ("one-record-short", lambda record, payload: payload[: -record["score_width"]], "float64 cohort.json gives"),
         ],
     )
-    def test_corrupt_memo_is_a_clean_failure(self, pipeline, tmp_path, capsys, case, name, edit, error):
-        # the memo's key matches, so the full-cohort stages, train-horizon
-        # among them, must load it;
-        # explain --id reads the record up to its key, which its one id
-        # misses, and evaluate never reads it
+    def test_payload_is_checked_against_a_record_whose_digest_matches(self, pipeline, tmp_path, capsys, case, edit, shown):
+        # the scores must be one row per id, as wide as the detector's pass
+        # over the cohort, even when the record's digest matches
         _, cohort, models = pipeline
         broken = tmp_path / "models"
         shutil.copytree(models, broken)
-        if edit is None:
-            (broken / name).unlink()
-        elif name.endswith(".json"):
-            (broken / name).write_text(edit((models / name).read_text()))
-        else:
-            (broken / name).write_bytes(edit((models / name).read_bytes()))
-        for command, extra in self.STAGES:
-            out = tmp_path / f"{command}{len(extra)}"
-            code = _run(command, "--out-dir", str(out), "--cohort", str(cohort), "--models", str(broken), *extra)
-            unreadable = case in ("wrong-kind", "format-version-2", "not-json")
-            if command == "evaluate" or ("--id" in extra and not unreadable):
-                assert code == 0, (case, command)
-                continue
-            payload = _clean_failure(capsys, code, out)
-            assert payload["error"] == error, (case, command, payload)
-            assert name in payload["message"], (case, command, payload["message"])
-
-    @pytest.mark.parametrize(
-        "case, edit",
-        [
-            ("float32-payload", lambda record, payload: payload.astype(np.float32)),
-            ("one-more-weight-column", lambda record, payload: np.column_stack([payload, np.zeros(len(payload))])),
-            ("one-record-short", lambda record, payload: payload[:-1]),
-        ],
-    )
-    def test_payload_is_checked_against_a_record_whose_digest_matches(self, pipeline, tmp_path, capsys, case, edit):
-        _, cohort, models = pipeline
-        broken = tmp_path / "models"
-        shutil.copytree(models, broken)
-        _rewrite_with_digest(models, broken, "cohort_scores", edit)
+        _rewrite_with_digest(models, broken, edit)
         out = tmp_path / "predict"
         code = _run("predict", "--out-dir", str(out), "--cohort", str(cohort), "--models", str(broken))
         payload = _clean_failure(capsys, code, out)
         assert payload["error"] == "ParseError"
-        assert payload["message"].startswith("cohort_scores.npy: "), payload["message"]
-        assert "(36, " in payload["message"]
+        assert payload["message"].startswith("cohort.npy: "), payload["message"]
+        assert shown in payload["message"], payload["message"]
 
 
 @pytest.fixture(scope="module")
 def uncached_outputs(pipeline, tmp_path_factory):
     """The outputs of TestCacheFuzz's stages from a models directory
-    without either cache."""
+    without the cache."""
     _, cohort, models = pipeline
     root = tmp_path_factory.mktemp("uncached_outputs")
-    uncached = _without_cache(models, root / "models", CACHE_FILES + SCORE_FILES)
+    uncached = _without_cache(models, root / "models")
     outputs = {}
     for command, extra in TestCacheFuzz.STAGES:
         out = root / command
@@ -997,13 +1014,13 @@ def uncached_outputs(pipeline, tmp_path_factory):
 
 
 class TestCacheFuzz:
-    # one flipped or truncated byte in either cache of the models directory:
-    # a stage answers as without the caches or fails with the JSON error
+    # one flipped or truncated byte in either file of the models directory's
+    # cache: a stage answers as without the cache or fails with the JSON error
     # naming the file, never with a traceback, and leaves no --out-dir
     STAGES = (("train-horizon", ()), ("evaluate", ()), ("explain", ()), ("predict", ("--threshold", "1.0")))
 
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(name=st.sampled_from(CACHE_FILES + SCORE_FILES), data=st.data())
+    @given(name=st.sampled_from(CACHE_FILES), data=st.data())
     def test_one_bad_byte_is_a_miss_or_a_clean_failure(self, pipeline, uncached_outputs, capsys, name, data):
         _, cohort, models = pipeline
         original = (models / name).read_bytes()
@@ -1183,14 +1200,14 @@ class TestBlasThreads:
             out = tmp_path / f"threads_{threads}"
             self._cli(threads, "train-detect", "--out-dir", str(out), "--cohort", str(cohort), "--epochs", "2", "--seed", "1")
             digests.append(_tree_digest(out))
-        assert set(SCORE_FILES) <= set(digests[0])
+        assert set(CACHE_FILES) <= set(digests[0])
         assert digests[0] == digests[1]
 
     def test_explain_and_predict_identical_at_one_and_two_threads(self, pipeline, tmp_path):
-        # without train-detect's memo, so that explain, predict and
+        # without train-detect's cache, so that explain, predict and
         # train-horizon run the detector at each thread count
         _, cohort, models = pipeline
-        args = ("--cohort", str(cohort), "--models", str(_without_cache(models, tmp_path / "models", SCORE_FILES)))
+        args = ("--cohort", str(cohort), "--models", str(_without_cache(models, tmp_path / "models")))
         digests = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads_{threads}"
@@ -1281,18 +1298,22 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             _run("frobnicate", "--out-dir", "x")
         assert exc.value.code == 2
-        # so is a float flag that is nan or infinite, as a word already was
-        inputs = ["--out-dir", str(tmp_path), "--cohort", "c", "--models", "m"]
-        cases = [("synth", "--noise", ["--out-dir", str(tmp_path)]), ("featurize", "--sigma", inputs[:4])]
+        # so is a float flag that is nan or infinite, as a word already was,
+        # and a seed that is negative, which numpy's generators reject
+        out = tmp_path / "out"
+        inputs = ["--out-dir", str(out), "--cohort", "c", "--models", "m"]
+        cases = [("synth", "--noise", inputs[:2]), ("featurize", "--sigma", inputs[:4])]
         cases += [("train-detect", "--lr", inputs[:4]), ("train-detect", "--sigma", inputs[:4])]
         cases += [("evaluate", "--threshold", inputs)]
         cases += [("predict", "--threshold", inputs)]
+        cases += [("synth", "--seed", inputs[:2]), ("train-detect", "--seed", inputs[:4])]
         for command, flag, required in cases:
-            for value in ("nan", "inf", "-inf", "abc"):
+            for value in ("nan", "inf", "-inf", "abc", *(["-1"] if flag == "--seed" else [])):
                 with pytest.raises(SystemExit) as exc:
                     _run(command, *required, f"{flag}={value}")
                 assert exc.value.code == 2, (command, flag, value)
                 assert f"argument {flag}" in capsys.readouterr().err, (command, flag, value)
+                assert not out.exists(), (command, flag, value)
 
     def test_every_cohort_subcommand_reports_a_broken_join(self, pipeline, tmp_path, capsys):
         # all six subcommands that read a cohort go through the same checks

@@ -7,7 +7,6 @@ from spiroflow.data import (
     CohortSpec,
     generate_synthetic_cohort,
     load_time_volume_csv,
-    qc_filter,
     template_curve,
     write_time_volume_csv,
 )
@@ -147,37 +146,3 @@ class TestCsv:
         with pytest.raises(ParseError):
             load_time_volume_csv(path)
 
-
-class TestQcFilter:
-    def test_matches_sort_based_oracle(self):
-        rng = np.random.default_rng(0)
-        n = 400
-        summaries = [
-            {"id": i, "fvc": float(rng.normal(4, 1)), "fev1": float(rng.normal(3, 0.8)), "pef": float(rng.normal(7, 2))}
-            for i in range(n)
-        ]
-        retained, discarded = qc_filter(summaries)
-        # oracle: recompute inclusive nearest-rank cuts from sorted copies
-        keep = set(range(n))
-        for key in ("fvc", "fev1", "pef"):
-            vals = sorted(s[key] for s in summaries)
-            lo = vals[max(1, int(np.ceil(0.005 * n))) - 1]
-            hi = vals[max(1, int(np.ceil(0.995 * n))) - 1]
-            keep &= {s["id"] for s in summaries if lo <= s[key] <= hi}
-        assert {s["id"] for s in retained} == keep
-        assert len(retained) + len(discarded) == n
-
-    def test_all_identical_all_retained(self):
-        summaries = [{"fvc": 4.0, "fev1": 3.0, "pef": 7.0} for _ in range(50)]
-        retained, discarded = qc_filter(summaries)
-        assert len(retained) == 50
-        assert discarded == []
-
-    def test_empty_input(self):
-        assert qc_filter([]) == ([], [])
-
-    def test_extreme_outlier_discarded(self):
-        summaries = [{"fvc": 4.0 + 0.01 * i, "fev1": 3.0, "pef": 7.0} for i in range(300)]
-        summaries.append({"fvc": 40.0, "fev1": 3.0, "pef": 7.0})
-        retained, discarded = qc_filter(summaries)
-        assert any(s["fvc"] == 40.0 for s in discarded)

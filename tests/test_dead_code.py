@@ -15,7 +15,6 @@ EXEMPT = {"data._DigestingFile.readable", "data._DigestingFile.readinto", "data.
 # unreferenced on purpose, each with its reason
 ALLOWED = {
     "training.grad_check": "the tests' finite-difference reference for every analytic gradient",
-    "data.qc_filter": "ROADMAP item 7 decides whether a stage runs it or it goes",
 }
 
 
