@@ -745,6 +745,32 @@ def _earlier_caches(models: Path, dest: Path) -> Path:
     return dest
 
 
+def _broken_cache(models: Path, dest: Path, name: str, edit) -> Path:
+    """A copy of a models directory that holds the earlier versions' two
+    caches intact and the cache with name edited, or removed if edit is None."""
+    _earlier_caches(models, dest)
+    for cache_file in CACHE_FILES:
+        (dest / cache_file).write_bytes((models / cache_file).read_bytes())
+    if edit is None:
+        (dest / name).unlink()
+    elif name.endswith(".json"):
+        (dest / name).write_text(edit((models / name).read_text()))
+    else:
+        (dest / name).write_bytes(edit((models / name).read_bytes()))
+    return dest
+
+
+def _assert_clean_failures(capsys, cohort: Path, broken: Path, root: Path, case, earlier, name, error):
+    """Every model stage on broken ends in the JSON error naming the file
+    name, not the earlier file, and leaves no --out-dir behind."""
+    for command, extra in CACHE_STAGES:
+        out = root / f"{command}{len(extra)}"
+        code = _run(command, "--out-dir", str(out), "--cohort", str(cohort), "--models", str(broken), *extra)
+        payload = _clean_failure(capsys, code, out)
+        assert payload["error"] == error, (case, command, payload)
+        assert name in payload["message"] and earlier not in payload["message"], (case, command, payload["message"])
+
+
 class TestCohortCache:
     # train-detect writes the cohort it preprocessed and its trained
     # detector's pass over it next to its checkpoint (cohort.json and
@@ -808,45 +834,35 @@ class TestCohortCache:
         assert outputs == _stage_outputs(cohort, _without_cache(models, tmp_path / "uncached"), tmp_path / "uncached_out")
 
     @pytest.mark.parametrize(
-        "case, name, edit, error",
+        "case, earlier, edit, name, error",
         [
-            ("truncated-payload", "cohort.npy", lambda b: b[: len(b) // 2], "ParseError"),
-            ("one-edited-payload-byte", "cohort.npy", lambda b: b[:-3] + bytes([b[-3] ^ 1]) + b[-2:], "ParseError"),
-            ("one-more-payload-value", "cohort.npy", lambda b: b + bytes(8), "ParseError"),
-            ("no-payload", "cohort.npy", None, "FileNotFoundError"),
-            ("lengths-do-not-match", "cohort.json", _json_edit(lambda r: r["lengths"].__setitem__(0, r["lengths"][0] + 1)), "ParseError"),
-            ("one-sample-moves-to-a-neighbour", "cohort.json", _json_edit(_shift_a_sample), "ParseError"),
-            ("one-edited-ratio", "cohort.json", _json_edit(lambda r: r["fev1_fvc_ratios"].__setitem__(0, r["fev1_fvc_ratios"][0] / 2)), "ParseError"),
-            ("one-length-short", "cohort.json", _json_edit(lambda r: r["lengths"].pop()), "ParseError"),
-            ("one-length-below-two", "cohort.json", _json_edit(lambda r: r["lengths"].__setitem__(0, 1)), "ParseError"),
-            ("ids-out-of-order", "cohort.json", _json_edit(lambda r: r["ids"].reverse()), "ParseError"),
-            ("nan-ratio", "cohort.json", _json_edit(lambda r: r["fev1_fvc_ratios"].__setitem__(0, float("nan"))), "ParseError"),
-            ("score-width-below-two", "cohort.json", _json_edit(lambda r: r.update(score_width=1)), "ParseError"),
-            ("no-digest", "cohort.json", _json_edit(lambda r: r.pop("sha256")), "ParseError"),
-            ("wrong-kind", "cohort.json", _json_edit(lambda r: r.update(kind="detection")), "InvalidParams"),
-            ("format-version-2", "cohort.json", _json_edit(lambda r: r.update(format_version=2)), "InvalidParams"),
-            ("not-json", "cohort.json", _truncate, "ParseError"),
+            ("truncated-payload", "cohort_curves.npy", lambda b: b[: len(b) // 2], "cohort.npy", "ParseError"),
+            ("one-edited-payload-byte", "cohort_curves.npy", lambda b: b[:-3] + bytes([b[-3] ^ 1]) + b[-2:], "cohort.npy", "ParseError"),
+            ("one-more-payload-value", "cohort_curves.npy", lambda b: b + bytes(8), "cohort.npy", "ParseError"),
+            ("no-payload", "cohort_curves.npy", None, "cohort.npy", "FileNotFoundError"),
+            ("lengths-do-not-match", "cohort_curves.json", _json_edit(lambda r: r["lengths"].__setitem__(0, r["lengths"][0] + 1)), "cohort.json", "ParseError"),
+            ("one-sample-moves-to-a-neighbour", "cohort_curves.json", _json_edit(_shift_a_sample), "cohort.json", "ParseError"),
+            ("one-edited-ratio", "cohort_curves.json", _json_edit(lambda r: r["fev1_fvc_ratios"].__setitem__(0, r["fev1_fvc_ratios"][0] / 2)), "cohort.json", "ParseError"),
+            ("one-length-short", "cohort_curves.json", _json_edit(lambda r: r["lengths"].pop()), "cohort.json", "ParseError"),
+            ("one-length-below-two", "cohort_curves.json", _json_edit(lambda r: r["lengths"].__setitem__(0, 1)), "cohort.json", "ParseError"),
+            ("ids-out-of-order", "cohort_curves.json", _json_edit(lambda r: r["ids"].reverse()), "cohort.json", "ParseError"),
+            ("nan-ratio", "cohort_curves.json", _json_edit(lambda r: r["fev1_fvc_ratios"].__setitem__(0, float("nan"))), "cohort.json", "ParseError"),
+            ("score-width-below-two", "cohort_scores.npy", _json_edit(lambda r: r.update(score_width=1)), "cohort.json", "ParseError"),
+            ("no-digest", "cohort_curves.json", _json_edit(lambda r: r.pop("sha256")), "cohort.json", "ParseError"),
+            ("wrong-kind", "cohort_curves.json", _json_edit(lambda r: r.update(kind="detection")), "cohort.json", "InvalidParams"),
+            ("format-version-2", "cohort_curves.json", _json_edit(lambda r: r.update(format_version=2)), "cohort.json", "InvalidParams"),
+            ("not-json", "cohort_curves.json", _truncate, "cohort.json", "ParseError"),
         ],
     )
-    def test_corrupt_cache_is_a_clean_failure(self, pipeline, tmp_path, capsys, case, name, edit, error):
+    def test_corrupt_cache_is_a_clean_failure(self, pipeline, tmp_path, capsys, case, earlier, edit, name, error):
         # the cache matches the cohort and the checkpoint, so it must load;
         # every model stage ends in the JSON error naming the file and leaves
-        # no --out-dir behind
+        # no --out-dir behind.  Each case restates a check that earlier
+        # versions made on the file named by earlier, whose intact copy lies
+        # next to the broken cache and is not read in its place
         _, cohort, models = pipeline
-        broken = tmp_path / "models"
-        shutil.copytree(models, broken)
-        if edit is None:
-            (broken / name).unlink()
-        elif name.endswith(".json"):
-            (broken / name).write_text(edit((models / name).read_text()))
-        else:
-            (broken / name).write_bytes(edit((models / name).read_bytes()))
-        for command, extra in CACHE_STAGES:
-            out = tmp_path / f"{command}{len(extra)}"
-            code = _run(command, "--out-dir", str(out), "--cohort", str(cohort), "--models", str(broken), *extra)
-            payload = _clean_failure(capsys, code, out)
-            assert payload["error"] == error, (case, command, payload)
-            assert name in payload["message"], (case, command, payload["message"])
+        _assert_clean_failures(capsys, cohort, _broken_cache(models, tmp_path / "models", name, edit),
+                               tmp_path, case, earlier, name, error)
 
     @pytest.mark.parametrize(
         "case, edit",
@@ -974,6 +990,31 @@ class TestCohortScores:
             assert len(loads) == len(passes) == len(CACHE_STAGES), model_dir.name
             uncached = _without_cache(model_dir, root / "uncached")
             assert stale == _stage_outputs(cohort_dir, uncached, root / "expected"), model_dir.name
+
+    @pytest.mark.parametrize(
+        "case, earlier, edit, name, error",
+        [
+            ("truncated-payload", "cohort_scores.npy", lambda b: b[:-4], "cohort.npy", "ParseError"),
+            ("one-edited-payload-byte", "cohort_scores.npy", lambda b: b[:-3] + bytes([b[-3] ^ 1]) + b[-2:], "cohort.npy", "ParseError"),
+            ("one-more-payload-value", "cohort_scores.npy", lambda b: b + bytes(8), "cohort.npy", "ParseError"),
+            ("no-payload", "cohort_scores.npy", None, "cohort.npy", "FileNotFoundError"),
+            ("no-digest", "cohort_scores.json", _json_edit(lambda r: r.pop("sha256")), "cohort.json", "ParseError"),
+            ("wrong-kind", "cohort_scores.json", _json_edit(lambda r: r.update(kind="cohort_scores")), "cohort.json", "InvalidParams"),
+            ("format-version-2", "cohort_scores.json", _json_edit(lambda r: r.update(format_version=2)), "cohort.json", "InvalidParams"),
+            ("not-json", "cohort_scores.json", _truncate, "cohort.json", "ParseError"),
+        ],
+    )
+    def test_corrupt_memo_is_a_clean_failure(self, pipeline, tmp_path, capsys, case, earlier, edit, name, error):
+        # the faults that earlier versions found in the detector-pass memo
+        # (the file named by earlier, whose intact copy lies next to the
+        # broken cache and is not read in its place): the payload ends in the
+        # scores, so each byte edit falls in the pass's rows, and a record of
+        # the memo's kind is refused.  The scores share the one record with
+        # the curves, so evaluate and explain --id, which never read the
+        # scores, fail as cleanly as the stages over the whole cohort
+        _, cohort, models = pipeline
+        _assert_clean_failures(capsys, cohort, _broken_cache(models, tmp_path / "models", name, edit),
+                               tmp_path, case, earlier, name, error)
 
     @pytest.mark.parametrize(
         "case, edit, shown",
