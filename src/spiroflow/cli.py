@@ -41,7 +41,7 @@ from .detection import DetectionConfig, DetectionModel
 from .errors import InvalidArgument, InvalidParams, ParseError, SpiroError, ValidationError
 from .horizon import FUTURE_FEATURE_NAMES, HORIZON_ORDER, HorizonLabel, future_feature_vector, predict_future_risk
 from .metrics import metrics_report, subgroup_reports
-from .phases import concavity_features
+from .phases import CONCAVITY_NAMES, concavity_features
 from .training import LogisticModel, TrainConfig, json_object, train_logistic, write_training_log
 
 # CPython's own SHA-256 rather than hashlib's, which loads OpenSSL: that
@@ -241,9 +241,10 @@ def _start(args, models: bool = False, record_ids=None, test_split: bool = False
     curves with the detector checkpoint's smoother, or without models with
     --window/--sigma.  With record_ids, or with test_split (the detector
     checkpoint's test_ids), the cohort is first cut to those records, kept
-    in cohort order, so only their curves are preprocessed.  A curve that
-    fails preprocessing is named by its id; the FEV1/FVC ratios are read
-    from the accepted curves, whose largest volumes are positive.
+    in cohort order, so only their curves are preprocessed, in one batched
+    _preprocess pass whose errors _by_id names by the curve's id; the
+    FEV1/FVC ratios are read from the accepted curves, whose largest
+    volumes are positive.
 
     A model stage whose --models holds train-detect's cohort cache for
     these curves.csv and detect_model.json bytes takes the curves and
@@ -274,12 +275,7 @@ def _start(args, models: bool = False, record_ids=None, test_split: bool = False
         cohort = _cut(cohort, record_ids)
     ids, curves, demos, copd, horizons = cohort
     if cached is None:
-        try:
-            vf_curves, series = _preprocess(curves, smoother)
-        except SpiroError as exc:
-            if exc.row is None:
-                raise
-            raise _naming(exc, ids[exc.row]) from None
+        vf_curves, series = _by_id(ids, _preprocess, curves, smoother)
         ratios = fev1_fvc_ratio(curves)
     else:
         vf_curves = _cached_curves(record, cached_curves, curves)
@@ -414,22 +410,17 @@ def _detector_pass(run: _Run):
     return scores[:, 0], scores[:, 1:]
 
 
-def _naming(exc: SpiroError, blow_id: str) -> SpiroError:
-    """exc again, its message prefixed with the curves.csv id it is about."""
-    return type(exc)(f"curves.csv id {blow_id!r}: {exc}")
-
-
-def _profiles(ids, vf_curves) -> list:
-    """concavity_features of each curve; a curve whose phases cannot be
-    measured (an EmptyPhase when peak flow comes after 25% of FVC, a
-    DegenerateCurve) is named by its id."""
-    profiles = []
-    for blow_id, vf in zip(ids, vf_curves):
-        try:
-            profiles.append(concavity_features(vf))
-        except SpiroError as exc:
-            raise _naming(exc, blow_id) from None
-    return profiles
+def _by_id(ids, batched, *args):
+    """batched(*args), a batched pass over the records ids names in order;
+    an error it raises about one row (say an EmptyPhase when a curve's peak
+    flow comes after 25% of FVC) is raised again, its message prefixed with
+    that row's curves.csv id."""
+    try:
+        return batched(*args)
+    except SpiroError as exc:
+        if exc.row is None:
+            raise
+        raise type(exc)(f"curves.csv id {ids[exc.row]!r}: {exc}") from None
 
 
 def _cut(cohort, record_ids):
@@ -484,16 +475,12 @@ def cmd_smooth(args):
 def cmd_featurize(args):
     run = _start(args)
     ids = run.ids
-    profiles = _profiles(ids, run.vf_curves)
+    rows = _by_id(ids, concavity_features, run.vf_curves)
     with open(_out_dir(args) / "features.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["id", "c_pef_fef25", "c_fef25_fef50", "c_fef50_fef75", "c_fef75_plus", "trend"])
-        for blow_id, profile in zip(ids, profiles):
-            writer.writerow(
-                [blow_id]
-                + [repr(v) for v in profile.as_array().tolist()]
-                + [repr(profile.trend)]
-            )
+        writer.writerow(["id", *CONCAVITY_NAMES, "trend"])
+        for blow_id, row in zip(ids, rows.tolist()):
+            writer.writerow([blow_id, *map(repr, row)])
     return _finish(args, {"curves": len(ids)}, run.inputs, run.smoother, curves=len(ids))
 
 
@@ -617,8 +604,8 @@ def cmd_train_horizon(args):
     _, fusion, _ = run.models
     p_hats, _ = _detector_pass(run)
     risks, _ = fuse_and_score(p_hats, run.struct, fusion)
-    profiles = _profiles(run.ids, run.vf_curves)
-    features = future_feature_vector(risks, profiles, run.struct)
+    concavity = _by_id(run.ids, concavity_features, run.vf_curves)
+    features = future_feature_vector(risks, concavity, run.struct)
     labels = np.array([h.value for h in run.horizons])
     horizon_model, trace = train_logistic(features, labels)
     out_dir = _out_dir(args)
@@ -668,8 +655,8 @@ def cmd_predict(args):
     p_hats, _ = _detector_pass(run)
     risks, _ = fuse_and_score(p_hats, run.struct, fusion)
     negative = [i for i, p_hat in enumerate(p_hats) if p_hat <= args.threshold]
-    profiles = _profiles([ids[i] for i in negative], [vf_curves[i] for i in negative])
-    rows = future_feature_vector(risks[negative], profiles, run.struct[negative])
+    concavity = _by_id([ids[i] for i in negative], concavity_features, [vf_curves[i] for i in negative])
+    rows = future_feature_vector(risks[negative], concavity, run.struct[negative])
     probs = predict_future_risk(rows, horizon_model)
     horizon = {i: (vec, dist) for i, vec, dist in zip(negative, rows, probs)}
     with open(_out_dir(args) / "predictions.jsonl", "w") as fh:
@@ -710,6 +697,14 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of synth's --n: a cohort has at least one record."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="spiroflow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -730,7 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a seeded synthetic cohort")
     common(p, cohort=False, seed=True)
-    p.add_argument("--n", type=int, default=60, help="approximate total cohort size")
+    p.add_argument("--n", type=_positive_int, default=60, help="approximate total cohort size")
     p.add_argument("--noise", type=_finite_float, default=CohortSpec.noise)
     p.set_defaults(func=cmd_synth)
 

@@ -1,7 +1,8 @@
 """Future-risk features and multi-horizon onset classification.
 
-The feature block concatenates, per record, the fused COPD risk, the four
-phase concavities, the concavity trend and the structural row (the raw
+The feature block concatenates, per record, the fused COPD risk, its row
+of the concavity block (phases.concavity_features: the four phase
+concavities and their trend) and the structural row (the raw
 demographics and the curve's FEV1/FVC ratio); a trained multinomial
 logistic model, which standardizes each column itself, maps it to a
 distribution over six onset horizons.
@@ -15,7 +16,7 @@ import numpy as np
 
 from .attention import STRUCT_FEATURE_NAMES
 from .errors import InvalidArgument
-from .phases import ConcavityProfile
+from .phases import CONCAVITY_NAMES
 from .training import LogisticModel
 
 
@@ -30,21 +31,14 @@ class HorizonLabel(str, Enum):
 
 HORIZON_ORDER = list(HorizonLabel)
 
-FUTURE_FEATURE_NAMES = (
-    "fused_risk",
-    "c_pef_fef25",
-    "c_fef25_fef50",
-    "c_fef50_fef75",
-    "c_fef75_plus",
-    "concavity_trend",
-) + STRUCT_FEATURE_NAMES
+FUTURE_FEATURE_NAMES = ("fused_risk", *CONCAVITY_NAMES, "concavity_trend") + STRUCT_FEATURE_NAMES
 
 
-def future_feature_vector(risks, profiles: list[ConcavityProfile], struct: np.ndarray) -> np.ndarray:
+def future_feature_vector(risks, concavity: np.ndarray, struct: np.ndarray) -> np.ndarray:
     """(N, 13) block in FUTURE_FEATURE_NAMES order, one row per record:
-    fused risk, four concavities, trend, its struct (demographic_block) row."""
-    concavities = np.array([[*p.as_array(), p.trend] for p in profiles], dtype=float).reshape(-1, 5)
-    vecs = np.column_stack([np.asarray(risks, dtype=float), concavities, struct])
+    fused risk, its (N, 5) concavity_features row (four concavities,
+    trend), its struct (demographic_block) row."""
+    vecs = np.column_stack([np.asarray(risks, dtype=float), concavity, struct])
     if not np.all(np.isfinite(vecs)):
         raise InvalidArgument("future feature vector must be finite")
     return vecs

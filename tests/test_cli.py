@@ -596,8 +596,8 @@ class TestBatchedFusion:
         rows = spiroflow.cli.future_feature_vector
         score = spiroflow.cli.predict_future_risk
 
-        def recording_rows(risks, profiles, struct):
-            blocks.append(rows(risks, profiles, struct))
+        def recording_rows(risks, concavity, struct):
+            blocks.append(rows(risks, concavity, struct))
             return blocks[-1]
 
         def recording_score(block, model):
@@ -622,9 +622,9 @@ class TestBatchedFusion:
         _, smoother = _load_models(models)
         vf_curves, _ = _preprocess(curves, smoother)
         for i in negative:
-            profile = concavity_features(vf_curves[i])
+            concavity = concavity_features([vf_curves[i]])
             struct = demographic_block([demos[i]], fev1_fvc_ratio([curves[i]]))
-            alone = future_feature_vector([lines[i]["fused_risk"]], [profile], struct)
+            alone = future_feature_vector([lines[i]["fused_risk"]], concavity, struct)
             assert np.array_equal(np.array(lines[i]["horizon"]["features_used"]), alone[0]), ids[i]
 
         blocks.clear()
@@ -1348,8 +1348,11 @@ class TestErrors:
         cases += [("evaluate", "--threshold", inputs)]
         cases += [("predict", "--threshold", inputs)]
         cases += [("synth", "--seed", inputs[:2]), ("train-detect", "--seed", inputs[:4])]
+        # and a cohort size below 1
+        cases += [("synth", "--n", inputs[:2])]
+        integer = {"--seed": ["-1"], "--n": ["0", "-1"]}
         for command, flag, required in cases:
-            for value in ("nan", "inf", "-inf", "abc", *(["-1"] if flag == "--seed" else [])):
+            for value in ("nan", "inf", "-inf", "abc", *integer.get(flag, [])):
                 with pytest.raises(SystemExit) as exc:
                     _run(command, *required, f"{flag}={value}")
                 assert exc.value.code == 2, (command, flag, value)

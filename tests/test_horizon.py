@@ -5,7 +5,6 @@ from spiroflow.attention import DemographicRecord, demographic_block
 from spiroflow.errors import InvalidArgument
 from spiroflow.horizon import FUTURE_FEATURE_NAMES, HORIZON_ORDER, HorizonLabel
 from spiroflow.horizon import future_feature_vector, predict_future_risk
-from spiroflow.phases import ConcavityProfile
 from spiroflow.training import LogisticModel, train_logistic
 
 
@@ -14,20 +13,23 @@ DEMO = DemographicRecord("male", 60.0, "current")
 
 class TestFeatureVector:
     def test_width_and_order(self):
-        profiles = [ConcavityProfile(0.1, 0.2, -0.3, -0.4), ConcavityProfile(-0.5, 0.6, 0.7, 0.8)]
+        # two concavity_features rows: four areas, then their trend
+        areas = np.array([[0.1, 0.2, -0.3, -0.4], [-0.5, 0.6, 0.7, 0.8]])
+        concavity = np.column_stack([areas, areas[:, 0] + areas[:, 1] - areas[:, 2] - areas[:, 3]])
         struct = demographic_block([DEMO, DemographicRecord("female", 45.0, "never")], [0.62, 0.8])
-        block = future_feature_vector([0.7, 0.2], profiles, struct)
+        block = future_feature_vector([0.7, 0.2], concavity, struct)
         assert block.shape == (2, len(FUTURE_FEATURE_NAMES)) and len(FUTURE_FEATURE_NAMES) == 13
+        assert FUTURE_FEATURE_NAMES[1:6] == ("c_pef_fef25", "c_fef25_fef50", "c_fef50_fef75", "c_fef75_plus", "concavity_trend")
         assert block[:, 0].tolist() == [0.7, 0.2]
         assert np.allclose(block[:, 1:5], [[0.1, 0.2, -0.3, -0.4], [-0.5, 0.6, 0.7, 0.8]])
-        assert block[:, 5].tolist() == [p.trend for p in profiles]
+        assert block[:, 5].tolist() == concavity[:, 4].tolist()
         assert np.array_equal(block[:, 6:], struct)
-        assert future_feature_vector([], [], struct[:0]).shape == (0, len(FUTURE_FEATURE_NAMES))
+        assert future_feature_vector([], np.zeros((0, 5)), struct[:0]).shape == (0, len(FUTURE_FEATURE_NAMES))
 
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidArgument):
             future_feature_vector(
-                [0.5, np.nan], [ConcavityProfile(0, 0, 0, 0)] * 2, demographic_block([DEMO] * 2, [0.62] * 2)
+                [0.5, np.nan], np.zeros((2, 5)), demographic_block([DEMO] * 2, [0.62] * 2)
             )
 
 
