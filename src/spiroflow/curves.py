@@ -1,15 +1,16 @@
-"""Time-Volume, Time-Flow and Volume-Flow curve construction.
+"""Time-Volume and Volume-Flow curve construction.
 
-The raw signal from a forced-exhalation maneuver is a uniformly sampled
-exhaled-volume series.  Flow is obtained by forward finite differences and
-the Volume-Flow curve by composing flow with the (first-attainment) inverse
-of the volume trace.  A truncated, renormalized Gaussian kernel is used to
-suppress sampling jitter before differentiation.  `fev1_fvc_ratio` is the
-one owner of the FEV1/FVC ratio, read from the raw volume series.
+The raw signal from a forced-exhalation maneuver is an exhaled-volume series
+sampled every DT seconds.  Flow (an array on the same grid) is obtained by
+forward finite differences and the Volume-Flow curve by composing flow with
+the (first-attainment) inverse of the volume trace.  A truncated, renormalized
+Gaussian kernel suppresses sampling jitter before differentiation.
+`fev1_fvc_ratio` is the one owner of the FEV1/FVC ratio, read from raw volumes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -18,16 +19,15 @@ import numpy as np
 from .encoder import pad_rows
 from .errors import InvalidArgument, InvalidCurve, NonMonotonicVolume, SpiroError
 
-DEFAULT_DT = 0.010
+DT = 0.010  # seconds between samples
 VOLUME_TOL = 1e-9  # liters of backwards drift absorbed as float noise
 
 
 @dataclass(frozen=True)
 class TimeVolumeCurve:
-    """Uniformly sampled exhaled volume in liters."""
+    """Exhaled volume in liters, sampled every DT seconds."""
 
     samples: np.ndarray
-    dt: float = DEFAULT_DT
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
@@ -38,29 +38,6 @@ class TimeVolumeCurve:
             raise InvalidCurve("volume samples must be finite")
         if np.any(samples < 0):
             raise InvalidCurve("volumes must be non-negative")
-        if self.dt <= 0:
-            raise InvalidCurve("dt must be positive")
-
-    def __len__(self):
-        return self.samples.size
-
-
-@dataclass(frozen=True)
-class TimeFlowCurve:
-    """Flow in liters/second on the same time grid as its source volumes."""
-
-    samples: np.ndarray
-    dt: float = DEFAULT_DT
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
-        object.__setattr__(self, "samples", samples)
-        if samples.ndim != 1 or samples.size < 2:
-            raise InvalidCurve("need at least two flow samples")
-        if not np.all(np.isfinite(samples)):
-            raise InvalidCurve("flow samples must be finite")
-        if self.dt <= 0:
-            raise InvalidCurve("dt must be positive")
 
     def __len__(self):
         return self.samples.size
@@ -109,8 +86,13 @@ class SmootherConfig:
             raise InvalidArgument(f"sigma must be a real number, not {self.sigma!r}")
         if self.k < 0:
             raise InvalidArgument("window half-width k must be >= 0")
-        if not self.sigma > 0:
-            raise InvalidArgument("sigma must be > 0")
+        # the kernel divides by 2 sigma**2, so its float square must be positive and finite
+        try:
+            s = float(self.sigma)
+        except OverflowError:
+            s = math.inf
+        if not (s > 0 and 0 < s * s < math.inf):
+            raise InvalidArgument(f"sigma must be > 0 with a positive, finite float square, not {self.sigma!r}")
 
 
 # Batched passes pad consecutive slices of their batch into zero-padded float
@@ -124,7 +106,7 @@ BLOCK_BYTES = 1 << 16
 
 def _as_batch(curves):
     """(list of curves, whether a lone curve was given): a curve is a batch of one."""
-    if isinstance(curves, (TimeVolumeCurve, TimeFlowCurve)):
+    if isinstance(curves, TimeVolumeCurve):
         return [curves], True
     return list(curves), False
 
@@ -159,6 +141,7 @@ def _smooth_block(out, samples, k: int, sigma: float) -> list[int]:
     sizes = np.array([s.size for s in samples])
     x, mask = pad_rows(np.concatenate(samples), sizes)
     width = x.shape[1]
+    k = min(k, width - 1)  # a tap at |j| >= width reaches no sample
     num = np.zeros_like(x)
     den = np.zeros_like(x)
     # padded slots add nothing to den and +0.0 to num, so valid sums are unchanged
@@ -166,8 +149,6 @@ def _smooth_block(out, samples, k: int, sigma: float) -> list[int]:
         w = float(np.exp(-(j * j) / (2.0 * sigma**2)))
         lo = max(0, -j)
         hi = min(width, width - j)
-        if lo >= hi:
-            continue
         num[:, lo:hi] += w * x[:, lo + j : hi + j]
         np.add(den[:, lo:hi], w, out=den[:, lo:hi], where=mask[:, lo + j : hi + j])
     n = int(mask.sum())
@@ -175,11 +156,11 @@ def _smooth_block(out, samples, k: int, sigma: float) -> list[int]:
     return sizes.tolist()
 
 
-def _flow_block(out, samples, dts) -> list[int]:
+def _flow_block(out, samples) -> list[int]:
     sizes = np.array([s.size for s in samples])
     v, mask = pad_rows(np.concatenate(samples), sizes)
     q = np.empty_like(v)
-    q[:, :-1] = np.diff(v, axis=1) / np.array(dts)[:, None]
+    q[:, :-1] = np.diff(v, axis=1) / DT
     row = np.arange(len(samples))
     last = mask.sum(axis=1) - 1
     q[row, last] = q[row, last - 1]
@@ -222,20 +203,18 @@ def gaussian_smooth(curves, cfg: SmootherConfig = SmootherConfig()):
         rows = [x.copy() for x in samples]
     else:
         rows = [row[0] for row in _by_block(partial(_smooth_block, k=cfg.k, sigma=cfg.sigma), 1, samples)]
-    out = [TimeVolumeCurve(row, c.dt) for row, c in zip(rows, batch)]
+    out = [TimeVolumeCurve(row) for row in rows]
     return out[0] if single else out
 
 
 def differentiate_flow(curves):
-    """Forward difference flow; the final sample duplicates its predecessor.
-
-    Takes one TimeVolumeCurve, or a sequence of them (returned as a list).
+    """Forward difference flow in liters/second; the final sample duplicates
+    its predecessor.  Takes one TimeVolumeCurve (returning a float array) or
+    a sequence of them (returning a list of arrays).
     """
     batch, single = _as_batch(curves)
-    dts = [c.dt for c in batch]
-    rows = _by_block(_flow_block, 1, [c.samples for c in batch], dts)
-    out = [TimeFlowCurve(row[0], dt) for row, dt in zip(rows, dts)]
-    return out[0] if single else out
+    rows = [row[0] for row in _by_block(_flow_block, 1, [c.samples for c in batch])]
+    return rows[0] if single else rows
 
 
 def volume_flow_curve(vols, flows):
@@ -244,24 +223,24 @@ def volume_flow_curve(vols, flows):
     A sample is kept only when its volume strictly exceeds every previously
     kept volume, i.e. the running maximum before it; equal-volume (or
     within-tolerance dipping) samples carry no new volume information and
-    are dropped, keeping the span's first flow.  Takes a volume and a flow
-    curve, or two aligned sequences of them (returned as a list).  A batch
+    are dropped, keeping the span's first flow.  Takes a volume curve and its
+    flow array, or two aligned sequences of them (returned as a list).  A batch
     raises for its first bad curve, with the curve's index as the error's row.
     """
     vol_batch, single = _as_batch(vols)
-    flow_batch, _ = _as_batch(flows)
+    flow_batch = [flows] if single else list(flows)
     if len(vol_batch) != len(flow_batch):
         raise InvalidCurve("need one flow series per volume series")
     for i, (vol, flow) in enumerate(zip(vol_batch, flow_batch)):
         if len(vol) != len(flow):
             raise InvalidCurve("volume and flow series must have equal length", row=i)
-    pairs = _by_block(_volume_flow_block, 2, [c.samples for c in vol_batch], [c.samples for c in flow_batch])
+    pairs = _by_block(_volume_flow_block, 2, [c.samples for c in vol_batch], flow_batch)
     out = [VolumeFlowCurve(*pair) for pair in pairs]
     return out[0] if single else out
 
 
 def fev1_fvc_ratio(curves) -> np.ndarray:
     """(N,) FEV1/FVC of each TimeVolumeCurve of a sequence: FEV1 is the
-    volume at 1 s, sample round(1 / dt), or the last sample of a shorter
+    volume at 1 s, sample round(1 / DT), or the last sample of a shorter
     curve, and FVC is the curve's largest volume."""
-    return np.array([c.samples[min(round(1.0 / c.dt), len(c) - 1)] / c.samples.max() for c in curves], dtype=float)
+    return np.array([c.samples[min(round(1.0 / DT), len(c) - 1)] / c.samples.max() for c in curves], dtype=float)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .attention import DemographicRecord, SEX_CODES
-from .curves import DEFAULT_DT, TimeVolumeCurve
+from .curves import DT, TimeVolumeCurve
 from .errors import InvalidCurve, InvalidSpec, ParseError, ValidationError
 from .horizon import HORIZON_ORDER, HorizonLabel
 
@@ -125,7 +125,7 @@ def template_curve(template: ClassTemplate) -> np.ndarray:
     volumes = [0.0]
     v = 0.0
     while v < 0.995 * template.fvc and len(volumes) < 4000:
-        v = min(v + DEFAULT_DT * max(template.flow_at(v), min_flow), template.fvc)
+        v = min(v + DT * max(template.flow_at(v), min_flow), template.fvc)
         volumes.append(v)
     return np.array(volumes)
 

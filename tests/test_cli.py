@@ -1359,6 +1359,19 @@ class TestErrors:
                 assert f"argument {flag}" in capsys.readouterr().err, (command, flag, value)
                 assert not out.exists(), (command, flag, value)
 
+    def test_sigma_without_a_finite_float_square_is_clean_failure(self, pipeline, tmp_path, capsys):
+        # finite flags whose square underflows to 0 or overflows, which
+        # the kernel's 2 sigma**2 divisor once met with a traceback
+        _, cohort, _ = pipeline
+        for command in ("smooth", "featurize", "train-detect"):
+            for sigma in ("1e-170", "1e200"):
+                out = tmp_path / f"{command}_{sigma}"
+                assert _run(command, "--out-dir", str(out), "--cohort", str(cohort), f"--sigma={sigma}") == 1
+                payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+                assert payload["error"] == "InvalidArgument", (command, sigma)
+                assert "sigma" in payload["message"], (command, sigma)
+                assert not out.exists(), (command, sigma)
+
     def test_every_cohort_subcommand_reports_a_broken_join(self, pipeline, tmp_path, capsys):
         # all six subcommands that read a cohort go through the same checks
         _, cohort, models = pipeline
@@ -1563,6 +1576,17 @@ class TestErrors:
                     ),
                     "string-sigma": (
                         _json_edit(lambda b: b["smoother"].update(sigma="2")), "InvalidArgument", ["sigma"]
+                    ),
+                    # a square that underflows to 0, and an integer too large for a float
+                    "tiny-sigma": (
+                        _json_edit(lambda b: b["smoother"].update(sigma=1e-170)),
+                        "InvalidArgument",
+                        ["detect_model.json", "sigma"],
+                    ),
+                    "huge-integer-sigma": (
+                        _json_edit(lambda b: b["smoother"].update(sigma=10**400)),
+                        "InvalidArgument",
+                        ["detect_model.json", "sigma"],
                     ),
                     "no-test-ids": (_json_edit(lambda b: b.pop("test_ids")), "ParseError", ["'test_ids'"]),
                     "test-ids-not-a-list": (

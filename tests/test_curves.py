@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,8 +7,8 @@ import hypothesis.strategies as st
 
 from spiroflow import curves as curves_module
 from spiroflow.curves import (
+    DT,
     SmootherConfig,
-    TimeFlowCurve,
     TimeVolumeCurve,
     VolumeFlowCurve,
     differentiate_flow,
@@ -14,11 +16,11 @@ from spiroflow.curves import (
     gaussian_smooth,
     volume_flow_curve,
 )
-from spiroflow.errors import InvalidCurve, NonMonotonicVolume
+from spiroflow.errors import InvalidArgument, InvalidCurve, NonMonotonicVolume
 
 
-def tv(samples, dt=0.010):
-    return TimeVolumeCurve(np.asarray(samples, dtype=float), dt)
+def tv(samples):
+    return TimeVolumeCurve(np.asarray(samples, dtype=float))
 
 
 class TestGaussianSmooth:
@@ -57,15 +59,27 @@ class TestGaussianSmooth:
         with pytest.raises(InvalidCurve):
             tv([1.0])
 
+    def test_sigma_without_a_positive_finite_float_square_rejected(self):
+        # the kernel divides by 2 sigma**2: 1e-170 made that a division by
+        # zero, and 1e200 and 10**400 overflowed
+        for sigma in (1e-170, 1e200, 10**400, 0.0, -2.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidArgument, match="sigma"):
+                SmootherConfig(sigma=sigma)
+        # the accepted extremes: a tiny sigma keeps the centre tap alone, a huge
+        # one weighs every tap alike
+        x = tv([0.0, 1.0, 3.0, 4.0])
+        assert bits(gaussian_smooth(x, SmootherConfig(k=1, sigma=1e-150)).samples) == bits(x.samples)
+        assert np.allclose(gaussian_smooth(x, SmootherConfig(k=1, sigma=1e150)).samples, [0.5, 4 / 3, 8 / 3, 3.5])
+
     def test_smoothing_reduces_flow_total_variation(self):
         # seeded noisy ramps: the derivative's total variation must shrink
         rng = np.random.default_rng(0)
         for _ in range(20):
             ramp = np.linspace(0, 3, 200) + 0.01 * rng.standard_normal(200)
             curve = tv(np.clip(ramp, 0, None))
-            tv_raw = np.abs(np.diff(differentiate_flow(curve).samples)).sum()
+            tv_raw = np.abs(np.diff(differentiate_flow(curve))).sum()
             smoothed = gaussian_smooth(curve)
-            tv_smooth = np.abs(np.diff(differentiate_flow(smoothed).samples)).sum()
+            tv_smooth = np.abs(np.diff(differentiate_flow(smoothed))).sum()
             assert tv_smooth < tv_raw
 
 
@@ -73,20 +87,21 @@ class TestDifferentiateFlow:
     def test_constant_slope(self):
         v = np.arange(6) * 0.03
         out = differentiate_flow(tv(v))
-        assert np.allclose(out.samples, 3.0)
+        assert isinstance(out, np.ndarray) and out.dtype == float
+        assert np.allclose(out, 3.0)
         assert len(out) == 6
 
     def test_constant_volume(self):
         out = differentiate_flow(tv([1.0, 1.0, 1.0]))
-        assert np.allclose(out.samples, 0.0)
+        assert np.allclose(out, 0.0)
 
     def test_quadratic_against_analytic_derivative(self):
-        dt = 0.010
-        t = np.arange(300) * dt
-        curve = tv(t**2, dt)
-        flow = differentiate_flow(curve).samples
-        # forward difference of t^2 is 2t + dt; compare against 2t
-        assert np.max(np.abs(flow[:-1] - 2 * t[:-1])) <= dt + 1e-12
+        assert DT == 0.010  # the cohort CSV's fixed sampling interval
+        t = np.arange(300) * DT
+        curve = tv(t**2)
+        flow = differentiate_flow(curve)
+        # forward difference of t^2 is 2t + DT; compare against 2t
+        assert np.max(np.abs(flow[:-1] - 2 * t[:-1])) <= DT + 1e-12
 
     def test_too_short_rejected(self):
         with pytest.raises(InvalidCurve):
@@ -99,11 +114,11 @@ class TestVolumeFlowCurve:
         q = differentiate_flow(v)
         vf = volume_flow_curve(v, q)
         assert np.array_equal(vf.volumes, v.samples)
-        assert np.array_equal(vf.flows, q.samples)
+        assert np.array_equal(vf.flows, q)
 
     def test_plateau_collapses_to_first_attainment(self):
         v = tv([0.0, 1.0, 1.0, 2.0])
-        q = TimeFlowCurve(np.array([1.0, 0.0, 0.0, 1.0]), 0.010)
+        q = np.array([1.0, 0.0, 0.0, 1.0])
         vf = volume_flow_curve(v, q)
         assert np.array_equal(vf.volumes, [0.0, 1.0, 2.0])
         assert np.array_equal(vf.flows, [1.0, 0.0, 1.0])
@@ -148,9 +163,9 @@ def smooth_reference(x, k, sigma):
     return num / den
 
 
-def flow_reference(v, dt):
+def flow_reference(v):
     q = np.empty_like(v)
-    q[:-1] = np.diff(v) / dt
+    q[:-1] = np.diff(v) / DT
     q[-1] = q[-2]
     return q
 
@@ -190,29 +205,41 @@ class TestBatchedMatchesReference:
         for _ in range(30):
             # lengths from 2 to beyond the 2k+1 window, so k also exceeds short curves
             lengths = rng.integers(2, 2 * k + 12, size=rng.integers(1, 9))
-            dts = rng.choice([0.01, 0.004, 0.25], size=lengths.size)
-            curves = [tv(random_volume_series(rng, n), dt) for n, dt in zip(lengths, dts)]
+            curves = [tv(random_volume_series(rng, n)) for n in lengths]
             smoothed = gaussian_smooth(curves, SmootherConfig(k=k, sigma=sigma))
             flows = differentiate_flow(smoothed)
             for curve, s, q in zip(curves, smoothed, flows):
                 assert bits(s.samples) == bits(smooth_reference(curve.samples, k, sigma))
-                assert s.dt == q.dt == curve.dt
-                assert bits(q.samples) == bits(flow_reference(s.samples, curve.dt))
+                assert bits(q) == bits(flow_reference(s.samples))
             usable = [i for i, s in enumerate(smoothed) if keep_reference(s.samples).size >= 2]
             vfs = volume_flow_curve([smoothed[i] for i in usable], [flows[i] for i in usable])
             for i, vf in zip(usable, vfs):
                 idx = keep_reference(smoothed[i].samples)
                 assert bits(vf.volumes) == bits(smoothed[i].samples[idx])
-                assert bits(vf.flows) == bits(flows[i].samples[idx])
+                assert bits(vf.flows) == bits(flows[i][idx])
 
     def test_minus_zero_and_within_tolerance_dips(self):
         v = tv([-0.0, 0.0, -0.0, 0.5, 0.5 - 0.9e-9, 0.5, 1.0, 1.0])
-        q = TimeFlowCurve(np.arange(8.0), 0.010)
+        q = np.arange(8.0)
         vf = volume_flow_curve([v], [q])[0]
         assert bits(vf.volumes) == bits(v.samples[[0, 3, 6]])
         assert np.signbit(vf.volumes[0])
         assert bits(vf.flows) == bits(np.array([0.0, 3.0, 6.0]))
         assert bits(gaussian_smooth([v], SmootherConfig(k=0))[0].samples) == bits(v.samples)
+
+    @pytest.mark.parametrize("block_bytes", [curves_module.BLOCK_BYTES, 64])
+    def test_window_past_the_longest_curve_changes_nothing(self, block_bytes, monkeypatch):
+        # a tap at |j| >= the padded width reaches no sample, so any k past
+        # longest - 1 gives its bits, and k = 10**9 costs no more time
+        monkeypatch.setattr(curves_module, "BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(5)
+        curves = [tv(random_volume_series(rng, n)) for n in (2, 9, 30, 17)]
+        widest = [bits(s.samples) for s in gaussian_smooth(curves, SmootherConfig(k=29, sigma=4.0))]
+        for k in (3 * 29, 10**9):
+            start = time.perf_counter()
+            smoothed = gaussian_smooth(curves, SmootherConfig(k=k, sigma=4.0))
+            assert time.perf_counter() - start < 2.0
+            assert [bits(s.samples) for s in smoothed] == widest
 
     def test_batch_of_one_equals_row_of_larger_batch(self):
         rng = np.random.default_rng(11)
@@ -225,7 +252,7 @@ class TestBatchedMatchesReference:
             assert isinstance(alone, TimeVolumeCurve)
             assert bits(alone.samples) == bits(gaussian_smooth([curve])[0].samples) == bits(smoothed[i].samples)
             flow = differentiate_flow(alone)
-            assert bits(flow.samples) == bits(flows[i].samples)
+            assert bits(flow) == bits(flows[i])
             vf = volume_flow_curve(alone, flow)
             assert bits(vf.volumes) == bits(vfs[i].volumes)
             assert bits(vf.flows) == bits(vfs[i].flows)
@@ -253,7 +280,7 @@ class TestBatchedMatchesReference:
 
     def test_length_mismatch_rejected(self):
         v = [tv([0.0, 0.5, 1.0]), tv([0.0, 1.0])]
-        q = [TimeFlowCurve(np.ones(3)), TimeFlowCurve(np.ones(3))]
+        q = [np.ones(3), np.ones(3)]
         with pytest.raises(InvalidCurve) as exc:
             volume_flow_curve(v, q)
         assert exc.value.row == 1
@@ -263,17 +290,17 @@ class TestBatchedMatchesReference:
 
 class TestFev1FvcRatio:
     def test_ragged_batch_matches_each_curve_alone(self):
-        # FEV1 is sample round(1 / dt), or the last sample of a curve shorter
-        # than 1 s; FVC is the largest sample, wherever it falls
+        # FEV1 is sample 100 (1 s at DT), or the last sample of a curve
+        # shorter than 1 s; FVC is the largest sample, wherever it falls
         rng = np.random.default_rng(17)
-        shapes = [(150, 0.01), (101, 0.01), (40, 0.01), (300, 0.004), (5, 0.25), (4, 0.25), (2, 0.01)]
-        curves = [tv(random_volume_series(rng, n) + 0.1, dt) for n, dt in shapes]
+        lengths = [150, 101, 40, 300, 100, 99, 5, 4, 2]
+        curves = [tv(random_volume_series(rng, n) + 0.1) for n in lengths]
         curves.append(tv([0.0, 2.0, 1.5] + [1.0] * 120))
         ratios = fev1_fvc_ratio(curves)
         assert ratios.shape == (len(curves),)
         for curve, ratio in zip(curves, ratios):
             v = curve.samples
-            expected = v[min(round(1.0 / curve.dt), v.size - 1)] / v.max()
+            expected = v[min(100, v.size - 1)] / v.max()
             assert bits(fev1_fvc_ratio([curve])) == bits(ratio[None]) == bits(np.array([expected]))
         assert ratios[2] == curves[2].samples[-1] / curves[2].samples.max()  # 0.4 s long
         assert ratios[-1] == 0.5  # FVC came before 1 s

@@ -1,6 +1,6 @@
-"""No dead helpers: every function and method defined in src/spiroflow/ is
-referenced by name from the package, scripts/ or perfbench/, outside its own
-definition.  Only the code's syntax tree counts, so a name that appears in a
+"""No dead helpers: every function, method and module-level class defined in
+src/spiroflow/ is referenced by name from the package, scripts/ or perfbench/,
+outside its own definition.  Only the code's syntax tree counts, so a name that appears in a
 docstring, a comment or a test does not keep a helper alive."""
 
 import ast
@@ -19,7 +19,8 @@ ALLOWED = {
 
 
 def _definitions(tree: ast.Module, module: str):
-    """(qualified name, node) of every function and method in the module."""
+    """(qualified name, node) of every function, method and module-level
+    class in the module."""
 
     def walk(node, prefix):
         for child in ast.iter_child_nodes(node):
@@ -27,6 +28,8 @@ def _definitions(tree: ast.Module, module: str):
                 yield f"{prefix}.{child.name}", child
                 yield from walk(child, f"{prefix}.{child.name}")
             elif isinstance(child, ast.ClassDef):
+                if node is tree:
+                    yield f"{prefix}.{child.name}", child
                 yield from walk(child, f"{prefix}.{child.name}")
             else:
                 yield from walk(child, prefix)
@@ -35,11 +38,11 @@ def _definitions(tree: ast.Module, module: str):
 
 
 def _references(tree: ast.Module):
-    """(name, ids of the enclosing function nodes) for every ast.Name and
-    ast.Attribute in the tree."""
+    """(name, ids of the enclosing function and class nodes) for every
+    ast.Name and ast.Attribute in the tree."""
 
     def walk(node, enclosing):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             enclosing = enclosing | {id(node)}
         if isinstance(node, ast.Name):
             yield node.id, enclosing
@@ -78,7 +81,7 @@ def test_a_helper_named_only_in_its_own_body_or_docstring_is_dead(tmp_path):
     package.mkdir(parents=True)
     (package / "mod.py").write_text(
         "def live():\n"
-        "    return helper()\n"
+        "    return helper(), Box\n"
         "\n"
         "def helper():\n"
         "    return 1\n"
@@ -99,5 +102,10 @@ def test_a_helper_named_only_in_its_own_body_or_docstring_is_dead(tmp_path):
         "\n"
         "    def unused(self):\n"
         "        return self.used()\n"
+        "\n"
+        "class Orphan:\n"
+        '    """Named only in its own body, as Orphan."""\n'
+        "    def copy(self):\n"
+        "        return Orphan()\n"
     )
-    assert unreferenced(tmp_path) == ["mod.Box.unused", "mod.orphan", "mod.recursive"]
+    assert unreferenced(tmp_path) == ["mod.Box.unused", "mod.Orphan", "mod.Orphan.copy", "mod.orphan", "mod.recursive"]
