@@ -5,7 +5,9 @@ The cohort generator builds classes whose Volume-Flow collapse moves to
 earlier exhalation phases as the onset horizon nears, so the trend column
 should decrease monotonically from WITHIN_1Y down to NON_COPD at any
 moderate noise level.  Exits 1, naming the first out-of-order pair of
-classes, when the class means do not strictly decrease.
+classes, when the class means do not strictly decrease.  A flag the cohort
+generator rejects (--n-per-class below 1, a --noise that is negative or not
+finite, a negative --seed) is a usage error (exit 2).
 """
 
 import argparse
@@ -20,6 +22,7 @@ from spiroflow import (
     generate_synthetic_cohort,
     volume_flow_curve,
 )
+from spiroflow.errors import InvalidSpec
 from spiroflow.horizon import HORIZON_ORDER
 from spiroflow.phases import concavity_features
 
@@ -30,10 +33,14 @@ def main():
     parser.add_argument("--noise", type=float, default=0.1)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0, not {args.seed}")
+    try:
+        spec = CohortSpec(n_per_class=args.n_per_class, noise=args.noise, seed=args.seed)
+    except InvalidSpec as exc:
+        parser.error(str(exc))
 
-    cohort = generate_synthetic_cohort(
-        CohortSpec(n_per_class=args.n_per_class, noise=args.noise, seed=args.seed)
-    )
+    cohort = generate_synthetic_cohort(spec)
     smoothed = gaussian_smooth([rec.curve for rec in cohort])
     vfs = volume_flow_curve(smoothed, differentiate_flow(smoothed))
     trends = concavity_features(vfs)[:, 4]

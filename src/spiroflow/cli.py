@@ -130,16 +130,17 @@ def _write_cohort(out_dir: Path, records):
 
 
 def _read_rows(path: Path, parse, inputs: dict) -> dict:
-    """id -> parse(row) over a cohort CSV with a header row; the SHA-256 of
-    the bytes parsed is recorded in inputs under the file's name.
+    """id -> parse(row) over a cohort CSV with a header row, each id exactly
+    as written; the file's SHA-256 is recorded in inputs under its name
+    before it is parsed.
 
     A missing column, a row with more cells than the header or a value that
     parse rejects raises ParseError, and a repeated id raises
-    ValidationError, naming the file, the row and the id.
+    ValidationError, naming the file, the line the row ends on and the id.
     """
     out = {}
-    digest = sha256()
-    with open_csv(path, digest) as fh:
+    inputs[path.name] = _sha256(path)
+    with open_csv(path) as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             where = f"{path.name} row {reader.line_num} (id {row.get('id')!r})"
@@ -152,7 +153,6 @@ def _read_rows(path: Path, parse, inputs: dict) -> dict:
             if record_id in out:
                 raise ValidationError(f"{where}: duplicate id")
             out[record_id] = value
-    inputs[path.name] = digest.hexdigest()
     return out
 
 
@@ -174,15 +174,10 @@ def _load_cohort(cohort_dir: Path, inputs: dict):
 
     Every curves.csv id must have a row in demographics.csv and in
     labels.csv, and no file may repeat an id; either fault raises
-    ValidationError.  Each file is read once, and the SHA-256 of the bytes
-    parsed is recorded in inputs under its name, unless inputs already
-    holds the digest of curves.csv.
+    ValidationError.  curves.csv is only parsed: its digest is the caller's
+    to record.  The digests of the other two files go to inputs (_join).
     """
-    path = cohort_dir / "curves.csv"
-    digest = None if path.name in inputs else sha256()
-    curves = dict(load_time_volume_csv(path, digest))
-    if digest is not None:
-        inputs[path.name] = digest.hexdigest()
+    curves = dict(load_time_volume_csv(cohort_dir / "curves.csv"))
     ids = sorted(curves)
     return (ids, [curves[i] for i in ids], *_join(cohort_dir, ids, inputs))
 
@@ -246,20 +241,20 @@ def _start(args, models: bool = False, record_ids=None, test_split: bool = False
     FEV1/FVC ratios are read from the accepted curves, whose largest
     volumes are positive.
 
-    A model stage whose --models holds train-detect's cohort cache for
-    these curves.csv and detect_model.json bytes takes the curves and
-    ratios of its records from there, and parses only demographics.csv and
-    labels.csv; over the whole cohort it also takes the detector pass's
-    scores.  It reads curves.csv only to hash it; a stage that misses the
-    cache then parses it as one without models does, and keeps that one
-    digest."""
+    Every stage first takes the curves.csv digest, once, and hashes each
+    other cohort CSV just before it parses it, so it reads each CSV it
+    parses twice.  A model stage whose --models holds train-detect's
+    cohort cache for these curves.csv and detect_model.json digests takes
+    the curves and ratios of its records from there, and parses only
+    demographics.csv and labels.csv; over the whole cohort it also takes
+    the detector pass's scores.  A stage without models, or one that
+    misses the cache, parses curves.csv too (_load_cohort)."""
     cohort_dir = Path(args.cohort)
-    inputs = {}
+    inputs = {"curves.csv": _sha256(cohort_dir / "curves.csv")}
     cached = scores = None
     if models:
         model_dir = Path(args.models)
         loaded, smoother = _load_models(model_dir, inputs)
-        inputs["curves.csv"] = _sha256(cohort_dir / "curves.csv")
         cached = _read_cache(model_dir, {name: inputs[name] for name in ("curves.csv", "detect_model.json")})
     else:
         loaded, smoother = None, _smoother(vars(args))
@@ -463,13 +458,13 @@ def cmd_synth(args):
 
 def cmd_smooth(args):
     path = Path(args.cohort) / "curves.csv"
-    digest = sha256()
-    records = load_time_volume_csv(path, digest)
+    inputs = {path.name: _sha256(path)}
+    records = load_time_volume_csv(path)
     cfg = _smoother(vars(args))
     ids = [blow_id for blow_id, _ in records]
     smoothed = gaussian_smooth([curve for _, curve in records], cfg)
     write_time_volume_csv(_out_dir(args) / "smoothed_curves.csv", list(zip(ids, smoothed)))
-    return _finish(args, {"curves": len(smoothed)}, {path.name: digest.hexdigest()}, cfg, curves=len(smoothed))
+    return _finish(args, {"curves": len(smoothed)}, inputs, cfg, curves=len(smoothed))
 
 
 def cmd_featurize(args):
@@ -478,7 +473,7 @@ def cmd_featurize(args):
     rows = _by_id(ids, concavity_features, run.vf_curves)
     with open(_out_dir(args) / "features.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["id", *CONCAVITY_NAMES, "trend"])
+        writer.writerow(["id", *CONCAVITY_NAMES])
         for blow_id, row in zip(ids, rows.tolist()):
             writer.writerow([blow_id, *map(repr, row)])
     return _finish(args, {"curves": len(ids)}, run.inputs, run.smoother, curves=len(ids))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -106,8 +106,8 @@ class CohortSpec:
     def __post_init__(self):
         if self.n_per_class < 1:
             raise InvalidSpec("n_per_class must be >= 1")
-        if self.noise < 0:
-            raise InvalidSpec("noise must be >= 0")
+        if not 0 <= self.noise < math.inf:  # nan fails too
+            raise InvalidSpec("noise must be a finite number >= 0")
 
 
 @dataclass(frozen=True)
@@ -170,61 +170,37 @@ def generate_synthetic_cohort(spec: CohortSpec) -> list[CohortRecord]:
 # CSV ingestion (schema: one row per blow, id then milliliter samples)
 
 
-class _DigestingFile(io.RawIOBase):
-    """An unbuffered binary file that feeds each byte read from it to digest."""
-
-    def __init__(self, fh, digest):
-        self._fh = fh
-        self._digest = digest
-
-    def readable(self):
-        return True
-
-    def readinto(self, buffer):
-        n = self._fh.readinto(buffer)
-        self._digest.update(memoryview(buffer)[:n])
-        return n
-
-    def close(self):
-        self._fh.close()
-        super().close()
-
-
 @contextlib.contextmanager
-def open_csv(path, digest=None):
-    """A context manager over path opened as open(path, newline="") opens
-    it; a byte the text codec rejects or a csv module error raised in it
-    becomes a ParseError naming the file.  With digest (a hashlib-style
-    object) every byte read is also fed to it, so a reader that reaches the
-    end leaves there the digest of the bytes it parsed."""
-    if digest is None:
-        fh = open(path, newline="")
-    else:
-        fh = io.TextIOWrapper(io.BufferedReader(_DigestingFile(open(path, "rb", buffering=0), digest), 1 << 16), newline="")
-    with fh:
+def open_csv(path):
+    """open(path, newline="") as a context manager; a byte the text codec
+    rejects or a csv module error raised in it becomes a ParseError naming
+    the file."""
+    with open(path, newline="") as fh:
         try:
             yield fh
         except (UnicodeDecodeError, csv.Error) as exc:
             raise ParseError(f"{Path(path).name}: {exc}") from None
 
 
-def load_time_volume_csv(path, digest=None) -> list[tuple[str, TimeVolumeCurve]]:
+def load_time_volume_csv(path) -> list[tuple[str, TimeVolumeCurve]]:
     """Parse blow rows 'id, ml, ml, ...' into liter curves; an id may not repeat.
 
-    A short row, a cell that is not a number, a repeated id or a negative or
-    non-finite volume raises naming the file, the row and the id; a file
-    without a blow row raises ParseError naming the file.  With digest, the
-    file's bytes are fed to it as they are read (open_csv).
+    Each id is the first cell exactly as written.  A row whose cells are all
+    blank is skipped.  A short row, a cell that is not a number, a repeated
+    id or a negative or non-finite volume raises naming the file, the line
+    the row ends on and the id; a file without a blow row raises ParseError
+    naming the file.
     """
     out = []
     seen = set()
     name = Path(path).name
-    with open_csv(path, digest) as fh:
-        for row_no, row in enumerate(csv.reader(fh), start=1):
+    with open_csv(path) as fh:
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or all(not cell.strip() for cell in row):
                 continue
-            blow_id = row[0].strip()
-            where = f"{name} row {row_no} (id {blow_id!r})"
+            blow_id = row[0]
+            where = f"{name} row {reader.line_num} (id {blow_id!r})"
             if len(row) < 3:
                 raise ParseError(f"{where}: need an id and at least two samples")
             if blow_id in seen:

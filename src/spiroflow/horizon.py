@@ -31,7 +31,7 @@ class HorizonLabel(str, Enum):
 
 HORIZON_ORDER = list(HorizonLabel)
 
-FUTURE_FEATURE_NAMES = ("fused_risk", *CONCAVITY_NAMES, "concavity_trend") + STRUCT_FEATURE_NAMES
+FUTURE_FEATURE_NAMES = ("fused_risk", *CONCAVITY_NAMES) + STRUCT_FEATURE_NAMES
 
 
 def future_feature_vector(risks, concavity: np.ndarray, struct: np.ndarray) -> np.ndarray:

@@ -8,8 +8,8 @@ The trend statistic is early-phase concavity minus late-phase concavity:
 large values mean collapse happens early in exhalation.
 
 concavity_features is the one owner of the concavity block: (N, 5) rows of
-the four directed areas in CONCAVITY_NAMES order, then the trend, which
-featurize writes and the horizon model reads.
+the four phases' directed areas, then the trend, which featurize writes and
+the horizon model reads, each naming the columns by CONCAVITY_NAMES.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from .errors import DegenerateCurve, EmptyPhase
 DEFAULT_N_GRID = 1000
 
 PHASE_NAMES = ("PEF_FEF25", "FEF25_FEF50", "FEF50_FEF75", "FEF75_PLUS")
-CONCAVITY_NAMES = ("c_pef_fef25", "c_fef25_fef50", "c_fef50_fef75", "c_fef75_plus")
+# the concavity block's five columns
+CONCAVITY_NAMES = ("c_pef_fef25", "c_fef25_fef50", "c_fef50_fef75", "c_fef75_plus", "trend")
 
 
 def phase_bounds(curve: VolumeFlowCurve) -> tuple[np.ndarray, np.ndarray]:
@@ -64,11 +65,12 @@ def _directed_areas(curve: VolumeFlowCurve, starts: np.ndarray, ends: np.ndarray
 
 
 def concavity_features(curves) -> np.ndarray:
-    """(N, 5) concavity block of the curves, one row per curve: the four
-    phases' directed areas in CONCAVITY_NAMES order, then the trend
-    c1 + c2 - c3 - c4.  A curve whose phases cannot be measured raises its
-    DegenerateCurve or EmptyPhase with its index as the error's row."""
-    areas = np.empty((len(curves), len(CONCAVITY_NAMES)))
+    """(N, 5) concavity block of the curves, one row per curve, in the
+    columns CONCAVITY_NAMES names: the four phases' directed areas in
+    PHASE_NAMES order, then the trend c1 + c2 - c3 - c4.  A curve whose
+    phases cannot be measured raises its DegenerateCurve or EmptyPhase with
+    its index as the error's row."""
+    areas = np.empty((len(curves), len(PHASE_NAMES)))
     for i, curve in enumerate(curves):
         try:
             areas[i] = _directed_areas(curve, *phase_bounds(curve), DEFAULT_N_GRID)

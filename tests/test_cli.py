@@ -233,6 +233,26 @@ class TestSmoothFeaturize:
             assert float(cells[5]) == pytest.approx(c[0] + c[1] - c[2] - c[3])
 
 
+    def test_ids_are_kept_exactly_as_written(self, tmp_path):
+        # a cohort whose every id is written as " <id> " in all three files
+        # joins, and both stages write the ids back as written
+        cohort, spaced = tmp_path / "cohort", tmp_path / "spaced"
+        assert _run("synth", "--out-dir", str(cohort), "--n", "12", "--seed", "0") == 0
+
+        def spaced_ids(text):
+            return re.sub(r"^([A-Z0-9_]+),", r" \1 ,", text, flags=re.M)
+
+        spaced.mkdir()
+        for name in ("curves.csv", "demographics.csv", "labels.csv"):
+            (spaced / name).write_text(spaced_ids((cohort / name).read_text()))
+        assert (spaced / "labels.csv").read_text().splitlines()[1].startswith(" WITHIN_1Y_0000 ,")
+        for command, written in (("featurize", "features.csv"), ("smooth", "smoothed_curves.csv")):
+            for source in (cohort, spaced):
+                assert _run(command, "--out-dir", str(tmp_path / f"{command}_{source.name}"), "--cohort", str(source)) == 0
+            plain = (tmp_path / f"{command}_cohort" / written).read_text()
+            assert (tmp_path / f"{command}_spaced" / written).read_text() == spaced_ids(plain), command
+
+
 class TestTrainAndEvaluate:
     def test_checkpoints_written(self, pipeline):
         _, _, models = pipeline
@@ -1486,6 +1506,28 @@ class TestErrors:
                 assert all(part in payload["message"] for part in named), (case, command, payload["message"])
                 assert not out.exists(), (case, command)
 
+    def test_a_row_is_numbered_by_its_line_in_every_cohort_file(self, tmp_path, capsys):
+        # after a quoted two-line id the next record is on line 4 of each
+        # file: curves.csv starts with a blank line where the other two have
+        # their header
+        curves = '\n"two\nlines",0,100,200\nb,0,150,300\n'
+        demographics = 'id,sex,age,smoking\n"two\nlines",male,60,never\nb,female,50,current\n'
+        labels = 'id,copd,horizon\n"two\nlines",0,NON_COPD\nb,1,WITHIN_1Y\n'
+        cases = {
+            "curves.csv": (curves.replace("150", "lots"), demographics, labels),
+            "demographics.csv": (curves, demographics.replace("50", "fifty"), labels),
+            "labels.csv": (curves, demographics, labels.replace("WITHIN_1Y", "SOON")),
+        }
+        for case, texts in cases.items():
+            cohort = tmp_path / case
+            cohort.mkdir()
+            for name, text in zip(("curves.csv", "demographics.csv", "labels.csv"), texts):
+                (cohort / name).write_text(text)
+            out = tmp_path / "out"
+            payload = _clean_failure(capsys, _run("featurize", "--out-dir", str(out), "--cohort", str(cohort)), out)
+            assert payload["error"] == "ParseError", case
+            assert f"{case} row 4 (id 'b')" in payload["message"], (case, payload["message"])
+
     def test_duplicate_ids_are_rejected(self, tmp_path, capsys):
         # a repeated id in any cohort file is an error, not a silent last-row-wins
         curves = "a,0,100,200\nb,0,150,300\n"
@@ -1661,6 +1703,12 @@ class TestErrors:
                     "no-features": (_json_edit(lambda b: b.pop("features")), "ParseError", ["'features'"]),
                     "reordered-features": (
                         _json_edit(lambda b: b["features"].reverse()),
+                        "InvalidParams",
+                        ["horizon_model.json", "'features'"],
+                    ),
+                    # as versions that named the trend column otherwise wrote it
+                    "old-trend-name": (
+                        _json_edit(lambda b: b["features"].__setitem__(5, "concavity_trend")),
                         "InvalidParams",
                         ["horizon_model.json", "'features'"],
                     ),

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -50,8 +55,9 @@ class TestCohortGeneration:
     def test_invalid_spec_rejected(self):
         with pytest.raises(InvalidSpec):
             CohortSpec(n_per_class=0)
-        with pytest.raises(InvalidSpec):
-            CohortSpec(n_per_class=1, noise=-0.1)
+        for noise in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(InvalidSpec):
+                CohortSpec(n_per_class=1, noise=noise)
 
 
 class TestSeverityLadder:
@@ -79,6 +85,20 @@ class TestSeverityLadder:
         assert severe.pef < healthy.pef
         # mid-exhalation flow fraction collapses with severity
         assert severe.flow_at(0.5 * severe.fvc) / severe.pef < healthy.flow_at(0.5 * healthy.fvc) / healthy.pef
+
+    @pytest.mark.parametrize(
+        "flag", [["--n-per-class", "0"], ["--noise", "-1"], ["--noise", "nan"], ["--noise", "inf"], ["--seed", "-1"]]
+    )
+    def test_script_rejects_a_bad_flag_as_a_usage_error(self, flag):
+        # scripts/severity_ladder.py ends in argparse's usage error, not a traceback
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, str(root / "scripts" / "severity_ladder.py"), *flag],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2, done.stderr
+        assert "usage:" in done.stderr and "Traceback" not in done.stderr
 
     def test_template_curve_reaches_capacity(self):
         for label in HORIZON_ORDER:
@@ -114,6 +134,8 @@ class TestCsv:
         path = tmp_path / "curves.csv"
         write_time_volume_csv(path, records)
         assert path.read_bytes() == reference.read_bytes()
+        # and each id loads back as written, spaces and line breaks included
+        assert [blow_id for blow_id, _ in load_time_volume_csv(path)] == [blow_id for blow_id, _ in records]
 
     def test_milliliters_to_liters(self, tmp_path):
         path = tmp_path / "one.csv"

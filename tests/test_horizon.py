@@ -5,6 +5,7 @@ from spiroflow.attention import DemographicRecord, demographic_block
 from spiroflow.errors import InvalidArgument
 from spiroflow.horizon import FUTURE_FEATURE_NAMES, HORIZON_ORDER, HorizonLabel
 from spiroflow.horizon import future_feature_vector, predict_future_risk
+from spiroflow.phases import CONCAVITY_NAMES
 from spiroflow.training import LogisticModel, train_logistic
 
 
@@ -19,7 +20,8 @@ class TestFeatureVector:
         struct = demographic_block([DEMO, DemographicRecord("female", 45.0, "never")], [0.62, 0.8])
         block = future_feature_vector([0.7, 0.2], concavity, struct)
         assert block.shape == (2, len(FUTURE_FEATURE_NAMES)) and len(FUTURE_FEATURE_NAMES) == 13
-        assert FUTURE_FEATURE_NAMES[1:6] == ("c_pef_fef25", "c_fef25_fef50", "c_fef50_fef75", "c_fef75_plus", "concavity_trend")
+        assert FUTURE_FEATURE_NAMES[1:6] == ("c_pef_fef25", "c_fef25_fef50", "c_fef50_fef75", "c_fef75_plus", "trend")
+        assert FUTURE_FEATURE_NAMES[1:6] == CONCAVITY_NAMES  # featurize's header names the same block
         assert block[:, 0].tolist() == [0.7, 0.2]
         assert np.allclose(block[:, 1:5], [[0.1, 0.2, -0.3, -0.4], [-0.5, 0.6, 0.7, 0.8]])
         assert block[:, 5].tolist() == concavity[:, 4].tolist()
